@@ -21,6 +21,7 @@ from guidematch import evaluation as ev
 from guidematch import keypoint_matching as km
 from guidematch import supervision as sup
 from guidematch.geometry import SceneConfig, generate_scene, load_scene, load_scene_dir, save_scene
+from guidematch.geometry.scene import parse_kv_file
 
 
 class UsageError(Exception):
@@ -42,22 +43,10 @@ def _default_seed() -> int:
     return 0
 
 
-def _parse_kv_file(path) -> dict[str, str]:
-    out = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="rng seed (beats GUIDEMATCH_SEED)")
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--out", default=None, help="output path or directory")
-    p.add_argument("--threads", type=int, default=1, help="parallelism cap (runs are serial)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,7 +133,7 @@ def _cmd_synth(args, seed: int) -> int:
     out = _require_out(args)
     overrides = {}
     if args.config:
-        values = _parse_kv_file(args.config)
+        values = parse_kv_file(args.config)
         for key in (
             "width", "height", "n_planes", "repeated_stamps", "n_gt_points", "stamp_px", "stride",
         ):
@@ -197,7 +186,8 @@ def _cmd_coarse_match(args, seed: int) -> int:
     out = _require_out(args)
     model = cm.CoarseModel.load(args.checkpoint)
     scene = load_scene(args.scene_dir)
-    field = cm.compute_match_field(model, scene.image_a, scene.image_b, args.direction, args.max_side)
+    ab, ba = cm.compute_match_fields(model, scene.image_a, scene.image_b, args.max_side)
+    field = ab if args.direction == "AB" else ba
     out.parent.mkdir(parents=True, exist_ok=True)
     cm.write_match_field(out, field)
     print(f"wrote {field.target_cells.shape[0] * field.target_cells.shape[1]} cells to {out}")

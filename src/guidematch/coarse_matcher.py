@@ -402,23 +402,16 @@ def compute_volume(model: CoarseModel, image_a: np.ndarray, image_b: np.ndarray)
     return normalize_scores(vol)
 
 
-def compute_match_field(
-    model: CoarseModel,
-    image_a: np.ndarray,
-    image_b: np.ndarray,
-    direction: str = "AB",
-    max_side: int | None = None,
-) -> CoarseMatchField:
-    """Resize, run the model, extract a field stamped with the resize scales."""
-    if max_side is not None:
-        image_a, scale_a = resize_image(image_a, max_side, model.stride)
-        image_b, scale_b = resize_image(image_b, max_side, model.stride)
-    else:
-        scale_a = scale_b = (1.0, 1.0)
+def compute_match_fields(
+    model: CoarseModel, image_a: np.ndarray, image_b: np.ndarray, max_side: int
+) -> tuple[CoarseMatchField, CoarseMatchField]:
+    """Resize both images, run the model once, and extract the AB and BA
+    fields stamped with the resize scales."""
+    image_a, scale_a = resize_image(image_a, max_side, model.stride)
+    image_b, scale_b = resize_image(image_b, max_side, model.stride)
     vol = compute_volume(model, image_a, image_b)
-    fld = extract_matches(vol, direction)
-    if direction == "AB":
-        fld.scale_src, fld.scale_tgt = scale_a, scale_b
-    else:
-        fld.scale_src, fld.scale_tgt = scale_b, scale_a
-    return fld
+    ab = extract_matches(vol, "AB")
+    ab.scale_src, ab.scale_tgt = scale_a, scale_b
+    ba = extract_matches(vol, "BA")
+    ba.scale_src, ba.scale_tgt = scale_b, scale_a
+    return ab, ba

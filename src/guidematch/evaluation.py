@@ -20,7 +20,6 @@ from guidematch import coarse_matcher as cm
 from guidematch import keypoint_matching as km
 from guidematch import robust_pose as rp
 from guidematch.geometry import SyntheticScene, pose_error
-from guidematch.geometry.scene import trace_rays
 
 POSE_VARIANTS = ("raw", "mutual", "ratio", "ratio+mutual", "guided", "model-guided")
 FM_CORRECT_SAMPSON_PX = 3.0
@@ -85,12 +84,9 @@ def eval_pck(
     thresholds = list(thresholds)
     rows = []
     for scene in scenes:
-        image_a, scale_a = cm.resize_image(scene.image_a, max_side, model.stride)
-        image_b, scale_b = cm.resize_image(scene.image_b, max_side, model.stride)
-        vol = cm.compute_volume(model, image_a, image_b)
-        fld = cm.extract_matches(vol, "AB")
-        pts_a = scene.gt_points[:, :2] * scale_a
-        pts_b = scene.gt_points[:, 2:] * scale_b
+        fld, _ = cm.compute_match_fields(model, scene.image_a, scene.image_b, max_side)
+        pts_a = scene.gt_points[:, :2] * fld.scale_src
+        pts_b = scene.gt_points[:, 2:] * fld.scale_tgt
         mapped = cm.interpolate_matches(fld, pts_a)
         d = np.hypot(mapped[:, 0] - pts_b[:, 0], mapped[:, 1] - pts_b[:, 1])
         row = {"scene": scene.seed, "n_points": len(d)}
@@ -147,17 +143,6 @@ class PairFeatures:
 MatcherFn = Callable[[SyntheticScene, PairFeatures, np.random.Generator], km.MatchSet]
 
 
-def _guided_fields(model: cm.CoarseModel, scene: SyntheticScene, max_side: int):
-    image_a, scale_a = cm.resize_image(scene.image_a, max_side, model.stride)
-    image_b, scale_b = cm.resize_image(scene.image_b, max_side, model.stride)
-    vol = cm.compute_volume(model, image_a, image_b)
-    ab = cm.extract_matches(vol, "AB")
-    ab.scale_src, ab.scale_tgt = scale_a, scale_b
-    ba = cm.extract_matches(vol, "BA")
-    ba.scale_src, ba.scale_tgt = scale_b, scale_a
-    return ab, ba
-
-
 def make_matcher(
     variant: str | MatcherFn,
     model: cm.CoarseModel | None = None,
@@ -205,7 +190,7 @@ def make_matcher(
             raise ValueError("guided variant needs a coarse model checkpoint")
 
         def guided(scene, feats, rng):
-            fld_ab, fld_ba = _guided_fields(model, scene, max_side)
+            fld_ab, fld_ba = cm.compute_match_fields(model, scene.image_a, scene.image_b, max_side)
             if window_frame == "resized":
                 sb = 0.5 * (fld_ab.scale_tgt[0] + fld_ab.scale_tgt[1])
                 sa = 0.5 * (fld_ba.scale_tgt[0] + fld_ba.scale_tgt[1])
@@ -320,7 +305,7 @@ def eval_pose(
         try:
             matches = matcher(scene, feats, rng)
             coords_a, coords_b = km.match_coords(matches, feats.kps_a, feats.kps_b)
-        except (km.MatchingError, rp.EstimationError, ValueError):
+        except (km.MatchingError, rp.EstimationError):
             matches = None
             coords_a = coords_b = np.zeros((0, 2))
         for t_index, thr in enumerate(ransac_thresholds):
@@ -368,19 +353,3 @@ def eval_pose(
         agg["fm_recall"] = float(np.mean([r["fm_correct"] for r in sub]))
         aggregates.append(agg)
     return EvalReport(rows, aggregates, metadata or {})
-
-
-def oracle_match_field(scene: SyntheticScene, stride: int = 16) -> cm.CoarseMatchField:
-    """Ground-truth coarse field: each source cell maps to the target cell
-    containing the true correspondence of its center (clamped for cells whose
-    center is occluded or leaves the frame)."""
-    h, w = scene.image_a.shape
-    gh, gw = h // stride, w // stride
-    ys, xs = np.mgrid[0:gh, 0:gw]
-    centers = np.column_stack([(xs.ravel() + 0.5) * stride, (ys.ravel() + 0.5) * stride])
-    mapped, _ = scene.map_a_to_b(centers)
-    hb, wb = scene.image_b.shape
-    cols = np.clip(np.floor(np.nan_to_num(mapped[:, 0], nan=0.0) / stride), 0, wb // stride - 1)
-    rows_ = np.clip(np.floor(np.nan_to_num(mapped[:, 1], nan=0.0) / stride), 0, hb // stride - 1)
-    cells = np.stack([rows_, cols], axis=-1).astype(np.int64).reshape(gh, gw, 2)
-    return cm.CoarseMatchField("AB", cells, np.ones((gh, gw)), stride, stride, (h, w), (hb, wb))

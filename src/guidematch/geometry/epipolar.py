@@ -14,7 +14,6 @@ import numpy as np
 # Coordinate frame tags for fundamental matrices.
 FRAME_ORIGINAL = "original-px"
 FRAME_RESIZED = "resized-px"
-FRAME_FEATURE = "feature-grid"
 
 
 def _mat(a, shape) -> np.ndarray:

@@ -487,7 +487,8 @@ def save_scene(directory, scene: SyntheticScene) -> None:
         (d / "F.txt").write_text(body + f"\nframe = {scene.fundamental.frame}\n")
 
 
-def _parse_meta(path) -> dict[str, str]:
+def parse_kv_file(path) -> dict[str, str]:
+    """`key = value` lines; blank lines and `#` comments are skipped."""
     out = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
@@ -500,7 +501,7 @@ def _parse_meta(path) -> dict[str, str]:
 
 def load_scene(directory) -> SyntheticScene:
     d = Path(directory)
-    meta = _parse_meta(d / "meta.txt")
+    meta = parse_kv_file(d / "meta.txt")
     cams = {}
     for tag in ("a", "b"):
         cams[tag] = CameraCalibration(

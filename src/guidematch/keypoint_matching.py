@@ -1,11 +1,13 @@
 """Local keypoints and the matching rules that consume coarse guidance.
 
 Detection and description are deliberately simple desk-scale stand-ins
-(two-level Harris corners, mean-free normalized intensity patches). The
-interesting part is the matching: the guided rule restricts a keypoint's
-candidates to a radius-W disc around its coarse match before comparing
-descriptors, which is what disambiguates repeated structures; W = inf
-degenerates to plain nearest-neighbor matching.
+(two-level Harris corners, mean-free normalized intensity patches). Every
+matching rule is "nearest descriptor under a candidate mask"; only the mask
+differs. Raw matching admits every B keypoint. Guided matching admits those
+within a radius-W disc around the keypoint's coarse match, which is what
+disambiguates repeated structures; W = inf degenerates to raw matching.
+Model-guided matching admits those within a band around the keypoint's
+epipolar line under a fundamental matrix fitted to a first round of matches.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter, maximum_filter
 
 from guidematch.coarse_matcher import CoarseMatchField, interpolate_matches
-from guidematch.geometry.epipolar import FundamentalMatrix
+from guidematch.geometry.epipolar import FundamentalMatrix, epipolar_distances
 from guidematch.imageops import bilinear_sample
 
 HARRIS_K = 0.06
@@ -75,39 +77,6 @@ class MatchSet:
 
 def keypoint_coords(kps: list[Keypoint]) -> np.ndarray:
     return np.array([[k.x, k.y] for k in kps], dtype=np.float64).reshape(-1, 2)
-
-
-class SpatialGrid:
-    """Uniform hash grid over 2-d points for strict-radius range queries."""
-
-    def __init__(self, points: np.ndarray, cell_size: float):
-        if cell_size <= 0 or not np.isfinite(cell_size):
-            raise ValueError("cell_size must be positive and finite")
-        self.points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        self.cell = float(cell_size)
-        self.buckets: dict[tuple[int, int], list[int]] = {}
-        keys = np.floor(self.points / self.cell).astype(np.int64)
-        for idx, (cx, cy) in enumerate(keys):
-            self.buckets.setdefault((int(cx), int(cy)), []).append(idx)
-
-    def query(self, q, radius: float) -> np.ndarray:
-        """Indices of stored points with ||q - p|| < radius, ascending."""
-        qx, qy = float(q[0]), float(q[1])
-        if math.isinf(radius):
-            return np.arange(len(self.points))
-        cx0 = math.floor((qx - radius) / self.cell)
-        cx1 = math.floor((qx + radius) / self.cell)
-        cy0 = math.floor((qy - radius) / self.cell)
-        cy1 = math.floor((qy + radius) / self.cell)
-        hits: list[int] = []
-        for cx in range(cx0, cx1 + 1):
-            for cy in range(cy0, cy1 + 1):
-                hits.extend(self.buckets.get((cx, cy), ()))
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        cand = np.array(sorted(hits), dtype=np.int64)
-        d = np.hypot(self.points[cand, 0] - qx, self.points[cand, 1] - qy)
-        return cand[d < radius]
 
 
 def _harris_response(image: np.ndarray) -> np.ndarray:
@@ -213,22 +182,41 @@ def describe(image: np.ndarray, kps: list[Keypoint], patch: int = 13) -> Descrip
 
 
 def _nearest_two(dist_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row: the nearest candidate, its distance and the runner-up distance.
+
+    An infinite distance marks a non-candidate. Ties go to the lowest index;
+    a row with a single candidate gets a nan runner-up. Every row must hold
+    at least one candidate.
+    """
     best = dist_rows.argmin(axis=1)
     rows = np.arange(len(dist_rows))
     d1 = dist_rows[rows, best]
-    if dist_rows.shape[1] >= 2:
-        masked = dist_rows.copy()
-        masked[rows, best] = np.inf
-        d2 = masked.min(axis=1)
-    else:
-        d2 = np.full(len(dist_rows), np.nan)
-    return best, d1, d2
+    masked = dist_rows.copy()
+    masked[rows, best] = np.inf
+    d2 = masked.min(axis=1)
+    return best, d1, np.where(np.isinf(d2), np.nan, d2)
+
+
+def _match_masked(desc_a: DescriptorSet, desc_b: DescriptorSet, mask: np.ndarray):
+    """Nearest descriptor among the candidates ``mask[i]`` of each source row.
+
+    Distances are evaluated only over candidate pairs; rows without a
+    candidate stay unmatched. Returns (index_a, index_b, distance,
+    second_distance) for the rows that matched.
+    """
+    rows, cols = np.nonzero(mask)
+    dist = np.full(mask.shape, np.inf)
+    dist[rows, cols] = np.linalg.norm(desc_b.vectors[cols] - desc_a.vectors[rows], axis=1)
+    index_a = np.nonzero(mask.any(axis=1))[0]
+    if not len(index_a):
+        return index_a, index_a.copy(), np.zeros(0), np.zeros(0)
+    return (index_a, *_nearest_two(dist[index_a]))
 
 
 def match_raw(desc_a: DescriptorSet, desc_b: DescriptorSet, direction: str = "AB") -> MatchSet:
     """Plain nearest neighbor in descriptor space; ties to the lowest index."""
     if not len(desc_a) or not len(desc_b):
-        raise ValueError("both descriptor sets must be non-empty")
+        raise MatchingError("both descriptor sets must be non-empty")
     a, b = desc_a.vectors, desc_b.vectors
     d2 = np.maximum(
         (a * a).sum(1)[:, None] + (b * b).sum(1)[None, :] - 2.0 * (a @ b.T), 0.0
@@ -250,8 +238,9 @@ def match_guided(
 
     The window test is strict (< W) in original-image pixels; the coarse
     field's interpolated match is mapped back through its resize scales.
-    Source keypoints with an empty candidate window are left unmatched.
-    With an infinite window this is exactly raw matching.
+    Source keypoints outside the source image, where the field is undefined,
+    and those with an empty candidate window are left unmatched. With an
+    infinite window this is exactly raw matching.
     """
     if math.isinf(window_px):
         out = match_raw(desc_a, desc_b)
@@ -260,43 +249,24 @@ def match_guided(
         raise ValueError(f"window must be positive, got {window_px}")
     coords_a = keypoint_coords(kps_a)
     coords_b = keypoint_coords(kps_b)
-    sx, sy = match_field.scale_src
-    queries = coords_a * np.array([sx, sy])
-    mapped = interpolate_matches(match_field, queries)
-    tx, ty = match_field.scale_tgt
-    mapped = mapped / np.array([tx, ty])
-    grid = SpatialGrid(coords_b, window_px)
-    idx_a, idx_b, d1s, d2s = [], [], [], []
-    for i in range(len(coords_a)):
-        cand = grid.query(mapped[i], window_px)
-        if not len(cand):
-            continue
-        dd = np.linalg.norm(desc_b.vectors[cand] - desc_a.vectors[i], axis=1)
-        j = int(dd.argmin())
-        idx_a.append(i)
-        idx_b.append(int(cand[j]))
-        d1s.append(float(dd[j]))
-        if len(cand) >= 2:
-            dd[j] = np.inf
-            d2s.append(float(dd.min()))
-        else:
-            d2s.append(np.nan)
-    return MatchSet(
-        np.array(idx_a, dtype=np.int64),
-        np.array(idx_b, dtype=np.int64),
-        np.array(d1s),
-        np.array(d2s),
-        "AB",
-        "guided",
-        {"window_px": window_px},
+    queries = coords_a * np.array(match_field.scale_src)
+    h_px, w_px = match_field.src_image_size
+    qx, qy = queries[:, 0], queries[:, 1]
+    inside = (qx >= 0) & (qx < w_px) & (qy >= 0) & (qy < h_px)
+    mapped = interpolate_matches(match_field, queries[inside]) / np.array(match_field.scale_tgt)
+    mask = np.zeros((len(coords_a), len(coords_b)), dtype=bool)
+    mask[inside] = (
+        np.hypot(mapped[:, None, 0] - coords_b[None, :, 0], mapped[:, None, 1] - coords_b[None, :, 1])
+        < window_px
     )
+    return MatchSet(*_match_masked(desc_a, desc_b, mask), "AB", "guided", {"window_px": window_px})
 
 
 def mutual_check(ab: MatchSet, ba: MatchSet) -> MatchSet:
     """Keep (a, b) only when the reverse matching maps b back to a."""
-    back = dict(zip(ba.index_a.tolist(), ba.index_b.tolist()))
-    keep = [i for i in range(len(ab)) if back.get(int(ab.index_b[i])) == int(ab.index_a[i])]
-    keep = np.array(keep, dtype=np.int64)
+    back = np.full(max(ab.index_b.max(initial=-1), ba.index_a.max(initial=-1)) + 1, -1)
+    back[ba.index_a] = ba.index_b
+    keep = np.nonzero(back[ab.index_b] == ab.index_a)[0]
     return MatchSet(
         ab.index_a[keep],
         ab.index_b[keep],
@@ -374,62 +344,12 @@ def match_model_guided(
         fmat = estimate.matrix
     coords_a = keypoint_coords(kps_a)
     coords_b = keypoint_coords(kps_b)
-    ha = np.column_stack([coords_a, np.ones(len(coords_a))])
-    lines = ha @ fmat.T
-    denom = np.hypot(lines[:, 0], lines[:, 1])
-    numer = np.abs(lines @ np.column_stack([coords_b, np.ones(len(coords_b))]).T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dists = np.where(denom[:, None] > 0, numer / denom[:, None], np.inf)
-    idx_a, idx_b, d1s, d2s = [], [], [], []
-    for i in range(len(coords_a)):
-        cand = np.nonzero(dists[i] < band_px)[0]
-        if not len(cand):
-            continue
-        dd = np.linalg.norm(desc_b.vectors[cand] - desc_a.vectors[i], axis=1)
-        j = int(dd.argmin())
-        idx_a.append(i)
-        idx_b.append(int(cand[j]))
-        d1s.append(float(dd[j]))
-        if len(cand) >= 2:
-            dd[j] = np.inf
-            d2s.append(float(dd.min()))
-        else:
-            d2s.append(np.nan)
-    return MatchSet(
-        np.array(idx_a, dtype=np.int64),
-        np.array(idx_b, dtype=np.int64),
-        np.array(d1s),
-        np.array(d2s),
-        "AB",
-        "model-guided",
-        {"band_px": band_px},
-    )
+    ia, ib = np.indices((len(coords_a), len(coords_b))).reshape(2, -1)
+    dists = epipolar_distances(fmat, coords_a[ia], coords_b[ib]).reshape(len(coords_a), len(coords_b))
+    return MatchSet(*_match_masked(desc_a, desc_b, dists < band_px), "AB", "model-guided", {"band_px": band_px})
 
 
 # -- file formats --------------------------------------------------------------
-
-
-def save_keypoints(path, kps: list[Keypoint], desc: DescriptorSet) -> None:
-    """Header `count dim`, then `x y scale response d0 ... d{dim-1}` per line."""
-    dim = desc.vectors.shape[1]
-    lines = [f"{len(kps)} {dim}"]
-    for k, v in zip(kps, desc.vectors):
-        nums = [repr(float(x)) for x in (k.x, k.y, k.scale, k.response)]
-        nums += [repr(float(x)) for x in v]
-        lines.append(" ".join(nums))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_keypoints(path) -> tuple[list[Keypoint], DescriptorSet]:
-    lines = Path(path).read_text().splitlines()
-    count, dim = (int(v) for v in lines[0].split())
-    kps: list[Keypoint] = []
-    vecs = np.zeros((count, dim))
-    for i in range(count):
-        parts = lines[1 + i].split()
-        kps.append(Keypoint(float(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])))
-        vecs[i] = [float(v) for v in parts[4 : 4 + dim]]
-    return kps, DescriptorSet(vecs)
 
 
 def save_matches(path, ms: MatchSet, kps_a: list[Keypoint], kps_b: list[Keypoint]) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from guidematch import coarse_matcher as cm
 from guidematch import numerics
 from guidematch.geometry.epipolar import FRAME_RESIZED, FundamentalMatrix, epipolar_distances, rescale_fundamental
-from guidematch.geometry.scene import SyntheticScene, TrainingPair, load_scene_dir
+from guidematch.geometry.scene import SyntheticScene, TrainingPair, load_scene_dir, parse_kv_file
 from guidematch.numerics import AdamState, Tensor, adam_step
 
 MODES = ("image", "epipolar", "point")
@@ -324,13 +324,6 @@ class BatchSampler:
         return pos + neg
 
 
-def compose_batch(dataset: PairDataset, batch_size: int, seed: int) -> list[TrainingPair]:
-    """One half-positive half-negative batch, deterministic per seed."""
-    if batch_size % 2:
-        raise ValueError(f"batch_size must be even, got {batch_size}")
-    return BatchSampler(dataset, batch_size, seed).next_batch()
-
-
 # -- training ------------------------------------------------------------------
 
 
@@ -357,13 +350,7 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path, **overrides) -> "TrainConfig":
-        values = {}
-        for line in Path(path).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+        values = parse_kv_file(path)
         kwargs = {}
         for key in ("mode", "dataset_dir", "out_dir"):
             if key in values:

@@ -195,3 +195,51 @@ def adam_reference(x0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         v_hat = v / (1 - beta2**t)
         x = x - lr * m_hat / (math.sqrt(v_hat) + eps)
     return x
+
+
+def _nearest_among(vecs_a, vecs_b, i, cand):
+    """Nearest and runner-up descriptor distance of source row i over ``cand``."""
+    dd = np.linalg.norm(vecs_b[cand] - vecs_a[i], axis=1)
+    j = int(dd.argmin())
+    d1 = float(dd[j])
+    if len(cand) < 2:
+        return int(cand[j]), d1, np.nan
+    dd[j] = np.inf
+    return int(cand[j]), d1, float(dd.min())
+
+
+def _loop_match_set(vecs_a, vecs_b, candidates):
+    """Match every source row with a non-empty candidate list, in row order."""
+    rows = [(i, *_nearest_among(vecs_a, vecs_b, i, cand)) for i, cand in enumerate(candidates) if len(cand)]
+    index_a, index_b, d1, d2 = zip(*rows) if rows else ((), (), (), ())
+    return np.array(index_a, dtype=np.int64), np.array(index_b, dtype=np.int64), np.array(d1), np.array(d2)
+
+
+def guided_match_loop(mapped, coords_b, vecs_a, vecs_b, window_px):
+    """Per-keypoint guided matching: B points strictly within ``window_px`` of
+    each source point's mapped position, by linear scan. A nan mapped row has
+    no coarse match and stays unmatched."""
+    candidates = []
+    for mx, my in mapped:
+        d = np.hypot(coords_b[:, 0] - mx, coords_b[:, 1] - my)
+        candidates.append(np.nonzero(d < window_px)[0])
+    return _loop_match_set(vecs_a, vecs_b, candidates)
+
+
+def epipolar_band_match_loop(F, coords_a, coords_b, vecs_a, vecs_b, band_px):
+    """Per-keypoint model-guided matching: B points within ``band_px`` of the
+    source point's epipolar line, the line distance evaluated row by row."""
+    hb = np.column_stack([coords_b, np.ones(len(coords_b))])
+    candidates = []
+    for x, y in coords_a:
+        line = F @ np.array([x, y, 1.0])
+        denom = math.hypot(line[0], line[1])
+        d = np.abs(hb @ line) / denom if denom > 0 else np.full(len(coords_b), np.inf)
+        candidates.append(np.nonzero(d < band_px)[0])
+    return _loop_match_set(vecs_a, vecs_b, candidates)
+
+
+def mutual_pairs_dict(ab_pairs, ba_pairs):
+    """(a, b) pairs whose reverse match maps b back to a, via a dict."""
+    back = dict(ba_pairs)
+    return [(a, b) for a, b in ab_pairs if back.get(b) == a]

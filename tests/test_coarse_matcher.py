@@ -337,7 +337,7 @@ class TestModelCheckpoint:
     def test_field_export(self, tmp_path):
         model = make_model()
         rng = np.random.default_rng(15)
-        field = cm.compute_match_field(model, rng.random((64, 64)), rng.random((64, 64)))
+        field, _ = cm.compute_match_fields(model, rng.random((64, 64)), rng.random((64, 64)), 64)
         cm.write_match_field(tmp_path / "field.txt", field)
         lines = (tmp_path / "field.txt").read_text().splitlines()
         hs, ws = field.target_cells.shape[:2]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guidematch import keypoint_matching as km
-from guidematch.coarse_matcher import CoarseMatchField
+from guidematch.coarse_matcher import CoarseMatchField, interpolate_match
 from guidematch.geometry import FundamentalMatrix, SceneConfig, generate_scene
 
 import oracles
@@ -31,6 +33,10 @@ def oracle_field_from_offset(grid=(8, 8), stride=16, size=(128, 128), offset=(0,
         for j in range(w):
             cells[i, j] = (np.clip(i + offset[0], 0, h - 1), np.clip(j + offset[1], 0, w - 1))
     return CoarseMatchField("AB", cells, np.ones(grid), stride, stride, size, size)
+
+
+def _keypoints(points):
+    return [km.Keypoint(x, y, 9.0, 1.0) for x, y in points]
 
 
 class TestDetect:
@@ -111,6 +117,11 @@ class TestMatchRaw:
         assert np.all(ms.index_b == 0)
         assert np.all(np.isnan(ms.second_distance))
 
+    def test_empty_set_is_a_matching_error(self):
+        vecs = km.DescriptorSet(np.ones((3, 4)))
+        with pytest.raises(km.MatchingError, match="non-empty"):
+            km.match_raw(vecs, km.DescriptorSet(np.zeros((0, 4))))
+
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((20, 12))
@@ -126,26 +137,21 @@ class TestMatchRaw:
 
 
 class TestSpatialGrid:
-    def test_matches_linear_scan(self):
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(0, 100, size=(200, 2))
-        grid = km.SpatialGrid(pts, cell_size=7.0)
-        for _ in range(1000):
-            q = rng.uniform(-10, 110, size=2)
-            r = rng.uniform(0.5, 20.0)
-            got = grid.query(q, r)
-            ref = np.nonzero(np.hypot(pts[:, 0] - q[0], pts[:, 1] - q[1]) < r)[0]
-            assert np.array_equal(got, ref)
-
-    def test_strictness(self):
-        pts = np.array([[0.0, 0.0], [5.0, 0.0]])
-        grid = km.SpatialGrid(pts, cell_size=5.0)
-        assert np.array_equal(grid.query((0.0, 0.0), 5.0), [0])
+    """The spatial candidate window of ``match_guided``."""
 
     def test_infinite_radius(self):
-        pts = np.random.default_rng(4).uniform(0, 10, size=(7, 2))
-        grid = km.SpatialGrid(pts, cell_size=3.0)
-        assert np.array_equal(grid.query((5.0, 5.0), np.inf), np.arange(7))
+        # an infinite window admits every B keypoint, however far from the
+        # coarse match: each one in turn wins when its descriptor is nearest
+        field = oracle_field_from_offset()
+        pts = np.random.default_rng(4).uniform(0, 10, size=(7, 2)) * [100.0, -50.0]
+        kps_a = _keypoints([(5.0, 5.0)])
+        kps_b = _keypoints(pts)
+        desc_a = km.DescriptorSet(np.ones((1, 7)))
+        for k in range(7):
+            vecs = np.eye(7)
+            vecs[k] = 1.0
+            ms = km.match_guided(kps_a, desc_a, kps_b, km.DescriptorSet(vecs), field, np.inf)
+            assert ms.pairs() == [(0, k)]
 
 
 class TestMatchGuided:
@@ -188,6 +194,26 @@ class TestMatchGuided:
         desc_b = km.DescriptorSet(desc.vectors[keep])
         ms = km.match_guided(kps, desc, kps_b, desc_b, field, 8.0)
         assert len(ms) == 0
+
+    def test_window_strictness(self):
+        # the B keypoint at exactly W carries the source's own descriptor, so
+        # admitting it would make it win; the strict window must exclude it
+        field = oracle_field_from_offset()  # identity: (8, 8) maps to (8, 8)
+        kps_a = _keypoints([(8.0, 8.0)])
+        kps_b = _keypoints([(8.0, 8.0), (13.0, 8.0)])
+        desc_a = km.DescriptorSet(np.array([[1.0, 0.0]]))
+        desc_b = km.DescriptorSet(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        ms = km.match_guided(kps_a, desc_a, kps_b, desc_b, field, 5.0)
+        assert ms.pairs() == [(0, 0)]
+        assert np.isnan(ms.second_distance[0])
+
+    def test_source_outside_image_unmatched(self):
+        field = oracle_field_from_offset()
+        kps_a = _keypoints([(-3.0, 8.0), (8.0, 8.0), (8.0, 128.0)])
+        kps_b = _keypoints([(8.0, 8.0)])
+        desc = km.DescriptorSet(np.ones((3, 2)))
+        ms = km.match_guided(kps_a, desc, kps_b, km.DescriptorSet(np.ones((1, 2))), field, 200.0)
+        assert ms.pairs() == [(1, 0)]
 
     def test_repeated_structure_disambiguation(self):
         # two identical stamps; the guided window keeps only the right one
@@ -313,16 +339,6 @@ class TestModelGuided:
 
 
 class TestFileFormats:
-    def test_keypoint_roundtrip(self, tmp_path):
-        img = textured_image(14)
-        kps = km.detect_keypoints(img, max_count=20)
-        desc = km.describe(img, kps)
-        km.save_keypoints(tmp_path / "k.txt", kps, desc)
-        kps2, desc2 = km.load_keypoints(tmp_path / "k.txt")
-        assert len(kps2) == len(kps)
-        assert np.array_equal(desc2.vectors, desc.vectors)
-        assert kps2[0].x == kps[0].x
-
     def test_match_csv(self, tmp_path):
         img = textured_image(15)
         kps = km.detect_keypoints(img, max_count=20)
@@ -332,3 +348,113 @@ class TestFileFormats:
         lines = (tmp_path / "m.csv").read_text().splitlines()
         assert lines[0] == "iA,iB,xA,yA,xB,yB,dist"
         assert len(lines) == len(ms) + 1
+
+
+def _descriptors(draw, pool, n):
+    """Rows drawn from a three-vector pool, so equal descriptors (ties) recur."""
+    return km.DescriptorSet(pool[draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))])
+
+
+def _mapped_or_nan(field, coords):
+    """Per-point coarse match in B pixels; nan where the field is undefined."""
+    out = np.full((len(coords), 2), np.nan)
+    for i, p in enumerate(coords):
+        try:
+            out[i] = np.array(interpolate_match(field, p * np.array(field.scale_src))) / np.array(field.scale_tgt)
+        except ValueError:
+            pass
+    return out
+
+
+@st.composite
+def guided_cases(draw):
+    hs, ws, ht, wt = (draw(st.integers(1, 3)) for _ in range(4))
+    cell = st.tuples(st.integers(0, ht - 1), st.integers(0, wt - 1))
+    cells = draw(st.lists(cell, min_size=hs * ws, max_size=hs * ws))
+    field = CoarseMatchField(
+        "AB", np.array(cells).reshape(hs, ws, 2), np.ones((hs, ws)), 16, 16, (16 * hs, 16 * ws), (16 * ht, 16 * wt)
+    )
+    scales = st.sampled_from([(1.0, 1.0), (0.5, 0.75), (1.25, 0.5)])
+    field.scale_src, field.scale_tgt = draw(scales), draw(scales)
+    coord = st.floats(-10.0, 70.0)
+    pts_a = draw(st.lists(st.tuples(coord, coord), max_size=8))
+    pts_b = draw(st.lists(st.tuples(coord, coord), max_size=10))
+    window = draw(st.floats(0.5, 60.0))
+    pool = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((3, 4))
+    desc_a = _descriptors(draw, pool, len(pts_a))
+    desc_b = _descriptors(draw, pool, len(pts_b))
+    edge = None
+    mapped = _mapped_or_nan(field, np.array(pts_a).reshape(-1, 2))
+    inside = np.nonzero(np.isfinite(mapped[:, 0]))[0]
+    if len(inside) and draw(st.booleans()):
+        # a B keypoint at exactly the window radius, carrying the source's own
+        # descriptor: it would win if the strict window admitted it
+        i = int(inside[0])
+        bx = mapped[i, 0] + window
+        window = abs(mapped[i, 0] - bx)
+        pts_b.append((bx, mapped[i, 1]))
+        desc_b = km.DescriptorSet(np.vstack([desc_b.vectors, desc_a.vectors[i]]))
+        edge = (i, len(pts_b) - 1)
+    return field, _keypoints(pts_a), desc_a, _keypoints(pts_b), desc_b, window, edge
+
+
+def _assert_same(ms, ref):
+    index_a, index_b, d1, d2 = ref
+    assert np.array_equal(ms.index_a, index_a)
+    assert np.array_equal(ms.index_b, index_b)
+    assert np.array_equal(ms.distance, d1)
+    assert np.array_equal(ms.second_distance, d2, equal_nan=True)
+
+
+class TestMaskedMatcherOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(guided_cases())
+    def test_guided_equals_per_keypoint_loop(self, case):
+        field, kps_a, desc_a, kps_b, desc_b, window, edge = case
+        ms = km.match_guided(kps_a, desc_a, kps_b, desc_b, field, window)
+        mapped = _mapped_or_nan(field, km.keypoint_coords(kps_a))
+        ref = oracles.guided_match_loop(mapped, km.keypoint_coords(kps_b), desc_a.vectors, desc_b.vectors, window)
+        _assert_same(ms, ref)
+        if edge is not None:
+            assert edge not in ms.pairs()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**16),
+        st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)), max_size=8),
+        st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)), max_size=10),
+        st.floats(0.5, 40.0),
+        st.data(),
+    )
+    def test_model_guided_equals_per_keypoint_loop(self, seed, pts_a, pts_b, band, data):
+        # a generic F keeps every line distance away from the band edge, where
+        # the two evaluation orders could round to opposite sides
+        rng = np.random.default_rng(seed)
+        fmat = FundamentalMatrix.from_array(rng.standard_normal((3, 3)))
+        pool = rng.standard_normal((3, 4))
+        desc_a = _descriptors(data.draw, pool, len(pts_a))
+        desc_b = _descriptors(data.draw, pool, len(pts_b))
+        kps_a, kps_b = _keypoints(pts_a), _keypoints(pts_b)
+        ms = km.match_model_guided(kps_a, desc_a, kps_b, desc_b, band, model_override=fmat)
+        ref = oracles.epipolar_band_match_loop(
+            fmat.matrix, km.keypoint_coords(kps_a), km.keypoint_coords(kps_b), desc_a.vectors, desc_b.vectors, band
+        )
+        _assert_same(ms, ref)
+
+    @given(
+        st.dictionaries(st.integers(0, 12), st.integers(0, 12)),
+        st.dictionaries(st.integers(0, 12), st.integers(0, 12)),
+    )
+    def test_mutual_equals_dict_definition(self, ab_map, ba_map):
+        def match_set(mapping):
+            keys = sorted(mapping)
+            n = len(keys)
+            return km.MatchSet(
+                np.array(keys, dtype=np.int64),
+                np.array([mapping[k] for k in keys], dtype=np.int64),
+                np.zeros(n),
+                np.full(n, np.nan),
+            )
+
+        ab, ba = match_set(ab_map), match_set(ba_map)
+        assert km.mutual_check(ab, ba).pairs() == oracles.mutual_pairs_dict(ab.pairs(), ba.pairs())

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import guidematch
 from guidematch.numerics import (
     AdamState,
     Tensor,
@@ -361,3 +367,29 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+
+_LOSS_CASE_DIGEST = """
+import hashlib
+from guidematch import gradsuite, supervision
+h = hashlib.sha256()
+for mode in supervision.MODES:
+    f, params = gradsuite._loss_case(mode, 0)
+    for p in params:
+        h.update(p.data.tobytes())
+    h.update(repr(f().item()).encode())
+print(h.hexdigest())
+"""
+
+
+class TestGradSuite:
+    def test_loss_cases_ignore_string_hash_seed(self):
+        src = str(Path(guidematch.__file__).parents[1])
+        digests = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            out = subprocess.run(
+                [sys.executable, "-c", _LOSS_CASE_DIGEST], env=env, capture_output=True, text=True, check=True
+            )
+            digests.append(out.stdout)
+        assert digests[0] == digests[1]

@@ -239,20 +239,20 @@ class TestTotalLossAndBatching:
 
     def test_compose_batch_balance(self):
         ds = make_pairs(4)
-        batch = sup.compose_batch(ds, 4, seed=0)
+        batch = sup.BatchSampler(ds, 4, seed=0).next_batch()
         labels = [p.label for p in batch]
         assert labels.count(1) == 2 and labels.count(-1) == 2
 
     def test_compose_batch_exact_small_dataset(self):
         ds = make_pairs(2)
         small = sup.PairDataset(ds.positives[:1], ds.negatives[:1])
-        batch = sup.compose_batch(small, 2, seed=3)
+        batch = sup.BatchSampler(small, 2, seed=3).next_batch()
         assert {p.label for p in batch} == {1, -1}
 
     def test_compose_batch_deterministic(self):
         ds = make_pairs(4)
-        ids1 = [p.scene_ids for p in sup.compose_batch(ds, 4, seed=9)]
-        ids2 = [p.scene_ids for p in sup.compose_batch(ds, 4, seed=9)]
+        ids1 = [p.scene_ids for p in sup.BatchSampler(ds, 4, seed=9).next_batch()]
+        ids2 = [p.scene_ids for p in sup.BatchSampler(ds, 4, seed=9).next_batch()]
         assert ids1 == ids2
 
     def test_sampler_epoch_without_replacement(self):
@@ -272,8 +272,8 @@ class TestTotalLossAndBatching:
 
     def test_odd_batch_errors(self):
         ds = make_pairs(3)
-        with pytest.raises(ValueError, match="even"):
-            sup.compose_batch(ds, 3, seed=0)
+        with pytest.raises(ValueError, match="incompatible"):
+            sup.BatchSampler(ds, 3, seed=0)
 
 
 class TestTraining:
@@ -331,6 +331,25 @@ class TestTraining:
         assert (out / "checkpoint_final.gmck").exists()
         assert (out / "checkpoint_000002.gmck").exists()
         assert (out / "loss_curve.csv").read_text().startswith("step,loss,mode")
+
+    def test_divergence_keeps_last_finite_step(self, tmp_path, monkeypatch):
+        k = 4
+        reference = sup.train(self._config(tmp_path, out_dir=str(tmp_path / "ref"), iterations=k - 1))
+        original = sup.total_loss
+        calls = []
+
+        def nan_at_step_k(*args, **kwargs):
+            loss, mean = original(*args, **kwargs)
+            calls.append(mean)
+            return loss, (float("nan") if len(calls) == k else mean)
+
+        monkeypatch.setattr(sup, "total_loss", nan_at_step_k)
+        with pytest.raises(sup.TrainingDiverged) as info:
+            sup.train(self._config(tmp_path))
+        final = tmp_path / "run" / "checkpoint_final.gmck"
+        assert info.value.step == k and info.value.checkpoint_path == final
+        assert final.read_bytes() == reference.checkpoint_path.read_bytes()
+        assert len((tmp_path / "run" / "loss_curve.csv").read_text().splitlines()) == 1 + (k - 1)
 
     def test_config_file_roundtrip(self, tmp_path):
         text = "mode = point\niterations = 7\nlr = 0.01\nlambda_px = 8\nseed = 3\n"
