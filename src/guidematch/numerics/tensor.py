@@ -9,8 +9,6 @@ from one, so frozen parameters cost nothing during the backward pass.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 # Per-op finiteness assertions. Training loops disable them and check the
@@ -349,11 +347,72 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, zero_pad: i
     return _make(out, (x, kernel, bias), bwd, "conv2d")
 
 
+def _shifted(tap: int, n: int) -> tuple[slice, slice]:
+    """(destination, source) slices of a zero-padded 3-tap shift along one axis.
+
+    Destination index ``t`` reads source index ``t + tap - 1``; destinations
+    whose source falls in the padding are left out.
+    """
+    return slice(max(0, 1 - tap), min(n, n + 1 - tap)), slice(max(0, tap - 1), min(n, n + tap - 1))
+
+
+def _a_row_columns(x: np.ndarray):
+    """Yield ``(i, cols)`` for every A-row ``i`` of a (C, Ha, Wa, Hb, Wb) array.
+
+    ``cols`` has shape (9*C, (Wa+2)*Hb*Wb): row ``(dc*3 + dd)*C + c`` and
+    column ``(w, k, l)`` hold ``xp[c, i + 1, w, k + dc, l + dd]``, where
+    ``xp`` is ``x`` zero-padded by one on the four spatial axes. The B-taps
+    and channels are unrolled; the Wa axis keeps its padding so that an A-tap
+    ``db`` is the column slice ``w in [db, db + Wa)``. One buffer is reused
+    for every row, so a caller must consume it before the next one.
+    """
+    c, ha, wa, hb, wb = x.shape
+    cols = np.zeros((3, 3, c, wa + 2, hb, wb))
+    shifts = [(dc, dd, _shifted(dc, hb), _shifted(dd, wb)) for dc in range(3) for dd in range(3)]
+    for i in range(ha):
+        row = x[:, i]
+        for dc, dd, (dst_k, src_k), (dst_l, src_l) in shifts:
+            cols[dc, dd, :, 1 : wa + 1, dst_k, dst_l] = row[:, :, src_k, src_l]
+        yield i, cols.reshape(9 * c, -1)
+
+
+def _conv4d_into(out: np.ndarray, x: np.ndarray, kd: np.ndarray) -> None:
+    """Add the zero-padded stride-1 cross-correlation of (C_in, Ha, Wa, Hb, Wb)
+    with (C_out, C_in, 3, 3, 3, 3) to ``out``: one GEMM per A-row.
+
+    The kernel matrix has one (C_out, 9*C_in) block of rows per A-tap
+    (da, db). Its product with the columns of input row ``i`` feeds output
+    rows ``i + 1 - da``, shifted by ``db`` along Wa.
+    """
+    c_out, c_in = kd.shape[:2]
+    _, ha, wa, hb, wb = x.shape
+    kmat = kd.transpose(2, 3, 0, 4, 5, 1).reshape(9 * c_out, 9 * c_in)
+    prod = np.empty((9 * c_out, (wa + 2) * hb * wb))
+    taps = prod.reshape(3, 3, c_out, wa + 2, hb, wb)
+    for i, cols in _a_row_columns(x):
+        np.matmul(kmat, cols, out=prod)
+        for da in range(3):
+            a = i + 1 - da
+            if 0 <= a < ha:
+                for db in range(3):
+                    out[:, a] += taps[da, db, :, db : db + wa]
+
+
 def conv4d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Cross-correlate a (C_in, Ha, Wa, Hb, Wb) volume with 3^4 kernels.
 
     Fixed zero padding 1 and stride 1 on all four spatial axes, so the
     output spatial shape equals the input's.
+
+    For each A-row the 9 B-taps and the input channels are unrolled into a
+    (9*C_in, (Wa+2)*Hb*Wb) column matrix (see ``_a_row_columns``) and
+    multiplied by the kernel reshaped to (9*C_out, 9*C_in), whose 9 row
+    blocks are the A-taps; each block's slice is added to the output row it
+    feeds. The input gradient is the same routine on the output gradient
+    with the kernel flipped on its tap axes and its channel axes swapped.
+    The kernel gradient rebuilds the columns from the input, so the graph
+    keeps no padded copy, and multiplies them by the output-gradient slices
+    laid out like the forward product: one GEMM per A-row again.
     """
     if x.ndim != 5:
         raise ValueError(f"conv4d input must be 5-d (C,Ha,Wa,Hb,Wb), got shape {x.shape}")
@@ -370,34 +429,35 @@ def conv4d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     if min(spatial) < 1:
         raise ValueError(f"conv4d spatial extents must be >= 1, got {spatial}")
 
-    xp = np.pad(x.data, ((0, 0),) + ((1, 1),) * 4)
+    kd = kernel.data
     out = np.empty((c_out,) + spatial)
     out[:] = bias.data[(slice(None),) + (None,) * 4]
-    kd = kernel.data
-    taps = list(itertools.product(range(3), repeat=4))
-    slabs = [tuple(slice(d, d + n) for d, n in zip(tap, spatial)) for tap in taps]
-    for tap, slab in zip(taps, slabs):
-        out += np.tensordot(kd[(slice(None), slice(None)) + tap], xp[(slice(None),) + slab], axes=([1], [0]))
+    _conv4d_into(out, x.data, kd)
 
     def bwd(g):
         if bias.requires_grad:
             bias._acc(g.sum(axis=(1, 2, 3, 4)))
-        need_k = kernel.requires_grad
-        need_x = x.requires_grad
-        if not (need_k or need_x):
-            return
-        gk = np.zeros_like(kd) if need_k else None
-        gp = np.zeros_like(xp) if need_x else None
-        for tap, slab in zip(taps, slabs):
-            sel = (slice(None), slice(None)) + tap
-            if need_k:
-                gk[sel] = np.tensordot(g, xp[(slice(None),) + slab], axes=([1, 2, 3, 4], [1, 2, 3, 4]))
-            if need_x:
-                gp[(slice(None),) + slab] += np.tensordot(kd[sel], g, axes=([0], [0]))
-        if need_k:
-            kernel._acc(gk)
-        if need_x:
-            x._acc(gp[(slice(None),) + tuple(slice(1, 1 + n) for n in spatial)])
+        if kernel.requires_grad:
+            # gather, per input row, the output-gradient slices its columns
+            # fed: block (da, db) is output row i + 1 - da, shifted by db
+            ha, wa = spatial[:2]
+            gk = np.zeros((9 * c_out, 9 * c_in))
+            g_taps = np.zeros((3, 3, c_out, wa + 2) + spatial[2:])
+            for i, cols in _a_row_columns(x.data):
+                for da in range(3):
+                    a = i + 1 - da
+                    for db in range(3):
+                        if 0 <= a < ha:
+                            g_taps[da, db, :, db : db + wa] = g[:, a]
+                        else:
+                            g_taps[da, db] = 0.0
+                gk += g_taps.reshape(9 * c_out, -1) @ cols.T
+            kernel._acc(gk.reshape(3, 3, c_out, 3, 3, c_in).transpose(2, 5, 0, 1, 3, 4))
+        if x.requires_grad:
+            flipped = kd[:, :, ::-1, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4, 5)
+            gx = np.zeros(x.shape)
+            _conv4d_into(gx, g, flipped)
+            x._acc(gx)
 
     return _make(out, (x, kernel, bias), bwd, "conv4d")
 

@@ -129,8 +129,10 @@ def _ransac_loop(pts_a, pts_b, cfg: RansacConfig, solve, residuals) -> ModelEsti
     best_matrix = None
     best_inliers = np.empty(0, dtype=np.int64)
     needed = cfg.max_iters
+    # exactly 8 points admit one distinct minimal sample: fit it once
+    limit = 1 if n == 8 else cfg.max_iters
     it = 0
-    while it < min(needed, cfg.max_iters):
+    while it < min(needed, limit):
         it += 1
         sample = rng.choice(n, size=8, replace=False)
         try:

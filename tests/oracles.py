@@ -6,6 +6,7 @@ stay independent of the library code it checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -52,6 +53,36 @@ def conv4d_loops(x, kernel, bias):
                                             )
                         out[o, a, b, c, d] = acc
     return out
+
+
+def _conv4d_tap_slabs(spatial):
+    taps = list(itertools.product(range(3), repeat=4))
+    return [(tap, tuple(slice(d, d + n) for d, n in zip(tap, spatial))) for tap in taps]
+
+
+def conv4d_taps(x, kernel, bias):
+    """conv4d forward as 81 per-tap channel contractions over the padded input."""
+    spatial = x.shape[1:]
+    xp = np.pad(x, ((0, 0),) + ((1, 1),) * 4)
+    out = np.empty((kernel.shape[0],) + spatial)
+    out[:] = bias[(slice(None),) + (None,) * 4]
+    for tap, slab in _conv4d_tap_slabs(spatial):
+        out += np.tensordot(kernel[(slice(None), slice(None)) + tap], xp[(slice(None),) + slab], axes=([1], [0]))
+    return out
+
+
+def conv4d_taps_backward(x, kernel, g):
+    """Gradients (x, kernel, bias) of sum(g * conv4d(x, kernel, bias)), tap by tap."""
+    spatial = x.shape[1:]
+    xp = np.pad(x, ((0, 0),) + ((1, 1),) * 4)
+    gk = np.zeros_like(kernel)
+    gp = np.zeros_like(xp)
+    for tap, slab in _conv4d_tap_slabs(spatial):
+        sel = (slice(None), slice(None)) + tap
+        gk[sel] = np.tensordot(g, xp[(slice(None),) + slab], axes=([1, 2, 3, 4], [1, 2, 3, 4]))
+        gp[(slice(None),) + slab] += np.tensordot(kernel[sel], g, axes=([0], [0]))
+    gx = gp[(slice(None),) + tuple(slice(1, 1 + n) for n in spatial)]
+    return gx, gk, g.sum(axis=(1, 2, 3, 4))
 
 
 def softmax_direct(x, axes):

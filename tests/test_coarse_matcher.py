@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guidematch import coarse_matcher as cm
 from guidematch.numerics import Tensor, parameter
@@ -10,6 +12,15 @@ import oracles
 
 def make_model(seed=0, channels=(4, 8), hidden=(4,)):
     return cm.CoarseModel.create(seed, backbone_channels=channels, filter_hidden=hidden)
+
+
+def random_filter(hidden, rng):
+    """A consensus filter with every weight and bias drawn at random; the
+    default zero output head would make the filtered volume a constant."""
+    filt = cm.ConsensusFilter(hidden=hidden, rng=rng)
+    for p in filt.parameters():
+        p.data = rng.standard_normal(p.shape)
+    return filt
 
 
 def orthonormal_feature_map(n_cells, stride=16):
@@ -131,7 +142,7 @@ class TestFilterSymmetric:
 
     def test_order_symmetry(self):
         rng = np.random.default_rng(6)
-        filt = cm.ConsensusFilter(hidden=(4,), rng=rng)
+        filt = random_filter((4,), rng)
         raw = rng.standard_normal((2, 3, 4, 2))
         vol_ab = cm.CorrelationVolume(Tensor(raw), 16, 16, (32, 48), (64, 32))
         vol_ba = cm.CorrelationVolume(Tensor(raw.transpose(2, 3, 0, 1)), 16, 16, (64, 32), (32, 48))
@@ -139,9 +150,28 @@ class TestFilterSymmetric:
         cm.filter_symmetric(filt, vol_ba)
         assert np.abs(vol_ab.filtered.data - vol_ba.filtered.data.transpose(2, 3, 0, 1)).max() < 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spatial=st.tuples(*[st.integers(1, 4)] * 4),
+        hidden=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_order_symmetry_any_shape(self, spatial, hidden, seed):
+        rng = np.random.default_rng(seed)
+        filt = random_filter(tuple(hidden), rng)
+        raw = rng.standard_normal(spatial)
+        ha, wa, hb, wb = spatial
+        vol_ab = cm.CorrelationVolume(Tensor(raw), 16, 16, (16 * ha, 16 * wa), (16 * hb, 16 * wb))
+        vol_ba = cm.CorrelationVolume(
+            Tensor(raw.transpose(cm._SWAP_AB)), 16, 16, (16 * hb, 16 * wb), (16 * ha, 16 * wa)
+        )
+        ab = cm.filter_symmetric(filt, vol_ab).filtered.data
+        ba = cm.filter_symmetric(filt, vol_ba).filtered.data
+        assert np.abs(ab - ba.transpose(cm._SWAP_AB)).max() < 1e-12
+
     def test_matches_two_pass_reference(self):
         rng = np.random.default_rng(7)
-        filt = cm.ConsensusFilter(hidden=(4,), rng=rng)
+        filt = random_filter((4,), rng)
         raw = rng.standard_normal((2, 2, 3, 3))
         vol = cm.CorrelationVolume(Tensor(raw), 16, 16, (32, 32), (48, 48))
         cm.filter_symmetric(filt, vol)

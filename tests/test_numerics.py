@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import guidematch
 from guidematch.numerics import (
@@ -117,6 +119,19 @@ class TestConv4d:
         ref = oracles.conv4d_loops(x, k, b)
         assert np.max(np.abs(out.data - ref)) < 1e-12
 
+    def test_matches_tap_reference_at_model_width(self):
+        rng = np.random.default_rng(8)
+        x = parameter(rng.standard_normal((16, 3, 4, 3, 4)), "x")
+        k = parameter(rng.standard_normal((16, 16, 3, 3, 3, 3)), "k")
+        b = parameter(rng.standard_normal(16), "b")
+        out = conv4d(x, k, b)
+        assert np.max(np.abs(out.data - oracles.conv4d_taps(x.data, k.data, b.data))) < 1e-12
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        gx, gk, _ = oracles.conv4d_taps_backward(x.data, k.data, g)
+        assert np.max(np.abs(x.grad - gx)) < 1e-12
+        assert np.max(np.abs(k.grad - gk)) < 1e-12
+
     def test_linearity(self):
         rng = np.random.default_rng(9)
         k = Tensor(rng.standard_normal((2, 1, 3, 3, 3, 3)))
@@ -139,6 +154,27 @@ class TestConv4d:
                 return (conv4d(x, k, b) * w).sum()
 
             assert max_gradient_error(f, [x, k, b]) < GRAD_TOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spatial=st.tuples(*[st.integers(1, 4)] * 4),
+        c_in=st.integers(1, 3),
+        c_out=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracles_any_shape(self, spatial, c_in, c_out, seed):
+        rng = np.random.default_rng(seed)
+        x = parameter(rng.standard_normal((c_in, *spatial)), "x")
+        k = parameter(rng.standard_normal((c_out, c_in, 3, 3, 3, 3)), "k")
+        b = parameter(rng.standard_normal(c_out), "b")
+        out = conv4d(x, k, b)
+        assert np.max(np.abs(out.data - oracles.conv4d_loops(x.data, k.data, b.data))) < 1e-12
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        gx, gk, gb = oracles.conv4d_taps_backward(x.data, k.data, g)
+        assert np.max(np.abs(x.grad - gx)) < 1e-12
+        assert np.max(np.abs(k.grad - gk)) < 1e-12
+        assert np.max(np.abs(b.grad - gb)) < 1e-12
 
     def test_channel_mismatch(self):
         x = Tensor(np.zeros((2, 2, 2, 2, 2)))

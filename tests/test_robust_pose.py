@@ -172,6 +172,33 @@ class TestRansacEssential:
         assert np.array_equal(e1.inliers, e2.inliers)
 
 
+def _ransac_both(pa, pb, k_a, k_b, cfg):
+    return [rp.ransac_fundamental(pa, pb, cfg), rp.ransac_essential(pa, pb, k_a, k_b, cfg)]
+
+
+class TestRansacExactlyEight:
+    # eight points admit a single minimal sample; re-drawing it is wasted work
+
+    def test_random_points_fit_once(self):
+        rng = np.random.default_rng(12)
+        pa = rng.uniform(0, 127, size=(8, 2))
+        pb = rng.uniform(0, 127, size=(8, 2))
+        K = np.array([[128.0, 0, 64.0], [0, 128.0, 64.0], [0, 0, 1.0]])
+        for est in _ransac_both(pa, pb, K, K, rp.RansacConfig(seed=0)):
+            assert est.iterations == 1
+
+    def test_exact_points_still_succeed(self):
+        # the first 8 points of this scene are in general position: an
+        # 8-point fit on them explains all 40
+        scene, pa, pb = scene_correspondences(9, n=40)
+        assert rp.sampson_distances(rp.eight_point(pa[:8], pb[:8]), pa, pb).max() < 1e-6
+        cfg = rp.RansacConfig(seed=0)
+        for est in _ransac_both(pa[:8], pb[:8], scene.cam_a.K, scene.cam_b.K, cfg):
+            assert est.iterations == 1
+            assert est.success
+            assert np.array_equal(est.inliers, np.arange(8))
+
+
 class TestRecoverPose:
     def test_noiseless_round_trip(self):
         scene, pa, pb = scene_correspondences(12, n=60)
