@@ -7,11 +7,16 @@ neighborhoods win (applied in both image orders and averaged, which makes
 the scores symmetric under swapping the images); per-cell argmax plus
 bilinear interpolation of the surviving matches yields a pixel-level
 coarse match field.
+
+The forward pass is four pure stages, ``extract_features``, ``correlate``,
+``filter_symmetric`` and ``normalize_scores``; ``compute_volume`` runs them
+and returns one immutable ``CorrelationVolume``, which the supervision
+losses and ``extract_matches`` read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +85,10 @@ class ConsensusFilter:
 
     Default: single-channel in and out through hidden widths (16, 16),
     i.e. three conv layers, kernel 3, zero padding 1, leaky rectifiers
-    between layers and a linear final layer.
+    between layers and a linear final layer. The final layer's bias is a
+    constant zero: every loss reads softmaxes, which a shift of all scores
+    leaves unchanged, so a trained output bias would get no gradient but
+    rounding noise, and Adam would turn that noise into a random walk.
     """
 
     def __init__(self, hidden=(16, 16), rng: np.random.Generator | None = None):
@@ -88,7 +96,7 @@ class ConsensusFilter:
         dims = [1, *[int(h) for h in hidden], 1]
         self.hidden = tuple(int(h) for h in hidden)
         self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
+        self.biases: list[Tensor] = []  # hidden layers only
         last = len(dims) - 2
         for i, (c_in, c_out) in enumerate(zip(dims[:-1], dims[1:])):
             fan_in = c_in * 81
@@ -99,75 +107,48 @@ class ConsensusFilter:
                 # unlearn an arbitrary random re-scoring of the volume
                 w = np.zeros_like(w)
             self.weights.append(numerics.parameter(w, f"filter/{i}/weight"))
-            self.biases.append(numerics.parameter(np.zeros(c_out), f"filter/{i}/bias"))
+            if i != last:
+                self.biases.append(numerics.parameter(np.zeros(c_out), f"filter/{i}/bias"))
+        self.output_bias = Tensor(np.zeros(1))
 
     def parameters(self) -> list[Tensor]:
         out = []
-        for w, b in zip(self.weights, self.biases):
+        for w, b in zip(self.weights[:-1], self.biases):
             out.extend([w, b])
-        return out
+        return out + [self.weights[-1]]
 
     def forward(self, volume: Tensor) -> Tensor:
         """Apply to a (Ha, Wa, Hb, Wb) volume, preserving its shape."""
         spatial = volume.shape
         x = volume.reshape((1, *spatial))
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = numerics.conv4d(x, w, b)
-            if i != last:
-                x = numerics.leaky_relu(x, LEAKY_SLOPE)
-        return x.reshape(spatial)
+        for w, b in zip(self.weights[:-1], self.biases):
+            x = numerics.leaky_relu(numerics.conv4d(x, w, b), LEAKY_SLOPE)
+        return numerics.conv4d(x, self.weights[-1], self.output_bias).reshape(spatial)
 
 
-@dataclass
-class FeatureMap:
-    """Grid of channel vectors with the pixel geometry it was computed from."""
-
-    grid: Tensor  # (C, H_f, W_f)
-    stride: int
-    image_size: tuple[int, int]  # (H_px, W_px)
-    normalized: bool = False
-
-    def __post_init__(self):
-        c, hf, wf = self.grid.shape
-        h_px, w_px = self.image_size
-        if hf * self.stride != h_px or wf * self.stride != w_px:
-            raise ValueError(
-                f"feature grid {hf}x{wf} at stride {self.stride} does not cover image {h_px}x{w_px}"
-            )
-
-
-@dataclass
+@dataclass(frozen=True)
 class CorrelationVolume:
-    """Raw correlations plus, once computed, filtered and normalized scores."""
+    """Filtered correlation scores of one image pair and their two softmaxes.
 
-    raw: Tensor  # (Ha, Wa, Hb, Wb)
-    stride_a: int
-    stride_b: int
+    Built whole by ``compute_volume``; every grid cell covers ``stride``
+    pixels in both images.
+    """
+
+    filtered: Tensor  # (Ha, Wa, Hb, Wb)
+    prob_ab: Tensor  # softmax over the B dimensions
+    prob_ba: Tensor  # softmax over the A dimensions
+    stride: int
     image_size_a: tuple[int, int]
     image_size_b: tuple[int, int]
-    filtered: Tensor | None = None
-    prob_ab: Tensor | None = None  # softmax over the B dimensions
-    prob_ba: Tensor | None = None  # softmax over the A dimensions
-
-    @property
-    def grid_a(self) -> tuple[int, int]:
-        return self.raw.shape[:2]
-
-    @property
-    def grid_b(self) -> tuple[int, int]:
-        return self.raw.shape[2:]
 
 
 @dataclass
 class CoarseMatchField:
     """Per-source-cell argmax matches, interpolatable to pixel level."""
 
-    direction: str  # "AB" or "BA"
     target_cells: np.ndarray  # (Hs, Ws, 2) int, rows then cols
     scores: np.ndarray  # (Hs, Ws)
-    stride_src: int
-    stride_tgt: int
+    stride: int
     src_image_size: tuple[int, int]
     tgt_image_size: tuple[int, int]
     # original -> working scale factors (sx, sy); (1, 1) unless images were resized
@@ -177,8 +158,8 @@ class CoarseMatchField:
     def __post_init__(self):
         hs, ws, two = self.target_cells.shape
         assert two == 2
-        ht = self.tgt_image_size[0] // self.stride_tgt
-        wt = self.tgt_image_size[1] // self.stride_tgt
+        ht = self.tgt_image_size[0] // self.stride
+        wt = self.tgt_image_size[1] // self.stride
         if self.target_cells[..., 0].min() < 0 or self.target_cells[..., 0].max() >= ht:
             raise ValueError("target cell row out of bounds")
         if self.target_cells[..., 1].min() < 0 or self.target_cells[..., 1].max() >= wt:
@@ -206,8 +187,8 @@ def resize_image(image: np.ndarray, max_side: int, stride: int) -> tuple[np.ndar
     return resize_bilinear(image, ht, wt), (wt / w, ht / h)
 
 
-def extract_features(backbone: Backbone, image: np.ndarray) -> FeatureMap:
-    """Backbone forward pass followed by per-cell L2 normalization."""
+def extract_features(backbone: Backbone, image: np.ndarray) -> Tensor:
+    """Backbone forward pass followed by per-cell L2 normalization: (C, H/s, W/s)."""
     h, w = image.shape
     s = backbone.stride
     if h % s or w % s:
@@ -215,73 +196,59 @@ def extract_features(backbone: Backbone, image: np.ndarray) -> FeatureMap:
             f"image size {h}x{w} is not a multiple of the backbone stride {s}; "
             "resize it first (see resize_image)"
         )
-    grid = numerics.l2_normalize_channels(backbone.forward(image), NORM_EPS)
-    return FeatureMap(grid, s, (h, w), normalized=True)
+    return numerics.l2_normalize_channels(backbone.forward(image), NORM_EPS)
 
 
-def correlate(fa: FeatureMap, fb: FeatureMap) -> CorrelationVolume:
+def correlate(fa: Tensor, fb: Tensor) -> Tensor:
     """Dense dot products between every cell of A and every cell of B."""
-    if not (fa.normalized and fb.normalized):
-        raise ValueError("feature maps must be normalized before correlation")
-    ca, ha, wa = fa.grid.shape
-    cb, hb, wb = fb.grid.shape
+    ca, ha, wa = fa.shape
+    cb, hb, wb = fb.shape
     if ca != cb:
         raise ValueError(f"channel mismatch: {ca} vs {cb}")
-    left = fa.grid.reshape((ca, ha * wa)).transpose((1, 0))
-    right = fb.grid.reshape((cb, hb * wb))
-    raw = numerics.matmul(left, right).reshape((ha, wa, hb, wb))
-    return CorrelationVolume(raw, fa.stride, fb.stride, fa.image_size, fb.image_size)
+    left = fa.reshape((ca, ha * wa)).transpose((1, 0))
+    right = fb.reshape((cb, hb * wb))
+    return numerics.matmul(left, right).reshape((ha, wa, hb, wb))
 
 
 _SWAP_AB = (2, 3, 0, 1)
 
 
-def filter_symmetric(cons: ConsensusFilter, vol: CorrelationVolume) -> CorrelationVolume:
+def filter_symmetric(cons: ConsensusFilter, raw: Tensor) -> Tensor:
     """Run the consensus filter in both image orders and average.
 
     Guarantees filtered(A,B)[i,j,k,l] == filtered(B,A)[k,l,i,j].
     """
-    direct = cons.forward(vol.raw)
-    swapped = cons.forward(vol.raw.transpose(_SWAP_AB)).transpose(_SWAP_AB)
-    vol.filtered = (direct + swapped) * 0.5
-    return vol
+    direct = cons.forward(raw)
+    swapped = cons.forward(raw.transpose(_SWAP_AB)).transpose(_SWAP_AB)
+    return (direct + swapped) * 0.5
 
 
-def normalize_scores(vol: CorrelationVolume) -> CorrelationVolume:
-    if vol.filtered is None:
-        raise ValueError("run filter_symmetric before normalize_scores")
-    vol.prob_ab = numerics.softmax_over(vol.filtered, (2, 3))
-    vol.prob_ba = numerics.softmax_over(vol.filtered, (0, 1))
-    return vol
+def normalize_scores(filtered: Tensor) -> tuple[Tensor, Tensor]:
+    """Softmax over the B dimensions and over the A dimensions: (prob_ab, prob_ba)."""
+    return numerics.softmax_over(filtered, (2, 3)), numerics.softmax_over(filtered, (0, 1))
 
 
 def extract_matches(vol: CorrelationVolume, direction: str = "AB") -> CoarseMatchField:
     """Argmax over the target image's grid; ties go to the lowest linear index.
 
-    The softmax preserves per-slice argmaxes, so extracting from the raw
-    filtered scores and from the normalized ones is equivalent.
+    "BA" runs the same rule on the transposed scores. The softmax preserves
+    per-slice argmaxes, so extracting from the raw filtered scores and from
+    the normalized ones is equivalent.
     """
-    if vol.filtered is None:
-        raise ValueError("run filter_symmetric before extract_matches")
     s = vol.filtered.data
-    ha, wa, hb, wb = s.shape
     if direction == "AB":
-        flat = s.reshape(ha * wa, hb * wb)
-        arg = flat.argmax(axis=1)
-        scores = flat[np.arange(ha * wa), arg].reshape(ha, wa)
-        cells = np.stack(np.unravel_index(arg, (hb, wb)), axis=-1).reshape(ha, wa, 2)
-        return CoarseMatchField(
-            "AB", cells, scores, vol.stride_a, vol.stride_b, vol.image_size_a, vol.image_size_b
-        )
-    if direction == "BA":
-        flat = s.transpose(_SWAP_AB).reshape(hb * wb, ha * wa)
-        arg = flat.argmax(axis=1)
-        scores = flat[np.arange(hb * wb), arg].reshape(hb, wb)
-        cells = np.stack(np.unravel_index(arg, (ha, wa)), axis=-1).reshape(hb, wb, 2)
-        return CoarseMatchField(
-            "BA", cells, scores, vol.stride_b, vol.stride_a, vol.image_size_b, vol.image_size_a
-        )
-    raise ValueError(f"direction must be 'AB' or 'BA', got {direction!r}")
+        sizes = vol.image_size_a, vol.image_size_b
+    elif direction == "BA":
+        s = s.transpose(_SWAP_AB)
+        sizes = vol.image_size_b, vol.image_size_a
+    else:
+        raise ValueError(f"direction must be 'AB' or 'BA', got {direction!r}")
+    hs, ws, ht, wt = s.shape
+    flat = s.reshape(hs * ws, ht * wt)
+    arg = flat.argmax(axis=1)
+    scores = flat[np.arange(hs * ws), arg].reshape(hs, ws)
+    cells = np.stack(np.unravel_index(arg, (ht, wt)), axis=-1).reshape(hs, ws, 2)
+    return CoarseMatchField(cells, scores, vol.stride, *sizes)
 
 
 def interpolate_matches(field: CoarseMatchField, pts: np.ndarray) -> np.ndarray:
@@ -296,7 +263,7 @@ def interpolate_matches(field: CoarseMatchField, pts: np.ndarray) -> np.ndarray:
     xs, ys = pts[:, 0], pts[:, 1]
     if (xs < 0).any() or (xs >= w_px).any() or (ys < 0).any() or (ys >= h_px).any():
         raise ValueError("query point outside the source image")
-    s = field.stride_src
+    s = field.stride
     hs, ws = field.target_cells.shape[:2]
     gx = np.clip(xs / s - 0.5, 0.0, max(ws - 1, 0))
     gy = np.clip(ys / s - 0.5, 0.0, max(hs - 1, 0))
@@ -306,9 +273,8 @@ def interpolate_matches(field: CoarseMatchField, pts: np.ndarray) -> np.ndarray:
     ty = np.clip(gy - i0, 0.0, 1.0)
     j1 = np.minimum(j0 + 1, ws - 1)
     i1 = np.minimum(i0 + 1, hs - 1)
-    st = field.stride_tgt
     # match point of a cell: its target cell center, (col+0.5, row+0.5)*stride
-    targets = (field.target_cells[..., ::-1] + 0.5) * st
+    targets = (field.target_cells[..., ::-1] + 0.5) * s
     p00 = targets[i0, j0]
     p01 = targets[i0, j1]
     p10 = targets[i1, j0]
@@ -318,11 +284,6 @@ def interpolate_matches(field: CoarseMatchField, pts: np.ndarray) -> np.ndarray:
     top = p00 * (1 - wx) + p01 * wx
     bot = p10 * (1 - wx) + p11 * wx
     return top * (1 - wy) + bot * wy
-
-
-def interpolate_match(field: CoarseMatchField, p) -> tuple[float, float]:
-    out = interpolate_matches(field, np.asarray(p, dtype=np.float64)[None])[0]
-    return float(out[0]), float(out[1])
 
 
 def write_match_field(path, field: CoarseMatchField) -> None:
@@ -384,6 +345,8 @@ class CoarseModel:
         channels = tuple(int(c) for c in arrays["meta/backbone_channels"])
         hidden = tuple(int(h) for h in arrays["meta/filter_hidden"])
         model = cls.create(0, channels, hidden)
+        # checkpoints written before the output bias became a constant carry
+        # it as filter/<last>/bias; like any array the model lacks, it is ignored
         for p in model.parameters():
             if p.name not in arrays:
                 raise ValueError(f"checkpoint missing parameter {p.name!r}")
@@ -397,9 +360,8 @@ def compute_volume(model: CoarseModel, image_a: np.ndarray, image_b: np.ndarray)
     """Full forward pass: features, correlation, symmetric filter, softmax."""
     fa = extract_features(model.backbone, image_a)
     fb = extract_features(model.backbone, image_b)
-    vol = correlate(fa, fb)
-    filter_symmetric(model.cons_filter, vol)
-    return normalize_scores(vol)
+    filtered = filter_symmetric(model.cons_filter, correlate(fa, fb))
+    return CorrelationVolume(filtered, *normalize_scores(filtered), model.stride, image_a.shape, image_b.shape)
 
 
 def compute_match_fields(

@@ -208,14 +208,9 @@ def make_matcher(
         return guided
     if variant == "model-guided":
 
-        def model_guided(scene, feats, rng, override=None):
-            ab = km.match_model_guided(
-                feats.kps_a, feats.desc_a, feats.kps_b, feats.desc_b, band_px, model_override=override
-            )
-            ba = km.match_model_guided(
-                feats.kps_b, feats.desc_b, feats.kps_a, feats.desc_a, band_px,
-                model_override=None if override is None else override.transposed(),
-            )
+        def model_guided(scene, feats, rng):
+            ab = km.match_model_guided(feats.kps_a, feats.desc_a, feats.kps_b, feats.desc_b, band_px)
+            ba = km.match_model_guided(feats.kps_b, feats.desc_b, feats.kps_a, feats.desc_a, band_px)
             if ratio is not None:
                 ab = km.ratio_test(ab, ratio)
                 ba = km.ratio_test(ba, ratio)

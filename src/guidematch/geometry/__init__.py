@@ -4,11 +4,9 @@ from guidematch.geometry.epipolar import (
     CameraCalibration,
     FundamentalMatrix,
     RelativePose,
-    epipolar_distance,
     epipolar_distances,
     fundamental_from_calibration,
     pose_error,
-    project,
     relative_pose_between,
     rescale_fundamental,
     rotation_from_axis_angle,
@@ -18,7 +16,6 @@ from guidematch.geometry.scene import (
     SyntheticScene,
     TrainingPair,
     generate_scene,
-    negative_pair,
     load_scene,
     load_scene_dir,
     save_scene,
@@ -28,11 +25,9 @@ __all__ = [
     "CameraCalibration",
     "FundamentalMatrix",
     "RelativePose",
-    "epipolar_distance",
     "epipolar_distances",
     "fundamental_from_calibration",
     "pose_error",
-    "project",
     "relative_pose_between",
     "rescale_fundamental",
     "rotation_from_axis_angle",
@@ -40,7 +35,6 @@ __all__ = [
     "SyntheticScene",
     "TrainingPair",
     "generate_scene",
-    "negative_pair",
     "load_scene",
     "load_scene_dir",
     "save_scene",

@@ -157,10 +157,6 @@ def epipolar_distances(F: FundamentalMatrix | np.ndarray, pts_a: np.ndarray, pts
     return out
 
 
-def epipolar_distance(F: FundamentalMatrix | np.ndarray, pa, pb) -> float:
-    return float(epipolar_distances(F, np.asarray(pa)[None], np.asarray(pb)[None])[0])
-
-
 def rescale_fundamental(
     F: FundamentalMatrix, scale_a: tuple[float, float], scale_b: tuple[float, float], frame: str | None = None
 ) -> FundamentalMatrix:
@@ -172,20 +168,6 @@ def rescale_fundamental(
     inv_a = np.diag([1.0 / sxa, 1.0 / sya, 1.0])
     inv_bt = np.diag([1.0 / sxb, 1.0 / syb, 1.0])
     return FundamentalMatrix.from_array(inv_bt @ F.matrix @ inv_a, frame or F.frame)
-
-
-def project(cam: CameraCalibration, point3d) -> tuple[float, float] | None:
-    """Perspective projection; None when behind the camera or out of frame."""
-    x_cam = cam.R @ np.asarray(point3d, dtype=np.float64) + cam.t
-    if np.linalg.norm(x_cam) < 1e-12:
-        raise ValueError("point coincides with the camera center")
-    if x_cam[2] <= 0:
-        return None
-    h = cam.K @ x_cam
-    x, y = h[0] / h[2], h[1] / h[2]
-    if not (0.0 <= x <= cam.width - 1 and 0.0 <= y <= cam.height - 1):
-        return None
-    return float(x), float(y)
 
 
 def pose_error(est: RelativePose, gt: RelativePose) -> tuple[float, float]:

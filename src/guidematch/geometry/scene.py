@@ -25,7 +25,6 @@ from guidematch.geometry.epipolar import (
     CameraCalibration,
     FundamentalMatrix,
     RelativePose,
-    epipolar_distances,
     fundamental_from_calibration,
     relative_pose_between,
     rotation_from_axis_angle,
@@ -409,18 +408,6 @@ class TrainingPair:
             raise ValueError("positive pair needs a fundamental matrix or ground-truth matches")
 
 
-def negative_pair(scene_a: SyntheticScene, scene_b: SyntheticScene) -> TrainingPair:
-    """Pair the A view of one scene with the B view of a different scene."""
-    if scene_a.seed == scene_b.seed:
-        raise ValueError("negative pair requires two different scenes")
-    return TrainingPair(
-        scene_a.image_a,
-        scene_b.image_b,
-        label=-1,
-        scene_ids=(scene_a.seed, scene_b.seed),
-    )
-
-
 # -- scene archives ----------------------------------------------------------
 
 
@@ -544,11 +531,3 @@ def load_scene_dir(root) -> list[SyntheticScene]:
     if not dirs:
         raise ValueError(f"{root}: no scene directories found")
     return [load_scene(p) for p in dirs]
-
-
-def check_scene_epipolar(scene: SyntheticScene) -> float:
-    """Max epipolar distance over the stored ground-truth pairs (self check)."""
-    if scene.fundamental is None:
-        raise ValueError("scene has no fundamental matrix")
-    d = epipolar_distances(scene.fundamental, scene.gt_points[:, :2], scene.gt_points[:, 2:])
-    return float(d.max()) if len(d) else 0.0

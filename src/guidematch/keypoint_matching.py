@@ -13,7 +13,7 @@ epipolar line under a fundamental matrix fitted to a first round of matches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +58,6 @@ class MatchSet:
     index_b: np.ndarray
     distance: np.ndarray
     second_distance: np.ndarray  # nan when the candidate set had one element
-    direction: str = "AB"
-    provenance: str = "raw"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = len(self.index_a)
@@ -213,7 +210,7 @@ def _match_masked(desc_a: DescriptorSet, desc_b: DescriptorSet, mask: np.ndarray
     return (index_a, *_nearest_two(dist[index_a]))
 
 
-def match_raw(desc_a: DescriptorSet, desc_b: DescriptorSet, direction: str = "AB") -> MatchSet:
+def match_raw(desc_a: DescriptorSet, desc_b: DescriptorSet) -> MatchSet:
     """Plain nearest neighbor in descriptor space; ties to the lowest index."""
     if not len(desc_a) or not len(desc_b):
         raise MatchingError("both descriptor sets must be non-empty")
@@ -223,7 +220,7 @@ def match_raw(desc_a: DescriptorSet, desc_b: DescriptorSet, direction: str = "AB
     )
     d = np.sqrt(d2)
     best, d1, d2nd = _nearest_two(d)
-    return MatchSet(np.arange(len(a)), best, d1, d2nd, direction, "raw")
+    return MatchSet(np.arange(len(a)), best, d1, d2nd)
 
 
 def match_guided(
@@ -243,8 +240,7 @@ def match_guided(
     infinite window this is exactly raw matching.
     """
     if math.isinf(window_px):
-        out = match_raw(desc_a, desc_b)
-        return replace(out, provenance="guided", params={"window_px": window_px})
+        return match_raw(desc_a, desc_b)
     if window_px <= 0:
         raise ValueError(f"window must be positive, got {window_px}")
     coords_a = keypoint_coords(kps_a)
@@ -259,7 +255,7 @@ def match_guided(
         np.hypot(mapped[:, None, 0] - coords_b[None, :, 0], mapped[:, None, 1] - coords_b[None, :, 1])
         < window_px
     )
-    return MatchSet(*_match_masked(desc_a, desc_b, mask), "AB", "guided", {"window_px": window_px})
+    return MatchSet(*_match_masked(desc_a, desc_b, mask))
 
 
 def mutual_check(ab: MatchSet, ba: MatchSet) -> MatchSet:
@@ -267,30 +263,14 @@ def mutual_check(ab: MatchSet, ba: MatchSet) -> MatchSet:
     back = np.full(max(ab.index_b.max(initial=-1), ba.index_a.max(initial=-1)) + 1, -1)
     back[ba.index_a] = ba.index_b
     keep = np.nonzero(back[ab.index_b] == ab.index_a)[0]
-    return MatchSet(
-        ab.index_a[keep],
-        ab.index_b[keep],
-        ab.distance[keep],
-        ab.second_distance[keep],
-        ab.direction,
-        ab.provenance,
-        {**ab.params, "mutual": True},
-    )
+    return MatchSet(ab.index_a[keep], ab.index_b[keep], ab.distance[keep], ab.second_distance[keep])
 
 
 def ratio_test(ms: MatchSet, ratio: float) -> MatchSet:
     """Keep matches with d1 < ratio * d2; matches without a runner-up stay."""
     keep = np.isnan(ms.second_distance) | (ms.distance < ratio * ms.second_distance)
     idx = np.nonzero(keep)[0]
-    return MatchSet(
-        ms.index_a[idx],
-        ms.index_b[idx],
-        ms.distance[idx],
-        ms.second_distance[idx],
-        ms.direction,
-        ms.provenance,
-        {**ms.params, "ratio": ratio},
-    )
+    return MatchSet(ms.index_a[idx], ms.index_b[idx], ms.distance[idx], ms.second_distance[idx])
 
 
 def _top_scale_indices(kps: list[Keypoint], fraction: float = 0.2) -> np.ndarray:
@@ -305,7 +285,6 @@ def match_model_guided(
     kps_b: list[Keypoint],
     desc_b: DescriptorSet,
     band_px: float = 3.0,
-    ransac_cfg=None,
     model_override: FundamentalMatrix | None = None,
 ) -> MatchSet:
     """Classical two-stage guided baseline.
@@ -313,14 +292,13 @@ def match_model_guided(
     Stage 1 matches the top 20% of keypoints by scale (mutually) and fits a
     fundamental matrix to them robustly; stage 2 re-matches every source
     keypoint against the B keypoints lying within ``band_px`` of its
-    epipolar line. ``model_override`` skips stage 1, which tests and
-    evaluations use to inject a deliberately wrong geometry.
+    epipolar line. ``model_override`` skips stage 1, which tests use to
+    inject a known or a deliberately wrong geometry.
     """
     from guidematch.robust_pose import RansacConfig, ransac_fundamental
 
     if math.isinf(band_px):
-        out = match_raw(desc_a, desc_b)
-        return replace(out, provenance="model-guided", params={"band_px": band_px})
+        return match_raw(desc_a, desc_b)
     if model_override is not None:
         fmat = model_override.matrix
     else:
@@ -337,8 +315,7 @@ def match_model_guided(
             raise MatchingError(f"only {len(seeds)} mutual top-scale matches, need 8")
         coords_a = keypoint_coords(kps_a)[top_a[seeds.index_a]]
         coords_b = keypoint_coords(kps_b)[top_b[seeds.index_b]]
-        cfg = ransac_cfg or RansacConfig(threshold=band_px, seed=0)
-        estimate = ransac_fundamental(coords_a, coords_b, cfg)
+        estimate = ransac_fundamental(coords_a, coords_b, RansacConfig(threshold=band_px, seed=0))
         if not estimate.success:
             raise MatchingError("stage-1 fundamental matrix estimation failed")
         fmat = estimate.matrix
@@ -346,7 +323,7 @@ def match_model_guided(
     coords_b = keypoint_coords(kps_b)
     ia, ib = np.indices((len(coords_a), len(coords_b))).reshape(2, -1)
     dists = epipolar_distances(fmat, coords_a[ia], coords_b[ib]).reshape(len(coords_a), len(coords_b))
-    return MatchSet(*_match_masked(desc_a, desc_b, dists < band_px), "AB", "model-guided", {"band_px": band_px})
+    return MatchSet(*_match_masked(desc_a, desc_b, dists < band_px))
 
 
 # -- file formats --------------------------------------------------------------

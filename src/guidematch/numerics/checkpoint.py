@@ -32,27 +32,35 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint; a ValueError naming ``path`` reports a wrong magic
+    or version, a name that is not UTF-8, a file cut short anywhere, and
+    bytes after the last array."""
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic {raw[:4]!r})")
-    version, count = struct.unpack_from("<II", raw, 4)
+    offset = 4
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal offset
+        if offset + n > len(raw):
+            raise ValueError(f"{path}: truncated checkpoint while reading {what}")
+        offset += n
+        return raw[offset - n : offset]
+
+    version, count = struct.unpack("<II", take(8, "the header"))
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    offset = 12
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        name = raw[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{rank}I", raw, offset) if rank else ()
-        offset += 4 * rank
-        n = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        end = offset + 8 * n
-        if end > len(raw):
-            raise ValueError(f"{path}: truncated checkpoint while reading {name!r}")
-        out[name] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).astype(np.float64)
-        offset = end
+    for i in range(count):
+        (name_len,) = struct.unpack("<I", take(4, f"the name length of array {i}"))
+        try:
+            name = take(name_len, f"the name of array {i}").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: the name of array {i} is not UTF-8") from exc
+        (rank,) = struct.unpack("<I", take(4, f"the rank of {name!r}"))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank, f"the shape of {name!r}"))
+        n = int(np.prod(shape, dtype=np.int64))
+        out[name] = np.frombuffer(take(8 * n, repr(name)), dtype="<f8").reshape(shape).astype(np.float64)
+    if offset != len(raw):
+        raise ValueError(f"{path}: {len(raw) - offset} trailing bytes after the last array")
     return out

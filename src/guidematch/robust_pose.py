@@ -108,10 +108,6 @@ def sampson_distances(F: FundamentalMatrix | np.ndarray, pts_a: np.ndarray, pts_
     return out
 
 
-def sampson_distance(F, pa, pb) -> float:
-    return float(sampson_distances(F, np.asarray(pa)[None], np.asarray(pb)[None])[0])
-
-
 def _adaptive_iterations(inlier_ratio: float, confidence: float, sample_size: int) -> int:
     if inlier_ratio <= 0.0:
         return np.iinfo(np.int32).max

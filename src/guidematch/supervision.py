@@ -7,7 +7,10 @@ source cells into geometrically consistent and inconsistent sets using the
 pair's fundamental matrix and pushes the two groups in opposite directions,
 with the inconsistent term halved so negative-only pairs stay balanced.
 Point supervision maximizes the score of the known ground-truth target
-cells. Every loss is evaluated in both matching directions and summed.
+cells. Every loss reads one ``coarse_matcher.CorrelationVolume`` and is
+evaluated in both matching directions and summed. Labels are computed on
+cell centers in resized pixels at the volume's one stride, so fundamental
+matrices and ground-truth matches must be in that frame.
 """
 
 from __future__ import annotations
@@ -38,87 +41,24 @@ class TrainingDiverged(RuntimeError):
         self.checkpoint_path = checkpoint_path
 
 
-@dataclass
-class MatchLabelSets:
-    """Partition of source cells into epipolar-consistent and not."""
+def _label_direction(scores: np.ndarray, F: FundamentalMatrix, lambda_px: float, stride: int) -> np.ndarray:
+    """Per source cell: is its argmax match within ``lambda_px`` of the epipolar line?
 
-    positive: np.ndarray  # bool (H, W)
-    negative: np.ndarray
-
-    def __post_init__(self):
-        if self.positive.shape != self.negative.shape:
-            raise ValueError("mask shapes disagree")
-        if not np.array_equal(self.negative, ~self.positive):
-            raise ValueError("masks must partition the cell grid")
-
-    @property
-    def n_positive(self) -> int:
-        return int(self.positive.sum())
-
-    @property
-    def n_negative(self) -> int:
-        return int(self.negative.sum())
-
-
-@dataclass
-class GroundTruthCells:
-    """4-d boolean mask: mask[i, j, k, l] marks a ground-truth cell match."""
-
-    mask: np.ndarray
-
-    def target_set(self, i: int, j: int) -> set[tuple[int, int]]:
-        ks, ls = np.nonzero(self.mask[i, j])
-        return set(zip(ks.tolist(), ls.tolist()))
-
-
-def _cell_centers(grid_h: int, grid_w: int, stride: int) -> np.ndarray:
-    """(H*W, 2) array of (x, y) cell centers in pixel coordinates."""
-    ys, xs = np.mgrid[0:grid_h, 0:grid_w]
-    return np.column_stack([(xs.ravel() + 0.5) * stride, (ys.ravel() + 0.5) * stride])
-
-
-def _argmax_centers(scores: np.ndarray, stride_tgt: int) -> np.ndarray:
-    """Per source cell, the pixel center of its argmax target cell."""
-    hs, ws, ht, wt = scores.shape
-    flat = scores.reshape(hs * ws, ht * wt)
-    arg = flat.argmax(axis=1)
-    rows, cols = np.unravel_index(arg, (ht, wt))
-    return np.column_stack([(cols + 0.5) * stride_tgt, (rows + 0.5) * stride_tgt])
-
-
-def _label_direction(
-    scores: np.ndarray, F: FundamentalMatrix, lambda_px: float, stride_src: int, stride_tgt: int
-) -> np.ndarray:
-    hs, ws = scores.shape[:2]
-    src = _cell_centers(hs, ws, stride_src)
-    tgt = _argmax_centers(scores, stride_tgt)
-    d = epipolar_distances(F, src, tgt)
-    return (d < lambda_px).reshape(hs, ws)
-
-
-def label_cells(vol: cm.CorrelationVolume, F: FundamentalMatrix, lambda_px: float) -> MatchLabelSets:
-    """Classify each source cell of the A grid by the epipolar distance of
-    its argmax match, evaluated on cell centers in resized pixel coordinates.
-
-    Degenerate (infinite) distances land in the inconsistent set.
+    Both ends are cell centers, ((col + 0.5) * stride, (row + 0.5) * stride),
+    in resized pixels. Degenerate (infinite) distances count as inconsistent.
     """
-    if vol.filtered is None:
-        raise ValueError("run filter_symmetric before label_cells")
-    if F.frame != FRAME_RESIZED:
-        raise ValueError(
-            f"label_cells expects a fundamental matrix in frame {FRAME_RESIZED!r}, got {F.frame!r}; "
-            "rescale it to the resized image coordinates first"
-        )
-    positive = _label_direction(vol.filtered.data, F, lambda_px, vol.stride_a, vol.stride_b)
-    return MatchLabelSets(positive, ~positive)
+    hs, ws, ht, wt = scores.shape
+    ys, xs = np.mgrid[0:hs, 0:ws]
+    src = np.column_stack([(xs.ravel() + 0.5) * stride, (ys.ravel() + 0.5) * stride])
+    rows, cols = np.unravel_index(scores.reshape(hs * ws, ht * wt).argmax(axis=1), (ht, wt))
+    tgt = np.column_stack([(cols + 0.5) * stride, (rows + 0.5) * stride])
+    return (epipolar_distances(F, src, tgt) < lambda_px).reshape(hs, ws)
 
 
 def loss_image(vol: cm.CorrelationVolume, label: int) -> Tensor:
     """Sharpen (label +1) or flatten (label -1) the per-cell maxima, both directions."""
     if label not in (-1, 1):
         raise ValueError(f"label must be +1 or -1, got {label}")
-    if vol.prob_ab is None or vol.prob_ba is None:
-        raise ValueError("run normalize_scores before the losses")
     max_ab, _ = numerics.max_over(vol.prob_ab, (2, 3))
     max_ba, _ = numerics.max_over(vol.prob_ba, (0, 1))
     return (max_ab.sum() + max_ba.sum()) * float(-label)
@@ -141,43 +81,40 @@ def _epipolar_direction(max_t: Tensor, positive: np.ndarray | None) -> Tensor:
 def loss_epipolar(vol: cm.CorrelationVolume, F: FundamentalMatrix | None, lambda_px: float) -> Tensor:
     """Raise consistent-cell maxima, damp inconsistent ones (halved), both directions.
 
-    For a negative pair (F is None) every cell is inconsistent and only the
-    damping term remains; empty sets contribute zero.
+    F must be in resized pixels (``FRAME_RESIZED``), the frame of the cell
+    centers. For a negative pair (F is None) every cell is inconsistent and
+    only the damping term remains; empty sets contribute zero.
     """
-    if vol.prob_ab is None or vol.prob_ba is None:
-        raise ValueError("run normalize_scores before the losses")
+    if F is not None and F.frame != FRAME_RESIZED:
+        raise ValueError(
+            f"loss_epipolar expects a fundamental matrix in frame {FRAME_RESIZED!r}, got {F.frame!r}; "
+            "rescale it to the resized image coordinates first"
+        )
     max_ab, _ = numerics.max_over(vol.prob_ab, (2, 3))
     max_ba, _ = numerics.max_over(vol.prob_ba, (0, 1))
     if F is None:
         return _epipolar_direction(max_ab, None) + _epipolar_direction(max_ba, None)
     s = vol.filtered.data
-    pos_ab = _label_direction(s, F, lambda_px, vol.stride_a, vol.stride_b)
-    pos_ba = _label_direction(s.transpose(2, 3, 0, 1), F.transposed(), lambda_px, vol.stride_b, vol.stride_a)
+    pos_ab = _label_direction(s, F, lambda_px, vol.stride)
+    pos_ba = _label_direction(s.transpose(2, 3, 0, 1), F.transposed(), lambda_px, vol.stride)
     return _epipolar_direction(max_ab, pos_ab) + _epipolar_direction(max_ba, pos_ba)
 
 
-def build_gt_cells(
-    gt_matches: np.ndarray,
-    stride_a: int,
-    stride_b: int,
-    grid_a: tuple[int, int],
-    grid_b: tuple[int, int],
-) -> GroundTruthCells:
-    """Quantize pixel matches to the cells containing them; duplicates collapse."""
+def build_gt_cells(gt_matches: np.ndarray, stride: int, shape: tuple[int, int, int, int]) -> np.ndarray:
+    """Bool mask of a volume's ``shape``: mask[i, j, k, l] marks a ground-truth cell match.
+
+    Pixel matches are quantized to the cells containing them; duplicates collapse.
+    """
     gt = np.asarray(gt_matches, dtype=np.float64).reshape(-1, 4)
-    ia = np.floor(gt[:, 1] / stride_a).astype(np.int64)
-    ja = np.floor(gt[:, 0] / stride_a).astype(np.int64)
-    kb = np.floor(gt[:, 3] / stride_b).astype(np.int64)
-    lb = np.floor(gt[:, 2] / stride_b).astype(np.int64)
-    ha, wa = grid_a
-    hb, wb = grid_b
+    ia, ja, kb, lb = (np.floor(gt[:, c] / stride).astype(np.int64) for c in (1, 0, 3, 2))
+    ha, wa, hb, wb = shape
     if ((ia < 0) | (ia >= ha) | (ja < 0) | (ja >= wa)).any():
         raise ValueError("ground-truth match outside the A grid")
     if ((kb < 0) | (kb >= hb) | (lb < 0) | (lb >= wb)).any():
         raise ValueError("ground-truth match outside the B grid")
-    mask = np.zeros((ha, wa, hb, wb), dtype=bool)
+    mask = np.zeros(shape, dtype=bool)
     mask[ia, ja, kb, lb] = True
-    return GroundTruthCells(mask)
+    return mask
 
 
 def _points_direction(prob: Tensor, mask: np.ndarray, axes: tuple[int, int]) -> Tensor:
@@ -189,15 +126,14 @@ def _points_direction(prob: Tensor, mask: np.ndarray, axes: tuple[int, int]) -> 
     return (best * has_gt.astype(np.float64)).sum() * -1.0
 
 
-def loss_points(vol: cm.CorrelationVolume, cells: GroundTruthCells) -> Tensor:
-    """Maximize the best ground-truth cell score per source cell, both directions."""
-    if vol.prob_ab is None or vol.prob_ba is None:
-        raise ValueError("run normalize_scores before the losses")
-    if not cells.mask.any():
+def loss_points(vol: cm.CorrelationVolume, mask: np.ndarray) -> Tensor:
+    """Maximize the best ground-truth cell score per source cell, both directions.
+
+    ``mask`` is the ground-truth cell mask of ``build_gt_cells``.
+    """
+    if not mask.any():
         raise ValueError("all ground-truth cell sets are empty, pair unusable for point supervision")
-    ab = _points_direction(vol.prob_ab, cells.mask, (2, 3))
-    ba = _points_direction(vol.prob_ba, cells.mask, (0, 1))
-    return ab + ba
+    return _points_direction(vol.prob_ab, mask, (2, 3)) + _points_direction(vol.prob_ba, mask, (0, 1))
 
 
 def pair_loss(model: cm.CoarseModel, pair: TrainingPair, mode: str, lambda_px: float) -> Tensor:
@@ -215,8 +151,7 @@ def pair_loss(model: cm.CoarseModel, pair: TrainingPair, mode: str, lambda_px: f
             raise ValueError("point supervision cannot use negative pairs")
         if pair.gt_matches is None:
             raise ValueError("positive pair without ground-truth matches in point mode")
-        cells = build_gt_cells(pair.gt_matches, vol.stride_a, vol.stride_b, vol.grid_a, vol.grid_b)
-        return loss_points(vol, cells)
+        return loss_points(vol, build_gt_cells(pair.gt_matches, vol.stride, vol.filtered.shape))
     raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 

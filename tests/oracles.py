@@ -129,6 +129,21 @@ def epipolar_distance_line(F, pa, pb):
     return abs(unit[0] * pb[0] + unit[1] * pb[1] + unit[2])
 
 
+def project(cam, point3d):
+    """Perspective projection of a world point by a ``CameraCalibration``;
+    None when behind the camera or out of frame."""
+    x_cam = cam.R @ np.asarray(point3d, dtype=np.float64) + cam.t
+    if np.linalg.norm(x_cam) < 1e-12:
+        raise ValueError("point coincides with the camera center")
+    if x_cam[2] <= 0:
+        return None
+    h = cam.K @ x_cam
+    x, y = h[0] / h[2], h[1] / h[2]
+    if not (0.0 <= x <= cam.width - 1 and 0.0 <= y <= cam.height - 1):
+        return None
+    return float(x), float(y)
+
+
 def sampson_formula(F, pa, pb):
     xa = np.array([pa[0], pa[1], 1.0])
     xb = np.array([pb[0], pb[1], 1.0])
@@ -146,7 +161,7 @@ def cell_center(i, j, stride):
     return ((j + 0.5) * stride, (i + 0.5) * stride)
 
 
-def label_cells_loops(s, F, lam, stride_a, stride_b):
+def label_cells_loops(s, F, lam, stride):
     """Per-cell epipolar-consistency classification by exhaustive scan."""
     ha, wa, hb, wb = s.shape
     positive = np.zeros((ha, wa), dtype=bool)
@@ -157,8 +172,8 @@ def label_cells_loops(s, F, lam, stride_a, stride_b):
                 for l in range(wb):
                     if s[i, j, k, l] > best:
                         best, bk, bl = s[i, j, k, l], k, l
-            pa = cell_center(i, j, stride_a)
-            pb = cell_center(bk, bl, stride_b)
+            pa = cell_center(i, j, stride)
+            pb = cell_center(bk, bl, stride)
             d = epipolar_distance_line(F, pa, pb)
             positive[i, j] = d < lam
     return positive
@@ -183,7 +198,7 @@ def _epipolar_direction(prob_max, positive):
     return total
 
 
-def loss_epipolar_formula(s, F, lam, stride_a, stride_b):
+def loss_epipolar_formula(s, F, lam, stride):
     """Both-direction epipolar loss; pass F=None for a negative pair."""
     pab = softmax_direct(s, (2, 3))
     pba = softmax_direct(s, (0, 1))
@@ -191,8 +206,8 @@ def loss_epipolar_formula(s, F, lam, stride_a, stride_b):
     max_ba = pba.max(axis=(0, 1))
     if F is None:
         return max_ab.mean() / 2.0 + max_ba.mean() / 2.0
-    pos_ab = label_cells_loops(s, F, lam, stride_a, stride_b)
-    pos_ba = label_cells_loops(np.transpose(s, (2, 3, 0, 1)), F.T, lam, stride_b, stride_a)
+    pos_ab = label_cells_loops(s, F, lam, stride)
+    pos_ba = label_cells_loops(np.transpose(s, (2, 3, 0, 1)), F.T, lam, stride)
     return _epipolar_direction(max_ab, pos_ab) + _epipolar_direction(max_ba, pos_ba)
 
 

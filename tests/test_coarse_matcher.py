@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guidematch import coarse_matcher as cm
+from guidematch import numerics
 from guidematch.numerics import Tensor, parameter
 from guidematch.numerics.gradcheck import max_gradient_error
 
@@ -15,7 +16,7 @@ def make_model(seed=0, channels=(4, 8), hidden=(4,)):
 
 
 def random_filter(hidden, rng):
-    """A consensus filter with every weight and bias drawn at random; the
+    """A consensus filter with every trainable weight and bias drawn at random; the
     default zero output head would make the filtered volume a constant."""
     filt = cm.ConsensusFilter(hidden=hidden, rng=rng)
     for p in filt.parameters():
@@ -23,20 +24,33 @@ def random_filter(hidden, rng):
     return filt
 
 
-def orthonormal_feature_map(n_cells, stride=16):
-    """Feature map whose cell vectors are distinct rows of an identity matrix."""
+def orthonormal_feature_map(n_cells):
+    """Feature grid whose cell vectors are distinct rows of an identity matrix."""
     h = w = int(np.sqrt(n_cells))
     c = h * w
-    grid = np.eye(c).reshape(c, h, w)
-    return cm.FeatureMap(Tensor(grid), stride, (h * stride, w * stride), normalized=True)
+    return Tensor(np.eye(c).reshape(c, h, w))
+
+
+def volume_from_scores(s, stride=16):
+    """A volume whose filtered scores are ``s``, with its two softmaxes."""
+    ha, wa, hb, wb = s.shape
+    filtered = Tensor(s)
+    return cm.CorrelationVolume(
+        filtered, *cm.normalize_scores(filtered), stride, (ha * stride, wa * stride), (hb * stride, wb * stride)
+    )
+
+
+def interpolate_one(field, p):
+    x, y = cm.interpolate_matches(field, np.asarray(p, dtype=np.float64)[None])[0]
+    return float(x), float(y)
 
 
 class TestExtractFeatures:
     def test_shape(self):
         model = cm.CoarseModel.create(0)
         fmap = cm.extract_features(model.backbone, np.zeros((64, 64)))
-        assert fmap.grid.shape == (32, 4, 4)
-        assert fmap.stride == 16
+        assert fmap.shape == (32, 4, 4)
+        assert model.stride == 16
 
     def test_non_multiple_errors_with_resize_hint(self):
         model = cm.CoarseModel.create(0)
@@ -46,7 +60,7 @@ class TestExtractFeatures:
     def test_constant_image_interior_cells_equal(self):
         model = cm.CoarseModel.create(1)
         fmap = cm.extract_features(model.backbone, np.full((96, 96), 0.37))
-        g = fmap.grid.data
+        g = fmap.data
         interior = g[:, 1:-1, 1:-1].reshape(g.shape[0], -1)
         ref = interior[:, :1]
         assert np.abs(interior - ref).max() < 1e-9
@@ -55,7 +69,7 @@ class TestExtractFeatures:
         model = cm.CoarseModel.create(2)
         rng = np.random.default_rng(0)
         fmap = cm.extract_features(model.backbone, rng.random((64, 64)))
-        norms = np.sqrt((fmap.grid.data**2).sum(axis=0))
+        norms = np.sqrt((fmap.data**2).sum(axis=0))
         assert np.abs(norms - 1.0).max() < 1e-9
 
 
@@ -88,8 +102,7 @@ class TestResizeImage:
 class TestCorrelate:
     def test_orthonormal_identity(self):
         fa = orthonormal_feature_map(9)
-        vol = cm.correlate(fa, fa)
-        c = vol.raw.data
+        c = cm.correlate(fa, fa).data
         for i in range(3):
             for j in range(3):
                 expected = np.zeros((3, 3))
@@ -101,31 +114,25 @@ class TestCorrelate:
         grid_a[0] = 1.0
         grid_b = np.zeros((4, 2, 2))
         grid_b[1] = 1.0
-        fa = cm.FeatureMap(Tensor(grid_a), 16, (32, 32), normalized=True)
-        fb = cm.FeatureMap(Tensor(grid_b), 16, (32, 32), normalized=True)
-        assert np.abs(cm.correlate(fa, fb).raw.data).max() == 0.0
+        assert np.abs(cm.correlate(Tensor(grid_a), Tensor(grid_b)).data).max() == 0.0
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
         ga = rng.standard_normal((6, 4, 4))
         gb = rng.standard_normal((6, 3, 5))
-        fa = cm.FeatureMap(Tensor(ga), 16, (64, 64), normalized=True)
-        fb = cm.FeatureMap(Tensor(gb), 16, (48, 80), normalized=True)
-        vol = cm.correlate(fa, fb)
-        assert np.abs(vol.raw.data - oracles.correlation_loops(ga, gb)).max() < 1e-12
+        raw = cm.correlate(Tensor(ga), Tensor(gb))
+        assert np.abs(raw.data - oracles.correlation_loops(ga, gb)).max() < 1e-12
 
     def test_channel_mismatch(self):
-        fa = cm.FeatureMap(Tensor(np.zeros((4, 2, 2))), 16, (32, 32), normalized=True)
-        fb = cm.FeatureMap(Tensor(np.zeros((5, 2, 2))), 16, (32, 32), normalized=True)
         with pytest.raises(ValueError, match="channel"):
-            cm.correlate(fa, fb)
+            cm.correlate(Tensor(np.zeros((4, 2, 2))), Tensor(np.zeros((5, 2, 2))))
 
     def test_cosine_range(self):
         model = cm.CoarseModel.create(4)
         rng = np.random.default_rng(4)
         fa = cm.extract_features(model.backbone, rng.random((64, 64)))
         fb = cm.extract_features(model.backbone, rng.random((64, 64)))
-        c = cm.correlate(fa, fb).raw.data
+        c = cm.correlate(fa, fb).data
         assert c.min() >= -1.0 - 1e-9 and c.max() <= 1.0 + 1e-9
 
 
@@ -136,19 +143,15 @@ class TestFilterSymmetric:
         filt.weights[0].data[0, 0, 1, 1, 1, 1] = 1.0
         rng = np.random.default_rng(5)
         raw = rng.standard_normal((3, 3, 3, 3))
-        vol = cm.CorrelationVolume(Tensor(raw), 16, 16, (48, 48), (48, 48))
-        cm.filter_symmetric(filt, vol)
-        assert np.abs(vol.filtered.data - raw).max() < 1e-12
+        assert np.abs(cm.filter_symmetric(filt, Tensor(raw)).data - raw).max() < 1e-12
 
     def test_order_symmetry(self):
         rng = np.random.default_rng(6)
         filt = random_filter((4,), rng)
         raw = rng.standard_normal((2, 3, 4, 2))
-        vol_ab = cm.CorrelationVolume(Tensor(raw), 16, 16, (32, 48), (64, 32))
-        vol_ba = cm.CorrelationVolume(Tensor(raw.transpose(2, 3, 0, 1)), 16, 16, (64, 32), (32, 48))
-        cm.filter_symmetric(filt, vol_ab)
-        cm.filter_symmetric(filt, vol_ba)
-        assert np.abs(vol_ab.filtered.data - vol_ba.filtered.data.transpose(2, 3, 0, 1)).max() < 1e-12
+        ab = cm.filter_symmetric(filt, Tensor(raw)).data
+        ba = cm.filter_symmetric(filt, Tensor(raw.transpose(2, 3, 0, 1))).data
+        assert np.abs(ab - ba.transpose(2, 3, 0, 1)).max() < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -160,78 +163,55 @@ class TestFilterSymmetric:
         rng = np.random.default_rng(seed)
         filt = random_filter(tuple(hidden), rng)
         raw = rng.standard_normal(spatial)
-        ha, wa, hb, wb = spatial
-        vol_ab = cm.CorrelationVolume(Tensor(raw), 16, 16, (16 * ha, 16 * wa), (16 * hb, 16 * wb))
-        vol_ba = cm.CorrelationVolume(
-            Tensor(raw.transpose(cm._SWAP_AB)), 16, 16, (16 * hb, 16 * wb), (16 * ha, 16 * wa)
-        )
-        ab = cm.filter_symmetric(filt, vol_ab).filtered.data
-        ba = cm.filter_symmetric(filt, vol_ba).filtered.data
+        ab = cm.filter_symmetric(filt, Tensor(raw)).data
+        ba = cm.filter_symmetric(filt, Tensor(raw.transpose(cm._SWAP_AB))).data
         assert np.abs(ab - ba.transpose(cm._SWAP_AB)).max() < 1e-12
 
     def test_matches_two_pass_reference(self):
         rng = np.random.default_rng(7)
         filt = random_filter((4,), rng)
         raw = rng.standard_normal((2, 2, 3, 3))
-        vol = cm.CorrelationVolume(Tensor(raw), 16, 16, (32, 32), (48, 48))
-        cm.filter_symmetric(filt, vol)
+        filtered = cm.filter_symmetric(filt, Tensor(raw)).data
         direct = filt.forward(Tensor(raw)).data
         swapped = filt.forward(Tensor(raw.transpose(2, 3, 0, 1))).data.transpose(2, 3, 0, 1)
-        assert np.abs(vol.filtered.data - 0.5 * (direct + swapped)).max() < 1e-12
+        assert np.abs(filtered - 0.5 * (direct + swapped)).max() < 1e-12
 
 
 class TestNormalizeScores:
-    def _vol(self, s):
-        vol = cm.CorrelationVolume(Tensor(s), 16, 16, (s.shape[0] * 16, s.shape[1] * 16), (s.shape[2] * 16, s.shape[3] * 16))
-        vol.filtered = Tensor(s)
-        return vol
-
     def test_uniform(self):
-        vol = self._vol(np.zeros((2, 2, 3, 3)))
-        cm.normalize_scores(vol)
-        assert np.abs(vol.prob_ab.data - 1 / 9).max() < 1e-12
+        prob_ab, _ = cm.normalize_scores(Tensor(np.zeros((2, 2, 3, 3))))
+        assert np.abs(prob_ab.data - 1 / 9).max() < 1e-12
 
     def test_dominant_cell_saturates(self):
         s = np.zeros((1, 1, 2, 2))
         s[0, 0, 1, 1] = 1000.0
-        vol = self._vol(s)
-        cm.normalize_scores(vol)
-        assert vol.prob_ab.data[0, 0, 1, 1] > 1.0 - 1e-12
+        prob_ab, _ = cm.normalize_scores(Tensor(s))
+        assert prob_ab.data[0, 0, 1, 1] > 1.0 - 1e-12
 
     def test_sums(self):
         rng = np.random.default_rng(8)
-        vol = self._vol(rng.standard_normal((3, 2, 4, 2)))
-        cm.normalize_scores(vol)
-        assert np.abs(vol.prob_ab.data.sum(axis=(2, 3)) - 1.0).max() < 1e-10
-        assert np.abs(vol.prob_ba.data.sum(axis=(0, 1)) - 1.0).max() < 1e-10
+        prob_ab, prob_ba = cm.normalize_scores(Tensor(rng.standard_normal((3, 2, 4, 2))))
+        assert np.abs(prob_ab.data.sum(axis=(2, 3)) - 1.0).max() < 1e-10
+        assert np.abs(prob_ba.data.sum(axis=(0, 1)) - 1.0).max() < 1e-10
 
 
 class TestExtractMatches:
-    def _vol(self, s):
-        vol = cm.CorrelationVolume(
-            Tensor(s), 16, 16, (s.shape[0] * 16, s.shape[1] * 16), (s.shape[2] * 16, s.shape[3] * 16)
-        )
-        vol.filtered = Tensor(s)
-        return vol
-
     def test_identity_from_orthonormal_maps(self):
         fa = orthonormal_feature_map(16)
-        vol = cm.correlate(fa, fa)
-        vol.filtered = vol.raw
-        field = cm.extract_matches(vol, "AB")
+        field = cm.extract_matches(volume_from_scores(cm.correlate(fa, fa).data), "AB")
         for i in range(4):
             for j in range(4):
                 assert tuple(field.target_cells[i, j]) == (i, j)
 
     def test_constant_scores_tie_rule(self):
-        vol = self._vol(np.zeros((2, 2, 3, 3)))
+        vol = volume_from_scores(np.zeros((2, 2, 3, 3)))
         field = cm.extract_matches(vol, "AB")
         assert np.all(field.target_cells == 0)
 
     def test_matches_scan_oracle_both_directions(self):
         rng = np.random.default_rng(9)
         s = rng.standard_normal((3, 4, 2, 5))
-        vol = self._vol(s)
+        vol = volume_from_scores(s)
         ab = cm.extract_matches(vol, "AB")
         ba = cm.extract_matches(vol, "BA")
         for i in range(3):
@@ -246,26 +226,16 @@ class TestExtractMatches:
     def test_softmax_argmax_commutation(self):
         rng = np.random.default_rng(10)
         s = rng.standard_normal((2, 3, 3, 2))
-        vol = self._vol(s)
-        cm.normalize_scores(vol)
+        vol = volume_from_scores(s)
         from_filtered = cm.extract_matches(vol, "AB").target_cells
-        vol2 = self._vol(vol.prob_ab.data)
-        from_prob = cm.extract_matches(vol2, "AB").target_cells
+        from_prob = cm.extract_matches(volume_from_scores(vol.prob_ab.data), "AB").target_cells
         assert np.array_equal(from_filtered, from_prob)
 
 
 class TestInterpolateMatch:
     def _field(self, cells, stride=16, grid=(4, 4)):
         h, w = grid
-        return cm.CoarseMatchField(
-            "AB",
-            cells,
-            np.ones((h, w)),
-            stride,
-            stride,
-            (h * stride, w * stride),
-            (h * stride, w * stride),
-        )
+        return cm.CoarseMatchField(cells, np.ones((h, w)), stride, (h * stride, w * stride), (h * stride, w * stride))
 
     def test_feature_center_exact(self):
         rng = np.random.default_rng(11)
@@ -273,7 +243,7 @@ class TestInterpolateMatch:
         field = self._field(cells)
         i, j = 2, 1
         p = ((j + 0.5) * 16, (i + 0.5) * 16)
-        out = cm.interpolate_match(field, p)
+        out = interpolate_one(field, p)
         k, l = cells[i, j]
         assert out == pytest.approx(((l + 0.5) * 16, (k + 0.5) * 16))
 
@@ -283,7 +253,7 @@ class TestInterpolateMatch:
         cells[0, 1] = (0, 2)  # match point (40, 8)
         field = self._field(cells)
         # (16, 8) sits midway between the centers of cells (0,0) and (0,1)
-        out = cm.interpolate_match(field, (16.0, 8.0))
+        out = interpolate_one(field, (16.0, 8.0))
         assert out == pytest.approx((24.0, 8.0))
 
     def test_matches_direct_bilinear_formula(self):
@@ -303,19 +273,35 @@ class TestInterpolateMatch:
                 + targets[i0 + 1, j0] * (1 - tx) * ty
                 + targets[i0 + 1, j0 + 1] * tx * ty
             )
-            assert np.abs(np.array(cm.interpolate_match(field, (x, y))) - ref).max() < 1e-12
+            assert np.abs(np.array(interpolate_one(field, (x, y))) - ref).max() < 1e-12
 
     def test_outside_image_errors(self):
         field = self._field(np.zeros((4, 4, 2), dtype=int))
         with pytest.raises(ValueError, match="outside"):
-            cm.interpolate_match(field, (64.0, 10.0))
+            interpolate_one(field, (64.0, 10.0))
 
     def test_border_clamped(self):
         cells = np.zeros((4, 4, 2), dtype=int)
         field = self._field(cells)
-        corner = cm.interpolate_match(field, (0.0, 0.0))
-        center = cm.interpolate_match(field, (8.0, 8.0))
+        corner = interpolate_one(field, (0.0, 0.0))
+        center = interpolate_one(field, (8.0, 8.0))
         assert corner == center
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_query_inside_source_maps_strictly_inside_target(self, data):
+        stride = data.draw(st.sampled_from([1, 2, 8, 16]))
+        hs, ws, ht, wt = (data.draw(st.integers(1, 5)) for _ in range(4))
+        cell = st.tuples(st.integers(0, ht - 1), st.integers(0, wt - 1))
+        cells = np.array(data.draw(st.lists(cell, min_size=hs * ws, max_size=hs * ws))).reshape(hs, ws, 2)
+        # the target image may extend past its last full cell
+        h_t, w_t = (n * stride + data.draw(st.integers(0, stride - 1)) for n in (ht, wt))
+        field = cm.CoarseMatchField(cells, np.ones((hs, ws)), stride, (hs * stride, ws * stride), (h_t, w_t))
+        xs = st.floats(0.0, ws * stride, exclude_max=True)
+        ys = st.floats(0.0, hs * stride, exclude_max=True)
+        pts = np.array(data.draw(st.lists(st.tuples(xs, ys), min_size=1, max_size=20)))
+        out = cm.interpolate_matches(field, pts)
+        assert ((out[:, 0] > 0) & (out[:, 0] < w_t) & (out[:, 1] > 0) & (out[:, 1] < h_t)).all()
 
 
 class TestEndToEndGradients:
@@ -363,6 +349,28 @@ class TestModelCheckpoint:
         assert loaded.backbone.channels == model.backbone.channels
         vol2 = cm.compute_volume(loaded, img, img)
         assert np.array_equal(vol.filtered.data, vol2.filtered.data)
+
+    def test_checkpoint_with_output_bias_loads_to_same_cells(self, tmp_path):
+        # checkpoints written while the output bias was trainable carry it as
+        # filter/<last>/bias; it shifts every score equally, so no argmax moves
+        model = make_model(seed=4)
+        rng = np.random.default_rng(16)
+        head = model.cons_filter.weights[-1]
+        head.data = rng.standard_normal(head.shape)
+        arrays = model.state_dict()
+        bias_name = f"filter/{len(model.cons_filter.hidden)}/bias"
+        assert bias_name not in arrays
+        arrays[bias_name] = np.array([0.25])
+        numerics.save_checkpoint(tmp_path / "old.gmck", arrays)
+        loaded = cm.CoarseModel.load(tmp_path / "old.gmck")
+        with_bias = cm.CoarseModel.load(tmp_path / "old.gmck")
+        with_bias.cons_filter.output_bias = Tensor(np.array([0.25]))
+        img_a, img_b = rng.random((64, 64)), rng.random((64, 64))
+        fields = cm.compute_match_fields(loaded, img_a, img_b, 64)
+        biased = cm.compute_match_fields(with_bias, img_a, img_b, 64)
+        for field, ref in zip(fields, biased):
+            assert np.array_equal(field.target_cells, ref.target_cells)
+            assert np.abs(ref.scores - field.scores - 0.25).max() < 1e-12
 
     def test_field_export(self, tmp_path):
         model = make_model()

@@ -6,20 +6,16 @@ from guidematch.geometry import (
     FundamentalMatrix,
     RelativePose,
     SceneConfig,
-    epipolar_distance,
     epipolar_distances,
     fundamental_from_calibration,
     generate_scene,
     load_scene,
-    negative_pair,
     pose_error,
-    project,
     relative_pose_between,
     rescale_fundamental,
     rotation_from_axis_angle,
     save_scene,
 )
-from guidematch.geometry.scene import check_scene_epipolar
 
 import oracles
 
@@ -55,8 +51,8 @@ class TestFundamental:
         count = 0
         while count < 100:
             X = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(5, 9)])
-            pa = project(cam_a, X)
-            pb = project(cam_b, X)
+            pa = oracles.project(cam_a, X)
+            pb = oracles.project(cam_b, X)
             if pa is None or pb is None:
                 continue
             count += 1
@@ -89,11 +85,11 @@ class TestFundamental:
 class TestEpipolarDistance:
     def test_same_scanline(self):
         F = FundamentalMatrix.from_array(RECTIFIED)
-        assert epipolar_distance(F, (10, 5), (20, 5)) == pytest.approx(0.0, abs=1e-12)
+        assert epipolar_distances(F, [(10, 5)], [(20, 5)])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_scanline_offset(self):
         F = FundamentalMatrix.from_array(RECTIFIED)
-        assert epipolar_distance(F, (10, 5), (20, 8)) == pytest.approx(3.0, abs=1e-12)
+        assert epipolar_distances(F, [(10, 5)], [(20, 8)])[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_matches_line_distance_oracle(self):
         rng = np.random.default_rng(2)
@@ -101,7 +97,7 @@ class TestEpipolarDistance:
             F = FundamentalMatrix.from_array(rng.standard_normal((3, 3)))
             pa = rng.uniform(0, 64, 2)
             pb = rng.uniform(0, 64, 2)
-            d = epipolar_distance(F, pa, pb)
+            d = epipolar_distances(F, pa, pb)[0]
             assert d == pytest.approx(oracles.epipolar_distance_line(F.matrix, pa, pb), abs=1e-12)
 
     def test_epipole_returns_infinity(self):
@@ -115,7 +111,7 @@ class TestEpipolarDistance:
         m = m / np.linalg.norm(m)
         d = epipolar_distances(m, np.array([[0.0, 0.0]]), np.array([[5.0, 5.0]]))
         assert np.isinf(d[0])
-        assert np.isfinite(epipolar_distance(F, (3, 4), (5, 6)))
+        assert np.isfinite(epipolar_distances(F, [(3, 4)], [(5, 6)])[0])
 
 
 class TestRescale:
@@ -135,8 +131,8 @@ class TestRescale:
         for _ in range(20):
             pa = rng.uniform(0, 64, 2)
             pb = rng.uniform(0, 64, 2)
-            d1 = epipolar_distance(F, pa, pb)
-            d2 = epipolar_distance(F2, 2 * pa, 2 * pb)
+            d1 = epipolar_distances(F, pa, pb)[0]
+            d2 = epipolar_distances(F2, 2 * pa, 2 * pb)[0]
             assert d2 == pytest.approx(2 * d1, rel=1e-9)
 
     def test_round_trip(self):
@@ -162,16 +158,16 @@ class TestRescale:
 class TestProject:
     def test_optical_axis_hits_principal_point(self):
         cam = simple_camera()
-        assert project(cam, [0, 0, 5.0]) == pytest.approx((32.0, 32.0))
+        assert oracles.project(cam, [0, 0, 5.0]) == pytest.approx((32.0, 32.0))
 
     def test_behind_camera(self):
         cam = simple_camera()
-        assert project(cam, [0, 0, -5.0]) is None
+        assert oracles.project(cam, [0, 0, -5.0]) is None
 
     def test_camera_center_errors(self):
         cam = simple_camera()
         with pytest.raises(ValueError, match="center"):
-            project(cam, [0.0, 0.0, 0.0])
+            oracles.project(cam, [0.0, 0.0, 0.0])
 
 
 class TestPoseError:
@@ -207,7 +203,8 @@ class TestSceneGeneration:
         for seed in range(5):
             scene = generate_scene(SceneConfig(), seed)
             assert len(scene.gt_points) >= 30
-            assert check_scene_epipolar(scene) < 1e-6
+            d = epipolar_distances(scene.fundamental, scene.gt_points[:, :2], scene.gt_points[:, 2:])
+            assert d.max() < 1e-6
 
     def test_deterministic_per_seed(self):
         a = generate_scene(SceneConfig(), 11)
@@ -241,7 +238,7 @@ class TestSceneGeneration:
         mapped, visible = scene.map_a_to_b(pts)
         xyz, _, valid = trace_rays(scene.cam_a, scene.planes, pts)
         for i in np.where(visible & valid)[0]:
-            pb = project(scene.cam_b, xyz[i])
+            pb = oracles.project(scene.cam_b, xyz[i])
             assert pb is not None
             assert np.hypot(pb[0] - mapped[i, 0], pb[1] - mapped[i, 1]) < 1e-9
 
@@ -264,20 +261,6 @@ class TestSceneGeneration:
         config = SceneConfig(min_common_points=10_000, max_retries=2)
         with pytest.raises(ValueError, match="common points"):
             generate_scene(config, 0)
-
-
-class TestNegativePair:
-    def test_labels(self):
-        a = generate_scene(SceneConfig(), 1)
-        b = generate_scene(SceneConfig(), 2)
-        pair = negative_pair(a, b)
-        assert pair.label == -1
-        assert pair.fundamental is None
-
-    def test_same_scene_error(self):
-        a = generate_scene(SceneConfig(), 1)
-        with pytest.raises(ValueError, match="different"):
-            negative_pair(a, a)
 
 
 class TestSceneArchive:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guidematch import keypoint_matching as km
-from guidematch.coarse_matcher import CoarseMatchField, interpolate_match
+from guidematch.coarse_matcher import CoarseMatchField, interpolate_matches
 from guidematch.geometry import FundamentalMatrix, SceneConfig, generate_scene
 
 import oracles
@@ -32,7 +32,7 @@ def oracle_field_from_offset(grid=(8, 8), stride=16, size=(128, 128), offset=(0,
     for i in range(h):
         for j in range(w):
             cells[i, j] = (np.clip(i + offset[0], 0, h - 1), np.clip(j + offset[1], 0, w - 1))
-    return CoarseMatchField("AB", cells, np.ones(grid), stride, stride, size, size)
+    return CoarseMatchField(cells, np.ones(grid), stride, size, size)
 
 
 def _keypoints(points):
@@ -168,7 +168,6 @@ class TestMatchGuided:
         raw = km.match_raw(desc, desc)
         assert guided.pairs() == raw.pairs()
         assert np.array_equal(guided.distance, raw.distance)
-        assert guided.provenance == "guided"
 
     def test_window_subset_property(self):
         img, kps, desc = self._setup(6)
@@ -177,8 +176,6 @@ class TestMatchGuided:
         ms = km.match_guided(kps, desc, kps, desc, field, w)
         coords = km.keypoint_coords(kps)
         sx, sy = field.scale_src
-        from guidematch.coarse_matcher import interpolate_matches
-
         mapped = interpolate_matches(field, coords * [sx, sy])
         for i, j in ms.pairs():
             assert np.hypot(mapped[i][0] - coords[j][0], mapped[i][1] - coords[j][1]) < w
@@ -188,7 +185,7 @@ class TestMatchGuided:
         # field points every cell to the far corner, but keep only B
         # keypoints far away from it so every window is empty
         cells = np.full((8, 8, 2), 7, dtype=np.int64)
-        field = CoarseMatchField("AB", cells, np.ones((8, 8)), 16, 16, (128, 128), (128, 128))
+        field = CoarseMatchField(cells, np.ones((8, 8)), 16, (128, 128), (128, 128))
         keep = [i for i, k in enumerate(kps) if np.hypot(k.x - 120, k.y - 120) > 30]
         kps_b = [kps[i] for i in keep]
         desc_b = km.DescriptorSet(desc.vectors[keep])
@@ -298,7 +295,6 @@ class TestModelGuided:
         ms = km.match_model_guided(ka, da, kb, db, band_px=np.inf)
         raw = km.match_raw(da, db)
         assert ms.pairs() == raw.pairs()
-        assert ms.provenance == "model-guided"
 
     def test_stage2_band_contains_truth(self):
         scene, ka, da, kb, db = self._scene_keypoints(11)
@@ -360,7 +356,7 @@ def _mapped_or_nan(field, coords):
     out = np.full((len(coords), 2), np.nan)
     for i, p in enumerate(coords):
         try:
-            out[i] = np.array(interpolate_match(field, p * np.array(field.scale_src))) / np.array(field.scale_tgt)
+            out[i] = interpolate_matches(field, p * np.array(field.scale_src))[0] / np.array(field.scale_tgt)
         except ValueError:
             pass
     return out
@@ -372,7 +368,7 @@ def guided_cases(draw):
     cell = st.tuples(st.integers(0, ht - 1), st.integers(0, wt - 1))
     cells = draw(st.lists(cell, min_size=hs * ws, max_size=hs * ws))
     field = CoarseMatchField(
-        "AB", np.array(cells).reshape(hs, ws, 2), np.ones((hs, ws)), 16, 16, (16 * hs, 16 * ws), (16 * ht, 16 * wt)
+        np.array(cells).reshape(hs, ws, 2), np.ones((hs, ws)), 16, (16 * hs, 16 * ws), (16 * ht, 16 * wt)
     )
     scales = st.sampled_from([(1.0, 1.0), (0.5, 0.75), (1.25, 0.5)])
     field.scale_src, field.scale_tgt = draw(scales), draw(scales)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import guidematch
@@ -376,6 +376,18 @@ class TestAdam:
             adam_step(AdamState(), [p], [np.array(np.nan)])
 
 
+@st.composite
+def _checkpoint_arrays(draw):
+    """Up to four arrays of rank 0-3 (empty extents included) under any names."""
+    names = draw(st.lists(st.text(max_size=12), max_size=4, unique=True))
+    out = {}
+    for name in names:
+        shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+        values = draw(st.lists(st.floats(allow_nan=False), min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        out[name] = np.array(values, dtype=np.float64).reshape(shape)
+    return out
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(31)
@@ -403,6 +415,39 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    def test_name_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "name.gmck"
+        save_checkpoint(path, {"ab": np.zeros(2)})
+        raw = bytearray(path.read_bytes())
+        raw[16] = 0xFF  # first byte of the name
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="not UTF-8") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_checkpoint_arrays())
+    def test_roundtrip_any_names_and_shapes(self, tmp_path, arrays):
+        path = tmp_path / "any.gmck"
+        save_checkpoint(path, arrays)
+        loaded = load_checkpoint(path)
+        assert list(loaded) == list(arrays)
+        for name, a in arrays.items():
+            assert loaded[name].shape == a.shape
+            assert np.array_equal(loaded[name], a)
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_checkpoint_arrays())
+    def test_every_strict_prefix_and_trailing_data_raise(self, tmp_path, arrays):
+        path = tmp_path / "cut.gmck"
+        save_checkpoint(path, arrays)
+        raw = path.read_bytes()
+        for cut in [*(raw[:k] for k in range(len(raw))), raw + b"\0"]:
+            path.write_bytes(cut)
+            with pytest.raises(ValueError) as info:
+                load_checkpoint(path)
+            assert str(path) in str(info.value)
 
 
 _LOSS_CASE_DIGEST = """

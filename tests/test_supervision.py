@@ -12,11 +12,10 @@ import oracles
 
 def volume_from_scores(s, stride=16):
     ha, wa, hb, wb = s.shape
-    vol = cm.CorrelationVolume(
-        Tensor(s), stride, stride, (ha * stride, wa * stride), (hb * stride, wb * stride)
+    filtered = Tensor(s)
+    return cm.CorrelationVolume(
+        filtered, *cm.normalize_scores(filtered), stride, (ha * stride, wa * stride), (hb * stride, wb * stride)
     )
-    vol.filtered = Tensor(s)
-    return cm.normalize_scores(vol)
 
 
 def one_hot_diagonal(n=2, m=2):
@@ -65,8 +64,7 @@ class TestLabelCells:
         rect = FundamentalMatrix.from_array(
             np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=float), FRAME_RESIZED
         )
-        labels = sup.label_cells(volume_from_scores(one_hot_diagonal(3, 3)), rect, 16.0)
-        assert labels.positive.all()
+        assert sup._label_direction(one_hot_diagonal(3, 3), rect, 16.0, 16).all()
 
     def test_two_rows_off_is_negative(self):
         rect = FundamentalMatrix.from_array(
@@ -77,24 +75,20 @@ class TestLabelCells:
             for j in range(3):
                 s[i, j, (i + 2) % 3, j] = 50.0  # match lands 2 rows away (32 px or 16 px wrap)
         # use only rows where the offset is exactly +2 rows = 32 px
-        labels = sup.label_cells(volume_from_scores(s), rect, 16.0)
-        assert not labels.positive[0].any()
+        assert not sup._label_direction(s, rect, 16.0, 16)[0].any()
 
     def test_matches_loop_oracle(self):
         for seed in range(30):
             rng = np.random.default_rng(seed)
             s = rng.standard_normal((3, 3, 2, 4))
             F = random_fundamental(rng)
-            vol = volume_from_scores(s)
-            labels = sup.label_cells(vol, F, 10.0)
-            ref = oracles.label_cells_loops(s, F.matrix, 10.0, 16, 16)
-            assert np.array_equal(labels.positive, ref)
-            assert labels.n_positive + labels.n_negative == 9
+            labels = sup._label_direction(s, F, 10.0, 16)
+            assert np.array_equal(labels, oracles.label_cells_loops(s, F.matrix, 10.0, 16))
 
     def test_frame_mismatch_errors(self):
         F = FundamentalMatrix.from_array(np.random.default_rng(0).standard_normal((3, 3)), "original-px")
         with pytest.raises(ValueError, match="frame"):
-            sup.label_cells(volume_from_scores(np.zeros((2, 2, 2, 2))), F, 16.0)
+            sup.loss_epipolar(volume_from_scores(np.zeros((2, 2, 2, 2))), F, 16.0)
 
 
 class TestLossEpipolar:
@@ -118,7 +112,7 @@ class TestLossEpipolar:
             F = random_fundamental(rng)
             vol = volume_from_scores(s)
             ours = sup.loss_epipolar(vol, F, 12.0).item()
-            ref = oracles.loss_epipolar_formula(s, F.matrix, 12.0, 16, 16)
+            ref = oracles.loss_epipolar_formula(s, F.matrix, 12.0, 16)
             assert ours == pytest.approx(ref, abs=1e-10)
 
     def test_bounds_per_direction(self):
@@ -133,27 +127,27 @@ class TestLossEpipolar:
 
 class TestBuildGtCells:
     def test_floor_quantization(self):
-        cells = sup.build_gt_cells(np.array([[8.0, 8.0, 40.0, 8.0]]), 16, 16, (4, 4), (4, 4))
-        assert cells.target_set(0, 0) == {(0, 2)}
+        mask = sup.build_gt_cells(np.array([[8.0, 8.0, 40.0, 8.0]]), 16, (4, 4, 4, 4))
+        assert np.argwhere(mask[0, 0]).tolist() == [[0, 2]]
 
     def test_duplicates_collapse(self):
         gt = np.array([[8.0, 8.0, 40.0, 8.0], [9.0, 9.0, 41.0, 9.0]])
-        cells = sup.build_gt_cells(gt, 16, 16, (4, 4), (4, 4))
-        assert cells.target_set(0, 0) == {(0, 2)}
-        assert cells.mask.sum() == 1
+        mask = sup.build_gt_cells(gt, 16, (4, 4, 4, 4))
+        assert np.argwhere(mask[0, 0]).tolist() == [[0, 2]]
+        assert mask.sum() == 1
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
         gt = rng.uniform(0, 63.99, size=(30, 4))
-        cells = sup.build_gt_cells(gt, 16, 16, (4, 4), (4, 4))
+        mask = sup.build_gt_cells(gt, 16, (4, 4, 4, 4))
         ref = np.zeros((4, 4, 4, 4), dtype=bool)
         for xa, ya, xb, yb in gt:
             ref[int(ya // 16), int(xa // 16), int(yb // 16), int(xb // 16)] = True
-        assert np.array_equal(cells.mask, ref)
+        assert np.array_equal(mask, ref)
 
     def test_out_of_bounds_errors(self):
         with pytest.raises(ValueError, match="outside"):
-            sup.build_gt_cells(np.array([[80.0, 8.0, 8.0, 8.0]]), 16, 16, (4, 4), (4, 4))
+            sup.build_gt_cells(np.array([[80.0, 8.0, 8.0, 8.0]]), 16, (4, 4, 4, 4))
 
 
 class TestLossPoints:
@@ -163,7 +157,7 @@ class TestLossPoints:
         for i in range(2):
             for j in range(2):
                 mask[i, j, i, j] = True
-        loss = sup.loss_points(vol, sup.GroundTruthCells(mask))
+        loss = sup.loss_points(vol, mask)
         assert loss.item() == pytest.approx(-8.0, abs=1e-9)
 
     def test_uniform_scores(self):
@@ -172,7 +166,7 @@ class TestLossPoints:
         for i in range(2):
             for j in range(2):
                 mask[i, j, i, j] = True
-        loss = sup.loss_points(vol, sup.GroundTruthCells(mask))
+        loss = sup.loss_points(vol, mask)
         assert loss.item() == pytest.approx(-2.0, abs=1e-12)  # -1 per direction
 
     def test_matches_formula_oracle(self):
@@ -183,20 +177,20 @@ class TestLossPoints:
             if not mask.any():
                 mask[0, 0, 0, 0] = True
             vol = volume_from_scores(s)
-            ours = sup.loss_points(vol, sup.GroundTruthCells(mask)).item()
+            ours = sup.loss_points(vol, mask).item()
             assert ours == pytest.approx(oracles.loss_points_formula(s, mask), abs=1e-10)
 
     def test_empty_errors(self):
         vol = volume_from_scores(np.zeros((2, 2, 2, 2)))
         with pytest.raises(ValueError, match="empty"):
-            sup.loss_points(vol, sup.GroundTruthCells(np.zeros((2, 2, 2, 2), dtype=bool)))
+            sup.loss_points(vol, np.zeros((2, 2, 2, 2), dtype=bool))
 
     def test_minimum_attained_at_one_hot_structure(self):
         vol = volume_from_scores(one_hot_diagonal(2, 2))
         mask = np.zeros((2, 2, 2, 2), dtype=bool)
         mask[0, 0, 0, 0] = True
         mask[1, 1, 1, 1] = True
-        loss = sup.loss_points(vol, sup.GroundTruthCells(mask))
+        loss = sup.loss_points(vol, mask)
         assert loss.item() == pytest.approx(-4.0, abs=1e-9)
 
 
@@ -269,6 +263,13 @@ class TestTotalLossAndBatching:
         batch = sampler.next_batch()
         labels = [p.label for p in batch]
         assert labels.count(1) == 1 and labels.count(-1) == 3
+
+    def test_negatives_pair_views_of_different_scenes(self):
+        ds = make_pairs(3)
+        for pos, neg in zip(ds.positives, ds.negatives):
+            assert neg.label == -1 and neg.fundamental is None and neg.gt_matches is None
+            assert neg.image_a is pos.image_a
+            assert neg.scene_ids[0] != neg.scene_ids[1]
 
     def test_odd_batch_errors(self):
         ds = make_pairs(3)
