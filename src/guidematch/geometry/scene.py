@@ -13,6 +13,7 @@ guidance is supposed to resolve.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -422,6 +423,8 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """The image of an 8-bit binary PGM, in [0, 1]; a ``ValueError`` naming the
+    file for anything else, including a cut-off or over-long file."""
     raw = Path(path).read_bytes()
     if not raw.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary PGM file")
@@ -437,6 +440,10 @@ def read_pgm(path) -> np.ndarray:
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
+        if pos == start:
+            raise ValueError(f"{path}: truncated header")
+        if not raw[start:pos].isdigit():
+            raise ValueError(f"{path}: header field {raw[start:pos]!r} is not a non-negative integer")
         fields.append(raw[start:pos])
     w, h, maxval = (int(f) for f in fields)
     if maxval != 255:
@@ -445,6 +452,8 @@ def read_pgm(path) -> np.ndarray:
     pixels = np.frombuffer(raw[pos : pos + w * h], dtype=np.uint8)
     if pixels.size != w * h:
         raise ValueError(f"{path}: truncated pixel data")
+    if len(raw) > pos + w * h:
+        raise ValueError(f"{path}: {len(raw) - pos - w * h} bytes after the pixel data")
     return pixels.reshape(h, w).astype(np.float64) / 255.0
 
 
@@ -486,27 +495,49 @@ def parse_kv_file(path) -> dict[str, str]:
     return out
 
 
+@contextlib.contextmanager
+def _archive_file(path):
+    """Re-raise what a malformed archive file makes its parser raise as one
+    ``ValueError`` that names the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _parse_floats(text: str) -> np.ndarray:
+    return np.array([float(v) for v in text.split()])
+
+
 def load_scene(directory) -> SyntheticScene:
     d = Path(directory)
-    meta = parse_kv_file(d / "meta.txt")
-    cams = {}
-    for tag in ("a", "b"):
-        cams[tag] = CameraCalibration(
-            np.array([float(v) for v in meta[f"K_{tag}"].split()]).reshape(3, 3),
-            np.array([float(v) for v in meta[f"R_{tag}"].split()]).reshape(3, 3),
-            np.array([float(v) for v in meta[f"t_{tag}"].split()]),
-            int(meta[f"width_{tag}"]),
-            int(meta[f"height_{tag}"]),
-        )
-    gt_lines = (d / "gt_points.csv").read_text().splitlines()[1:]
-    gt = np.array([[float(v) for v in line.split(",")] for line in gt_lines if line.strip()])
+    with _archive_file(d / "meta.txt"):
+        meta = parse_kv_file(d / "meta.txt")
+        cams = {}
+        for tag in ("a", "b"):
+            cams[tag] = CameraCalibration(
+                _parse_floats(meta[f"K_{tag}"]).reshape(3, 3),
+                _parse_floats(meta[f"R_{tag}"]).reshape(3, 3),
+                _parse_floats(meta[f"t_{tag}"]),
+                int(meta[f"width_{tag}"]),
+                int(meta[f"height_{tag}"]),
+            )
+        seed = int(meta.get("seed", 0))
+    with _archive_file(d / "gt_points.csv"):
+        rows = [line.split(",") for line in (d / "gt_points.csv").read_text().splitlines()[1:] if line.strip()]
+        if any(len(row) != 4 for row in rows):
+            raise ValueError("every row needs the 4 values xA,yA,xB,yB")
+        gt = np.array([[float(v) for v in row] for row in rows]).reshape(-1, 4)
     fundamental = None
     f_path = d / "F.txt"
     if f_path.exists():
-        f_lines = f_path.read_text().splitlines()
-        values = np.array([[float(v) for v in f_lines[i].split()] for i in range(3)])
-        frame = f_lines[3].partition("=")[2].strip() if len(f_lines) > 3 else FRAME_ORIGINAL
-        fundamental = FundamentalMatrix.from_array(values, frame)
+        with _archive_file(f_path):
+            f_lines = f_path.read_text().splitlines()
+            values = np.array([_parse_floats(f_lines[i]) for i in range(3)])
+            frame = f_lines[3].partition("=")[2].strip() if len(f_lines) > 3 else FRAME_ORIGINAL
+            fundamental = FundamentalMatrix.from_array(values, frame)
     pose = None
     try:
         pose = relative_pose_between(cams["a"], cams["b"])
@@ -517,10 +548,10 @@ def load_scene(directory) -> SyntheticScene:
         cams["b"],
         read_pgm(d / "imageA.pgm"),
         read_pgm(d / "imageB.pgm"),
-        gt.reshape(-1, 4),
+        gt,
         fundamental,
         pose,
-        int(meta.get("seed", 0)),
+        seed,
         planes=None,
     )
 

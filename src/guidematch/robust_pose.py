@@ -5,12 +5,23 @@ coordinates followed by projection onto the essential manifold; inliers are
 scored with the Sampson distance in pixels. Pose recovery picks among the
 four decompositions by cheirality, requiring a strict majority of
 triangulated points in front of both cameras.
+
+RANSAC fits and scores its hypotheses in blocks of up to 64: one batched
+8-point solver (``_eight_point_batch``) fits every minimal sample of a block
+and one batched Sampson pass scores them all against the full set. The
+samples are drawn in iteration order from the same generator calls, and the
+block is then walked in that order with the one-at-a-time update and
+adaptive stop, so iteration counts, inlier sets and matrices equal those of
+fitting one hypothesis per iteration bit for bit. Each row of a batched call
+goes through the same floating-point operations as a one-row call (norms are
+per-slice dot products, degenerate rows are masked before any division), so
+``eight_point`` and ``sampson_distances`` are simply the B=1 calls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,15 +63,82 @@ class ModelEstimate:
     kind: str = "fundamental"
 
 
-def _hartley_normalize(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    mean_dist = np.linalg.norm(centered, axis=1).mean()
-    if mean_dist < 1e-12:
-        raise DegenerateConfigurationError("all points coincide")
-    s = math.sqrt(2.0) / mean_dist
-    T = np.array([[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]])
-    return centered * s, T
+# Ways a minimal sample or a consensus set can fail the 8-point fit, in the
+# order they are checked: _eight_point_batch reports the index of the first.
+_FAULTS = (
+    None,
+    (DegenerateConfigurationError, "all points coincide"),
+    (
+        DegenerateConfigurationError,
+        "design matrix is rank deficient, configuration does not determine the geometry",
+    ),
+    (ValueError, "matrix has rank < 2, cannot canonicalize"),
+    (ValueError, "matrix is not rank 2"),
+    (ValueError, "matrix must have Frobenius norm 1"),
+)
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each (3, 3) slice, as ``np.linalg.norm`` of one slice
+    computes it: a dot product of the flattened entries."""
+    flat = m.reshape(len(m), 1, 9)
+    return np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0])
+
+
+def _hartley_normalize(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per sample of (B, m, 2) points: the centered, scaled points, the (B, 3, 3)
+    similarity that applies it, and whether the points are spread at all."""
+    centroid = pts.mean(axis=1)
+    centered = pts - centroid[:, None]
+    mean_dist = np.linalg.norm(centered, axis=2).mean(axis=1)
+    spread = mean_dist >= 1e-12
+    s = math.sqrt(2.0) / np.where(spread, mean_dist, 1.0)
+    T = np.zeros((len(pts), 3, 3))
+    T[:, 0, 0] = T[:, 1, 1] = s
+    T[:, :2, 2] = -s[:, None] * centroid
+    T[:, 2, 2] = 1.0
+    return centered * s[:, None, None], T, spread
+
+
+def _eight_point_batch(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hartley-normalized 8-point fits of B samples of (B, m, 2) points at once.
+
+    Returns the (B, 3, 3) matrices, canonicalized as
+    ``FundamentalMatrix.from_array`` does, and a (B,) int array: 0 where the
+    fit passes every check ``eight_point`` and ``FundamentalMatrix`` make,
+    else the index in ``_FAULTS`` of the first check it fails. Every row goes
+    through the same operations a one-row call would, so each row equals its
+    own B=1 call bit for bit; a failed row holds finite garbage.
+    """
+    na, ta, spread_a = _hartley_normalize(sa)
+    nb, tb, spread_b = _hartley_normalize(sb)
+    xa, ya = na[..., 0], na[..., 1]
+    xb, yb = nb[..., 0], nb[..., 1]
+    design = np.stack([xb * xa, xb * ya, xb, yb * xa, yb * ya, yb, xa, ya, np.ones_like(xa)], axis=-1)
+    _, sv, vt = np.linalg.svd(design)
+    determined = sv[:, 7] > 1e-9 * sv[:, 0]
+    f_px = tb.transpose(0, 2, 1) @ vt[:, -1].reshape(-1, 3, 3) @ ta
+    # FundamentalMatrix.from_array: rank-2 projection, unit norm, sign
+    u, s, vt = np.linalg.svd(f_px)
+    rank_two = s[:, 1] > 0
+    m2 = (u[:, :, :2] * s[:, None, :2]) @ vt[:, :2]
+    norm = _frobenius(m2)
+    m2 = m2 / np.where(norm > 0, norm, 1.0)[:, None, None]
+    flat = m2.reshape(-1, 9)
+    largest = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
+    m2 = np.where((largest < 0)[:, None, None], -m2, m2)
+    # FundamentalMatrix validation
+    s = np.linalg.svd(m2, compute_uv=False)
+    passes = np.stack(
+        [
+            spread_a & spread_b,
+            determined,
+            rank_two,
+            ~(s[:, 2] > 1e-9 * s[:, 0]),
+            ~(np.abs(_frobenius(m2) - 1.0) > 1e-9),
+        ]
+    )
+    return m2, np.where(passes.all(axis=0), 0, np.argmin(passes, axis=0) + 1)
 
 
 def eight_point(pts_a: np.ndarray, pts_b: np.ndarray, frame: str = FRAME_ORIGINAL) -> FundamentalMatrix:
@@ -76,36 +154,32 @@ def eight_point(pts_a: np.ndarray, pts_b: np.ndarray, frame: str = FRAME_ORIGINA
         raise ValueError("point lists differ in length")
     if len(pts_a) < 8:
         raise ValueError(f"need at least 8 correspondences, got {len(pts_a)}")
-    na, ta = _hartley_normalize(pts_a)
-    nb, tb = _hartley_normalize(pts_b)
-    xa, ya = na[:, 0], na[:, 1]
-    xb, yb = nb[:, 0], nb[:, 1]
-    design = np.column_stack([xb * xa, xb * ya, xb, yb * xa, yb * ya, yb, xa, ya, np.ones(len(xa))])
-    _, sv, vt = np.linalg.svd(design)
-    if sv[7] <= 1e-9 * sv[0]:
-        raise DegenerateConfigurationError(
-            "design matrix is rank deficient, configuration does not determine the geometry"
-        )
-    f_norm = vt[-1].reshape(3, 3)
-    f_px = tb.T @ f_norm @ ta
-    return FundamentalMatrix.from_array(f_px, frame)
+    matrices, fault = _eight_point_batch(pts_a[None], pts_b[None])
+    if fault[0]:
+        error, message = _FAULTS[fault[0]]
+        raise error(message)
+    return FundamentalMatrix(matrices[0], frame)
+
+
+def _sampson_batch(m: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
+    """(B, n) Sampson distances, in pixels, of n correspondences to each of B
+    (B, 3, 3) matrices; +inf where the first-order denominator vanishes."""
+    ha = np.column_stack([pts_a, np.ones(len(pts_a))])
+    hb = np.column_stack([pts_b, np.ones(len(pts_b))])
+    fa = ha @ m.transpose(0, 2, 1)  # F @ x_a per row
+    fb = hb @ m  # F^T @ x_b per row
+    e = np.abs((hb * fa).sum(axis=2))
+    denom2 = fa[..., 0] ** 2 + fa[..., 1] ** 2 + fb[..., 0] ** 2 + fb[..., 1] ** 2
+    ok = denom2 > 0.0
+    return np.where(ok, e / np.sqrt(np.where(ok, denom2, 1.0)), np.inf)
 
 
 def sampson_distances(F: FundamentalMatrix | np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
     """First-order geometric residual of each correspondence, in pixels."""
-    m = getattr(F, "matrix", F)
+    m = np.asarray(getattr(F, "matrix", F), dtype=np.float64)
     pts_a = np.asarray(pts_a, dtype=np.float64).reshape(-1, 2)
     pts_b = np.asarray(pts_b, dtype=np.float64).reshape(-1, 2)
-    ha = np.column_stack([pts_a, np.ones(len(pts_a))])
-    hb = np.column_stack([pts_b, np.ones(len(pts_b))])
-    fa = ha @ m.T  # F @ x_a per row
-    fb = hb @ m  # F^T @ x_b per row
-    e = np.abs((hb * fa).sum(axis=1))
-    denom2 = fa[:, 0] ** 2 + fa[:, 1] ** 2 + fb[:, 0] ** 2 + fb[:, 1] ** 2
-    out = np.full(len(pts_a), np.inf)
-    ok = denom2 > 0.0
-    out[ok] = e[ok] / np.sqrt(denom2[ok])
-    return out
+    return _sampson_batch(m[None], pts_a, pts_b)[0]
 
 
 def _adaptive_iterations(inlier_ratio: float, confidence: float, sample_size: int) -> int:
@@ -119,28 +193,41 @@ def _adaptive_iterations(inlier_ratio: float, confidence: float, sample_size: in
     return max(1, math.ceil(math.log(1.0 - confidence) / denom))
 
 
+# hypotheses drawn, fitted and scored together; small enough that the draws
+# past an early adaptive stop cost little
+_BLOCK = 64
+
+
 def _ransac_loop(pts_a, pts_b, cfg: RansacConfig, solve, residuals) -> ModelEstimate:
+    """Minimal-sample RANSAC, scored a block of hypotheses at a time.
+
+    ``solve`` maps (B, m, 2) samples to (B, 3, 3) models and (B,) fault
+    codes, 0 for a usable model (as ``_eight_point_batch``); ``residuals`` maps (B, 3, 3) models to (B, n) distances. Samples
+    are drawn one ``rng.choice`` at a time in iteration order and the block
+    is walked in that order with the same update and stopping rule, so the
+    result equals fitting and scoring one hypothesis per iteration.
+    """
     n = len(pts_a)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     best_matrix = None
     best_inliers = np.empty(0, dtype=np.int64)
-    needed = cfg.max_iters
     # exactly 8 points admit one distinct minimal sample: fit it once
     limit = 1 if n == 8 else cfg.max_iters
+    needed = limit
     it = 0
-    while it < min(needed, limit):
-        it += 1
-        sample = rng.choice(n, size=8, replace=False)
-        try:
-            model = solve(pts_a[sample], pts_b[sample])
-        except (DegenerateConfigurationError, ValueError):
-            continue
-        d = residuals(model, pts_a, pts_b)
-        inliers = np.nonzero(d < cfg.threshold)[0]
-        if len(inliers) > len(best_inliers):
-            best_matrix = model
-            best_inliers = inliers
-            needed = _adaptive_iterations(len(inliers) / n, cfg.confidence, 8)
+    while it < needed:
+        samples = np.stack([rng.choice(n, size=8, replace=False) for _ in range(min(_BLOCK, needed - it))])
+        models, fault = solve(pts_a[samples], pts_b[samples])
+        hits = residuals(models) < cfg.threshold
+        counts = hits.sum(axis=1)
+        for b in range(len(samples)):
+            if it >= needed:
+                break
+            it += 1
+            if fault[b] == 0 and counts[b] > len(best_inliers):
+                best_matrix = models[b]
+                best_inliers = np.nonzero(hits[b])[0]
+                needed = min(limit, _adaptive_iterations(len(best_inliers) / n, cfg.confidence, 8))
     if best_matrix is None or len(best_inliers) < 8:
         return ModelEstimate(None, np.empty(0, dtype=np.int64), it, False)
     # iterated least-squares polish on the consensus set: a fit over all
@@ -148,19 +235,18 @@ def _ransac_loop(pts_a, pts_b, cfg: RansacConfig, solve, residuals) -> ModelEsti
     final = best_matrix
     final_inliers = best_inliers
     for _ in range(3):
-        try:
-            refit = solve(pts_a[final_inliers], pts_b[final_inliers])
-        except (DegenerateConfigurationError, ValueError):
+        refit, fault = solve(pts_a[final_inliers][None], pts_b[final_inliers][None])
+        if fault[0]:
             break
-        refit_inliers = np.nonzero(residuals(refit, pts_a, pts_b) < cfg.threshold)[0]
+        refit_inliers = np.nonzero(residuals(refit)[0] < cfg.threshold)[0]
         if len(refit_inliers) < 8:
             break
-        stable = len(refit_inliers) == len(final_inliers) and np.array_equal(refit_inliers, final_inliers)
-        final = refit
+        stable = np.array_equal(refit_inliers, final_inliers)
+        final = refit[0]
         final_inliers = refit_inliers
         if stable:
             break
-    final_inliers = np.nonzero(residuals(final, pts_a, pts_b) < cfg.threshold)[0]
+    final_inliers = np.nonzero(residuals(final[None])[0] < cfg.threshold)[0]
     if len(final_inliers) < 8:
         return ModelEstimate(None, np.empty(0, dtype=np.int64), it, False)
     return ModelEstimate(final, final_inliers, it, True)
@@ -179,18 +265,16 @@ def ransac_fundamental(pts_a: np.ndarray, pts_b: np.ndarray, cfg: RansacConfig) 
     pts_b = np.asarray(pts_b, dtype=np.float64).reshape(-1, 2)
     if len(pts_a) < 8:
         return ModelEstimate(None, np.empty(0, dtype=np.int64), 0, False)
-
-    def solve(sa, sb):
-        return eight_point(sa, sb).matrix
-
-    return _ransac_loop(pts_a, pts_b, cfg, solve, sampson_distances)
+    return _ransac_loop(pts_a, pts_b, cfg, _eight_point_batch, lambda m: _sampson_batch(m, pts_a, pts_b))
 
 
 def _essential_project(m: np.ndarray) -> np.ndarray:
+    """Nearest essential matrices, unit norm, of each (3, 3) slice of m."""
     u, s, vt = np.linalg.svd(m)
-    sigma = 0.5 * (s[0] + s[1])
-    e = (u[:, :2] * sigma) @ vt[:2]
-    return e / np.linalg.norm(e)
+    sigma = 0.5 * (s[:, 0] + s[:, 1])
+    e = (u[:, :, :2] * sigma[:, None, None]) @ vt[:, :2]
+    norm = _frobenius(e)  # 0 only for the zero matrix of a failed fit
+    return e / np.where(norm > 0, norm, 1.0)[:, None, None]
 
 
 def ransac_essential(
@@ -207,13 +291,12 @@ def ransac_essential(
     norm_b = (np.column_stack([pts_b, np.ones(len(pts_b))]) @ inv_b.T)[:, :2]
 
     def solve(sa, sb):
-        f_norm = eight_point(sa, sb).matrix
-        return _essential_project(f_norm)
+        f_norm, fault = _eight_point_batch(sa, sb)
+        return _essential_project(f_norm), fault
 
-    def residuals(e, _na, _nb):
-        # the loop only scores the full set; residuals are pixel Sampson
-        f_px = inv_b.T @ e @ inv_a
-        return sampson_distances(f_px, pts_a, pts_b)
+    def residuals(e):
+        # scored in pixels, through the calibrations
+        return _sampson_batch(inv_b.T @ e @ inv_a, pts_a, pts_b)
 
     est = _ransac_loop(norm_a, norm_b, cfg, solve, residuals)
     est.kind = "essential"
@@ -224,26 +307,26 @@ _W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def _triangulate(r: np.ndarray, t: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    """DLT triangulation in normalized coordinates, P1 = [I|0], P2 = [R|t]."""
+    """DLT triangulation in normalized coordinates, P1 = [I|0], P2 = [R|t].
+
+    One stacked SVD of the (n, 4, 4) DLT systems; a point whose homogeneous
+    scale vanishes is at infinity.
+    """
     p1 = np.hstack([np.eye(3), np.zeros((3, 1))])
     p2 = np.hstack([r, t[:, None]])
-    out = np.zeros((len(na), 3))
-    for i, (pa, pb) in enumerate(zip(na, nb)):
-        rows = np.stack(
-            [
-                pa[0] * p1[2] - p1[0],
-                pa[1] * p1[2] - p1[1],
-                pb[0] * p2[2] - p2[0],
-                pb[1] * p2[2] - p2[1],
-            ]
-        )
-        _, _, vt = np.linalg.svd(rows)
-        h = vt[-1]
-        if abs(h[3]) < 1e-15:
-            out[i] = np.inf
-            continue
-        out[i] = h[:3] / h[3]
-    return out
+    rows = np.stack(
+        [
+            na[:, 0, None] * p1[2] - p1[0],
+            na[:, 1, None] * p1[2] - p1[1],
+            nb[:, 0, None] * p2[2] - p2[0],
+            nb[:, 1, None] * p2[2] - p2[1],
+        ],
+        axis=1,
+    )
+    h = np.linalg.svd(rows)[2][:, -1]
+    at_infinity = np.abs(h[:, 3]) < 1e-15
+    xyz = h[:, :3] / np.where(at_infinity, 1.0, h[:, 3])[:, None]
+    return np.where(at_infinity[:, None], np.inf, xyz)
 
 
 def recover_pose(

@@ -289,3 +289,149 @@ def mutual_pairs_dict(ab_pairs, ba_pairs):
     """(a, b) pairs whose reverse match maps b back to a, via a dict."""
     back = dict(ba_pairs)
     return [(a, b) for a, b in ab_pairs if back.get(b) == a]
+
+
+class DegenerateSample(Exception):
+    """Raised by the reference 8-point solver where the sample pins nothing down."""
+
+
+def _hartley_normalize_reference(pts):
+    centroid = pts.mean(axis=0)
+    centered = pts - centroid
+    mean_dist = np.linalg.norm(centered, axis=1).mean()
+    if mean_dist < 1e-12:
+        raise DegenerateSample("all points coincide")
+    s = math.sqrt(2.0) / mean_dist
+    T = np.array([[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]])
+    return centered * s, T
+
+
+def eight_point_reference(pts_a, pts_b):
+    """One Hartley-normalized 8-point fit, canonicalized and validated as a
+    ``FundamentalMatrix`` does: raises ``DegenerateSample`` or ``ValueError``."""
+    from guidematch.geometry import FundamentalMatrix
+
+    na, ta = _hartley_normalize_reference(np.asarray(pts_a, dtype=np.float64))
+    nb, tb = _hartley_normalize_reference(np.asarray(pts_b, dtype=np.float64))
+    xa, ya = na[:, 0], na[:, 1]
+    xb, yb = nb[:, 0], nb[:, 1]
+    design = np.column_stack([xb * xa, xb * ya, xb, yb * xa, yb * ya, yb, xa, ya, np.ones(len(xa))])
+    _, sv, vt = np.linalg.svd(design)
+    if sv[7] <= 1e-9 * sv[0]:
+        raise DegenerateSample("design matrix is rank deficient")
+    return FundamentalMatrix.from_array(tb.T @ vt[-1].reshape(3, 3) @ ta).matrix
+
+
+def sampson_reference(m, pts_a, pts_b):
+    """Sampson distance of each correspondence to one 3x3 matrix."""
+    ha = np.column_stack([pts_a, np.ones(len(pts_a))])
+    hb = np.column_stack([pts_b, np.ones(len(pts_b))])
+    fa = ha @ m.T
+    fb = hb @ m
+    e = np.abs((hb * fa).sum(axis=1))
+    denom2 = fa[:, 0] ** 2 + fa[:, 1] ** 2 + fb[:, 0] ** 2 + fb[:, 1] ** 2
+    out = np.full(len(pts_a), np.inf)
+    ok = denom2 > 0.0
+    out[ok] = e[ok] / np.sqrt(denom2[ok])
+    return out
+
+
+def essential_project_reference(m):
+    u, s, vt = np.linalg.svd(m)
+    sigma = 0.5 * (s[0] + s[1])
+    e = (u[:, :2] * sigma) @ vt[:2]
+    return e / np.linalg.norm(e)
+
+
+def _adaptive_iterations_reference(inlier_ratio, confidence):
+    if inlier_ratio >= 1.0:
+        return 1
+    denom = math.log1p(-(inlier_ratio**8))
+    if denom == 0.0:
+        return 1
+    return max(1, math.ceil(math.log(1.0 - confidence) / denom))
+
+
+def ransac_loop_reference(pts_a, pts_b, cfg, solve, residuals):
+    """RANSAC that fits and scores one minimal sample per iteration.
+
+    Returns ``(matrix, inliers, iterations, success)``. ``solve`` may raise
+    ``DegenerateSample`` or ``ValueError`` to reject a sample.
+    """
+    n = len(pts_a)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
+    best_matrix = None
+    best_inliers = np.empty(0, dtype=np.int64)
+    needed = cfg.max_iters
+    limit = 1 if n == 8 else cfg.max_iters
+    it = 0
+    while it < min(needed, limit):
+        it += 1
+        sample = rng.choice(n, size=8, replace=False)
+        try:
+            model = solve(pts_a[sample], pts_b[sample])
+        except (DegenerateSample, ValueError):
+            continue
+        inliers = np.nonzero(residuals(model) < cfg.threshold)[0]
+        if len(inliers) > len(best_inliers):
+            best_matrix = model
+            best_inliers = inliers
+            needed = _adaptive_iterations_reference(len(inliers) / n, cfg.confidence)
+    failed = (None, np.empty(0, dtype=np.int64), it, False)
+    if best_matrix is None or len(best_inliers) < 8:
+        return failed
+    final = best_matrix
+    final_inliers = best_inliers
+    for _ in range(3):
+        try:
+            refit = solve(pts_a[final_inliers], pts_b[final_inliers])
+        except (DegenerateSample, ValueError):
+            break
+        refit_inliers = np.nonzero(residuals(refit) < cfg.threshold)[0]
+        if len(refit_inliers) < 8:
+            break
+        stable = np.array_equal(refit_inliers, final_inliers)
+        final = refit
+        final_inliers = refit_inliers
+        if stable:
+            break
+    final_inliers = np.nonzero(residuals(final) < cfg.threshold)[0]
+    if len(final_inliers) < 8:
+        return failed
+    return final, final_inliers, it, True
+
+
+def ransac_fundamental_reference(pts_a, pts_b, cfg):
+    return ransac_loop_reference(
+        pts_a, pts_b, cfg, eight_point_reference, lambda m: sampson_reference(m, pts_a, pts_b)
+    )
+
+
+def ransac_essential_reference(pts_a, pts_b, k_a, k_b, cfg):
+    inv_a = np.linalg.inv(k_a)
+    inv_b = np.linalg.inv(k_b)
+    norm_a = (np.column_stack([pts_a, np.ones(len(pts_a))]) @ inv_a.T)[:, :2]
+    norm_b = (np.column_stack([pts_b, np.ones(len(pts_b))]) @ inv_b.T)[:, :2]
+
+    def solve(sa, sb):
+        return essential_project_reference(eight_point_reference(sa, sb))
+
+    def residuals(e):
+        return sampson_reference(inv_b.T @ e @ inv_a, pts_a, pts_b)
+
+    return ransac_loop_reference(norm_a, norm_b, cfg, solve, residuals)
+
+
+def triangulate_reference(r, t, na, nb):
+    """Per-point DLT triangulation, P1 = [I|0], P2 = [R|t]; inf where the
+    homogeneous scale vanishes."""
+    p1 = np.hstack([np.eye(3), np.zeros((3, 1))])
+    p2 = np.hstack([r, t[:, None]])
+    out = np.zeros((len(na), 3))
+    for i, (pa, pb) in enumerate(zip(na, nb)):
+        rows = np.stack(
+            [pa[0] * p1[2] - p1[0], pa[1] * p1[2] - p1[1], pb[0] * p2[2] - p2[0], pb[1] * p2[2] - p2[1]]
+        )
+        h = np.linalg.svd(rows)[2][-1]
+        out[i] = np.inf if abs(h[3]) < 1e-15 else h[:3] / h[3]
+    return out

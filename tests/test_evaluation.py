@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guidematch import coarse_matcher as cm
 from guidematch import evaluation as ev
@@ -32,3 +34,22 @@ class TestEvalPoseFailures:
         monkeypatch.setattr(km, "match_guided", broken)
         with pytest.raises(ValueError, match="injected bug"):
             ev.eval_pose([generate_scene(SceneConfig(), 0)], "guided", model=cm.CoarseModel.create(0))
+
+
+_errors = st.lists(st.floats(0.0, 30.0) | st.just(math.inf), min_size=1, max_size=20)
+
+
+class TestPoseAuc:
+    @settings(max_examples=200, deadline=None)
+    @given(_errors, st.data())
+    def test_monotone_in_the_errors(self, errors, data):
+        # raising any error, up to a failure (inf), never raises an AUC
+        worse = [e + data.draw(st.floats(0.0, 10.0) | st.just(math.inf)) for e in errors]
+        thresholds = (1.0, 5.0, 10.0, 20.0)
+        for before, after in zip(ev.pose_auc(errors, thresholds), ev.pose_auc(worse, thresholds)):
+            assert 0.0 <= after <= before + 1e-12
+            assert before <= 1.0 + 1e-12
+
+    def test_extremes(self):
+        assert ev.pose_auc([0.0, 0.0], (5.0,)) == [1.0]
+        assert ev.pose_auc([math.inf], (5.0,)) == [0.0]

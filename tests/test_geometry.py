@@ -1,5 +1,10 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from guidematch.geometry import (
     CameraCalibration,
@@ -16,6 +21,7 @@ from guidematch.geometry import (
     rotation_from_axis_angle,
     save_scene,
 )
+from guidematch.geometry.scene import SyntheticScene, read_pgm, write_pgm
 
 import oracles
 
@@ -287,3 +293,110 @@ class TestSceneArchive:
         lines = (tmp_path / "s" / "gt_points.csv").read_text().splitlines()
         assert lines[0] == "xA,yA,xB,yB"
         assert len(lines) - 1 >= 30
+
+
+_pixels = arrays(np.uint8, st.tuples(st.integers(1, 9), st.integers(1, 9)))
+_tmp = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def _archived_scenes(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cams = []
+    for _ in range(2):
+        w, h = (int(v) for v in rng.integers(1, 9, 2))
+        K = np.array([[rng.uniform(1, 500), rng.uniform(-1, 1), rng.uniform(0, 300)],
+                      [0.0, rng.uniform(1, 500), rng.uniform(0, 300)], [0.0, 0.0, 1.0]])
+        R = rotation_from_axis_angle(rng.standard_normal(3), rng.uniform(0, 3))
+        cams.append(CameraCalibration(K, R, rng.standard_normal(3), w, h))
+    cam_a, cam_b = cams
+    images = [rng.integers(0, 256, (c.height, c.width)) / 255.0 for c in cams]
+    gt = rng.uniform(-1e3, 1e3, (draw(st.integers(0, 6)), 4))
+    F = fundamental_from_calibration(cam_a, cam_b) if draw(st.booleans()) else None
+    return SyntheticScene(cam_a, cam_b, *images, gt, F, relative_pose_between(cam_a, cam_b), draw(st.integers(0, 10**6)))
+
+
+class TestArchiveProperties:
+    @_tmp
+    @given(_pixels)
+    def test_pgm_round_trip(self, tmp_path, q):
+        write_pgm(tmp_path / "i.pgm", q / 255.0)
+        assert np.array_equal(read_pgm(tmp_path / "i.pgm"), q / 255.0)
+
+    @_tmp
+    @given(_pixels)
+    def test_every_strict_prefix_and_trailing_data_raise(self, tmp_path, q):
+        path = tmp_path / "i.pgm"
+        write_pgm(path, q / 255.0)
+        raw = path.read_bytes()
+        for cut in [*range(len(raw)), raw + b"\0"]:
+            path.write_bytes(raw[:cut] if isinstance(cut, int) else cut)
+            with pytest.raises(ValueError, match="i.pgm"):
+                read_pgm(path)
+
+    @_tmp
+    @given(_archived_scenes())
+    def test_scene_round_trip(self, tmp_path, scene):
+        directory = tempfile.mkdtemp(dir=tmp_path)  # tmp_path is shared by all examples
+        save_scene(directory, scene)
+        loaded = load_scene(directory)
+        for got, want in ((loaded.cam_a, scene.cam_a), (loaded.cam_b, scene.cam_b)):
+            for name in ("K", "R", "t", "width", "height"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.array_equal(loaded.image_a, scene.image_a)
+        assert np.array_equal(loaded.image_b, scene.image_b)
+        assert np.array_equal(loaded.gt_points, scene.gt_points.reshape(-1, 4))
+        assert loaded.seed == scene.seed
+        if scene.fundamental is None:
+            assert loaded.fundamental is None
+        else:
+            assert np.abs(loaded.fundamental.matrix - scene.fundamental.matrix).max() < 1e-14
+            assert loaded.fundamental.frame == scene.fundamental.frame
+
+
+class TestArchiveErrors:
+    @pytest.mark.parametrize(
+        "raw, reason",
+        [
+            (b"P5\n64", "truncated header"),
+            (b"P5\nwide 4\n255\n", "not a non-negative integer"),
+            (b"P5\n-2 1\n255\nab", "not a non-negative integer"),
+            (b"P5\n2 1\n255\nabc", "1 bytes after the pixel data"),
+            (b"P5\n2 2\n255\nabc", "truncated pixel data"),
+        ],
+    )
+    def test_pgm(self, tmp_path, raw, reason):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=reason) as info:
+            read_pgm(path)
+        assert "bad.pgm" in str(info.value)
+
+    @pytest.fixture
+    def archive(self, tmp_path):
+        save_scene(tmp_path / "s", generate_scene(SceneConfig(width=64, height=48), 3))
+        return tmp_path / "s"
+
+    def test_missing_meta_key(self, archive):
+        meta = archive / "meta.txt"
+        meta.write_text("\n".join(l for l in meta.read_text().splitlines() if not l.startswith("K_a")))
+        with pytest.raises(ValueError, match="meta.txt: missing key 'K_a'"):
+            load_scene(archive)
+
+    def test_non_numeric_meta_value(self, archive):
+        meta = archive / "meta.txt"
+        meta.write_text(meta.read_text().replace("width_b = 64", "width_b = wide"))
+        with pytest.raises(ValueError, match="meta.txt"):
+            load_scene(archive)
+
+    def test_short_fundamental_file(self, archive):
+        f_txt = archive / "F.txt"
+        f_txt.write_text("\n".join(f_txt.read_text().splitlines()[:2]))
+        with pytest.raises(ValueError, match="F.txt"):
+            load_scene(archive)
+
+    def test_short_ground_truth_row(self, archive):
+        gt = archive / "gt_points.csv"
+        gt.write_text(gt.read_text() + "1.0,2.0,3.0\n")
+        with pytest.raises(ValueError, match="gt_points.csv: every row needs"):
+            load_scene(archive)

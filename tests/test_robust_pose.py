@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guidematch.geometry import (
     CameraCalibration,
@@ -197,6 +199,208 @@ class TestRansacExactlyEight:
             assert est.iterations == 1
             assert est.success
             assert np.array_equal(est.inliers, np.arange(8))
+
+
+K_TEST = np.array([[200.0, 0.0, 128.0], [0.0, 190.0, 96.0], [0.0, 0.0, 1.0]])
+
+
+def two_view_points(rng, n):
+    """n exact correspondences of random points 4-8 units in front of camera A,
+    seen through ``K_TEST`` by A and by a randomly moved B."""
+    r = rotation_from_axis_angle(rng.standard_normal(3), rng.uniform(0.02, 0.3))
+    t = rng.normal(0.0, 0.3, 3)
+    xyz = np.column_stack([rng.uniform(-2, 2, n), rng.uniform(-1.5, 1.5, n), rng.uniform(4, 8, n)])
+    ha = xyz @ K_TEST.T
+    hb = (xyz @ r.T + t) @ K_TEST.T
+    return ha[:, :2] / ha[:, 2:], hb[:, :2] / hb[:, 2:]
+
+
+@st.composite
+def ransac_cases(draw):
+    """Correspondences with inliers, outliers, pixel noise and duplicated
+    points, plus a RansacConfig whose budget may end inside a block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_in = draw(st.integers(0, 40))
+    n_out = draw(st.integers(max(0, 8 - n_in), 30))
+    pa, pb = two_view_points(rng, n_in)
+    pa = np.vstack([pa + rng.normal(0.0, draw(st.sampled_from([0.0, 0.3])), pa.shape), rng.uniform(0, 255, (n_out, 2))])
+    pb = np.vstack([pb, rng.uniform(0, 191, (n_out, 2))])
+    n = len(pa)
+    for _ in range(draw(st.integers(0, n // 2))):
+        i, j = rng.integers(0, n, 2)
+        pa[i] = pa[j]
+        if draw(st.booleans()):
+            pb[i] = pb[j]
+    cfg = rp.RansacConfig(
+        threshold=draw(st.sampled_from([0.5, 1.0, 3.0])),
+        max_iters=draw(st.sampled_from([1, 2, 63, 64, 65, 129]) | st.integers(1, 300)),
+        confidence=draw(st.sampled_from([0.5, 0.9, 0.999])),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    return pa, pb, cfg
+
+
+def _assert_equals_reference(est, ref):
+    matrix, inliers, iterations, success = ref
+    assert est.iterations == iterations
+    assert est.success == success
+    assert np.array_equal(est.inliers, inliers)
+    if matrix is None:
+        assert est.matrix is None
+    else:
+        assert np.array_equal(est.matrix, matrix)
+
+
+class TestBatchedRansac:
+    # blocked scoring must reproduce the one-hypothesis-at-a-time loop exactly
+
+    @settings(max_examples=60, deadline=None)
+    @given(ransac_cases())
+    def test_fundamental_equals_reference(self, case):
+        pa, pb, cfg = case
+        _assert_equals_reference(rp.ransac_fundamental(pa, pb, cfg), oracles.ransac_fundamental_reference(pa, pb, cfg))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ransac_cases())
+    def test_essential_equals_reference(self, case):
+        pa, pb, cfg = case
+        est = rp.ransac_essential(pa, pb, K_TEST, K_TEST, cfg)
+        _assert_equals_reference(est, oracles.ransac_essential_reference(pa, pb, K_TEST, K_TEST, cfg))
+
+    def test_default_budget_on_contaminated_scenes(self):
+        # the full adaptive budget, several blocks deep
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            pa, pb = two_view_points(rng, 40)
+            pa = np.vstack([pa, rng.uniform(0, 255, (25, 2))])
+            pb = np.vstack([pb, rng.uniform(0, 191, (25, 2))])
+            cfg = rp.RansacConfig(seed=seed)
+            est = rp.ransac_fundamental(pa, pb, cfg)
+            assert est.iterations > 64
+            _assert_equals_reference(est, oracles.ransac_fundamental_reference(pa, pb, cfg))
+            est = rp.ransac_essential(pa, pb, K_TEST, K_TEST, cfg)
+            _assert_equals_reference(est, oracles.ransac_essential_reference(pa, pb, K_TEST, K_TEST, cfg))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ransac_cases())
+    def test_every_inlier_within_threshold(self, case):
+        # and every point within threshold is an inlier
+        pa, pb, cfg = case
+        est = rp.ransac_fundamental(pa, pb, cfg)
+        if est.success:
+            d = rp.sampson_distances(est.matrix, pa, pb)
+            assert np.array_equal(est.inliers, np.nonzero(d < cfg.threshold)[0])
+        est = rp.ransac_essential(pa, pb, K_TEST, K_TEST, cfg)
+        if est.success:
+            inv = np.linalg.inv(K_TEST)
+            d = rp.sampson_distances(inv.T @ est.matrix @ inv, pa, pb)
+            assert np.array_equal(est.inliers, np.nonzero(d < cfg.threshold)[0])
+
+
+@st.composite
+def minimal_sample_batches(draw):
+    """(B, m, 2) sample pairs: random or exact two-view points, some with
+    duplicated, coincident or collinear points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = draw(st.integers(1, 6))
+    m = draw(st.integers(8, 16))
+    sa = np.empty((b, m, 2))
+    sb = np.empty((b, m, 2))
+    for k in range(b):
+        if draw(st.booleans()):
+            sa[k], sb[k] = two_view_points(rng, m)
+        else:
+            sa[k] = rng.uniform(0, 255, (m, 2))
+            sb[k] = rng.uniform(0, 191, (m, 2))
+        damage = draw(st.sampled_from(["none", "duplicate", "coincide", "collinear", "integer"]))
+        if damage == "duplicate":
+            sa[k, 1:3] = sa[k, 0]
+            sb[k, 1:3] = sb[k, 0]
+        elif damage == "coincide":
+            sa[k] = sa[k, 0]
+        elif damage == "collinear":
+            sb[k, :, 1] = 0.5 * sb[k, :, 0] + 3.0
+        elif damage == "integer":
+            sa[k] = np.round(sa[k] / 64.0)
+            sb[k] = np.round(sb[k] / 64.0)
+    return sa, sb
+
+
+class TestEightPointBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(minimal_sample_batches())
+    def test_rows_equal_single_calls(self, samples):
+        sa, sb = samples
+        matrices, fault = rp._eight_point_batch(sa, sb)
+        for b in range(len(sa)):
+            try:
+                single = rp.eight_point(sa[b], sb[b])
+            except (rp.DegenerateConfigurationError, ValueError) as exc:
+                assert fault[b] != 0
+                assert type(exc) is rp._FAULTS[fault[b]][0]
+                continue
+            assert fault[b] == 0
+            assert np.array_equal(matrices[b], single.matrix)
+
+    @settings(max_examples=150, deadline=None)
+    @given(minimal_sample_batches())
+    def test_rows_equal_reference_solver(self, samples):
+        sa, sb = samples
+        matrices, fault = rp._eight_point_batch(sa, sb)
+        for b in range(len(sa)):
+            try:
+                ref = oracles.eight_point_reference(sa[b], sb[b])
+            except oracles.DegenerateSample:
+                assert rp._FAULTS[fault[b]][0] is rp.DegenerateConfigurationError
+                continue
+            except ValueError:
+                assert rp._FAULTS[fault[b]][0] is ValueError
+                continue
+            assert fault[b] == 0
+            assert np.array_equal(matrices[b], ref)
+
+    def test_sampson_rows_equal_single_calls(self):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((5, 3, 3))
+        m[2] = 0.0  # every denominator vanishes: all inf
+        pa = rng.uniform(0, 255, (30, 2))
+        pb = rng.uniform(0, 191, (30, 2))
+        d = rp._sampson_batch(m, pa, pb)
+        assert np.isinf(d[2]).all()
+        for b in range(5):
+            assert np.array_equal(d[b], rp.sampson_distances(m[b], pa, pb))
+            assert np.array_equal(d[b], oracles.sampson_reference(m[b], pa, pb))
+
+    def test_essential_projection_equals_reference(self):
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((20, 3, 3))
+        e = rp._essential_project(m)
+        for b in range(20):
+            assert np.array_equal(e[b], oracles.essential_project_reference(m[b]))
+
+
+class TestTriangulate:
+    def test_equals_per_point_reference(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 17, 100):
+            r = rotation_from_axis_angle(rng.standard_normal(3), rng.uniform(0, 1))
+            t = rng.standard_normal(3)
+            t /= np.linalg.norm(t)
+            na = rng.standard_normal((n, 2))
+            nb = rng.standard_normal((n, 2))
+            assert np.array_equal(rp._triangulate(r, t, na, nb), oracles.triangulate_reference(r, t, na, nb))
+
+    def test_parallel_rays_meet_at_infinity(self):
+        # a pure sideways baseline and equal image points: the two rays are
+        # parallel, and a finite row between them stays finite
+        na = np.array([[0.1, -0.2], [0.3, 0.4], [0.0, 0.0]])
+        nb = na.copy()
+        nb[2, 0] += 0.1
+        t = np.array([1.0, 0.0, 0.0])
+        out = rp._triangulate(np.eye(3), t, na, nb)
+        assert np.isinf(out[:2]).all()
+        assert np.allclose(out[2], [0.0, 0.0, 10.0])
+        assert np.array_equal(out, oracles.triangulate_reference(np.eye(3), t, na, nb))
 
 
 class TestRecoverPose:
