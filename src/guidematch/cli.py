@@ -203,9 +203,7 @@ def _cmd_match(args, seed: int) -> int:
     )
     kps_a = km.detect_keypoints(scene.image_a, args.max_keypoints)
     kps_b = km.detect_keypoints(scene.image_b, args.max_keypoints)
-    feats = ev.PairFeatures(
-        kps_a, km.describe(scene.image_a, kps_a), kps_b, km.describe(scene.image_b, kps_b)
-    )
+    feats = ev.PairFeatures(kps_a, km.describe(scene.image_a, kps_a), kps_b, km.describe(scene.image_b, kps_b))
     matches = matcher(scene, feats, np.random.default_rng(seed))
     out.parent.mkdir(parents=True, exist_ok=True)
     km.save_matches(out, matches, feats.kps_a, feats.kps_b)

@@ -134,9 +134,9 @@ def pose_auc(errors, thresholds) -> list[float]:
 
 @dataclass
 class PairFeatures:
-    kps_a: list
+    kps_a: km.KeypointSet
     desc_a: km.DescriptorSet
-    kps_b: list
+    kps_b: km.KeypointSet
     desc_b: km.DescriptorSet
 
 
@@ -224,22 +224,19 @@ def corrupt_features(feats: PairFeatures, rng: np.random.Generator, keypoint_noi
     """Perturb keypoint positions and replace a fraction of descriptors.
 
     Used to stress matching pipelines: position noise is isotropic gaussian,
-    corrupted descriptors become random unit vectors.
+    corrupted descriptors become random unit vectors. The input is left as is.
     """
     def corrupt(kps, desc):
-        kps2 = [km.Keypoint(k.x, k.y, k.scale, k.response) for k in kps]
         if keypoint_noise_px > 0:
-            noise = rng.normal(0.0, keypoint_noise_px, size=(len(kps2), 2))
-            for k, (dx, dy) in zip(kps2, noise):
-                k.x += dx
-                k.y += dy
+            noise = rng.normal(0.0, keypoint_noise_px, size=(len(kps), 2))
+            kps = km.KeypointSet(kps.xy + noise, kps.scale, kps.response)
         vecs = desc.vectors.copy()
         if descriptor_corruption > 0 and len(vecs):
             hit = rng.random(len(vecs)) < descriptor_corruption
             fresh = rng.standard_normal((int(hit.sum()), vecs.shape[1]))
             norms = np.linalg.norm(fresh, axis=1, keepdims=True)
             vecs[hit] = fresh / np.maximum(norms, 1e-12)
-        return kps2, km.DescriptorSet(vecs)
+        return kps, km.DescriptorSet(vecs)
 
     ka, da = corrupt(feats.kps_a, feats.desc_a)
     kb, db = corrupt(feats.kps_b, feats.desc_b)
@@ -285,16 +282,14 @@ def eval_pose(
     for pair_index, scene in enumerate(scenes):
         rng = np.random.default_rng(np.random.SeedSequence([seed, pair_index]))
         if keypoint_source == "gt":
-            kps_a = [km.Keypoint(x, y, 9.0, 1.0) for x, y in scene.gt_points[:, :2]]
-            kps_b = [km.Keypoint(x, y, 9.0, 1.0) for x, y in scene.gt_points[:, 2:]]
+            kps_a = km.KeypointSet(scene.gt_points[:, :2], km.BASE_SCALE, 1.0)
+            kps_b = km.KeypointSet(scene.gt_points[:, 2:], km.BASE_SCALE, 1.0)
         elif keypoint_source == "detect":
             kps_a = km.detect_keypoints(scene.image_a, max_keypoints)
             kps_b = km.detect_keypoints(scene.image_b, max_keypoints)
         else:
             raise ValueError(f"keypoint_source must be 'detect' or 'gt', got {keypoint_source!r}")
-        feats = PairFeatures(
-            kps_a, km.describe(scene.image_a, kps_a), kps_b, km.describe(scene.image_b, kps_b)
-        )
+        feats = PairFeatures(kps_a, km.describe(scene.image_a, kps_a), kps_b, km.describe(scene.image_b, kps_b))
         if keypoint_noise_px or descriptor_corruption:
             feats = corrupt_features(feats, rng, keypoint_noise_px, descriptor_corruption)
         try:

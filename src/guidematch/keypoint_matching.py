@@ -1,7 +1,10 @@
 """Local keypoints and the matching rules that consume coarse guidance.
 
 Detection and description are deliberately simple desk-scale stand-ins
-(two-level Harris corners, mean-free normalized intensity patches). Every
+(two-level Harris corners, mean-free normalized intensity patches). Detected
+keypoints are one read-only ``KeypointSet``, strongest first, ties to the
+lowest candidate index, none strictly closer than ``NMS_RADIUS`` to a
+stronger one kept (``detect_keypoints`` has the full contract). Every
 matching rule is "nearest descriptor under a candidate mask"; only the mask
 differs. Raw matching admits every B keypoint. Guided matching admits those
 within a radius-W disc around the keypoint's coarse match, which is what
@@ -34,12 +37,24 @@ class MatchingError(RuntimeError):
     pass
 
 
-@dataclass
-class Keypoint:
-    x: float
-    y: float
-    scale: float
-    response: float
+@dataclass(frozen=True, eq=False)
+class KeypointSet:
+    """Read-only float64 copies of positions ``xy`` (n, 2), window diameters and
+    responses (n,); a scalar scale or response applies to every keypoint."""
+
+    xy: np.ndarray
+    scale: np.ndarray
+    response: np.ndarray
+
+    def __post_init__(self):
+        xy = np.reshape(self.xy, (-1, 2))
+        for name, values in (("xy", xy), ("scale", self.scale), ("response", self.response)):
+            values = np.array(np.broadcast_to(values, xy.shape if name == "xy" else len(xy)), dtype=np.float64)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+    def __len__(self) -> int:
+        return len(self.xy)
 
 
 @dataclass
@@ -61,7 +76,9 @@ class MatchSet:
 
     def __post_init__(self):
         n = len(self.index_a)
-        assert len(self.index_b) == len(self.distance) == len(self.second_distance) == n
+        lengths = tuple(map(len, (self.index_a, self.index_b, self.distance, self.second_distance)))
+        if lengths != (n,) * 4:
+            raise ValueError(f"index_a, index_b, distance and second_distance differ in length: {lengths}")
         if n and len(np.unique(self.index_a)) != n:
             raise ValueError("at most one match per source index")
 
@@ -72,10 +89,6 @@ class MatchSet:
         return list(zip(self.index_a.tolist(), self.index_b.tolist()))
 
 
-def keypoint_coords(kps: list[Keypoint]) -> np.ndarray:
-    return np.array([[k.x, k.y] for k in kps], dtype=np.float64).reshape(-1, 2)
-
-
 def _harris_response(image: np.ndarray) -> np.ndarray:
     gy, gx = np.gradient(image)
     sxx = gaussian_filter(gx * gx, HARRIS_SIGMA)
@@ -84,20 +97,19 @@ def _harris_response(image: np.ndarray) -> np.ndarray:
     return sxx * syy - sxy * sxy - HARRIS_K * (sxx + syy) ** 2
 
 
-def _refine_subpixel(resp: np.ndarray, r: int, c: int) -> tuple[float, float]:
+def _refine_subpixel(resp: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Sub-pixel (x, y) rows of the interior peaks ``resp[r, c]``: the quadratic fit's
+    offset clamped to half a pixel, or none where |det| of the Hessian < 1e-12."""
     gx = (resp[r, c + 1] - resp[r, c - 1]) / 2.0
     gy = (resp[r + 1, c] - resp[r - 1, c]) / 2.0
     dxx = resp[r, c + 1] - 2 * resp[r, c] + resp[r, c - 1]
     dyy = resp[r + 1, c] - 2 * resp[r, c] + resp[r - 1, c]
     dxy = (resp[r + 1, c + 1] - resp[r + 1, c - 1] - resp[r - 1, c + 1] + resp[r - 1, c - 1]) / 4.0
     det = dxx * dyy - dxy * dxy
-    if abs(det) < 1e-12:
-        return float(c), float(r)
-    ox = -(dyy * gx - dxy * gy) / det
-    oy = -(dxx * gy - dxy * gx) / det
-    ox = min(0.5, max(-0.5, ox))
-    oy = min(0.5, max(-0.5, oy))
-    return c + ox, r + oy
+    fit = np.abs(det) >= 1e-12
+    ox = np.divide(-(dyy * gx - dxy * gy), det, out=np.zeros_like(det), where=fit)
+    oy = np.divide(-(dxx * gy - dxy * gx), det, out=np.zeros_like(det), where=fit)
+    return np.stack([c + np.clip(ox, -0.5, 0.5), r + np.clip(oy, -0.5, 0.5)], axis=1)
 
 
 def _downsample2(image: np.ndarray) -> np.ndarray:
@@ -106,58 +118,60 @@ def _downsample2(image: np.ndarray) -> np.ndarray:
     return 0.25 * (img[0::2, 0::2] + img[1::2, 0::2] + img[0::2, 1::2] + img[1::2, 1::2])
 
 
-def detect_keypoints(image: np.ndarray, max_count: int = 500) -> list[Keypoint]:
+def _suppress(xy: np.ndarray, response: np.ndarray, width: int, height: int, max_count: int) -> np.ndarray:
+    """Indices that greedy radius NMS keeps, by ``detect_keypoints``'s rule; O(n) memory."""
+    x, y = xy[:, 0], xy[:, 1]
+    blocked = ~((x >= 0) & (x <= width - 1) & (y >= 0) & (y <= height - 1))
+    kept = []
+    for i in np.argsort(-response, kind="stable").tolist():
+        if blocked[i]:
+            continue
+        kept.append(i)
+        if len(kept) == max_count:
+            break
+        blocked |= (x - x[i]) ** 2 + (y - y[i]) ** 2 < NMS_RADIUS**2
+    return np.array(kept, dtype=np.int64)
+
+
+def detect_keypoints(image: np.ndarray, max_count: int = 500) -> KeypointSet:
     """Two-level Harris corners with NMS and sub-pixel quadratic refinement.
 
-    Keypoints are ordered by response, strongest first; a constant image
-    yields none. The scale attribute is the detector window diameter at the
-    level the corner fired on.
+    Candidates are the peaks of each level's Harris response above 0.5% of
+    its maximum, level 0 first and row-major within a level, refined and
+    mapped to full resolution. They are kept strongest first, ties to the
+    lowest candidate index. A candidate outside the image is skipped; one
+    strictly closer than ``NMS_RADIUS`` to a keypoint already kept is
+    dropped, so only kept keypoints suppress. At most ``max_count`` are
+    kept; a constant image yields an empty set. The scale is the detector
+    window diameter at the level the corner fired on.
     """
     h, w = image.shape
     if h < 32 or w < 32:
         raise ValueError(f"image {h}x{w} too small, need at least 32x32")
-    candidates: list[Keypoint] = []
+    levels = [(np.zeros((0, 2)), np.zeros(0), np.zeros(0))]
     level_img = np.asarray(image, dtype=np.float64)
     for level in range(DETECTION_LEVELS):
         if min(level_img.shape) < 24:
             break
         resp = _harris_response(level_img)
         peak = resp.max()
-        if peak <= 1e-12:
-            level_img = _downsample2(level_img)
-            continue
-        nms = maximum_filter(resp, size=2 * NMS_RADIUS + 1, mode="nearest")
-        rows, cols = np.nonzero((resp == nms) & (resp > 0.005 * peak))
-        margin = NMS_RADIUS
-        lh, lw = resp.shape
-        keep = (rows >= margin) & (rows < lh - margin) & (cols >= margin) & (cols < lw - margin)
-        factor = 2.0**level
-        offset = (factor - 1.0) / 2.0  # pyramid pixel centers sit between parents
-        for r, c in zip(rows[keep], cols[keep]):
-            x, y = _refine_subpixel(resp, r, c)
-            candidates.append(
-                Keypoint(x * factor + offset, y * factor + offset, BASE_SCALE * factor, float(resp[r, c]))
-            )
+        if peak > 1e-12:
+            nms = maximum_filter(resp, size=2 * NMS_RADIUS + 1, mode="nearest")
+            rows, cols = np.nonzero((resp == nms) & (resp > 0.005 * peak))
+            (lh, lw), m = resp.shape, NMS_RADIUS
+            keep = (rows >= m) & (rows < lh - m) & (cols >= m) & (cols < lw - m)
+            rows, cols = rows[keep], cols[keep]
+            factor = 2.0**level
+            offset = (factor - 1.0) / 2.0  # pyramid pixel centers sit between parents
+            xy = _refine_subpixel(resp, rows, cols) * factor + offset
+            levels.append((xy, np.full(len(xy), BASE_SCALE * factor), resp[rows, cols]))
         level_img = _downsample2(level_img)
-    if not candidates:
-        return []
-    order = sorted(range(len(candidates)), key=lambda i: (-candidates[i].response, i))
-    kept: list[Keypoint] = []
-    kept_xy: list[tuple[float, float]] = []
-    for i in order:
-        k = candidates[i]
-        if not (0 <= k.x <= w - 1 and 0 <= k.y <= h - 1):
-            continue
-        if any((k.x - x) ** 2 + (k.y - y) ** 2 < NMS_RADIUS**2 for x, y in kept_xy):
-            continue
-        kept.append(k)
-        kept_xy.append((k.x, k.y))
-        if len(kept) == max_count:
-            break
-    return kept
+    xy, scale, response = (np.concatenate(parts) for parts in zip(*levels))
+    kept = _suppress(xy, response, w, h, max_count)
+    return KeypointSet(xy[kept], scale[kept], response[kept])
 
 
-def describe(image: np.ndarray, kps: list[Keypoint], patch: int = 13) -> DescriptorSet:
+def describe(image: np.ndarray, kps: KeypointSet, patch: int = 13) -> DescriptorSet:
     """Mean-free, L2-normalized intensity patches, bilinearly sampled.
 
     Border keypoints use edge-clamped sampling; flat patches become zero
@@ -165,12 +179,11 @@ def describe(image: np.ndarray, kps: list[Keypoint], patch: int = 13) -> Descrip
     """
     if patch % 2 == 0:
         raise ValueError(f"patch side must be odd, got {patch}")
-    if not kps:
+    if not len(kps):
         return DescriptorSet(np.zeros((0, patch * patch)))
     offs = np.arange(patch, dtype=np.float64) - patch // 2
-    coords = keypoint_coords(kps)
-    xs = coords[:, 0][:, None, None] + offs[None, None, :]
-    ys = coords[:, 1][:, None, None] + offs[None, :, None]
+    xs = kps.xy[:, 0][:, None, None] + offs[None, None, :]
+    ys = kps.xy[:, 1][:, None, None] + offs[None, :, None]
     patches = bilinear_sample(np.asarray(image, dtype=np.float64), xs, ys).reshape(len(kps), -1)
     patches -= patches.mean(axis=1, keepdims=True)
     norms = np.linalg.norm(patches, axis=1, keepdims=True)
@@ -224,9 +237,9 @@ def match_raw(desc_a: DescriptorSet, desc_b: DescriptorSet) -> MatchSet:
 
 
 def match_guided(
-    kps_a: list[Keypoint],
+    kps_a: KeypointSet,
     desc_a: DescriptorSet,
-    kps_b: list[Keypoint],
+    kps_b: KeypointSet,
     desc_b: DescriptorSet,
     match_field: CoarseMatchField,
     window_px: float,
@@ -243,18 +256,14 @@ def match_guided(
         return match_raw(desc_a, desc_b)
     if window_px <= 0:
         raise ValueError(f"window must be positive, got {window_px}")
-    coords_a = keypoint_coords(kps_a)
-    coords_b = keypoint_coords(kps_b)
-    queries = coords_a * np.array(match_field.scale_src)
+    queries = kps_a.xy * np.array(match_field.scale_src)
     h_px, w_px = match_field.src_image_size
     qx, qy = queries[:, 0], queries[:, 1]
     inside = (qx >= 0) & (qx < w_px) & (qy >= 0) & (qy < h_px)
     mapped = interpolate_matches(match_field, queries[inside]) / np.array(match_field.scale_tgt)
-    mask = np.zeros((len(coords_a), len(coords_b)), dtype=bool)
-    mask[inside] = (
-        np.hypot(mapped[:, None, 0] - coords_b[None, :, 0], mapped[:, None, 1] - coords_b[None, :, 1])
-        < window_px
-    )
+    mask = np.zeros((len(kps_a), len(kps_b)), dtype=bool)
+    offsets = mapped[:, None, :] - kps_b.xy[None, :, :]
+    mask[inside] = np.hypot(offsets[..., 0], offsets[..., 1]) < window_px
     return MatchSet(*_match_masked(desc_a, desc_b, mask))
 
 
@@ -273,16 +282,16 @@ def ratio_test(ms: MatchSet, ratio: float) -> MatchSet:
     return MatchSet(ms.index_a[idx], ms.index_b[idx], ms.distance[idx], ms.second_distance[idx])
 
 
-def _top_scale_indices(kps: list[Keypoint], fraction: float = 0.2) -> np.ndarray:
+def _top_scale_indices(kps: KeypointSet, fraction: float = 0.2) -> np.ndarray:
+    """The largest-scale keypoints, stronger response first within a scale, ties to the lowest index."""
     k = max(8, math.ceil(fraction * len(kps)))
-    order = sorted(range(len(kps)), key=lambda i: (-kps[i].scale, -kps[i].response, i))
-    return np.array(order[:k], dtype=np.int64)
+    return np.lexsort((-kps.response, -kps.scale))[:k]
 
 
 def match_model_guided(
-    kps_a: list[Keypoint],
+    kps_a: KeypointSet,
     desc_a: DescriptorSet,
-    kps_b: list[Keypoint],
+    kps_b: KeypointSet,
     desc_b: DescriptorSet,
     band_px: float = 3.0,
     model_override: FundamentalMatrix | None = None,
@@ -313,35 +322,30 @@ def match_model_guided(
         seeds = mutual_check(seeds_ab, seeds_ba)
         if len(seeds) < 8:
             raise MatchingError(f"only {len(seeds)} mutual top-scale matches, need 8")
-        coords_a = keypoint_coords(kps_a)[top_a[seeds.index_a]]
-        coords_b = keypoint_coords(kps_b)[top_b[seeds.index_b]]
-        estimate = ransac_fundamental(coords_a, coords_b, RansacConfig(threshold=band_px, seed=0))
+        seed_a, seed_b = kps_a.xy[top_a[seeds.index_a]], kps_b.xy[top_b[seeds.index_b]]
+        estimate = ransac_fundamental(seed_a, seed_b, RansacConfig(threshold=band_px, seed=0))
         if not estimate.success:
             raise MatchingError("stage-1 fundamental matrix estimation failed")
         fmat = estimate.matrix
-    coords_a = keypoint_coords(kps_a)
-    coords_b = keypoint_coords(kps_b)
-    ia, ib = np.indices((len(coords_a), len(coords_b))).reshape(2, -1)
-    dists = epipolar_distances(fmat, coords_a[ia], coords_b[ib]).reshape(len(coords_a), len(coords_b))
+    ia, ib = np.indices((len(kps_a), len(kps_b))).reshape(2, -1)
+    dists = epipolar_distances(fmat, kps_a.xy[ia], kps_b.xy[ib]).reshape(len(kps_a), len(kps_b))
     return MatchSet(*_match_masked(desc_a, desc_b, dists < band_px))
 
 
 # -- file formats --------------------------------------------------------------
 
 
-def save_matches(path, ms: MatchSet, kps_a: list[Keypoint], kps_b: list[Keypoint]) -> None:
+def save_matches(path, ms: MatchSet, kps_a: KeypointSet, kps_b: KeypointSet) -> None:
     """CSV rows `iA,iB,xA,yA,xB,yB,dist`."""
     lines = ["iA,iB,xA,yA,xB,yB,dist"]
-    for i in range(len(ms)):
-        a = kps_a[int(ms.index_a[i])]
-        b = kps_b[int(ms.index_b[i])]
-        vals = [str(int(ms.index_a[i])), str(int(ms.index_b[i]))]
-        vals += [repr(float(v)) for v in (a.x, a.y, b.x, b.y, ms.distance[i])]
-        lines.append(",".join(vals))
+    coords_a, coords_b = match_coords(ms, kps_a, kps_b)
+    for ia, ib, (xa, ya), (xb, yb), d in zip(
+        ms.index_a.tolist(), ms.index_b.tolist(), coords_a.tolist(), coords_b.tolist(), ms.distance.tolist()
+    ):
+        lines.append(",".join([str(ia), str(ib)] + [repr(v) for v in (xa, ya, xb, yb, d)]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def match_coords(ms: MatchSet, kps_a: list[Keypoint], kps_b: list[Keypoint]) -> tuple[np.ndarray, np.ndarray]:
-    ca = keypoint_coords(kps_a)
-    cb = keypoint_coords(kps_b)
-    return ca[ms.index_a], cb[ms.index_b]
+def match_coords(ms: MatchSet, kps_a: KeypointSet, kps_b: KeypointSet) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the matched keypoints, one row per match in each image."""
+    return kps_a.xy[ms.index_a], kps_b.xy[ms.index_b]

@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.ndimage import gaussian_filter, maximum_filter
 
 
 def conv2d_loops(x, kernel, bias, stride=1, pad=0):
@@ -289,6 +290,95 @@ def mutual_pairs_dict(ab_pairs, ba_pairs):
     """(a, b) pairs whose reverse match maps b back to a, via a dict."""
     back = dict(ba_pairs)
     return [(a, b) for a, b in ab_pairs if back.get(b) == a]
+
+
+# Harris constants of the detector the references below reproduce
+HARRIS_K = 0.06
+HARRIS_SIGMA = 1.5
+NMS_RADIUS = 4
+DETECTION_LEVELS = 2
+BASE_SCALE = 9.0
+
+
+def _harris_reference(image):
+    gy, gx = np.gradient(image)
+    sxx = gaussian_filter(gx * gx, HARRIS_SIGMA)
+    syy = gaussian_filter(gy * gy, HARRIS_SIGMA)
+    sxy = gaussian_filter(gx * gy, HARRIS_SIGMA)
+    return sxx * syy - sxy * sxy - HARRIS_K * (sxx + syy) ** 2
+
+
+def _downsample2_reference(image):
+    h, w = image.shape
+    img = image[: h - h % 2, : w - w % 2]
+    return 0.25 * (img[0::2, 0::2] + img[1::2, 0::2] + img[0::2, 1::2] + img[1::2, 1::2])
+
+
+def refine_subpixel_reference(resp, r, c):
+    """Quadratic sub-pixel refinement of one peak, scalar by scalar."""
+    gx = (resp[r, c + 1] - resp[r, c - 1]) / 2.0
+    gy = (resp[r + 1, c] - resp[r - 1, c]) / 2.0
+    dxx = resp[r, c + 1] - 2 * resp[r, c] + resp[r, c - 1]
+    dyy = resp[r + 1, c] - 2 * resp[r, c] + resp[r - 1, c]
+    dxy = (resp[r + 1, c + 1] - resp[r + 1, c - 1] - resp[r - 1, c + 1] + resp[r - 1, c - 1]) / 4.0
+    det = dxx * dyy - dxy * dxy
+    if abs(det) < 1e-12:
+        return float(c), float(r)
+    ox = -(dyy * gx - dxy * gy) / det
+    oy = -(dxx * gy - dxy * gx) / det
+    ox = min(0.5, max(-0.5, ox))
+    oy = min(0.5, max(-0.5, oy))
+    return c + ox, r + oy
+
+
+def greedy_nms_reference(candidates, width, height, max_count):
+    """Indices of the (x, y, scale, response) candidates kept by greedy radius
+    NMS: strongest first, ties to the lowest index, out-of-image candidates
+    skipped, and a candidate strictly within NMS_RADIUS of a kept one dropped."""
+    order = sorted(range(len(candidates)), key=lambda i: (-candidates[i][3], i))
+    kept = []
+    kept_xy = []
+    for i in order:
+        x0, y0 = candidates[i][:2]
+        if not (0 <= x0 <= width - 1 and 0 <= y0 <= height - 1):
+            continue
+        if any((x0 - x) ** 2 + (y0 - y) ** 2 < NMS_RADIUS**2 for x, y in kept_xy):
+            continue
+        kept.append(i)
+        kept_xy.append((x0, y0))
+        if len(kept) == max_count:
+            break
+    return kept
+
+
+def detect_keypoints_reference(image, max_count=500):
+    """Two-level Harris detection one candidate at a time; returns the kept
+    (xy, scale, response) arrays in keypoint order."""
+    h, w = image.shape
+    candidates = []
+    level_img = np.asarray(image, dtype=np.float64)
+    for level in range(DETECTION_LEVELS):
+        if min(level_img.shape) < 24:
+            break
+        resp = _harris_reference(level_img)
+        peak = resp.max()
+        if peak <= 1e-12:
+            level_img = _downsample2_reference(level_img)
+            continue
+        nms = maximum_filter(resp, size=2 * NMS_RADIUS + 1, mode="nearest")
+        rows, cols = np.nonzero((resp == nms) & (resp > 0.005 * peak))
+        margin = NMS_RADIUS
+        lh, lw = resp.shape
+        keep = (rows >= margin) & (rows < lh - margin) & (cols >= margin) & (cols < lw - margin)
+        factor = 2.0**level
+        offset = (factor - 1.0) / 2.0
+        for r, c in zip(rows[keep], cols[keep]):
+            x, y = refine_subpixel_reference(resp, r, c)
+            candidates.append((x * factor + offset, y * factor + offset, BASE_SCALE * factor, float(resp[r, c])))
+        level_img = _downsample2_reference(level_img)
+    kept = [candidates[i] for i in greedy_nms_reference(candidates, w, h, max_count)]
+    xy = np.array([k[:2] for k in kept], dtype=np.float64).reshape(-1, 2)
+    return xy, np.array([k[2] for k in kept]), np.array([k[3] for k in kept])
 
 
 class DegenerateSample(Exception):

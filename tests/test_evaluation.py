@@ -36,6 +36,40 @@ class TestEvalPoseFailures:
             ev.eval_pose([generate_scene(SceneConfig(), 0)], "guided", model=cm.CoarseModel.create(0))
 
 
+class TestCorruptFeatures:
+    def _features(self):
+        scene = generate_scene(SceneConfig(width=128, height=96), 3)
+        kps_a = km.detect_keypoints(scene.image_a, 60)
+        kps_b = km.detect_keypoints(scene.image_b, 60)
+        return ev.PairFeatures(kps_a, km.describe(scene.image_a, kps_a), kps_b, km.describe(scene.image_b, kps_b))
+
+    def test_input_unchanged(self):
+        feats = self._features()
+        arrays = [feats.kps_a.xy, feats.kps_a.scale, feats.kps_a.response, feats.desc_a.vectors,
+                  feats.kps_b.xy, feats.kps_b.scale, feats.kps_b.response, feats.desc_b.vectors]
+        before = [a.copy() for a in arrays]
+        out = ev.corrupt_features(feats, np.random.default_rng(0), 2.0, 0.3)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+        assert not np.array_equal(out.kps_a.xy, feats.kps_a.xy)
+        assert not np.array_equal(out.desc_b.vectors, feats.desc_b.vectors)
+
+    def test_noise_equals_per_point_addition(self):
+        # the noise draws and the additions of the per-point loop that shifted
+        # one keypoint object at a time (k.x += dx; k.y += dy)
+        feats = self._features()
+        out = ev.corrupt_features(feats, np.random.default_rng(5), 1.5, 0.0)
+        rng = np.random.default_rng(5)
+        for kps, noisy in ((feats.kps_a, out.kps_a), (feats.kps_b, out.kps_b)):
+            noise = rng.normal(0.0, 1.5, size=(len(kps), 2))
+            shifted = []
+            for (x, y), (dx, dy) in zip(kps.xy, noise):
+                x += dx
+                y += dy
+                shifted.append((x, y))
+            assert noisy.xy.tobytes() == np.array(shifted).tobytes()
+            assert np.array_equal(noisy.scale, kps.scale) and np.array_equal(noisy.response, kps.response)
+
+
 _errors = st.lists(st.floats(0.0, 30.0) | st.just(math.inf), min_size=1, max_size=20)
 
 

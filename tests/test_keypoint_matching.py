@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter
 
 from guidematch import keypoint_matching as km
 from guidematch.coarse_matcher import CoarseMatchField, interpolate_matches
@@ -36,27 +39,118 @@ def oracle_field_from_offset(grid=(8, 8), stride=16, size=(128, 128), offset=(0,
 
 
 def _keypoints(points):
-    return [km.Keypoint(x, y, 9.0, 1.0) for x, y in points]
+    return km.KeypointSet(points, km.BASE_SCALE, 1.0)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestKeypointSet:
+    def test_frozen_read_only_copies(self):
+        xy = np.array([[1.0, 2.0], [3.0, 4.0]])
+        kps = km.KeypointSet(xy, np.array([9.0, 18.0]), 1.0)
+        xy[0, 0] = 7.0
+        assert len(kps) == 2 and kps.xy[0, 0] == 1.0
+        assert kps.scale.tolist() == [9.0, 18.0] and kps.response.tolist() == [1.0, 1.0]
+        for values in (kps.xy, kps.scale, kps.response):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kps.xy = xy
+
+    def test_empty_set_shapes(self):
+        kps = _keypoints([])
+        assert len(kps) == 0 and kps.xy.shape == (0, 2) and kps.scale.shape == kps.response.shape == (0,)
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            km.KeypointSet(np.zeros((3, 2)), np.ones(2), 1.0)
+
+
+@st.composite
+def detector_images(draw):
+    """Images for the detector's reference test, with the case each kind covers."""
+    h, w = draw(st.integers(32, 72)), draw(st.integers(32, 72))  # odd sizes drop a row or column per level
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "smooth", "quantized", "blocks", "tiled", "constant"]))
+    if kind == "noise":
+        img = rng.random((h, w))
+    elif kind == "smooth":
+        img = gaussian_filter(rng.random((h, w)), draw(st.floats(1.0, 4.0)))
+    elif kind == "quantized":  # few grey levels: tied responses
+        img = np.round(rng.random((h, w)) * 2) / 2
+    elif kind == "blocks":  # repeated binary blocks: tied responses at equal corners
+        img = np.kron(rng.integers(0, 2, (h // 4 + 1, w // 4 + 1)), np.ones((4, 4)))[:h, :w]
+    elif kind == "tiled":  # period NMS_RADIUS: equal peaks NMS_RADIUS apart
+        r = km.NMS_RADIUS
+        img = np.tile(rng.random((r, r)), (h // r + 1, w // r + 1))[:h, :w]
+    else:
+        img = np.full((h, w), 0.3)
+    # low contrast gives near-singular Hessians, and levels below the 1e-12 peak floor
+    amplitude = draw(st.sampled_from([1.0, 0.05, 0.01, 0.002]))
+    return img * amplitude, draw(st.integers(1, 400))
 
 
 class TestDetect:
+    @settings(max_examples=200, deadline=None)
+    @given(detector_images())
+    def test_equals_per_candidate_reference(self, case):
+        image, max_count = case
+        kps = km.detect_keypoints(image, max_count)
+        xy, scale, response = oracles.detect_keypoints_reference(image, max_count)
+        assert _same_bits(kps.xy, xy) and _same_bits(kps.scale, scale) and _same_bits(kps.response, response)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-4, 1e-7]))
+    def test_refinement_equals_scalar_reference(self, seed, amplitude):
+        # small amplitudes make every Hessian near singular; a flat patch has det 0
+        resp = np.random.default_rng(seed).standard_normal((9, 11)) * amplitude
+        resp[3:6, 3:6] = resp[4, 4]
+        rows, cols = (g.ravel() for g in np.meshgrid(np.arange(1, 8), np.arange(1, 10), indexing="ij"))
+        want = np.array([oracles.refine_subpixel_reference(resp, r, c) for r, c in zip(rows, cols)])
+        assert _same_bits(km._refine_subpixel(resp, rows, cols), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_suppression_equals_greedy_reference(self, data):
+        # half-pixel positions put candidates exactly NMS_RADIUS apart and,
+        # past the image size, outside the image; three responses make ties
+        width, height = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 20))
+        coord = st.integers(-4, 44).map(lambda v: v / 2)
+        cand = st.tuples(coord, coord, st.just(km.BASE_SCALE), st.sampled_from([0.5, 1.0, 2.0]))
+        cands = data.draw(st.lists(cand, max_size=40))
+        max_count = data.draw(st.integers(1, 45))
+        xy = np.array([c[:2] for c in cands]).reshape(-1, 2)
+        kept = km._suppress(xy, np.array([c[3] for c in cands]), width, height, max_count)
+        assert kept.tolist() == oracles.greedy_nms_reference(cands, width, height, max_count)
+
+    def test_suppression_rule(self):
+        r = km.NMS_RADIUS
+        # exactly NMS_RADIUS apart: both kept; just inside it: dropped
+        xy = np.array([[10.0, 10.0], [10.0 + r, 10.0], [10.0, 10.0 + r - 0.5]])
+        assert km._suppress(xy, np.array([3.0, 2.0, 1.0]), 32, 32, 10).tolist() == [0, 1]
+        # an out-of-image candidate is skipped and suppresses nothing
+        xy = np.array([[-0.5, 5.0], [1.0, 5.0], [5.0, 31.5]])
+        assert km._suppress(xy, np.array([3.0, 2.0, 1.0]), 32, 32, 10).tolist() == [1]
+
     def test_constant_image_empty(self):
-        assert km.detect_keypoints(np.full((64, 64), 0.3)) == []
+        kps = km.detect_keypoints(np.full((64, 64), 0.3))
+        assert len(kps) == 0 and kps.xy.shape == (0, 2) and kps.scale.shape == kps.response.shape == (0,)
 
     def test_single_blob(self):
         img = np.zeros((64, 64))
         img[30:33, 40:43] = 1.0
         kps = km.detect_keypoints(img, max_count=10)
         assert len(kps) >= 1
-        best = kps[0]
-        assert abs(best.x - 41.0) <= 2.0 and abs(best.y - 31.0) <= 2.0
+        x, y = kps.xy[0]
+        assert abs(x - 41.0) <= 2.0 and abs(y - 31.0) <= 2.0
 
     def test_sorted_by_response_and_capped(self):
         img = textured_image(1)
         kps = km.detect_keypoints(img, max_count=50)
         assert len(kps) == 50
-        responses = [k.response for k in kps]
-        assert responses == sorted(responses, reverse=True)
+        assert np.all(np.diff(kps.response) <= 0)
         many = km.detect_keypoints(img, max_count=100000)
         assert len(many) >= 50
 
@@ -66,30 +160,28 @@ class TestDetect:
 
     def test_inside_bounds(self):
         img = textured_image(2)
-        for k in km.detect_keypoints(img, max_count=200):
-            assert 0 <= k.x <= 127 and 0 <= k.y <= 127
+        xy = km.detect_keypoints(img, max_count=200).xy
+        assert np.all((xy >= 0) & (xy <= 127))
 
 
 class TestDescribe:
     def test_identical_stamps_give_identical_descriptors(self):
         img = stamp_image()
         kps = km.detect_keypoints(img, max_count=40)
-        on_first = [k for k in kps if abs(k.x - 30) < 9 and abs(k.y - 30) < 9]
-        assert on_first, "no keypoints on the first stamp"
-        k = on_first[0]
-        twin = km.Keypoint(k.x + 65.0, k.y + 65.0, k.scale, k.response)
-        desc = km.describe(img, [k, twin], patch=13)
+        on_first = np.nonzero(np.all(np.abs(kps.xy - 30) < 9, axis=1))[0]
+        assert len(on_first), "no keypoints on the first stamp"
+        k = kps.xy[on_first[0]]
+        desc = km.describe(img, _keypoints([k, k + 65.0]), patch=13)
         assert np.linalg.norm(desc.vectors[0] - desc.vectors[1]) < 1e-6
 
     def test_constant_patch_zero_vector(self):
         img = np.full((64, 64), 0.7)
-        desc = km.describe(img, [km.Keypoint(32.0, 32.0, 9.0, 1.0)])
+        desc = km.describe(img, _keypoints([(32.0, 32.0)]))
         assert np.all(desc.vectors == 0.0)
 
     def test_same_keypoint_identical(self):
         img = textured_image(3)
-        k = km.Keypoint(50.3, 60.7, 9.0, 1.0)
-        desc = km.describe(img, [k, k])
+        desc = km.describe(img, _keypoints([(50.3, 60.7), (50.3, 60.7)]))
         assert np.array_equal(desc.vectors[0], desc.vectors[1])
 
     def test_unit_norm(self):
@@ -174,7 +266,7 @@ class TestMatchGuided:
         field = oracle_field_from_offset()
         w = 24.0
         ms = km.match_guided(kps, desc, kps, desc, field, w)
-        coords = km.keypoint_coords(kps)
+        coords = kps.xy
         sx, sy = field.scale_src
         mapped = interpolate_matches(field, coords * [sx, sy])
         for i, j in ms.pairs():
@@ -186,8 +278,8 @@ class TestMatchGuided:
         # keypoints far away from it so every window is empty
         cells = np.full((8, 8, 2), 7, dtype=np.int64)
         field = CoarseMatchField(cells, np.ones((8, 8)), 16, (128, 128), (128, 128))
-        keep = [i for i, k in enumerate(kps) if np.hypot(k.x - 120, k.y - 120) > 30]
-        kps_b = [kps[i] for i in keep]
+        keep = np.hypot(kps.xy[:, 0] - 120, kps.xy[:, 1] - 120) > 30
+        kps_b = km.KeypointSet(kps.xy[keep], kps.scale[keep], kps.response[keep])
         desc_b = km.DescriptorSet(desc.vectors[keep])
         ms = km.match_guided(kps, desc, kps_b, desc_b, field, 8.0)
         assert len(ms) == 0
@@ -220,11 +312,17 @@ class TestMatchGuided:
         desc_a = km.describe(img_a, kps_a)
         field = oracle_field_from_offset()  # identity mapping
         ms = km.match_guided(kps_a, desc_a, kps_a, desc_a, field, 16.0)
-        coords = km.keypoint_coords(kps_a)
+        coords = kps_a.xy
         for i, j in ms.pairs():
             # with identity guidance every keypoint must match itself, never
             # its twin on the other stamp 92 px away
             assert np.hypot(*(coords[i] - coords[j])) < 8.0
+
+
+class TestMatchSet:
+    def test_length_mismatch_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"\(3, 3, 2, 3\)"):
+            km.MatchSet(np.arange(3), np.arange(3), np.zeros(2), np.zeros(3))
 
 
 class TestMutualAndRatio:
@@ -408,8 +506,8 @@ class TestMaskedMatcherOracles:
     def test_guided_equals_per_keypoint_loop(self, case):
         field, kps_a, desc_a, kps_b, desc_b, window, edge = case
         ms = km.match_guided(kps_a, desc_a, kps_b, desc_b, field, window)
-        mapped = _mapped_or_nan(field, km.keypoint_coords(kps_a))
-        ref = oracles.guided_match_loop(mapped, km.keypoint_coords(kps_b), desc_a.vectors, desc_b.vectors, window)
+        mapped = _mapped_or_nan(field, kps_a.xy)
+        ref = oracles.guided_match_loop(mapped, kps_b.xy, desc_a.vectors, desc_b.vectors, window)
         _assert_same(ms, ref)
         if edge is not None:
             assert edge not in ms.pairs()
@@ -433,7 +531,7 @@ class TestMaskedMatcherOracles:
         kps_a, kps_b = _keypoints(pts_a), _keypoints(pts_b)
         ms = km.match_model_guided(kps_a, desc_a, kps_b, desc_b, band, model_override=fmat)
         ref = oracles.epipolar_band_match_loop(
-            fmat.matrix, km.keypoint_coords(kps_a), km.keypoint_coords(kps_b), desc_a.vectors, desc_b.vectors, band
+            fmat.matrix, kps_a.xy, kps_b.xy, desc_a.vectors, desc_b.vectors, band
         )
         _assert_same(ms, ref)
 
