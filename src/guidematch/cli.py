@@ -1,10 +1,14 @@
 """Command-line surface.
 
 Subcommands: synth, train, coarse-match, match, eval-pck, eval-pose,
-grad-check. Exit codes: 0 success, 1 usage error, 2 runtime failure. Every
+grad-check. Exit codes: 0 success, 1 usage error (a bad flag, or a --config
+key that names no setting or has a bad value), 2 runtime failure. Every
 command accepts --seed (beaten only by an explicit value; the
 GUIDEMATCH_SEED environment variable overrides the built-in default),
---config and --out. Outputs are byte-deterministic for a fixed seed.
+--config and --out. Only synth, train and eval-pose draw from the seed;
+eval-pck records it in its report, and the other commands ignore it.
+Outputs are byte-deterministic for a fixed seed. match and eval-pose share
+one set of matching flags, from --variant to --max-keypoints.
 """
 
 from __future__ import annotations
@@ -14,14 +18,12 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from guidematch import coarse_matcher as cm
 from guidematch import evaluation as ev
 from guidematch import keypoint_matching as km
 from guidematch import supervision as sup
 from guidematch.geometry import SceneConfig, generate_scene, load_scene, load_scene_dir, save_scene
-from guidematch.geometry.scene import parse_kv_file
+from guidematch.geometry.scene import ConfigError, load_config
 
 
 class UsageError(Exception):
@@ -47,6 +49,16 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="rng seed (beats GUIDEMATCH_SEED)")
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--out", default=None, help="output path or directory")
+
+
+def _add_matching(p: argparse.ArgumentParser, default_variant: str):
+    p.add_argument("--variant", choices=ev.POSE_VARIANTS, default=default_variant)
+    p.add_argument("--checkpoint", default=None, help="coarse model, required by the guided variant")
+    p.add_argument("--window", type=float, default=16.0, help="guidance window, resized-image pixels")
+    p.add_argument("--ratio", type=float, default=None)
+    p.add_argument("--band", type=float, default=3.0, help="epipolar band of model-guided, pixels")
+    p.add_argument("--max-side", type=int, default=497)
+    p.add_argument("--max-keypoints", type=int, default=300)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,14 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("match", help="match keypoints of a scene pair, write CSV")
     _add_common(p)
     p.add_argument("--scene-dir", required=True)
-    p.add_argument("--variant", default="raw", help="|".join(ev.POSE_VARIANTS))
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--window", type=float, default=16.0)
-    p.add_argument("--window-frame", choices=("resized", "original"), default="resized")
-    p.add_argument("--ratio", type=float, default=None)
-    p.add_argument("--band", type=float, default=3.0)
-    p.add_argument("--max-side", type=int, default=497)
-    p.add_argument("--max-keypoints", type=int, default=300)
+    _add_matching(p, "raw")
 
     p = subs.add_parser("eval-pck", help="coarse-match accuracy over a scene set")
     _add_common(p)
@@ -98,16 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("eval-pose", help="two-view pose accuracy over a scene set")
     _add_common(p)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--variant", default="mutual", help="|".join(ev.POSE_VARIANTS))
-    p.add_argument("--checkpoint", default=None)
+    _add_matching(p, "mutual")
     p.add_argument("--ransac-thresholds", default="1.0")
     p.add_argument("--pose-thresholds", default="5,10,20")
-    p.add_argument("--window", type=float, default=16.0)
-    p.add_argument("--window-frame", choices=("resized", "original"), default="resized")
-    p.add_argument("--ratio", type=float, default=None)
-    p.add_argument("--band", type=float, default=3.0)
-    p.add_argument("--max-side", type=int, default=497)
-    p.add_argument("--max-keypoints", type=int, default=300)
     p.add_argument("--keypoint-source", choices=("detect", "gt"), default="detect")
     p.add_argument("--keypoint-noise", type=float, default=0.0)
     p.add_argument("--descriptor-corruption", type=float, default=0.0)
@@ -129,19 +127,15 @@ def _require_out(args, name="--out") -> Path:
     return Path(args.out)
 
 
+_SYNTH_CONFIG_KEYS = (
+    "width", "height", "stride", "n_planes", "tilt_max", "texel_px", "repeated_stamps",
+    "stamp_px", "stamp_min_sep_px", "background_amplitude", "n_gt_points",
+)
+
+
 def _cmd_synth(args, seed: int) -> int:
     out = _require_out(args)
-    overrides = {}
-    if args.config:
-        values = parse_kv_file(args.config)
-        for key in (
-            "width", "height", "n_planes", "repeated_stamps", "n_gt_points", "stamp_px", "stride",
-        ):
-            if key in values:
-                overrides[key] = int(values[key])
-        for key in ("texel_px", "background_amplitude", "tilt_max", "stamp_min_sep_px"):
-            if key in values:
-                overrides[key] = float(values[key])
+    overrides = load_config(args.config, SceneConfig, _SYNTH_CONFIG_KEYS) if args.config else {}
     if args.width is not None:
         overrides["width"] = args.width
     if args.height is not None:
@@ -160,7 +154,8 @@ def _cmd_synth(args, seed: int) -> int:
 
 
 def _cmd_train(args, seed: int) -> int:
-    overrides = dict(
+    config = sup.TrainConfig.from_file(
+        args.config,
         mode=args.mode,
         dataset_dir=args.dataset,
         out_dir=args.out,
@@ -169,13 +164,6 @@ def _cmd_train(args, seed: int) -> int:
         freeze_steps=args.freeze_steps,
         seed=args.seed,  # only an explicit flag overrides the config file
     )
-    if args.config:
-        config = sup.TrainConfig.from_file(args.config, **overrides)
-    else:
-        missing = [k for k in ("mode", "dataset_dir", "out_dir") if overrides.get(k) is None]
-        if missing:
-            raise UsageError(f"train needs --config or flags for: {', '.join(missing)}")
-        config = sup.TrainConfig(**{k: v for k, v in overrides.items() if v is not None})
     result = sup.train(config)
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"loss curve: {Path(config.out_dir) / 'loss_curve.csv'}")
@@ -194,17 +182,24 @@ def _cmd_coarse_match(args, seed: int) -> int:
     return 0
 
 
+def _matching(args) -> tuple[cm.CoarseModel | None, dict]:
+    """The coarse model and ``make_matcher``'s options from the ``_add_matching`` flags."""
+    if args.variant == "guided" and args.checkpoint is None:
+        raise UsageError("guided variant needs --checkpoint")
+    if args.variant.startswith("ratio") and args.ratio is None:
+        raise UsageError(f"{args.variant} variant needs --ratio")
+    if args.max_keypoints < 1:
+        raise UsageError(f"--max-keypoints must be at least 1, got {args.max_keypoints}")
+    model = cm.CoarseModel.load(args.checkpoint) if args.checkpoint else None
+    return model, dict(window_px=args.window, ratio=args.ratio, band_px=args.band, max_side=args.max_side)
+
+
 def _cmd_match(args, seed: int) -> int:
     out = _require_out(args)
     scene = load_scene(args.scene_dir)
-    model = cm.CoarseModel.load(args.checkpoint) if args.checkpoint else None
-    matcher = ev.make_matcher(
-        args.variant, model, args.window, args.window_frame, args.ratio, args.band, args.max_side
-    )
-    kps_a = km.detect_keypoints(scene.image_a, args.max_keypoints)
-    kps_b = km.detect_keypoints(scene.image_b, args.max_keypoints)
-    feats = ev.PairFeatures(kps_a, km.describe(scene.image_a, kps_a), kps_b, km.describe(scene.image_b, kps_b))
-    matches = matcher(scene, feats, np.random.default_rng(seed))
+    model, options = _matching(args)
+    feats = ev.pair_features(scene, args.max_keypoints)
+    matches = ev.make_matcher(args.variant, model, **options)(scene, feats)
     out.parent.mkdir(parents=True, exist_ok=True)
     km.save_matches(out, matches, feats.kps_a, feats.kps_b)
     print(f"wrote {len(matches)} matches to {out}")
@@ -235,50 +230,27 @@ def _cmd_eval_pck(args, seed: int) -> int:
 def _cmd_eval_pose(args, seed: int) -> int:
     out = _require_out(args)
     scenes = load_scene_dir(args.dataset)
-    model = cm.CoarseModel.load(args.checkpoint) if args.checkpoint else None
-    if args.variant in ("guided",) and model is None:
-        raise UsageError("guided variant needs --checkpoint")
-    pose_thresholds = _floats(args.pose_thresholds)
+    model, options = _matching(args)
+    options.update(
+        max_keypoints=args.max_keypoints,
+        ransac_thresholds=_floats(args.ransac_thresholds),
+        pose_thresholds=_floats(args.pose_thresholds),
+        keypoint_source=args.keypoint_source,
+        keypoint_noise_px=args.keypoint_noise,
+        descriptor_corruption=args.descriptor_corruption,
+    )
     meta = {
         "variant": args.variant,
         "seed": seed,
         "checkpoint": Path(args.checkpoint).name if args.checkpoint else "none",
-        "config_hash": ev.config_digest(
-            {
-                "variant": args.variant,
-                "ransac": args.ransac_thresholds,
-                "pose": args.pose_thresholds,
-                "window": args.window,
-                "ratio": args.ratio,
-                "band": args.band,
-                "noise": args.keypoint_noise,
-                "corruption": args.descriptor_corruption,
-            }
-        ),
+        "config_hash": ev.config_digest({**options, "variant": args.variant, "dataset": Path(args.dataset).name}),
     }
-    report = ev.eval_pose(
-        scenes,
-        args.variant,
-        model=model,
-        ransac_thresholds=_floats(args.ransac_thresholds),
-        pose_thresholds=pose_thresholds,
-        window_px=args.window,
-        window_frame=args.window_frame,
-        ratio=args.ratio,
-        band_px=args.band,
-        max_side=args.max_side,
-        max_keypoints=args.max_keypoints,
-        keypoint_source=args.keypoint_source,
-        keypoint_noise_px=args.keypoint_noise,
-        descriptor_corruption=args.descriptor_corruption,
-        seed=seed,
-        metadata=meta,
-    )
+    report = ev.eval_pose(scenes, args.variant, model=model, seed=seed, metadata=meta, **options)
     out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "pose_pairs.csv", "rows")
     report.write_csv(out / "pose_summary.csv", "aggregates")
     for agg in report.aggregates:
-        stats = ", ".join(f"auc@{t:g} = {agg[f'auc_{t:g}']:.4f}" for t in pose_thresholds)
+        stats = ", ".join(f"auc@{t:g} = {agg[f'auc_{t:g}']:.4f}" for t in options["pose_thresholds"])
         print(f"ransac {agg['ransac_px']:g} px: {stats}, fm_recall = {agg['fm_recall']:.4f}")
     print(f"reports: {out / 'pose_pairs.csv'}, {out / 'pose_summary.csv'}")
     return 0
@@ -313,7 +285,7 @@ def run_cli(argv=None) -> int:
         args = parser.parse_args(argv)
         seed = args.seed if args.seed is not None else _default_seed()
         return _COMMANDS[args.command](args, seed)
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1

@@ -140,84 +140,82 @@ class PairFeatures:
     desc_b: km.DescriptorSet
 
 
-MatcherFn = Callable[[SyntheticScene, PairFeatures, np.random.Generator], km.MatchSet]
+MatcherFn = Callable[[SyntheticScene, PairFeatures], km.MatchSet]
+
+
+def pair_features(scene: SyntheticScene, max_keypoints: int, keypoint_source: str = "detect") -> PairFeatures:
+    """Keypoints of both views and their descriptors.
+
+    ``keypoint_source="detect"`` runs the detector on each image; ``"gt"``
+    places the keypoints at the scene's exact ground-truth correspondences.
+    """
+    if keypoint_source == "gt":
+        kps_a = km.KeypointSet(scene.gt_points[:, :2], km.BASE_SCALE, 1.0)
+        kps_b = km.KeypointSet(scene.gt_points[:, 2:], km.BASE_SCALE, 1.0)
+    elif keypoint_source == "detect":
+        kps_a = km.detect_keypoints(scene.image_a, max_keypoints)
+        kps_b = km.detect_keypoints(scene.image_b, max_keypoints)
+    else:
+        raise ValueError(f"keypoint_source must be 'detect' or 'gt', got {keypoint_source!r}")
+    return PairFeatures(kps_a, km.describe(scene.image_a, kps_a), kps_b, km.describe(scene.image_b, kps_b))
 
 
 def make_matcher(
     variant: str | MatcherFn,
     model: cm.CoarseModel | None = None,
     window_px: float = 16.0,
-    window_frame: str = "resized",
     ratio: float | None = None,
     band_px: float = 3.0,
     max_side: int = 497,
 ) -> MatcherFn:
     """Build the match-and-prune chain for an evaluation variant.
 
-    The guided variants apply the mutual check between the two matching
-    directions; `ratio` adds a ratio test before it when set. The guidance
-    window is interpreted in resized-image pixels by default and converted
-    through the field's scales (`window_frame="original"` skips that).
+    Every variant runs one chain: match A to B and, unless the variant is
+    ``raw`` or ``ratio``, B to A; apply the ratio test to each direction
+    when ``ratio`` is set; with two directions, keep their mutual matches.
+    The variant picks the step once; a direction's step takes the nearest
+    descriptor among all target keypoints (``raw``, ``ratio``, ``mutual``, ``ratio+mutual``), among
+    those within ``window_px`` resized-image pixels of the coarse match
+    (``guided``; the window is converted to original pixels through the
+    field's scales), or among those within ``band_px`` of the epipolar line
+    of a first-stage fundamental matrix (``model-guided``). A callable
+    variant is returned as is.
     """
     if callable(variant):
         return variant
+    if variant not in POSE_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {POSE_VARIANTS}")
+    if variant.startswith("ratio") and ratio is None:
+        raise ValueError(f"{variant} variant needs a ratio value")
+    if variant == "guided" and model is None:
+        raise ValueError("guided variant needs a coarse model checkpoint")
+    mutual = variant not in ("raw", "ratio")
 
-    def raw_chain(scene, feats, rng, mutual):
-        ab = km.match_raw(feats.desc_a, feats.desc_b)
-        if ratio is not None:
-            ab = km.ratio_test(ab, ratio)
+    if variant == "guided":
+        def step(kps_src, desc_src, kps_tgt, desc_tgt, fld):
+            window = window_px / (0.5 * (fld.scale_tgt[0] + fld.scale_tgt[1]))
+            return km.match_guided(kps_src, desc_src, kps_tgt, desc_tgt, fld, window)
+    elif variant == "model-guided":
+        def step(kps_src, desc_src, kps_tgt, desc_tgt, fld):
+            return km.match_model_guided(kps_src, desc_src, kps_tgt, desc_tgt, band_px)
+    else:
+        def step(kps_src, desc_src, kps_tgt, desc_tgt, fld):
+            return km.match_raw(desc_src, desc_tgt)
+
+    def prune(ms):
+        return ms if ratio is None else km.ratio_test(ms, ratio)
+
+    def matcher(scene, feats):
+        fld_ab = fld_ba = None  # the coarse match fields only guided reads
+        if variant == "guided":
+            fld_ab, fld_ba = cm.compute_match_fields(model, scene.image_a, scene.image_b, max_side)
+        ab = prune(step(feats.kps_a, feats.desc_a, feats.kps_b, feats.desc_b, fld_ab))
         if not mutual:
             return ab
-        ba = km.match_raw(feats.desc_b, feats.desc_a)
-        if ratio is not None:
-            ba = km.ratio_test(ba, ratio)
+        ba = prune(step(feats.kps_b, feats.desc_b, feats.kps_a, feats.desc_a, fld_ba))
         return km.mutual_check(ab, ba)
 
-    if variant == "raw":
-        return lambda scene, feats, rng: raw_chain(scene, feats, rng, mutual=False)
-    if variant == "mutual":
-        return lambda scene, feats, rng: raw_chain(scene, feats, rng, mutual=True)
-    if variant == "ratio":
-        if ratio is None:
-            raise ValueError("ratio variant needs a ratio value")
-        return lambda scene, feats, rng: raw_chain(scene, feats, rng, mutual=False)
-    if variant == "ratio+mutual":
-        if ratio is None:
-            raise ValueError("ratio+mutual variant needs a ratio value")
-        return lambda scene, feats, rng: raw_chain(scene, feats, rng, mutual=True)
-    if variant == "guided":
-        if model is None:
-            raise ValueError("guided variant needs a coarse model checkpoint")
-
-        def guided(scene, feats, rng):
-            fld_ab, fld_ba = cm.compute_match_fields(model, scene.image_a, scene.image_b, max_side)
-            if window_frame == "resized":
-                sb = 0.5 * (fld_ab.scale_tgt[0] + fld_ab.scale_tgt[1])
-                sa = 0.5 * (fld_ba.scale_tgt[0] + fld_ba.scale_tgt[1])
-                w_ab = window_px / sb
-                w_ba = window_px / sa
-            else:
-                w_ab = w_ba = window_px
-            ab = km.match_guided(feats.kps_a, feats.desc_a, feats.kps_b, feats.desc_b, fld_ab, w_ab)
-            ba = km.match_guided(feats.kps_b, feats.desc_b, feats.kps_a, feats.desc_a, fld_ba, w_ba)
-            if ratio is not None:
-                ab = km.ratio_test(ab, ratio)
-                ba = km.ratio_test(ba, ratio)
-            return km.mutual_check(ab, ba)
-
-        return guided
-    if variant == "model-guided":
-
-        def model_guided(scene, feats, rng):
-            ab = km.match_model_guided(feats.kps_a, feats.desc_a, feats.kps_b, feats.desc_b, band_px)
-            ba = km.match_model_guided(feats.kps_b, feats.desc_b, feats.kps_a, feats.desc_a, band_px)
-            if ratio is not None:
-                ab = km.ratio_test(ab, ratio)
-                ba = km.ratio_test(ba, ratio)
-            return km.mutual_check(ab, ba)
-
-        return model_guided
-    raise ValueError(f"unknown variant {variant!r}, expected one of {POSE_VARIANTS}")
+    return matcher
 
 
 def corrupt_features(feats: PairFeatures, rng: np.random.Generator, keypoint_noise_px: float, descriptor_corruption: float) -> PairFeatures:
@@ -250,7 +248,6 @@ def eval_pose(
     ransac_thresholds=(1.0,),
     pose_thresholds=(5.0, 10.0, 20.0),
     window_px: float = 16.0,
-    window_frame: str = "resized",
     ratio: float | None = None,
     band_px: float = 3.0,
     max_side: int = 497,
@@ -275,25 +272,17 @@ def eval_pose(
     the noiseless sanity mode; detector localization error otherwise bounds
     the achievable pose accuracy.
     """
-    matcher = make_matcher(variant, model, window_px, window_frame, ratio, band_px, max_side)
+    matcher = make_matcher(variant, model, window_px, ratio, band_px, max_side)
     ransac_thresholds = list(ransac_thresholds)
     pose_thresholds = list(pose_thresholds)
     rows = []
     for pair_index, scene in enumerate(scenes):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, pair_index]))
-        if keypoint_source == "gt":
-            kps_a = km.KeypointSet(scene.gt_points[:, :2], km.BASE_SCALE, 1.0)
-            kps_b = km.KeypointSet(scene.gt_points[:, 2:], km.BASE_SCALE, 1.0)
-        elif keypoint_source == "detect":
-            kps_a = km.detect_keypoints(scene.image_a, max_keypoints)
-            kps_b = km.detect_keypoints(scene.image_b, max_keypoints)
-        else:
-            raise ValueError(f"keypoint_source must be 'detect' or 'gt', got {keypoint_source!r}")
-        feats = PairFeatures(kps_a, km.describe(scene.image_a, kps_a), kps_b, km.describe(scene.image_b, kps_b))
+        feats = pair_features(scene, max_keypoints, keypoint_source)
         if keypoint_noise_px or descriptor_corruption:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, pair_index]))
             feats = corrupt_features(feats, rng, keypoint_noise_px, descriptor_corruption)
         try:
-            matches = matcher(scene, feats, rng)
+            matches = matcher(scene, feats)
             coords_a, coords_b = km.match_coords(matches, feats.kps_a, feats.kps_b)
         except (km.MatchingError, rp.EstimationError):
             matches = None

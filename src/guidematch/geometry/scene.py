@@ -14,8 +14,8 @@ guidance is supposed to resolve.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,10 @@ from guidematch.geometry.epipolar import (
 from guidematch.imageops import bilinear_sample
 
 _RAY_EPS = 1e-6
+_DEPTH_RANGE = (4.5, 9.0)  # camera-A depth: nearest foreground planes, backdrop
+_ROLL_MAX_DEG = 4.0  # camera-B roll about its viewing ray in "lookat" mode
+_TEXTURE_LOW = 0.1  # texture intensity range
+_TEXTURE_HIGH = 0.9
 
 
 @dataclass
@@ -40,26 +44,19 @@ class SceneConfig:
     width: int = 64
     height: int = 64
     stride: int = 16  # image sides must be multiples of this
-    focal_px: float | None = None  # defaults to max(width, height)
     # one backdrop plus n-1 foreground rectangles; a mostly-planar point set
     # is near-degenerate for linear two-view estimation, so keep some depth
     n_planes: int = 4
-    depth_range: tuple[float, float] = (4.5, 9.0)
     tilt_max: float = 0.18  # max |slope| of plane normals vs the optical axis
     baseline_range: tuple[float, float] = (0.8, 1.6)
     translation_dir: tuple[float, float, float] | None = None  # None: random, mostly lateral
     rotation_mode: str = "lookat"  # or "identity"
-    roll_max_deg: float = 4.0
     texel_px: float = 2.0  # approximate texture element size in image-A pixels
     texture_blur_passes: int = 2
-    texture_low: float = 0.1
-    texture_high: float = 0.9
     repeated_stamps: int = 0
     stamp_px: int = 24  # stamp side length in image-A pixels
     stamp_min_sep_px: float = 80.0
     background_amplitude: float = 1.0  # scaled down in repeated-stamp scenes
-    brightness_jitter: float = 0.0
-    contrast_jitter: float = 0.0
     n_gt_points: int = 60
     min_common_points: int = 30
     max_retries: int = 20
@@ -227,11 +224,11 @@ def _backdrop_extent(cams, plane_point, normal, basis_u, basis_v, offset):
 
 def _build_scene(config: SceneConfig, seed: int, rng: np.random.Generator):
     w, h = config.width, config.height
-    focal = config.focal_px if config.focal_px is not None else float(max(w, h))
+    focal = float(max(w, h))
     K = np.array([[focal, 0.0, w / 2.0], [0.0, focal, h / 2.0], [0.0, 0.0, 1.0]])
     cam_a = CameraCalibration(K, np.eye(3), np.zeros(3), w, h)
 
-    z_lo, z_hi = config.depth_range
+    z_lo, z_hi = _DEPTH_RANGE
     z_mid = 0.5 * (z_lo + z_hi)
     baseline = rng.uniform(*config.baseline_range)
     if config.translation_dir is not None:
@@ -245,7 +242,7 @@ def _build_scene(config: SceneConfig, seed: int, rng: np.random.Generator):
     if config.rotation_mode == "identity":
         r_b = np.eye(3)
     elif config.rotation_mode == "lookat":
-        roll = np.radians(rng.uniform(-config.roll_max_deg, config.roll_max_deg))
+        roll = np.radians(rng.uniform(-_ROLL_MAX_DEG, _ROLL_MAX_DEG))
         r_b = _look_at(center_b, np.array([0.0, 0.0, z_mid]), roll)
     else:
         raise ValueError(f"unknown rotation_mode {config.rotation_mode!r}")
@@ -262,8 +259,8 @@ def _build_scene(config: SceneConfig, seed: int, rng: np.random.Generator):
     tex_w = int(np.ceil(2 * half_u / texel)) + 4
     tex_h = int(np.ceil(2 * half_v / texel)) + 4
     texture = _smooth_noise(rng, tex_h, tex_w, config.texture_blur_passes)
-    span = config.texture_high - config.texture_low
-    texture = config.texture_low + span * (
+    span = _TEXTURE_HIGH - _TEXTURE_LOW
+    texture = _TEXTURE_LOW + span * (
         0.5 + config.background_amplitude * (texture - 0.5)
     )
     backdrop = ScenePlane(normal, offset, origin, bu, bv, texture, texel)
@@ -281,7 +278,7 @@ def _build_scene(config: SceneConfig, seed: int, rng: np.random.Generator):
         texel = config.texel_px * z_p / focal
         side = int(np.ceil(2 * half / texel)) + 4
         tex = _smooth_noise(rng, side, side, config.texture_blur_passes)
-        tex = config.texture_low + span * tex
+        tex = _TEXTURE_LOW + span * tex
         planes.append(
             ScenePlane(normal, float(normal @ anchor), anchor, bu, bv, tex, texel, half, half)
         )
@@ -297,7 +294,7 @@ def _paste_stamps(config: SceneConfig, rng: np.random.Generator, cam_a: CameraCa
     # stamp side in texels so it spans ~stamp_px pixels of image A
     stamp_texels = max(4, int(round(config.stamp_px / config.texel_px)))
     stamp = rng.random((stamp_texels, stamp_texels))
-    stamp = config.texture_low + (config.texture_high - config.texture_low) * stamp
+    stamp = _TEXTURE_LOW + (_TEXTURE_HIGH - _TEXTURE_LOW) * stamp
     th, tw = plane.texture.shape
     positions_px: list[np.ndarray] = []
     centers_texel: list[tuple[int, int]] = []
@@ -369,10 +366,6 @@ def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
             continue
         scene.image_a = _render(cam_a, planes)
         scene.image_b = _render(cam_b, planes)
-        if config.brightness_jitter or config.contrast_jitter:
-            gain = 1.0 + rng.uniform(-config.contrast_jitter, config.contrast_jitter)
-            offs = rng.uniform(-config.brightness_jitter, config.brightness_jitter)
-            scene.image_b = np.clip(gain * (scene.image_b - 0.5) + 0.5 + offs, 0.0, 1.0)
         gt = np.column_stack([pts_a[visible], mapped[visible]])
         scene.gt_points = gt[: config.n_gt_points]
         return scene
@@ -399,8 +392,6 @@ class TrainingPair:
     fundamental: FundamentalMatrix | None = None
     gt_matches: np.ndarray | None = None
     scene_ids: tuple[int, int] = (0, 0)
-    scale_a: tuple[float, float] = (1.0, 1.0)
-    scale_b: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         if self.label not in (-1, 1):
@@ -492,6 +483,31 @@ def parse_kv_file(path) -> dict[str, str]:
             continue
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
+    return out
+
+
+class ConfigError(ValueError):
+    """A ``--config`` file or its overrides that cannot build the config."""
+
+
+def load_config(path, cls, keys=None) -> dict:
+    """A ``key = value`` file as keyword arguments of the dataclass ``cls``.
+
+    Each value is converted by the type of the field its key names, which
+    must be int, float or str, and be in ``keys`` when that is given; any
+    other key, or a value that does not convert, raises a ``ConfigError``
+    that names the file and the key.
+    """
+    types = typing.get_type_hints(cls)
+    out = {}
+    for key, text in parse_kv_file(path).items():
+        kind = types.get(key) if keys is None or key in keys else None
+        if kind not in (int, float, str):
+            raise ConfigError(f"{path}: {key!r} is not a settable {cls.__name__} field")
+        try:
+            out[key] = kind(text)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {key}: {exc}") from exc
     return out
 
 

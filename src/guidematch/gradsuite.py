@@ -177,12 +177,11 @@ def check_loss_every_coordinate(mode: str = "epipolar", start_seed: int = 0) -> 
     return GradCheckResult(f"loss_{mode}_all_coords", max_gradient_error(f, params), 1)
 
 
-def run_gradient_suite(n_seeds: int = 20, include_exhaustive: bool = True) -> list[GradCheckResult]:
+def run_gradient_suite(n_seeds: int = 20) -> list[GradCheckResult]:
     results = [
         _check_primitive(name, build, n_seeds, start_seed=100 * i)
         for i, (name, build) in enumerate(_primitive_checks(n_seeds))
     ]
     results.extend(check_losses(n_seeds))
-    if include_exhaustive:
-        results.append(check_loss_every_coordinate())
+    results.append(check_loss_every_coordinate())
     return results

@@ -145,6 +145,8 @@ def detect_keypoints(image: np.ndarray, max_count: int = 500) -> KeypointSet:
     kept; a constant image yields an empty set. The scale is the detector
     window diameter at the level the corner fired on.
     """
+    if max_count < 1:
+        raise ValueError(f"max_count must be at least 1, got {max_count}")
     h, w = image.shape
     if h < 32 or w < 32:
         raise ValueError(f"image {h}x{w} too small, need at least 32x32")

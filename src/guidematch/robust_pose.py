@@ -60,7 +60,6 @@ class ModelEstimate:
     inliers: np.ndarray
     iterations: int
     success: bool
-    kind: str = "fundamental"
 
 
 # Ways a minimal sample or a consensus set can fail the 8-point fit, in the
@@ -284,7 +283,7 @@ def ransac_essential(
     pts_a = np.asarray(pts_a, dtype=np.float64).reshape(-1, 2)
     pts_b = np.asarray(pts_b, dtype=np.float64).reshape(-1, 2)
     if len(pts_a) < 8:
-        return ModelEstimate(None, np.empty(0, dtype=np.int64), 0, False, kind="essential")
+        return ModelEstimate(None, np.empty(0, dtype=np.int64), 0, False)
     inv_a = np.linalg.inv(k_a)
     inv_b = np.linalg.inv(k_b)
     norm_a = (np.column_stack([pts_a, np.ones(len(pts_a))]) @ inv_a.T)[:, :2]
@@ -298,9 +297,7 @@ def ransac_essential(
         # scored in pixels, through the calibrations
         return _sampson_batch(inv_b.T @ e @ inv_a, pts_a, pts_b)
 
-    est = _ransac_loop(norm_a, norm_b, cfg, solve, residuals)
-    est.kind = "essential"
-    return est
+    return _ransac_loop(norm_a, norm_b, cfg, solve, residuals)
 
 
 _W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])

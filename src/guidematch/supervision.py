@@ -23,7 +23,7 @@ import numpy as np
 from guidematch import coarse_matcher as cm
 from guidematch import numerics
 from guidematch.geometry.epipolar import FRAME_RESIZED, FundamentalMatrix, epipolar_distances, rescale_fundamental
-from guidematch.geometry.scene import SyntheticScene, TrainingPair, load_scene_dir, parse_kv_file
+from guidematch.geometry.scene import ConfigError, SyntheticScene, TrainingPair, load_config, load_scene_dir
 from guidematch.numerics import AdamState, Tensor, adam_step
 
 MODES = ("image", "epipolar", "point")
@@ -171,16 +171,12 @@ def total_loss(
 # -- datasets and batching ---------------------------------------------------
 
 
-def positive_pair(scene: SyntheticScene, max_side: int | None, stride: int) -> TrainingPair:
+def positive_pair(scene: SyntheticScene, max_side: int, stride: int) -> TrainingPair:
     """Resize a scene's views and re-express its supervision in that frame."""
     if scene.fundamental is None:
         raise ValueError("scene has no fundamental matrix, unusable as a positive pair")
-    if max_side is not None:
-        image_a, scale_a = cm.resize_image(scene.image_a, max_side, stride)
-        image_b, scale_b = cm.resize_image(scene.image_b, max_side, stride)
-    else:
-        image_a, scale_a = scene.image_a, (1.0, 1.0)
-        image_b, scale_b = scene.image_b, (1.0, 1.0)
+    image_a, scale_a = cm.resize_image(scene.image_a, max_side, stride)
+    image_b, scale_b = cm.resize_image(scene.image_b, max_side, stride)
     fund = rescale_fundamental(scene.fundamental, scale_a, scale_b, FRAME_RESIZED)
     gt = scene.gt_points.copy()
     gt[:, 0] *= scale_a[0]
@@ -194,8 +190,6 @@ def positive_pair(scene: SyntheticScene, max_side: int | None, stride: int) -> T
         fundamental=fund,
         gt_matches=gt,
         scene_ids=(scene.seed, scene.seed),
-        scale_a=scale_a,
-        scale_b=scale_b,
     )
 
 
@@ -205,7 +199,7 @@ class PairDataset:
     negatives: list[TrainingPair]
 
     @classmethod
-    def from_scenes(cls, scenes: list[SyntheticScene], max_side: int | None = None, stride: int = 16) -> "PairDataset":
+    def from_scenes(cls, scenes: list[SyntheticScene], max_side: int, stride: int = 16) -> "PairDataset":
         if len(scenes) < 2:
             raise ValueError("need at least two scenes to form negative pairs")
         positives = [positive_pair(s, max_side, stride) for s in scenes]
@@ -285,19 +279,15 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path, **overrides) -> "TrainConfig":
-        values = parse_kv_file(path)
-        kwargs = {}
-        for key in ("mode", "dataset_dir", "out_dir"):
-            if key in values:
-                kwargs[key] = values[key]
-        for key in ("iterations", "batch_size", "freeze_steps", "seed", "checkpoint_every", "max_side"):
-            if key in values:
-                kwargs[key] = int(values[key])
-        for key in ("lr", "lr_finetune", "lambda_px"):
-            if key in values:
-                kwargs[key] = float(values[key])
-        kwargs.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**kwargs)
+        """The file's values (``load_config``; no file when ``path`` is None),
+        beaten by each override that is not None. A missing ``mode``,
+        ``dataset_dir`` or ``out_dir`` raises ``ConfigError``."""
+        values = load_config(path, cls) if path else {}
+        values.update({k: v for k, v in overrides.items() if v is not None})
+        missing = [k for k in ("mode", "dataset_dir", "out_dir") if k not in values]
+        if missing:
+            raise ConfigError(f"train needs a --config key or a flag for: {', '.join(missing)}")
+        return cls(**values)
 
 
 @dataclass

@@ -1,6 +1,23 @@
+import pytest
+
 from guidematch import coarse_matcher as cm
 from guidematch import evaluation as ev
 from guidematch.cli import run_cli
+
+
+@pytest.fixture(scope="module")
+def scenes(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    argv = ["synth", "--scenes", "2", "--width", "256", "--height", "192", "--repeated", "3", "--seed", "0"]
+    assert run_cli(argv + ["--out", str(root / "scenes")]) == 0
+    checkpoint = root / "model.gmck"
+    cm.CoarseModel.create(0).save(checkpoint)
+    return root / "scenes", checkpoint
+
+
+def _config_hash(path):
+    (line,) = [line for line in path.read_text().splitlines() if line.startswith("# config_hash = ")]
+    return line
 
 
 def test_eval_pose_is_byte_deterministic(tmp_path):
@@ -16,3 +33,93 @@ def test_eval_pose_is_byte_deterministic(tmp_path):
             assert run_cli(argv) == 0, variant
             outputs.append([(out / name).read_bytes() for name in ("pose_pairs.csv", "pose_summary.csv")])
         assert outputs[0] == outputs[1], variant
+
+
+def test_eval_pose_is_byte_deterministic_on_repeated_stamps(tmp_path, scenes):
+    scene_root, checkpoint = scenes
+    for variant in ev.POSE_VARIANTS:
+        outputs = []
+        for run in ("first", "second"):
+            out = tmp_path / variant / run
+            argv = ["eval-pose", "--dataset", str(scene_root), "--variant", variant]
+            argv += ["--checkpoint", str(checkpoint), "--ratio", "0.9", "--out", str(out)]
+            assert run_cli(argv) == 0, variant
+            outputs.append([(out / name).read_bytes() for name in ("pose_pairs.csv", "pose_summary.csv")])
+        assert outputs[0] == outputs[1], variant
+
+
+@pytest.mark.parametrize("variant", ev.POSE_VARIANTS)
+def test_match_is_byte_deterministic_and_ignores_the_seed(tmp_path, scenes, variant):
+    scene_root, checkpoint = scenes
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"{seed}.csv"
+        argv = ["match", "--scene-dir", str(scene_root / "scene_0000"), "--variant", variant, "--seed", seed]
+        argv += ["--checkpoint", str(checkpoint), "--ratio", "0.9", "--out", str(out)]
+        assert run_cli(argv) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def _matching_argv(command, scene_root, out):
+    if command == "match":
+        return ["match", "--scene-dir", str(scene_root / "scene_0000"), "--out", str(out)]
+    return ["eval-pose", "--dataset", str(scene_root), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["match", "eval-pose"])
+def test_guided_without_checkpoint_is_a_usage_error(tmp_path, scenes, command, capsys):
+    argv = _matching_argv(command, scenes[0], tmp_path / "out") + ["--variant", "guided"]
+    assert run_cli(argv) == 1
+    assert "needs --checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["match", "eval-pose"])
+def test_unknown_variant_is_a_usage_error(tmp_path, scenes, command):
+    assert run_cli(_matching_argv(command, scenes[0], tmp_path / "out") + ["--variant", "sift"]) == 1
+
+
+@pytest.mark.parametrize("command", ["match", "eval-pose"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--variant", "ratio"], "needs --ratio"), (["--max-keypoints", "0"], "--max-keypoints must be at least 1")],
+)
+def test_bad_matching_setting_is_a_usage_error(tmp_path, scenes, command, flags, message, capsys):
+    assert run_cli(_matching_argv(command, scenes[0], tmp_path / "out") + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_hash_covers_max_side(tmp_path, scenes):
+    hashes = []
+    for max_side in ("497", "32"):
+        out = tmp_path / max_side
+        argv = ["eval-pose", "--dataset", str(scenes[0]), "--variant", "raw", "--max-side", max_side]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        hashes.append(_config_hash(out / "pose_pairs.csv"))
+    assert hashes[0] != hashes[1]
+
+
+def test_train_config_without_mode_is_a_usage_error(tmp_path, scenes, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"dataset_dir = {scenes[0]}\nout_dir = {tmp_path / 'run'}\niterations = 1\n")
+    assert run_cli(["train", "--config", str(cfg)]) == 1
+    assert "mode" in capsys.readouterr().err
+
+
+def test_train_config_unknown_key_fails_naming_it(tmp_path, scenes, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"mode = epipolar\ndataset_dir = {scenes[0]}\nout_dir = {tmp_path / 'run'}\niteration = 1\n")
+    assert run_cli(["train", "--config", str(cfg)]) == 1
+    assert "'iteration'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key", ["rotation_mode = identity", "max_retries = 1", "widht = 64"])
+def test_synth_config_accepts_only_its_keys(tmp_path, key, capsys):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(f"width = 64\n{key}\n")
+    assert run_cli(["synth", "--scenes", "1", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
+    assert repr(key.split(" = ")[0]) in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()

@@ -20,7 +20,7 @@ class TestEvalPoseFailures:
         assert any(row["n_matches"] > 0 for row in report.rows)
 
     def test_matching_error_scores_as_pose_failure(self):
-        def no_matches(scene, feats, rng):
+        def no_matches(scene, feats):
             raise km.MatchingError("nothing to match")
 
         report = ev.eval_pose([generate_scene(SceneConfig(), 0)], no_matches, keypoint_source="gt")
@@ -36,12 +36,47 @@ class TestEvalPoseFailures:
             ev.eval_pose([generate_scene(SceneConfig(), 0)], "guided", model=cm.CoarseModel.create(0))
 
 
+class TestMakeMatcher:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(variant="sift"), "unknown variant"),
+            (dict(variant="ratio"), "needs a ratio"),
+            (dict(variant="ratio+mutual"), "needs a ratio"),
+            (dict(variant="guided", ratio=0.9), "needs a coarse model"),
+        ],
+    )
+    def test_invalid_settings_raise(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ev.make_matcher(**kwargs)
+
+    @pytest.mark.parametrize(
+        "variant, directions, ratio_tests, mutual_checks",
+        [("raw", 1, 0, 0), ("ratio", 1, 1, 0), ("mutual", 2, 0, 1), ("ratio+mutual", 2, 2, 1)],
+    )
+    def test_one_chain_per_variant(self, monkeypatch, variant, directions, ratio_tests, mutual_checks):
+        calls = []
+        for name in ("match_raw", "ratio_test", "mutual_check"):
+            original = getattr(km, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(km, name, counted)
+        scene = generate_scene(SceneConfig(width=128, height=96), 3)
+        feats = ev.pair_features(scene, 60)
+        ratio = 0.9 if "ratio" in variant else None
+        ev.make_matcher(variant, ratio=ratio)(scene, feats)
+        assert calls.count("match_raw") == directions
+        assert calls.count("ratio_test") == ratio_tests
+        assert calls.count("mutual_check") == mutual_checks
+
+
 class TestCorruptFeatures:
     def _features(self):
         scene = generate_scene(SceneConfig(width=128, height=96), 3)
-        kps_a = km.detect_keypoints(scene.image_a, 60)
-        kps_b = km.detect_keypoints(scene.image_b, 60)
-        return ev.PairFeatures(kps_a, km.describe(scene.image_a, kps_a), kps_b, km.describe(scene.image_b, kps_b))
+        return ev.pair_features(scene, 60)
 
     def test_input_unchanged(self):
         feats = self._features()

@@ -21,7 +21,7 @@ from guidematch.geometry import (
     rotation_from_axis_angle,
     save_scene,
 )
-from guidematch.geometry.scene import SyntheticScene, read_pgm, write_pgm
+from guidematch.geometry.scene import SyntheticScene, load_config, read_pgm, write_pgm
 
 import oracles
 
@@ -267,6 +267,30 @@ class TestSceneGeneration:
         config = SceneConfig(min_common_points=10_000, max_retries=2)
         with pytest.raises(ValueError, match="common points"):
             generate_scene(config, 0)
+
+
+class TestLoadConfig:
+    def test_values_typed_by_field(self, tmp_path):
+        path = tmp_path / "scene.cfg"
+        path.write_text("# comment\nwidth = 128\ntexel_px = 3\nrotation_mode = identity\n")
+        values = load_config(path, SceneConfig)
+        assert values == {"width": 128, "texel_px": 3.0, "rotation_mode": "identity"}
+        assert type(values["width"]) is int and type(values["texel_px"]) is float
+        assert SceneConfig(**values).width == 128
+
+    @pytest.mark.parametrize("key", ["widht", "baseline_range", "brightness_jitter"])
+    def test_unknown_or_untyped_key_names_file_and_key(self, tmp_path, key):
+        path = tmp_path / "scene.cfg"
+        path.write_text(f"{key} = 1\n")
+        with pytest.raises(ValueError, match=rf"scene\.cfg.*'{key}'"):
+            load_config(path, SceneConfig)
+
+    def test_keys_limit_the_settable_fields(self, tmp_path):
+        path = tmp_path / "scene.cfg"
+        path.write_text("width = 128\nmax_retries = 3\n")
+        assert load_config(path, SceneConfig, ("width", "max_retries")) == {"width": 128, "max_retries": 3}
+        with pytest.raises(ValueError, match="'max_retries'"):
+            load_config(path, SceneConfig, ("width",))
 
 
 class TestSceneArchive:

@@ -158,6 +158,12 @@ class TestDetect:
         with pytest.raises(ValueError, match="small"):
             km.detect_keypoints(np.zeros((16, 16)))
 
+    @pytest.mark.parametrize("max_count", [0, -1])
+    def test_count_below_one_errors(self, max_count):
+        # no stop test can end the greedy loop at 0 or -1 kept keypoints
+        with pytest.raises(ValueError, match="max_count"):
+            km.detect_keypoints(textured_image(1), max_count)
+
     def test_inside_bounds(self):
         img = textured_image(2)
         xy = km.detect_keypoints(img, max_count=200).xy

@@ -5,6 +5,7 @@ from guidematch import coarse_matcher as cm
 from guidematch import supervision as sup
 from guidematch.geometry import FundamentalMatrix, SceneConfig, generate_scene, save_scene
 from guidematch.geometry.epipolar import FRAME_RESIZED
+from guidematch.geometry.scene import ConfigError
 from guidematch.numerics import Tensor
 
 import oracles
@@ -200,7 +201,7 @@ def tiny_model():
 
 def make_pairs(n_scenes=3, size=64):
     scenes = [generate_scene(SceneConfig(width=size, height=size), 500 + i) for i in range(n_scenes)]
-    return sup.PairDataset.from_scenes(scenes, max_side=None, stride=16)
+    return sup.PairDataset.from_scenes(scenes, max_side=64, stride=16)
 
 
 class TestTotalLossAndBatching:
@@ -294,13 +295,11 @@ class TestTraining:
             freeze_steps=3,
             seed=0,
             checkpoint_every=0,
-            max_side=None,
+            max_side=64,
             backbone_channels=(2, 2, 2, 2),
             filter_hidden=(2,),
         )
         defaults.update(kw)
-        if defaults["max_side"] is None:
-            defaults["max_side"] = 64
         return sup.TrainConfig(**defaults)
 
     def test_zero_lr_keeps_parameters(self, tmp_path):
@@ -362,3 +361,19 @@ class TestTraining:
         assert cfg.lr == 0.01
         assert cfg.lambda_px == 8.0
         assert cfg.seed == 3
+
+    def test_config_file_unknown_key_names_file_and_key(self, tmp_path):
+        cfg_path = tmp_path / "c.txt"
+        cfg_path.write_text("mode = point\niteration = 5\n")
+        with pytest.raises(ValueError, match=r"c\.txt.*'iteration'"):
+            sup.TrainConfig.from_file(cfg_path, dataset_dir="d", out_dir="o")
+
+    def test_missing_required_value_errors(self, tmp_path):
+        with pytest.raises(ConfigError, match="mode"):
+            sup.TrainConfig.from_file(None, dataset_dir="d", out_dir="o")
+
+    def test_config_file_bad_value_names_file_and_key(self, tmp_path):
+        cfg_path = tmp_path / "c.txt"
+        cfg_path.write_text("mode = point\nbatch_size = 2.5\n")
+        with pytest.raises(ValueError, match=r"c\.txt: batch_size"):
+            sup.TrainConfig.from_file(cfg_path, dataset_dir="d", out_dir="o")
