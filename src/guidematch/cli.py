@@ -4,11 +4,12 @@ Subcommands: synth, train, coarse-match, match, eval-pck, eval-pose,
 grad-check. Exit codes: 0 success, 1 usage error (a bad flag, or a --config
 key that names no setting or has a bad value), 2 runtime failure. Every
 command accepts --seed (beaten only by an explicit value; the
-GUIDEMATCH_SEED environment variable overrides the built-in default),
---config and --out. Only synth, train and eval-pose draw from the seed;
-eval-pck records it in its report, and the other commands ignore it.
-Outputs are byte-deterministic for a fixed seed. match and eval-pose share
-one set of matching flags, from --variant to --max-keypoints.
+GUIDEMATCH_SEED environment variable overrides the built-in default); every
+command but grad-check accepts --out, and only synth and train accept
+--config. Only synth, train and eval-pose draw from the seed; eval-pck
+records it in its report, and the other commands ignore it. Outputs are
+byte-deterministic for a fixed seed. match and eval-pose share one set of
+matching flags, from --variant to --max-keypoints.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ def _default_seed() -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="rng seed (beats GUIDEMATCH_SEED)")
-    p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--out", default=None, help="output path or directory")
 
 
@@ -67,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("synth", help="generate synthetic scene archives")
     _add_common(p)
+    p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--scenes", type=int, default=10)
     p.add_argument("--width", type=int, default=None)
     p.add_argument("--height", type=int, default=None)
@@ -75,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("train", help="train the coarse matcher")
     _add_common(p)
+    p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--mode", choices=sup.MODES, default=None)
     p.add_argument("--dataset", default=None, help="scene archive directory")
     p.add_argument("--iterations", type=int, default=None)
@@ -111,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--descriptor-corruption", type=float, default=0.0)
 
     p = subs.add_parser("grad-check", help="finite-difference gradient suite")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="rng seed (beats GUIDEMATCH_SEED)")
     p.add_argument("--seeds", type=int, default=20)
 
     return parser
@@ -188,6 +190,8 @@ def _matching(args) -> tuple[cm.CoarseModel | None, dict]:
         raise UsageError("guided variant needs --checkpoint")
     if args.variant.startswith("ratio") and args.ratio is None:
         raise UsageError(f"{args.variant} variant needs --ratio")
+    if args.variant in ("raw", "mutual") and args.ratio is not None:
+        raise UsageError(f"{args.variant} variant takes no --ratio; use ratio or ratio+mutual")
     if args.max_keypoints < 1:
         raise UsageError(f"--max-keypoints must be at least 1, got {args.max_keypoints}")
     model = cm.CoarseModel.load(args.checkpoint) if args.checkpoint else None

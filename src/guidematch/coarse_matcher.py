@@ -156,8 +156,8 @@ class CoarseMatchField:
     scale_tgt: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
-        hs, ws, two = self.target_cells.shape
-        assert two == 2
+        if self.target_cells.ndim != 3 or self.target_cells.shape[2] != 2:
+            raise ValueError(f"target_cells must have shape (Hs, Ws, 2), got {self.target_cells.shape}")
         ht = self.tgt_image_size[0] // self.stride
         wt = self.tgt_image_size[1] // self.stride
         if self.target_cells[..., 0].min() < 0 or self.target_cells[..., 0].max() >= ht:

@@ -173,6 +173,7 @@ def make_matcher(
     Every variant runs one chain: match A to B and, unless the variant is
     ``raw`` or ``ratio``, B to A; apply the ratio test to each direction
     when ``ratio`` is set; with two directions, keep their mutual matches.
+    ``raw`` and ``mutual`` take no ratio, so each variant name is one rule.
     The variant picks the step once; a direction's step takes the nearest
     descriptor among all target keypoints (``raw``, ``ratio``, ``mutual``, ``ratio+mutual``), among
     those within ``window_px`` resized-image pixels of the coarse match
@@ -187,6 +188,8 @@ def make_matcher(
         raise ValueError(f"unknown variant {variant!r}, expected one of {POSE_VARIANTS}")
     if variant.startswith("ratio") and ratio is None:
         raise ValueError(f"{variant} variant needs a ratio value")
+    if variant in ("raw", "mutual") and ratio is not None:
+        raise ValueError(f"{variant} variant takes no ratio value; use ratio or ratio+mutual")
     if variant == "guided" and model is None:
         raise ValueError("guided variant needs a coarse model checkpoint")
     mutual = variant not in ("raw", "ratio")

@@ -83,6 +83,50 @@ class RelativePose:
             raise ValueError("t must be a unit vector")
 
 
+# The canonical form of a fundamental matrix: rank 2, unit Frobenius norm,
+# largest-magnitude entry positive. A matrix is taken as rank 2 while
+# sigma3/sigma1 <= _RANK_TOL and as unit norm while |norm - 1| <= _NORM_TOL.
+_RANK_TOL = 1e-9
+_NORM_TOL = 1e-9
+
+
+def frobenius_norms(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each (3, 3) slice of (B, 3, 3) matrices, as
+    ``np.linalg.norm`` of one slice computes it: a dot product of the
+    flattened entries."""
+    flat = m.reshape(len(m), 1, 9)
+    return np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0])
+
+
+def _violations(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per (3, 3) slice: (not rank 2, not unit norm)."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return s[:, 2] > _RANK_TOL * s[:, 0], np.abs(frobenius_norms(m) - 1.0) > _NORM_TOL
+
+
+def canonicalize_fundamental(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical forms of (B, 3, 3) matrices and a (B,) mask of the usable ones.
+
+    Each slice is projected to rank 2, scaled to unit Frobenius norm and
+    signed so that its largest-magnitude entry is positive. The mask is true
+    where the input has rank >= 2 and the result passes the checks
+    ``FundamentalMatrix`` makes. Every slice goes through the same
+    floating-point operations as a one-slice call (degenerate slices are
+    masked before any division), so each equals its own B=1 call bit for
+    bit; an unusable slice holds finite garbage.
+    """
+    u, s, vt = np.linalg.svd(m)
+    rank_two = s[:, 1] > 0
+    m2 = (u[:, :, :2] * s[:, None, :2]) @ vt[:, :2]
+    norm = frobenius_norms(m2)
+    m2 = m2 / np.where(norm > 0, norm, 1.0)[:, None, None]
+    flat = m2.reshape(-1, 9)
+    largest = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
+    m2 = np.where((largest < 0)[:, None, None], -m2, m2)
+    not_rank_two, not_unit = _violations(m2)
+    return m2, rank_two & ~not_rank_two & ~not_unit
+
+
 @dataclass
 class FundamentalMatrix:
     """Rank-2 3x3 matrix, Frobenius norm 1, tagged with its pixel frame."""
@@ -92,24 +136,19 @@ class FundamentalMatrix:
 
     def __post_init__(self):
         self.matrix = _mat(self.matrix, (3, 3))
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        if s[2] > 1e-9 * s[0]:
-            raise ValueError(f"matrix is not rank 2 (sigma3/sigma1 = {s[2] / s[0]:.2e})")
-        if abs(np.linalg.norm(self.matrix) - 1.0) > 1e-9:
+        not_rank_two, not_unit = _violations(self.matrix[None])
+        if not_rank_two[0]:
+            raise ValueError("matrix is not rank 2")
+        if not_unit[0]:
             raise ValueError("matrix must have Frobenius norm 1")
 
     @classmethod
     def from_array(cls, m, frame: str = FRAME_ORIGINAL) -> "FundamentalMatrix":
         """Canonicalize: project to rank 2, unit Frobenius norm, positive largest entry."""
-        m = _mat(m, (3, 3))
-        u, s, vt = np.linalg.svd(m)
-        if s[1] <= 0:
-            raise ValueError("matrix has rank < 2, cannot canonicalize")
-        m2 = (u[:, :2] * s[:2]) @ vt[:2]
-        m2 = m2 / np.linalg.norm(m2)
-        if m2.flat[np.argmax(np.abs(m2))] < 0:
-            m2 = -m2
-        return cls(m2, frame)
+        canonical, usable = canonicalize_fundamental(_mat(m, (3, 3))[None])
+        if not usable[0]:
+            raise ValueError("matrix has rank < 2 or is out of floating-point range, cannot canonicalize")
+        return cls(canonical[0], frame)
 
     def transposed(self) -> "FundamentalMatrix":
         """Epipolar geometry with the image roles swapped."""

@@ -81,7 +81,7 @@ def _primitive_checks(n_seeds):
         w = rng.standard_normal(3)
 
         def f():
-            vals, _ = numerics.max_over(x, (1, 2))
+            vals = numerics.max_over(x, (1, 2))
             return _weighted(vals, w)
 
         return f, [x]

@@ -497,19 +497,17 @@ def softmax_over(x: Tensor, axes) -> Tensor:
     return _make(y, (x,), bwd, "softmax_over")
 
 
-def max_over(x: Tensor, axes) -> tuple[Tensor, np.ndarray]:
-    """Joint maximum over ``axes``; ties go to the lowest linearized index.
+def max_over(x: Tensor, axes) -> Tensor:
+    """Joint maximum over ``axes``, shaped as the remaining axes.
 
-    Returns the value tensor (shape = remaining axes) and an integer array of
-    shape ``remaining + (len(axes),)`` holding the maximizing multi-index for
-    the reduced axes in ascending axis order. The gradient routes entirely to
-    the maximizing cell.
+    The gradient routes entirely to the maximizing cell; among tied cells,
+    to the lowest linearized index over the reduced axes in ascending axis
+    order.
     """
     axes = _normalize_axes(axes, x.ndim)
     kept = tuple(a for a in range(x.ndim) if a not in axes)
     perm = kept + axes
     kept_shape = tuple(x.shape[a] for a in kept)
-    red_shape = tuple(x.shape[a] for a in axes)
     xt = x.data.transpose(perm)
     flat = xt.reshape(int(np.prod(kept_shape, dtype=np.int64)), -1)
     argf = flat.argmax(axis=1)
@@ -518,7 +516,6 @@ def max_over(x: Tensor, axes) -> tuple[Tensor, np.ndarray]:
     if _MARGIN_TRACE is not None and flat.shape[1] >= 2:
         top2 = np.partition(flat, flat.shape[1] - 2, axis=1)[:, -2:]
         _record_margin("kink", (top2[:, 1] - top2[:, 0]).min())
-    arg = np.stack(np.unravel_index(argf, red_shape), axis=-1).reshape(kept_shape + (len(axes),))
     inv = tuple(np.argsort(perm))
 
     def bwd(g):
@@ -527,7 +524,7 @@ def max_over(x: Tensor, axes) -> tuple[Tensor, np.ndarray]:
             gf[rows, argf] = g.reshape(-1)
             x._acc(gf.reshape(xt.shape).transpose(inv))
 
-    return _make(vals, (x,), bwd, "max_over"), arg
+    return _make(vals, (x,), bwd, "max_over")
 
 
 def l2_normalize_channels(x: Tensor, eps: float = 1e-8) -> Tensor:

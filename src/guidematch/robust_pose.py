@@ -15,7 +15,10 @@ adaptive stop, so iteration counts, inlier sets and matrices equal those of
 fitting one hypothesis per iteration bit for bit. Each row of a batched call
 goes through the same floating-point operations as a one-row call (norms are
 per-slice dot products, degenerate rows are masked before any division), so
-``eight_point`` and ``sampson_distances`` are simply the B=1 calls.
+the consensus-set refits and ``sampson_distances`` are simply the B=1 calls.
+The fitted matrices take the canonical form that
+``geometry.epipolar.canonicalize_fundamental`` defines for every
+fundamental matrix.
 """
 
 from __future__ import annotations
@@ -25,14 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from guidematch.geometry.epipolar import FRAME_ORIGINAL, FundamentalMatrix, RelativePose
+from guidematch.geometry.epipolar import FundamentalMatrix, RelativePose, canonicalize_fundamental, frobenius_norms
 
 
 class EstimationError(RuntimeError):
-    pass
-
-
-class DegenerateConfigurationError(EstimationError):
     pass
 
 
@@ -62,28 +61,6 @@ class ModelEstimate:
     success: bool
 
 
-# Ways a minimal sample or a consensus set can fail the 8-point fit, in the
-# order they are checked: _eight_point_batch reports the index of the first.
-_FAULTS = (
-    None,
-    (DegenerateConfigurationError, "all points coincide"),
-    (
-        DegenerateConfigurationError,
-        "design matrix is rank deficient, configuration does not determine the geometry",
-    ),
-    (ValueError, "matrix has rank < 2, cannot canonicalize"),
-    (ValueError, "matrix is not rank 2"),
-    (ValueError, "matrix must have Frobenius norm 1"),
-)
-
-
-def _frobenius(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each (3, 3) slice, as ``np.linalg.norm`` of one slice
-    computes it: a dot product of the flattened entries."""
-    flat = m.reshape(len(m), 1, 9)
-    return np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0])
-
-
 def _hartley_normalize(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per sample of (B, m, 2) points: the centered, scaled points, the (B, 3, 3)
     similarity that applies it, and whether the points are spread at all."""
@@ -100,14 +77,15 @@ def _hartley_normalize(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _eight_point_batch(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hartley-normalized 8-point fits of B samples of (B, m, 2) points at once.
+    """Hartley-normalized 8-point fits of B samples of (B, m, 2) points at once, m >= 8.
 
-    Returns the (B, 3, 3) matrices, canonicalized as
-    ``FundamentalMatrix.from_array`` does, and a (B,) int array: 0 where the
-    fit passes every check ``eight_point`` and ``FundamentalMatrix`` make,
-    else the index in ``_FAULTS`` of the first check it fails. Every row goes
-    through the same operations a one-row call would, so each row equals its
-    own B=1 call bit for bit; a failed row holds finite garbage.
+    Returns the (B, 3, 3) matrices in canonical form and a (B,) bool mask,
+    true where the fit is usable: both point sets are spread, the design
+    matrix pins the solution down to one direction (it does not when, e.g.,
+    all points lie on one plane under a homography, or under a pure
+    rotation) and the canonical form is valid. Every row goes through the
+    same operations a one-row call would, so each row equals its own B=1
+    call bit for bit; an unusable row holds finite garbage.
     """
     na, ta, spread_a = _hartley_normalize(sa)
     nb, tb, spread_b = _hartley_normalize(sb)
@@ -117,47 +95,8 @@ def _eight_point_batch(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.n
     _, sv, vt = np.linalg.svd(design)
     determined = sv[:, 7] > 1e-9 * sv[:, 0]
     f_px = tb.transpose(0, 2, 1) @ vt[:, -1].reshape(-1, 3, 3) @ ta
-    # FundamentalMatrix.from_array: rank-2 projection, unit norm, sign
-    u, s, vt = np.linalg.svd(f_px)
-    rank_two = s[:, 1] > 0
-    m2 = (u[:, :, :2] * s[:, None, :2]) @ vt[:, :2]
-    norm = _frobenius(m2)
-    m2 = m2 / np.where(norm > 0, norm, 1.0)[:, None, None]
-    flat = m2.reshape(-1, 9)
-    largest = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
-    m2 = np.where((largest < 0)[:, None, None], -m2, m2)
-    # FundamentalMatrix validation
-    s = np.linalg.svd(m2, compute_uv=False)
-    passes = np.stack(
-        [
-            spread_a & spread_b,
-            determined,
-            rank_two,
-            ~(s[:, 2] > 1e-9 * s[:, 0]),
-            ~(np.abs(_frobenius(m2) - 1.0) > 1e-9),
-        ]
-    )
-    return m2, np.where(passes.all(axis=0), 0, np.argmin(passes, axis=0) + 1)
-
-
-def eight_point(pts_a: np.ndarray, pts_b: np.ndarray, frame: str = FRAME_ORIGINAL) -> FundamentalMatrix:
-    """Hartley-normalized linear solve with rank-2 projection.
-
-    Raises DegenerateConfigurationError when the design matrix does not pin
-    the solution down to a single direction (e.g. all points on one plane
-    under a homography, or a pure rotation).
-    """
-    pts_a = np.asarray(pts_a, dtype=np.float64).reshape(-1, 2)
-    pts_b = np.asarray(pts_b, dtype=np.float64).reshape(-1, 2)
-    if len(pts_a) != len(pts_b):
-        raise ValueError("point lists differ in length")
-    if len(pts_a) < 8:
-        raise ValueError(f"need at least 8 correspondences, got {len(pts_a)}")
-    matrices, fault = _eight_point_batch(pts_a[None], pts_b[None])
-    if fault[0]:
-        error, message = _FAULTS[fault[0]]
-        raise error(message)
-    return FundamentalMatrix(matrices[0], frame)
+    matrices, canonical = canonicalize_fundamental(f_px)
+    return matrices, spread_a & spread_b & determined & canonical
 
 
 def _sampson_batch(m: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
@@ -200,8 +139,9 @@ _BLOCK = 64
 def _ransac_loop(pts_a, pts_b, cfg: RansacConfig, solve, residuals) -> ModelEstimate:
     """Minimal-sample RANSAC, scored a block of hypotheses at a time.
 
-    ``solve`` maps (B, m, 2) samples to (B, 3, 3) models and (B,) fault
-    codes, 0 for a usable model (as ``_eight_point_batch``); ``residuals`` maps (B, 3, 3) models to (B, n) distances. Samples
+    ``solve`` maps (B, m, 2) samples to (B, 3, 3) models and a (B,) mask of
+    the usable ones (as ``_eight_point_batch``); ``residuals`` maps (B, 3, 3)
+    models to (B, n) distances. Samples
     are drawn one ``rng.choice`` at a time in iteration order and the block
     is walked in that order with the same update and stopping rule, so the
     result equals fitting and scoring one hypothesis per iteration.
@@ -216,14 +156,14 @@ def _ransac_loop(pts_a, pts_b, cfg: RansacConfig, solve, residuals) -> ModelEsti
     it = 0
     while it < needed:
         samples = np.stack([rng.choice(n, size=8, replace=False) for _ in range(min(_BLOCK, needed - it))])
-        models, fault = solve(pts_a[samples], pts_b[samples])
+        models, usable = solve(pts_a[samples], pts_b[samples])
         hits = residuals(models) < cfg.threshold
         counts = hits.sum(axis=1)
         for b in range(len(samples)):
             if it >= needed:
                 break
             it += 1
-            if fault[b] == 0 and counts[b] > len(best_inliers):
+            if usable[b] and counts[b] > len(best_inliers):
                 best_matrix = models[b]
                 best_inliers = np.nonzero(hits[b])[0]
                 needed = min(limit, _adaptive_iterations(len(best_inliers) / n, cfg.confidence, 8))
@@ -234,8 +174,8 @@ def _ransac_loop(pts_a, pts_b, cfg: RansacConfig, solve, residuals) -> ModelEsti
     final = best_matrix
     final_inliers = best_inliers
     for _ in range(3):
-        refit, fault = solve(pts_a[final_inliers][None], pts_b[final_inliers][None])
-        if fault[0]:
+        refit, usable = solve(pts_a[final_inliers][None], pts_b[final_inliers][None])
+        if not usable[0]:
             break
         refit_inliers = np.nonzero(residuals(refit)[0] < cfg.threshold)[0]
         if len(refit_inliers) < 8:
@@ -272,7 +212,7 @@ def _essential_project(m: np.ndarray) -> np.ndarray:
     u, s, vt = np.linalg.svd(m)
     sigma = 0.5 * (s[:, 0] + s[:, 1])
     e = (u[:, :, :2] * sigma[:, None, None]) @ vt[:, :2]
-    norm = _frobenius(e)  # 0 only for the zero matrix of a failed fit
+    norm = frobenius_norms(e)  # 0 only for the zero matrix of a failed fit
     return e / np.where(norm > 0, norm, 1.0)[:, None, None]
 
 
@@ -290,8 +230,8 @@ def ransac_essential(
     norm_b = (np.column_stack([pts_b, np.ones(len(pts_b))]) @ inv_b.T)[:, :2]
 
     def solve(sa, sb):
-        f_norm, fault = _eight_point_batch(sa, sb)
-        return _essential_project(f_norm), fault
+        f_norm, usable = _eight_point_batch(sa, sb)
+        return _essential_project(f_norm), usable
 
     def residuals(e):
         # scored in pixels, through the calibrations

@@ -59,8 +59,8 @@ def loss_image(vol: cm.CorrelationVolume, label: int) -> Tensor:
     """Sharpen (label +1) or flatten (label -1) the per-cell maxima, both directions."""
     if label not in (-1, 1):
         raise ValueError(f"label must be +1 or -1, got {label}")
-    max_ab, _ = numerics.max_over(vol.prob_ab, (2, 3))
-    max_ba, _ = numerics.max_over(vol.prob_ba, (0, 1))
+    max_ab = numerics.max_over(vol.prob_ab, (2, 3))
+    max_ba = numerics.max_over(vol.prob_ba, (0, 1))
     return (max_ab.sum() + max_ba.sum()) * float(-label)
 
 
@@ -90,8 +90,8 @@ def loss_epipolar(vol: cm.CorrelationVolume, F: FundamentalMatrix | None, lambda
             f"loss_epipolar expects a fundamental matrix in frame {FRAME_RESIZED!r}, got {F.frame!r}; "
             "rescale it to the resized image coordinates first"
         )
-    max_ab, _ = numerics.max_over(vol.prob_ab, (2, 3))
-    max_ba, _ = numerics.max_over(vol.prob_ba, (0, 1))
+    max_ab = numerics.max_over(vol.prob_ab, (2, 3))
+    max_ba = numerics.max_over(vol.prob_ba, (0, 1))
     if F is None:
         return _epipolar_direction(max_ab, None) + _epipolar_direction(max_ba, None)
     s = vol.filtered.data
@@ -122,7 +122,7 @@ def _points_direction(prob: Tensor, mask: np.ndarray, axes: tuple[int, int]) -> 
     maskf = mask.astype(np.float64)
     # push non-candidate cells far below any probability before taking the max
     shifted = prob * maskf + (maskf - 1.0) * _MASK_PENALTY
-    best, _ = numerics.max_over(shifted, axes)
+    best = numerics.max_over(shifted, axes)
     return (best * has_gt.astype(np.float64)).sum() * -1.0
 
 

@@ -396,11 +396,29 @@ def _hartley_normalize_reference(pts):
     return centered * s, T
 
 
-def eight_point_reference(pts_a, pts_b):
-    """One Hartley-normalized 8-point fit, canonicalized and validated as a
-    ``FundamentalMatrix`` does: raises ``DegenerateSample`` or ``ValueError``."""
-    from guidematch.geometry import FundamentalMatrix
+def canonical_fundamental_reference(m):
+    """One matrix's canonical form, computed and validated as a
+    ``FundamentalMatrix`` is built: rank-2 projection, unit Frobenius norm,
+    positive largest entry, then sigma3/sigma1 <= 1e-9 and |norm - 1| <= 1e-9.
+    Raises ``ValueError`` where there is none."""
+    u, s, vt = np.linalg.svd(m)
+    if s[1] <= 0:
+        raise ValueError("matrix has rank < 2, cannot canonicalize")
+    m2 = (u[:, :2] * s[:2]) @ vt[:2]
+    m2 = m2 / np.linalg.norm(m2)
+    if m2.flat[np.argmax(np.abs(m2))] < 0:
+        m2 = -m2
+    s = np.linalg.svd(m2, compute_uv=False)
+    if s[2] > 1e-9 * s[0]:
+        raise ValueError("matrix is not rank 2")
+    if abs(np.linalg.norm(m2) - 1.0) > 1e-9:
+        raise ValueError("matrix must have Frobenius norm 1")
+    return m2
 
+
+def eight_point_reference(pts_a, pts_b):
+    """One Hartley-normalized 8-point fit in canonical form: raises
+    ``DegenerateSample`` or ``ValueError`` where it is not usable."""
     na, ta = _hartley_normalize_reference(np.asarray(pts_a, dtype=np.float64))
     nb, tb = _hartley_normalize_reference(np.asarray(pts_b, dtype=np.float64))
     xa, ya = na[:, 0], na[:, 1]
@@ -409,7 +427,7 @@ def eight_point_reference(pts_a, pts_b):
     _, sv, vt = np.linalg.svd(design)
     if sv[7] <= 1e-9 * sv[0]:
         raise DegenerateSample("design matrix is rank deficient")
-    return FundamentalMatrix.from_array(tb.T @ vt[-1].reshape(3, 3) @ ta).matrix
+    return canonical_fundamental_reference(tb.T @ vt[-1].reshape(3, 3) @ ta)
 
 
 def sampson_reference(m, pts_a, pts_b):

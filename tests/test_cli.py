@@ -15,6 +15,11 @@ def scenes(tmp_path_factory):
     return root / "scenes", checkpoint
 
 
+def _ratio_flags(variant):
+    """``--ratio 0.9`` for the variants that read it."""
+    return [] if variant in ("raw", "mutual") else ["--ratio", "0.9"]
+
+
 def _config_hash(path):
     (line,) = [line for line in path.read_text().splitlines() if line.startswith("# config_hash = ")]
     return line
@@ -29,7 +34,7 @@ def test_eval_pose_is_byte_deterministic(tmp_path):
         for run in ("first", "second"):
             out = tmp_path / variant / run
             argv = ["eval-pose", "--dataset", str(tmp_path / "scenes"), "--variant", variant]
-            argv += ["--checkpoint", str(checkpoint), "--ratio", "0.9", "--out", str(out)]
+            argv += ["--checkpoint", str(checkpoint), *_ratio_flags(variant), "--out", str(out)]
             assert run_cli(argv) == 0, variant
             outputs.append([(out / name).read_bytes() for name in ("pose_pairs.csv", "pose_summary.csv")])
         assert outputs[0] == outputs[1], variant
@@ -42,7 +47,7 @@ def test_eval_pose_is_byte_deterministic_on_repeated_stamps(tmp_path, scenes):
         for run in ("first", "second"):
             out = tmp_path / variant / run
             argv = ["eval-pose", "--dataset", str(scene_root), "--variant", variant]
-            argv += ["--checkpoint", str(checkpoint), "--ratio", "0.9", "--out", str(out)]
+            argv += ["--checkpoint", str(checkpoint), *_ratio_flags(variant), "--out", str(out)]
             assert run_cli(argv) == 0, variant
             outputs.append([(out / name).read_bytes() for name in ("pose_pairs.csv", "pose_summary.csv")])
         assert outputs[0] == outputs[1], variant
@@ -55,7 +60,7 @@ def test_match_is_byte_deterministic_and_ignores_the_seed(tmp_path, scenes, vari
     for seed in ("1", "2"):
         out = tmp_path / f"{seed}.csv"
         argv = ["match", "--scene-dir", str(scene_root / "scene_0000"), "--variant", variant, "--seed", seed]
-        argv += ["--checkpoint", str(checkpoint), "--ratio", "0.9", "--out", str(out)]
+        argv += ["--checkpoint", str(checkpoint), *_ratio_flags(variant), "--out", str(out)]
         assert run_cli(argv) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
@@ -83,11 +88,36 @@ def test_unknown_variant_is_a_usage_error(tmp_path, scenes, command):
 @pytest.mark.parametrize("command", ["match", "eval-pose"])
 @pytest.mark.parametrize(
     "flags, message",
-    [(["--variant", "ratio"], "needs --ratio"), (["--max-keypoints", "0"], "--max-keypoints must be at least 1")],
+    [
+        (["--variant", "ratio"], "needs --ratio"),
+        (["--max-keypoints", "0"], "--max-keypoints must be at least 1"),
+        (["--variant", "raw", "--ratio", "0.9"], "raw variant takes no --ratio"),
+        (["--variant", "mutual", "--ratio", "0.9"], "mutual variant takes no --ratio"),
+    ],
 )
 def test_bad_matching_setting_is_a_usage_error(tmp_path, scenes, command, flags, message, capsys):
     assert run_cli(_matching_argv(command, scenes[0], tmp_path / "out") + flags) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, "--config") for c in ("coarse-match", "match", "eval-pck", "eval-pose", "grad-check")]
+    + [("grad-check", "--out")],
+)
+def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, scenes, command, flag, capsys):
+    scene_root, checkpoint = scenes
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "coarse-match": ["--checkpoint", str(checkpoint), "--scene-dir", str(scene_root / "scene_0000"), *out],
+        "match": ["--scene-dir", str(scene_root / "scene_0000"), *out],
+        "eval-pck": ["--checkpoint", str(checkpoint), "--dataset", str(scene_root), *out],
+        "eval-pose": ["--dataset", str(scene_root), *out],
+        "grad-check": ["--seeds", "1"],
+    }[command]
+    assert run_cli([command, *argv, flag, str(tmp_path / "any")]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

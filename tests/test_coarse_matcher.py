@@ -232,6 +232,14 @@ class TestExtractMatches:
         assert np.array_equal(from_filtered, from_prob)
 
 
+class TestCoarseMatchField:
+    @pytest.mark.parametrize("shape", [(4, 4, 3), (4, 4), (4, 4, 2, 1)])
+    def test_cells_without_a_row_col_pair_raise(self, shape):
+        # a ValueError, not an assert that python -O strips
+        with pytest.raises(ValueError, match="shape"):
+            cm.CoarseMatchField(np.zeros(shape, dtype=int), np.ones((4, 4)), 16, (64, 64), (64, 64))
+
+
 class TestInterpolateMatch:
     def _field(self, cells, stride=16, grid=(4, 4)):
         h, w = grid

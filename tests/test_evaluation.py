@@ -44,6 +44,8 @@ class TestMakeMatcher:
             (dict(variant="ratio"), "needs a ratio"),
             (dict(variant="ratio+mutual"), "needs a ratio"),
             (dict(variant="guided", ratio=0.9), "needs a coarse model"),
+            (dict(variant="raw", ratio=0.9), "takes no ratio"),
+            (dict(variant="mutual", ratio=0.9), "takes no ratio"),
         ],
     )
     def test_invalid_settings_raise(self, kwargs, message):

@@ -21,6 +21,7 @@ from guidematch.geometry import (
     rotation_from_axis_angle,
     save_scene,
 )
+from guidematch.geometry.epipolar import canonicalize_fundamental
 from guidematch.geometry.scene import SyntheticScene, load_config, read_pgm, write_pgm
 
 import oracles
@@ -86,6 +87,65 @@ class TestFundamental:
         s = np.linalg.svd(F.matrix, compute_uv=False)
         assert s[2] < 1e-12 * s[0]
         assert abs(np.linalg.norm(F.matrix) - 1.0) < 1e-12
+
+
+@st.composite
+def canonical_inputs(draw):
+    """A 3x3 matrix over a wide range of scales, and whether it must be
+    refused. The zero matrix and a single non-zero entry have no canonical
+    form. Random, rank-2 and rank-1 matrices (outer products, one non-zero
+    row or column) are compared with the reference only: rounding in the SVD
+    makes most rank-1 matrices numerically rank 2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    kind = draw(st.sampled_from(["random", "rank-2", "outer", "row", "column", "entry", "zero"]))
+    m = np.zeros((3, 3))
+    if kind == "random":
+        m = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-6, 6, (3, 3))
+    elif kind == "rank-2":
+        m = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 3))
+    elif kind == "outer":
+        m = np.outer(rng.standard_normal(3), rng.standard_normal(3))
+    elif kind == "row":
+        m[rng.integers(3)] = rng.standard_normal(3)
+    elif kind == "column":
+        m[:, rng.integers(3)] = rng.standard_normal(3)
+    elif kind == "entry":
+        m[rng.integers(3), rng.integers(3)] = rng.standard_normal()
+    return m * scale, kind in ("entry", "zero")
+
+
+class TestCanonicalForm:
+    # the one batched rule against the scalar reference, bit for bit
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(canonical_inputs(), min_size=1, max_size=8))
+    def test_rows_equal_scalar_reference(self, inputs):
+        stack = np.stack([m for m, _ in inputs])
+        canonical, usable = canonicalize_fundamental(stack)
+        for b, (m, refused) in enumerate(inputs):
+            single, single_usable = canonicalize_fundamental(m[None])
+            assert usable[b] == single_usable[0]
+            assert np.array_equal(canonical[b], single[0])
+            try:
+                ref = oracles.canonical_fundamental_reference(m)
+            except ValueError:
+                assert not usable[b]
+                with pytest.raises(ValueError):
+                    FundamentalMatrix.from_array(m)
+                continue
+            assert not refused
+            assert usable[b]
+            assert np.array_equal(canonical[b], ref)
+            assert np.array_equal(FundamentalMatrix.from_array(m).matrix, ref)
+
+    def test_checks_share_the_thresholds(self):
+        # a matrix just past either tolerance is refused by the constructor
+        with pytest.raises(ValueError, match="rank 2"):
+            FundamentalMatrix(np.diag([1.0, 1.0, 1e-8]) / np.sqrt(2.0))
+        with pytest.raises(ValueError, match="norm 1"):
+            FundamentalMatrix(np.diag([1.0, 1.0, 0.0]) * (1.0 + 1e-8) / np.sqrt(2.0))
+        FundamentalMatrix(np.diag([1.0, 1.0, 1e-10]) / np.sqrt(2.0))
 
 
 class TestEpipolarDistance:

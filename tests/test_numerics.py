@@ -222,34 +222,47 @@ class TestSoftmax:
             assert max_gradient_error(f, [x]) < GRAD_TOL
 
 
+def _max_over_grad(x, axes):
+    """The maximum over ``axes`` and where a unit gradient of its sum goes."""
+    p = parameter(np.asarray(x, dtype=np.float64), "x")
+    vals = max_over(p, axes)
+    vals.sum().backward()
+    return vals, p.grad
+
+
 class TestMaxOver:
     def test_simple(self):
-        vals, arg = max_over(Tensor(np.array([[1.0, 3.0], [2.0, 0.0]])), (0, 1))
+        vals, grad = _max_over_grad([[1.0, 3.0], [2.0, 0.0]], (0, 1))
         assert vals.item() == 3.0
-        assert tuple(arg) == (0, 1)
+        assert np.array_equal(grad, [[0.0, 1.0], [0.0, 0.0]])
 
     def test_tie_breaks_to_lowest_index(self):
-        vals, arg = max_over(Tensor(np.ones((2, 3, 2))), (0, 1, 2))
+        vals, grad = _max_over_grad(np.ones((2, 3, 2)), (0, 1, 2))
         assert vals.item() == 1.0
-        assert tuple(arg) == (0, 0, 0)
+        expected = np.zeros((2, 3, 2))
+        expected[0, 0, 0] = 1.0
+        assert np.array_equal(grad, expected)
+        # reduced axes around a kept one: each kept index picks (0, ., 0)
+        _, grad = _max_over_grad(np.ones((2, 3, 2)), (2, 0))
+        expected = np.zeros((2, 3, 2))
+        expected[0, :, 0] = 1.0
+        assert np.array_equal(grad, expected)
 
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal((4, 5))
-        vals, arg = max_over(Tensor(x), (1,))
+        vals, grad = _max_over_grad(x, (1,))
         ref_vals, ref_args = oracles.max_scan_axis1(x)
         assert np.allclose(vals.data, ref_vals)
-        assert np.array_equal(arg[:, 0], ref_args)
+        assert np.array_equal(grad, np.eye(5)[ref_args])
 
     def test_tie_detectable_only_via_lowest_index_rule(self):
-        x = np.array([[5.0, 1.0, 5.0]])
-        _, arg = max_over(Tensor(x), (1,))
-        assert arg[0, 0] == 0
+        _, grad = _max_over_grad([[5.0, 1.0, 5.0]], (1,))
+        assert np.array_equal(grad, [[1.0, 0.0, 0.0]])
 
     def test_gradient_routes_to_argmax(self):
         x = parameter(np.array([[1.0, 4.0, 2.0]]), "x")
-        vals, _ = max_over(x, (1,))
-        vals.sum().backward()
+        max_over(x, (1,)).sum().backward()
         assert np.array_equal(x.grad, [[0.0, 1.0, 0.0]])
 
     def test_gradients(self):
@@ -260,7 +273,7 @@ class TestMaxOver:
             w = rng.standard_normal((3,))
 
             def f():
-                vals, _ = max_over(x, (1, 2))
+                vals = max_over(x, (1, 2))
                 return (vals * w).sum()
 
             assert max_gradient_error(f, [x]) < GRAD_TOL

@@ -24,10 +24,17 @@ def scene_correspondences(seed=0, n=100, size=128):
     return scene, scene.gt_points[:, :2].copy(), scene.gt_points[:, 2:].copy()
 
 
+def eight_point(pts_a, pts_b):
+    """One fit through the batched solver: its matrix and whether it is usable."""
+    matrices, usable = rp._eight_point_batch(pts_a[None], pts_b[None])
+    return matrices[0], usable[0]
+
+
 class TestEightPoint:
     def test_noiseless_sampson_residuals(self):
         scene, pa, pb = scene_correspondences(0, n=60)
-        F = rp.eight_point(pa[:20], pb[:20])
+        F, usable = eight_point(pa[:20], pb[:20])
+        assert usable
         assert rp.sampson_distances(F, pa, pb).max() < 1e-6
 
     def test_planar_pure_rotation_degenerate(self):
@@ -38,25 +45,31 @@ class TestEightPoint:
         ha = np.column_stack([pa, np.ones(30)])
         hb = ha @ H.T
         pb = hb[:, :2] / hb[:, 2:]
-        with pytest.raises(rp.DegenerateConfigurationError):
-            rp.eight_point(pa, pb)
+        assert not eight_point(pa, pb)[1]
 
     def test_similarity_invariance(self):
         scene, pa, pb = scene_correspondences(2, n=40)
-        F1 = rp.eight_point(pa, pb)
+        F1, usable1 = eight_point(pa, pb)
         s_a = np.array([[2.0, 0, 5.0], [0, 2.0, -3.0], [0, 0, 1.0]])
         s_b = np.array([[0.5, 0, 1.0], [0, 0.5, 2.0], [0, 0, 1.0]])
         ta = (np.column_stack([pa, np.ones(len(pa))]) @ s_a.T)[:, :2]
         tb = (np.column_stack([pb, np.ones(len(pb))]) @ s_b.T)[:, :2]
-        F2 = rp.eight_point(ta, tb)
-        mapped = s_b.T @ F2.matrix @ s_a
+        F2, usable2 = eight_point(ta, tb)
+        assert usable1 and usable2
+        mapped = s_b.T @ F2 @ s_a
         mapped /= np.linalg.norm(mapped)
-        ref = F1.matrix / np.linalg.norm(F1.matrix)
+        ref = F1 / np.linalg.norm(F1)
         assert min(np.abs(mapped - ref).max(), np.abs(mapped + ref).max()) < 1e-9
 
     def test_too_few_points(self):
-        with pytest.raises(ValueError, match="8"):
-            rp.eight_point(np.zeros((7, 2)), np.zeros((7, 2)))
+        # the solver needs 8 points; both estimators refuse fewer without a fit
+        rng = np.random.default_rng(6)
+        pa = rng.uniform(0, 127, size=(7, 2))
+        pb = rng.uniform(0, 127, size=(7, 2))
+        K = np.array([[128.0, 0, 64.0], [0, 128.0, 64.0], [0, 0, 1.0]])
+        for est in _ransac_both(pa, pb, K, K, rp.RansacConfig(seed=0)):
+            assert not est.success
+            assert est.iterations == 0
 
 
 class TestSampson:
@@ -193,7 +206,9 @@ class TestRansacExactlyEight:
         # the first 8 points of this scene are in general position: an
         # 8-point fit on them explains all 40
         scene, pa, pb = scene_correspondences(9, n=40)
-        assert rp.sampson_distances(rp.eight_point(pa[:8], pb[:8]), pa, pb).max() < 1e-6
+        F, usable = eight_point(pa[:8], pb[:8])
+        assert usable
+        assert rp.sampson_distances(F, pa, pb).max() < 1e-6
         cfg = rp.RansacConfig(seed=0)
         for est in _ransac_both(pa[:8], pb[:8], scene.cam_a.K, scene.cam_b.K, cfg):
             assert est.iterations == 1
@@ -331,32 +346,24 @@ class TestEightPointBatch:
     @given(minimal_sample_batches())
     def test_rows_equal_single_calls(self, samples):
         sa, sb = samples
-        matrices, fault = rp._eight_point_batch(sa, sb)
+        matrices, usable = rp._eight_point_batch(sa, sb)
         for b in range(len(sa)):
-            try:
-                single = rp.eight_point(sa[b], sb[b])
-            except (rp.DegenerateConfigurationError, ValueError) as exc:
-                assert fault[b] != 0
-                assert type(exc) is rp._FAULTS[fault[b]][0]
-                continue
-            assert fault[b] == 0
-            assert np.array_equal(matrices[b], single.matrix)
+            single, single_usable = eight_point(sa[b], sb[b])
+            assert usable[b] == single_usable
+            assert np.array_equal(matrices[b], single)
 
     @settings(max_examples=150, deadline=None)
     @given(minimal_sample_batches())
     def test_rows_equal_reference_solver(self, samples):
         sa, sb = samples
-        matrices, fault = rp._eight_point_batch(sa, sb)
+        matrices, usable = rp._eight_point_batch(sa, sb)
         for b in range(len(sa)):
             try:
                 ref = oracles.eight_point_reference(sa[b], sb[b])
-            except oracles.DegenerateSample:
-                assert rp._FAULTS[fault[b]][0] is rp.DegenerateConfigurationError
+            except (oracles.DegenerateSample, ValueError):
+                assert not usable[b]
                 continue
-            except ValueError:
-                assert rp._FAULTS[fault[b]][0] is ValueError
-                continue
-            assert fault[b] == 0
+            assert usable[b]
             assert np.array_equal(matrices[b], ref)
 
     def test_sampson_rows_equal_single_calls(self):
