@@ -1,13 +1,11 @@
 """Command-line surface.
 
-Subcommands: synth, train, coarse-match, match, eval-pck, eval-pose,
-grad-check. Exit codes: 0 success, 1 usage error (a bad flag, or a --config
-key that names no setting or has a bad value), 2 runtime failure. Every
-command accepts --seed (beaten only by an explicit value; the
-GUIDEMATCH_SEED environment variable overrides the built-in default); every
-command but grad-check accepts --out, and only synth and train accept
---config. Only synth, train and eval-pose draw from the seed; eval-pck
-records it in its report, and the other commands ignore it. Outputs are
+Subcommands: synth, train, coarse-match, match, eval-pck, eval-pose.
+Exit codes: 0 success, 1 usage error (a bad flag, or a --config key that
+names no setting or has a bad value), 2 runtime failure. Every command
+accepts --out, and only synth and train accept --config. Only synth, train
+and eval-pose draw random numbers, so only they accept --seed (default 0;
+train's --seed beats its config file's seed). Outputs are
 byte-deterministic for a fixed seed. match and eval-pose share one set of
 matching flags, from --variant to --max-keypoints.
 """
@@ -15,7 +13,6 @@ matching flags, from --variant to --max-keypoints.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -36,18 +33,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("GUIDEMATCH_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"GUIDEMATCH_SEED must be an integer, got {env!r}") from exc
-    return 0
-
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None, help="rng seed (beats GUIDEMATCH_SEED)")
+def _add_out(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="output path or directory")
 
 
@@ -57,7 +43,7 @@ def _add_matching(p: argparse.ArgumentParser, default_variant: str):
     p.add_argument("--window", type=float, default=16.0, help="guidance window, resized-image pixels")
     p.add_argument("--ratio", type=float, default=None)
     p.add_argument("--band", type=float, default=3.0, help="epipolar band of model-guided, pixels")
-    p.add_argument("--max-side", type=int, default=497)
+    p.add_argument("--max-side", type=int, default=cm.EVAL_MAX_SIDE)
     p.add_argument("--max-keypoints", type=int, default=300)
 
 
@@ -66,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("synth", help="generate synthetic scene archives")
-    _add_common(p)
+    _add_out(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the first scene")
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--scenes", type=int, default=10)
     p.add_argument("--width", type=int, default=None)
@@ -75,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeated", type=int, default=None, help="repeated texture stamps per scene")
 
     p = subs.add_parser("train", help="train the coarse matcher")
-    _add_common(p)
+    _add_out(p)
+    p.add_argument("--seed", type=int, default=None, help="rng seed (beats the config file; default 0)")
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--mode", choices=sup.MODES, default=None)
     p.add_argument("--dataset", default=None, help="scene archive directory")
@@ -84,26 +72,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freeze-steps", type=int, default=None)
 
     p = subs.add_parser("coarse-match", help="write the coarse match field of a pair")
-    _add_common(p)
+    _add_out(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--scene-dir", required=True)
     p.add_argument("--direction", choices=("AB", "BA"), default="AB")
-    p.add_argument("--max-side", type=int, default=497)
+    p.add_argument("--max-side", type=int, default=cm.EVAL_MAX_SIDE)
 
     p = subs.add_parser("match", help="match keypoints of a scene pair, write CSV")
-    _add_common(p)
+    _add_out(p)
     p.add_argument("--scene-dir", required=True)
     _add_matching(p, "raw")
 
     p = subs.add_parser("eval-pck", help="coarse-match accuracy over a scene set")
-    _add_common(p)
+    _add_out(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--thresholds", default="8,16,32")
-    p.add_argument("--max-side", type=int, default=497)
+    p.add_argument("--max-side", type=int, default=cm.EVAL_MAX_SIDE)
 
     p = subs.add_parser("eval-pose", help="two-view pose accuracy over a scene set")
-    _add_common(p)
+    _add_out(p)
+    p.add_argument("--seed", type=int, default=0, help="rng seed of the per-pair stress draws and RANSAC")
     p.add_argument("--dataset", required=True)
     _add_matching(p, "mutual")
     p.add_argument("--ransac-thresholds", default="1.0")
@@ -111,10 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keypoint-source", choices=("detect", "gt"), default="detect")
     p.add_argument("--keypoint-noise", type=float, default=0.0)
     p.add_argument("--descriptor-corruption", type=float, default=0.0)
-
-    p = subs.add_parser("grad-check", help="finite-difference gradient suite")
-    p.add_argument("--seed", type=int, default=None, help="rng seed (beats GUIDEMATCH_SEED)")
-    p.add_argument("--seeds", type=int, default=20)
 
     return parser
 
@@ -135,7 +120,7 @@ _SYNTH_CONFIG_KEYS = (
 )
 
 
-def _cmd_synth(args, seed: int) -> int:
+def _cmd_synth(args) -> int:
     out = _require_out(args)
     overrides = load_config(args.config, SceneConfig, _SYNTH_CONFIG_KEYS) if args.config else {}
     if args.width is not None:
@@ -149,13 +134,13 @@ def _cmd_synth(args, seed: int) -> int:
     config = SceneConfig(**overrides)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.scenes):
-        scene = generate_scene(config, seed + i)
+        scene = generate_scene(config, args.seed + i)
         save_scene(out / f"scene_{i:04d}", scene)
     print(f"wrote {args.scenes} scenes to {out}")
     return 0
 
 
-def _cmd_train(args, seed: int) -> int:
+def _cmd_train(args) -> int:
     config = sup.TrainConfig.from_file(
         args.config,
         mode=args.mode,
@@ -172,7 +157,7 @@ def _cmd_train(args, seed: int) -> int:
     return 0
 
 
-def _cmd_coarse_match(args, seed: int) -> int:
+def _cmd_coarse_match(args) -> int:
     out = _require_out(args)
     model = cm.CoarseModel.load(args.checkpoint)
     scene = load_scene(args.scene_dir)
@@ -198,7 +183,7 @@ def _matching(args) -> tuple[cm.CoarseModel | None, dict]:
     return model, dict(window_px=args.window, ratio=args.ratio, band_px=args.band, max_side=args.max_side)
 
 
-def _cmd_match(args, seed: int) -> int:
+def _cmd_match(args) -> int:
     out = _require_out(args)
     scene = load_scene(args.scene_dir)
     model, options = _matching(args)
@@ -210,14 +195,13 @@ def _cmd_match(args, seed: int) -> int:
     return 0
 
 
-def _cmd_eval_pck(args, seed: int) -> int:
+def _cmd_eval_pck(args) -> int:
     out = _require_out(args)
     model = cm.CoarseModel.load(args.checkpoint)
     scenes = load_scene_dir(args.dataset)
     thresholds = _floats(args.thresholds)
     meta = {
         "checkpoint": Path(args.checkpoint).name,
-        "seed": seed,
         "config_hash": ev.config_digest(
             {"thresholds": args.thresholds, "max_side": args.max_side, "dataset": Path(args.dataset).name}
         ),
@@ -231,7 +215,7 @@ def _cmd_eval_pck(args, seed: int) -> int:
     return 0
 
 
-def _cmd_eval_pose(args, seed: int) -> int:
+def _cmd_eval_pose(args) -> int:
     out = _require_out(args)
     scenes = load_scene_dir(args.dataset)
     model, options = _matching(args)
@@ -245,11 +229,11 @@ def _cmd_eval_pose(args, seed: int) -> int:
     )
     meta = {
         "variant": args.variant,
-        "seed": seed,
+        "seed": args.seed,
         "checkpoint": Path(args.checkpoint).name if args.checkpoint else "none",
         "config_hash": ev.config_digest({**options, "variant": args.variant, "dataset": Path(args.dataset).name}),
     }
-    report = ev.eval_pose(scenes, args.variant, model=model, seed=seed, metadata=meta, **options)
+    report = ev.eval_pose(scenes, args.variant, model=model, seed=args.seed, metadata=meta, **options)
     out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "pose_pairs.csv", "rows")
     report.write_csv(out / "pose_summary.csv", "aggregates")
@@ -260,18 +244,6 @@ def _cmd_eval_pose(args, seed: int) -> int:
     return 0
 
 
-def _cmd_grad_check(args, seed: int) -> int:
-    from guidematch.gradsuite import run_gradient_suite
-
-    results = run_gradient_suite(n_seeds=args.seeds)
-    failed = False
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{r.name:28s} max_rel_err {r.max_rel_error:.3e}  seeds {r.seeds}  {status}")
-        failed |= not r.passed
-    return 2 if failed else 0
-
-
 _COMMANDS = {
     "synth": _cmd_synth,
     "train": _cmd_train,
@@ -279,7 +251,6 @@ _COMMANDS = {
     "match": _cmd_match,
     "eval-pck": _cmd_eval_pck,
     "eval-pose": _cmd_eval_pose,
-    "grad-check": _cmd_grad_check,
 }
 
 
@@ -287,8 +258,7 @@ def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        seed = args.seed if args.seed is not None else _default_seed()
-        return _COMMANDS[args.command](args, seed)
+        return _COMMANDS[args.command](args)
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -27,6 +27,8 @@ from guidematch.numerics import Tensor
 
 LEAKY_SLOPE = 0.1
 NORM_EPS = 1e-8
+# default longest image side, in pixels, at which evaluation runs the model
+EVAL_MAX_SIDE = 497
 
 
 def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

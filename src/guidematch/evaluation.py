@@ -73,7 +73,7 @@ def eval_pck(
     model: cm.CoarseModel,
     scenes: list[SyntheticScene],
     thresholds=(8.0, 16.0, 32.0),
-    max_side: int = 497,
+    max_side: int = cm.EVAL_MAX_SIDE,
     metadata: dict | None = None,
 ) -> EvalReport:
     """Coarse-match accuracy against each scene's ground-truth pairs.
@@ -166,7 +166,7 @@ def make_matcher(
     window_px: float = 16.0,
     ratio: float | None = None,
     band_px: float = 3.0,
-    max_side: int = 497,
+    max_side: int = cm.EVAL_MAX_SIDE,
 ) -> MatcherFn:
     """Build the match-and-prune chain for an evaluation variant.
 
@@ -253,7 +253,7 @@ def eval_pose(
     window_px: float = 16.0,
     ratio: float | None = None,
     band_px: float = 3.0,
-    max_side: int = 497,
+    max_side: int = cm.EVAL_MAX_SIDE,
     max_keypoints: int = 300,
     keypoint_source: str = "detect",
     keypoint_noise_px: float = 0.0,

@@ -222,7 +222,7 @@ def _backdrop_extent(cams, plane_point, normal, basis_u, basis_v, offset):
     return 1.3 * lim_u, 1.3 * lim_v
 
 
-def _build_scene(config: SceneConfig, seed: int, rng: np.random.Generator):
+def _build_scene(config: SceneConfig, rng: np.random.Generator):
     w, h = config.width, config.height
     focal = float(max(w, h))
     K = np.array([[focal, 0.0, w / 2.0], [0.0, focal, h / 2.0], [0.0, 0.0, 1.0]])
@@ -344,7 +344,7 @@ def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
     sampled ground-truth points are visible in both views."""
     for attempt in range(config.max_retries):
         rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
-        cam_a, cam_b, planes = _build_scene(config, seed, rng)
+        cam_a, cam_b, planes = _build_scene(config, rng)
         margin = 2.0
         # oversample so occlusion still leaves enough mutually visible pairs
         n_sample = 2 * config.n_gt_points

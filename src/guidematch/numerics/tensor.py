@@ -190,27 +190,14 @@ class Tensor:
 
     # -- reductions --------------------------------------------------------
 
-    def sum(self, axes=None) -> "Tensor":
-        if axes is None:
-            out_data = self.data.sum()
-            shape = self.data.shape
-
-            def bwd(g):
-                if self.requires_grad:
-                    self._acc(np.broadcast_to(g, shape).copy())
-
-            return _make(out_data, (self,), bwd, "sum")
-
-        axes = _normalize_axes(axes, self.ndim)
-        out_data = self.data.sum(axis=axes)
+    def sum(self) -> "Tensor":
         shape = self.data.shape
 
-        def bwd_axes(g):
+        def bwd(g):
             if self.requires_grad:
-                g_exp = np.expand_dims(g, axes)
-                self._acc(np.broadcast_to(g_exp, shape).copy())
+                self._acc(np.broadcast_to(g, shape).copy())
 
-        return _make(out_data, (self,), bwd_axes, "sum")
+        return _make(self.data.sum(), (self,), bwd, "sum")
 
 
 def parameter(data, name: str) -> Tensor:

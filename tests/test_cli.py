@@ -57,9 +57,9 @@ def test_eval_pose_is_byte_deterministic_on_repeated_stamps(tmp_path, scenes):
 def test_match_is_byte_deterministic_and_ignores_the_seed(tmp_path, scenes, variant):
     scene_root, checkpoint = scenes
     outputs = []
-    for seed in ("1", "2"):
-        out = tmp_path / f"{seed}.csv"
-        argv = ["match", "--scene-dir", str(scene_root / "scene_0000"), "--variant", variant, "--seed", seed]
+    for run in ("first", "second"):
+        out = tmp_path / f"{run}.csv"
+        argv = ["match", "--scene-dir", str(scene_root / "scene_0000"), "--variant", variant]
         argv += ["--checkpoint", str(checkpoint), *_ratio_flags(variant), "--out", str(out)]
         assert run_cli(argv) == 0
         outputs.append(out.read_bytes())
@@ -103,8 +103,8 @@ def test_bad_matching_setting_is_a_usage_error(tmp_path, scenes, command, flags,
 
 @pytest.mark.parametrize(
     "command, flag",
-    [(c, "--config") for c in ("coarse-match", "match", "eval-pck", "eval-pose", "grad-check")]
-    + [("grad-check", "--out")],
+    [(c, "--config") for c in ("coarse-match", "match", "eval-pck", "eval-pose")]
+    + [(c, "--seed") for c in ("coarse-match", "match", "eval-pck")],
 )
 def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, scenes, command, flag, capsys):
     scene_root, checkpoint = scenes
@@ -114,7 +114,6 @@ def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, scenes, comma
         "match": ["--scene-dir", str(scene_root / "scene_0000"), *out],
         "eval-pck": ["--checkpoint", str(checkpoint), "--dataset", str(scene_root), *out],
         "eval-pose": ["--dataset", str(scene_root), *out],
-        "grad-check": ["--seeds", "1"],
     }[command]
     assert run_cli([command, *argv, flag, str(tmp_path / "any")]) == 1
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from guidematch import coarse_matcher as cm
 from guidematch import numerics
 from guidematch.numerics import Tensor, parameter
-from guidematch.numerics.gradcheck import max_gradient_error
 
 import oracles
+from gradcheck import max_gradient_error, sample_coords, well_conditioned
 
 
 def make_model(seed=0, channels=(4, 8), hidden=(4,)):
@@ -317,8 +317,6 @@ class TestEndToEndGradients:
         # FD checks need a point away from rectifier kinks and tiny feature
         # norms (1/norm^3 curvature wrecks the difference quotient), so take
         # the first seed whose forward pass is well conditioned.
-        from guidematch.numerics.gradcheck import sample_coords, well_conditioned
-
         checked = False
         for seed in range(13, 60):
             model = cm.CoarseModel.create(seed, backbone_channels=(3, 4, 4, 4), filter_hidden=(2,))

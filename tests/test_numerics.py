@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -24,9 +25,9 @@ from guidematch.numerics import (
     save_checkpoint,
     softmax_over,
 )
-from guidematch.numerics.gradcheck import max_gradient_error
 
 import oracles
+from gradcheck import max_gradient_error
 
 N_GRAD_SEEDS = 20
 GRAD_TOL = 1e-4
@@ -83,9 +84,10 @@ class TestConv2d:
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_gradients(self):
-        for seed in range(N_GRAD_SEEDS):
+        # an even side leaves the last padded column unread, as backbone inputs do
+        for side, seed in itertools.product((5, 6), range(N_GRAD_SEEDS)):
             rng = np.random.default_rng(seed)
-            x = parameter(rng.standard_normal((2, 5, 5)), "x")
+            x = parameter(rng.standard_normal((2, side, side)), "x")
             k = parameter(rng.standard_normal((3, 2, 3, 3)), "k")
             b = parameter(rng.standard_normal(3), "b")
             w = rng.standard_normal((3, 3, 3))
@@ -93,7 +95,7 @@ class TestConv2d:
             def f():
                 return (conv2d(x, k, b, stride=2, zero_pad=1) * w).sum()
 
-            assert max_gradient_error(f, [x, k, b]) < GRAD_TOL
+            assert max_gradient_error(f, [x, k, b]) < GRAD_TOL, (side, seed)
 
 
 class TestConv4d:
@@ -353,6 +355,9 @@ class TestBackward:
                 return (leaky_relu(m, 0.1) * w).sum() + (m * m).sum() * 0.1
 
             assert max_gradient_error(f, [a, b]) < GRAD_TOL
+            x = parameter(rng.standard_normal((5, 5)), "x")
+            wx = rng.standard_normal((5, 5))
+            assert max_gradient_error(lambda: (leaky_relu(x, 0.1) * wx).sum(), [x]) < GRAD_TOL
 
 
 class TestAdam:
@@ -465,10 +470,11 @@ class TestCheckpoint:
 
 _LOSS_CASE_DIGEST = """
 import hashlib
-from guidematch import gradsuite, supervision
+from guidematch import supervision
+from test_supervision import _loss_case
 h = hashlib.sha256()
 for mode in supervision.MODES:
-    f, params = gradsuite._loss_case(mode, 0)
+    f, params = _loss_case(mode, 0)
     for p in params:
         h.update(p.data.tobytes())
     h.update(repr(f().item()).encode())
@@ -478,10 +484,10 @@ print(h.hexdigest())
 
 class TestGradSuite:
     def test_loss_cases_ignore_string_hash_seed(self):
-        src = str(Path(guidematch.__file__).parents[1])
+        path = os.pathsep.join([str(Path(guidematch.__file__).parents[1]), str(Path(__file__).parent)])
         digests = []
         for hash_seed in ("1", "2"):
-            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
             out = subprocess.run(
                 [sys.executable, "-c", _LOSS_CASE_DIGEST], env=env, capture_output=True, text=True, check=True
             )

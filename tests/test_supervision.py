@@ -9,6 +9,7 @@ from guidematch.geometry.scene import ConfigError
 from guidematch.numerics import Tensor
 
 import oracles
+from gradcheck import max_gradient_error, sample_coords, well_conditioned
 
 
 def volume_from_scores(s, stride=16):
@@ -377,3 +378,64 @@ class TestTraining:
         cfg_path.write_text("mode = point\nbatch_size = 2.5\n")
         with pytest.raises(ValueError, match=r"c\.txt: batch_size"):
             sup.TrainConfig.from_file(cfg_path, dataset_dir="d", out_dir="o")
+
+
+def _loss_case(mode, seed):
+    """``pair_loss`` of one mode as a function of a tiny model's parameters:
+    a random 48x48 pair, a perturbed rectified F and a permutation of the
+    3x3 cell centres as ground truth."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, sup.MODES.index(mode)]))
+    model = cm.CoarseModel.create(seed, backbone_channels=(3, 4, 4, 4), filter_hidden=(2,))
+    # the zero output head would make untrained scores uniform (argmax ties);
+    # give it generic weights so the losses are checked at a generic point
+    model.cons_filter.weights[-1].data = 0.2 * rng.standard_normal(model.cons_filter.weights[-1].shape)
+    img_a = rng.random((48, 48))
+    img_b = rng.random((48, 48))
+    rect = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    fund = FundamentalMatrix.from_array(rect + 0.05 * rng.standard_normal((3, 3)), FRAME_RESIZED)
+    # cover every cell in both directions (a permutation of cell centers) so
+    # the point loss has no all-masked rows, whose exact ties would make the
+    # conditioning check reject every seed
+    ys, xs = np.mgrid[0:3, 0:3]
+    centers = np.column_stack([(xs.ravel() + 0.5) * 16.0, (ys.ravel() + 0.5) * 16.0])
+    perm = rng.permutation(9)
+    jitter = rng.uniform(-5, 5, (9, 2))
+    gt = np.column_stack([centers + jitter, centers[perm] + rng.uniform(-5, 5, (9, 2))])
+    pair = {
+        "image": sup.TrainingPair(img_a, img_b, 1, fundamental=fund, gt_matches=gt),
+        "epipolar": sup.TrainingPair(img_a, img_b, 1, fundamental=fund),
+        "point": sup.TrainingPair(img_a, img_b, 1, fundamental=fund, gt_matches=gt),
+    }[mode]
+
+    def f():
+        return sup.pair_loss(model, pair, mode, lambda_px=16.0)
+
+    return f, model.parameters()
+
+
+N_LOSS_SEEDS = 20
+
+
+class TestLossGradients:
+    """Finite differences of each loss through the full network, only at
+    well-conditioned points (away from rectifier kinks, argmax switches and
+    vanishing feature norms), so they measure the gradient, not a kink."""
+
+    @pytest.mark.parametrize("mode", sup.MODES)
+    def test_sampled_coordinates(self, mode):
+        worst, found, seed = 0.0, 0, 0
+        while found < N_LOSS_SEEDS and seed < 50 * N_LOSS_SEEDS:
+            f, params = _loss_case(mode, seed)
+            seed += 1
+            if not well_conditioned(f):
+                continue
+            coords = sample_coords(params, 2, np.random.default_rng(1000 + seed))
+            worst = max(worst, max_gradient_error(f, params, coords=coords))
+            found += 1
+        assert found == N_LOSS_SEEDS
+        assert worst < 1e-4
+
+    def test_every_coordinate_epipolar(self):
+        seed = next((s for s in range(50) if well_conditioned(_loss_case("epipolar", s)[0])), None)
+        assert seed is not None, "no well-conditioned seed"
+        assert max_gradient_error(*_loss_case("epipolar", seed)) < 1e-4
