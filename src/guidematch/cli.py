@@ -1,11 +1,11 @@
 """Command-line surface.
 
 Subcommands: synth, train, coarse-match, match, eval-pck, eval-pose.
-Exit codes: 0 success, 1 usage error (a bad flag, or a --config key that
-names no setting or has a bad value), 2 runtime failure. Every command
-accepts --out, and only synth and train accept --config. Only synth, train
-and eval-pose draw random numbers, so only they accept --seed (default 0;
-train's --seed beats its config file's seed). Outputs are
+Exit codes: 0 success, 1 usage error (a bad flag or flag value, or a
+--config key that names no setting or has a bad value), 2 runtime failure.
+Every command accepts --out, and only synth and train accept --config. Only
+synth, train and eval-pose draw random numbers, so only they accept --seed
+(default 0; train's --seed beats its config file's seed). Outputs are
 byte-deterministic for a fixed seed. match and eval-pose share one set of
 matching flags, from --variant to --max-keypoints.
 """
@@ -13,6 +13,7 @@ matching flags, from --variant to --max-keypoints.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -104,8 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _thresholds(text: str, flag: str) -> list[float]:
+    """The comma-separated values of ``flag``: at least one, each finite and > 0."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise UsageError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+    if not values or not all(0 < v < math.inf for v in values):
+        raise UsageError(f"{flag} values must be finite and > 0, got {text!r}")
+    return values
 
 
 def _require_out(args, name="--out") -> Path:
@@ -179,14 +187,17 @@ def _matching(args) -> tuple[cm.CoarseModel | None, dict]:
         raise UsageError(f"{args.variant} variant takes no --ratio; use ratio or ratio+mutual")
     if args.max_keypoints < 1:
         raise UsageError(f"--max-keypoints must be at least 1, got {args.max_keypoints}")
+    for flag, value in (("--window", args.window), ("--band", args.band)):
+        if not value > 0:  # inf (raw matching) passes, nan does not
+            raise UsageError(f"{flag} must be > 0, got {value:g}")
     model = cm.CoarseModel.load(args.checkpoint) if args.checkpoint else None
     return model, dict(window_px=args.window, ratio=args.ratio, band_px=args.band, max_side=args.max_side)
 
 
 def _cmd_match(args) -> int:
     out = _require_out(args)
-    scene = load_scene(args.scene_dir)
     model, options = _matching(args)
+    scene = load_scene(args.scene_dir)
     feats = ev.pair_features(scene, args.max_keypoints)
     matches = ev.make_matcher(args.variant, model, **options)(scene, feats)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -197,9 +208,9 @@ def _cmd_match(args) -> int:
 
 def _cmd_eval_pck(args) -> int:
     out = _require_out(args)
+    thresholds = _thresholds(args.thresholds, "--thresholds")
     model = cm.CoarseModel.load(args.checkpoint)
     scenes = load_scene_dir(args.dataset)
-    thresholds = _floats(args.thresholds)
     meta = {
         "checkpoint": Path(args.checkpoint).name,
         "config_hash": ev.config_digest(
@@ -217,12 +228,18 @@ def _cmd_eval_pck(args) -> int:
 
 def _cmd_eval_pose(args) -> int:
     out = _require_out(args)
-    scenes = load_scene_dir(args.dataset)
+    ransac_thresholds = _thresholds(args.ransac_thresholds, "--ransac-thresholds")
+    pose_thresholds = _thresholds(args.pose_thresholds, "--pose-thresholds")
+    if not 0 <= args.keypoint_noise < math.inf:
+        raise UsageError(f"--keypoint-noise must be finite and >= 0, got {args.keypoint_noise:g}")
+    if not 0 <= args.descriptor_corruption <= 1:
+        raise UsageError(f"--descriptor-corruption must be in [0, 1], got {args.descriptor_corruption:g}")
     model, options = _matching(args)
+    scenes = load_scene_dir(args.dataset)
     options.update(
         max_keypoints=args.max_keypoints,
-        ransac_thresholds=_floats(args.ransac_thresholds),
-        pose_thresholds=_floats(args.pose_thresholds),
+        ransac_thresholds=ransac_thresholds,
+        pose_thresholds=pose_thresholds,
         keypoint_source=args.keypoint_source,
         keypoint_noise_px=args.keypoint_noise,
         descriptor_corruption=args.descriptor_corruption,

@@ -370,10 +370,13 @@ def compute_match_fields(
     model: CoarseModel, image_a: np.ndarray, image_b: np.ndarray, max_side: int
 ) -> tuple[CoarseMatchField, CoarseMatchField]:
     """Resize both images, run the model once, and extract the AB and BA
-    fields stamped with the resize scales."""
+    fields stamped with the resize scales. Evaluation's one entry to the
+    model: non-finite filtered scores, say from a broken checkpoint, raise ``ValueError``."""
     image_a, scale_a = resize_image(image_a, max_side, model.stride)
     image_b, scale_b = resize_image(image_b, max_side, model.stride)
     vol = compute_volume(model, image_a, image_b)
+    if not np.isfinite(vol.filtered.data).all():
+        raise ValueError("the coarse model produced non-finite coarse scores")
     ab = extract_matches(vol, "AB")
     ab.scale_src, ab.scale_tgt = scale_a, scale_b
     ba = extract_matches(vol, "BA")

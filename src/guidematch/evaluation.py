@@ -161,7 +161,7 @@ def pair_features(scene: SyntheticScene, max_keypoints: int, keypoint_source: st
 
 
 def make_matcher(
-    variant: str | MatcherFn,
+    variant: str,
     model: cm.CoarseModel | None = None,
     window_px: float = 16.0,
     ratio: float | None = None,
@@ -179,11 +179,8 @@ def make_matcher(
     those within ``window_px`` resized-image pixels of the coarse match
     (``guided``; the window is converted to original pixels through the
     field's scales), or among those within ``band_px`` of the epipolar line
-    of a first-stage fundamental matrix (``model-guided``). A callable
-    variant is returned as is.
+    of a first-stage fundamental matrix (``model-guided``).
     """
-    if callable(variant):
-        return variant
     if variant not in POSE_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {POSE_VARIANTS}")
     if variant.startswith("ratio") and ratio is None:
@@ -246,7 +243,7 @@ def corrupt_features(feats: PairFeatures, rng: np.random.Generator, keypoint_noi
 
 def eval_pose(
     scenes: list[SyntheticScene],
-    variant: str | MatcherFn,
+    variant: str,
     model: cm.CoarseModel | None = None,
     ransac_thresholds=(1.0,),
     pose_thresholds=(5.0, 10.0, 20.0),

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter, maximum_filter
 
+from guidematch import robust_pose as rp
 from guidematch.coarse_matcher import CoarseMatchField, interpolate_matches
 from guidematch.geometry.epipolar import FundamentalMatrix, epipolar_distances
 from guidematch.imageops import bilinear_sample
@@ -31,6 +32,7 @@ HARRIS_SIGMA = 1.5
 NMS_RADIUS = 4
 DETECTION_LEVELS = 2
 BASE_SCALE = 9.0  # detector window diameter at full resolution
+PATCH = 13  # descriptor patch side in pixels; odd, so the patch centres on the keypoint
 
 
 class MatchingError(RuntimeError):
@@ -173,17 +175,15 @@ def detect_keypoints(image: np.ndarray, max_count: int = 500) -> KeypointSet:
     return KeypointSet(xy[kept], scale[kept], response[kept])
 
 
-def describe(image: np.ndarray, kps: KeypointSet, patch: int = 13) -> DescriptorSet:
-    """Mean-free, L2-normalized intensity patches, bilinearly sampled.
+def describe(image: np.ndarray, kps: KeypointSet) -> DescriptorSet:
+    """Mean-free, L2-normalized intensity patches of side ``PATCH``, bilinearly sampled.
 
     Border keypoints use edge-clamped sampling; flat patches become zero
     vectors instead of dividing by a vanishing norm.
     """
-    if patch % 2 == 0:
-        raise ValueError(f"patch side must be odd, got {patch}")
     if not len(kps):
-        return DescriptorSet(np.zeros((0, patch * patch)))
-    offs = np.arange(patch, dtype=np.float64) - patch // 2
+        return DescriptorSet(np.zeros((0, PATCH * PATCH)))
+    offs = np.arange(PATCH, dtype=np.float64) - PATCH // 2
     xs = kps.xy[:, 0][:, None, None] + offs[None, None, :]
     ys = kps.xy[:, 1][:, None, None] + offs[None, :, None]
     patches = bilinear_sample(np.asarray(image, dtype=np.float64), xs, ys).reshape(len(kps), -1)
@@ -290,48 +290,48 @@ def _top_scale_indices(kps: KeypointSet, fraction: float = 0.2) -> np.ndarray:
     return np.lexsort((-kps.response, -kps.scale))[:k]
 
 
+def match_epipolar_band(
+    kps_a: KeypointSet, desc_a: DescriptorSet, kps_b: KeypointSet, desc_b: DescriptorSet,
+    F: FundamentalMatrix | np.ndarray, band_px: float,
+) -> MatchSet:
+    """Best descriptor among the B keypoints strictly within ``band_px`` of
+    the source keypoint's epipolar line under ``F``; source keypoints with
+    an empty band are left unmatched."""
+    ia, ib = np.indices((len(kps_a), len(kps_b))).reshape(2, -1)
+    dists = epipolar_distances(F, kps_a.xy[ia], kps_b.xy[ib]).reshape(len(kps_a), len(kps_b))
+    return MatchSet(*_match_masked(desc_a, desc_b, dists < band_px))
+
+
 def match_model_guided(
     kps_a: KeypointSet,
     desc_a: DescriptorSet,
     kps_b: KeypointSet,
     desc_b: DescriptorSet,
     band_px: float = 3.0,
-    model_override: FundamentalMatrix | None = None,
 ) -> MatchSet:
     """Classical two-stage guided baseline.
 
     Stage 1 matches the top 20% of keypoints by scale (mutually) and fits a
-    fundamental matrix to them robustly; stage 2 re-matches every source
-    keypoint against the B keypoints lying within ``band_px`` of its
-    epipolar line. ``model_override`` skips stage 1, which tests use to
-    inject a known or a deliberately wrong geometry.
+    fundamental matrix to them robustly, with ``band_px`` as the RANSAC
+    threshold; stage 2 is ``match_epipolar_band`` under that matrix. With
+    an infinite band this is exactly raw matching.
     """
-    from guidematch.robust_pose import RansacConfig, ransac_fundamental
-
     if math.isinf(band_px):
         return match_raw(desc_a, desc_b)
-    if model_override is not None:
-        fmat = model_override.matrix
-    else:
-        if len(kps_a) < 8 or len(kps_b) < 8:
-            raise MatchingError("too few keypoints for the scale-based first stage")
-        top_a = _top_scale_indices(kps_a)
-        top_b = _top_scale_indices(kps_b)
-        sub_a = DescriptorSet(desc_a.vectors[top_a])
-        sub_b = DescriptorSet(desc_b.vectors[top_b])
-        seeds_ab = match_raw(sub_a, sub_b)
-        seeds_ba = match_raw(sub_b, sub_a)
-        seeds = mutual_check(seeds_ab, seeds_ba)
-        if len(seeds) < 8:
-            raise MatchingError(f"only {len(seeds)} mutual top-scale matches, need 8")
-        seed_a, seed_b = kps_a.xy[top_a[seeds.index_a]], kps_b.xy[top_b[seeds.index_b]]
-        estimate = ransac_fundamental(seed_a, seed_b, RansacConfig(threshold=band_px, seed=0))
-        if not estimate.success:
-            raise MatchingError("stage-1 fundamental matrix estimation failed")
-        fmat = estimate.matrix
-    ia, ib = np.indices((len(kps_a), len(kps_b))).reshape(2, -1)
-    dists = epipolar_distances(fmat, kps_a.xy[ia], kps_b.xy[ib]).reshape(len(kps_a), len(kps_b))
-    return MatchSet(*_match_masked(desc_a, desc_b, dists < band_px))
+    if len(kps_a) < 8 or len(kps_b) < 8:
+        raise MatchingError("too few keypoints for the scale-based first stage")
+    top_a = _top_scale_indices(kps_a)
+    top_b = _top_scale_indices(kps_b)
+    sub_a = DescriptorSet(desc_a.vectors[top_a])
+    sub_b = DescriptorSet(desc_b.vectors[top_b])
+    seeds = mutual_check(match_raw(sub_a, sub_b), match_raw(sub_b, sub_a))
+    if len(seeds) < 8:
+        raise MatchingError(f"only {len(seeds)} mutual top-scale matches, need 8")
+    seed_a, seed_b = kps_a.xy[top_a[seeds.index_a]], kps_b.xy[top_b[seeds.index_b]]
+    estimate = rp.ransac_fundamental(seed_a, seed_b, rp.RansacConfig(threshold=band_px, seed=0))
+    if not estimate.success:
+        raise MatchingError("stage-1 fundamental matrix estimation failed")
+    return match_epipolar_band(kps_a, desc_a, kps_b, desc_b, estimate.matrix, band_px)
 
 
 # -- file formats --------------------------------------------------------------

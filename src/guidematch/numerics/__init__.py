@@ -1,13 +1,13 @@
 """Dense float64 tensor arithmetic with reverse-mode gradients plus Adam.
 
 Only the primitives the coarse matcher and its losses need are provided;
-this is deliberately not a general-purpose autodiff library.
+this is deliberately not a general-purpose autodiff library. It has no
+global switches or test hooks; callers check finiteness (see ``tensor``).
 """
 
 from guidematch.numerics.tensor import (
     Tensor,
     parameter,
-    finite_checks_disabled,
     conv2d,
     conv4d,
     softmax_over,
@@ -22,7 +22,6 @@ from guidematch.numerics.checkpoint import save_checkpoint, load_checkpoint
 __all__ = [
     "Tensor",
     "parameter",
-    "finite_checks_disabled",
     "conv2d",
     "conv4d",
     "softmax_over",

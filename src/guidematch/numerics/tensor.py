@@ -5,59 +5,15 @@ that propagates gradients to its inputs; ``Tensor.backward`` on a scalar
 replays those closures in reverse topological order. Gradients only flow
 into tensors created with ``requires_grad=True`` (parameters) or derived
 from one, so frozen parameters cost nothing during the backward pass.
+
+No op checks its output for nan or inf; the two consumers of a forward
+pass do: ``supervision.train`` its loss, ``coarse_matcher.compute_match_fields``
+its filtered scores.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Per-op finiteness assertions. Training loops disable them and check the
-# loss explicitly so divergence aborts cleanly instead of raising mid-graph.
-CHECK_FINITE = True
-
-
-class finite_checks_disabled:
-    """Context manager that skips per-op finite assertions."""
-
-    def __enter__(self):
-        global CHECK_FINITE
-        self._saved = CHECK_FINITE
-        CHECK_FINITE = False
-        return self
-
-    def __exit__(self, *exc):
-        global CHECK_FINITE
-        CHECK_FINITE = self._saved
-        return False
-
-
-def _finite_ok(data: np.ndarray) -> bool:
-    return (not CHECK_FINITE) or bool(np.isfinite(data).all())
-
-
-# When set to a list, non-smooth ops append (kind, margin) records so
-# finite-difference checks can reject evaluation points too close to a kink.
-_MARGIN_TRACE: list[tuple[str, float]] | None = None
-
-
-class margin_trace:
-    """Collect distances to the nearest non-smooth point during forwards."""
-
-    def __enter__(self) -> list[tuple[str, float]]:
-        global _MARGIN_TRACE
-        self._saved = _MARGIN_TRACE
-        _MARGIN_TRACE = []
-        return _MARGIN_TRACE
-
-    def __exit__(self, *exc):
-        global _MARGIN_TRACE
-        _MARGIN_TRACE = self._saved
-        return False
-
-
-def _record_margin(kind: str, value: float) -> None:
-    if _MARGIN_TRACE is not None:
-        _MARGIN_TRACE.append((kind, float(value)))
 
 
 def _as_array(data) -> np.ndarray:
@@ -133,7 +89,7 @@ class Tensor:
             if other.requires_grad:
                 other._acc(_reduce_to(g, b.shape))
 
-        return _make(out_data, (self, other), bwd, "add")
+        return _make(out_data, (self, other), bwd)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -150,7 +106,7 @@ class Tensor:
             if other.requires_grad:
                 other._acc(_reduce_to(g * a, b.shape))
 
-        return _make(out_data, (self, other), bwd, "mul")
+        return _make(out_data, (self, other), bwd)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -175,7 +131,7 @@ class Tensor:
             if self.requires_grad:
                 self._acc(g.reshape(old))
 
-        return _make(out_data, (self,), bwd, "reshape")
+        return _make(out_data, (self,), bwd)
 
     def transpose(self, axes) -> "Tensor":
         axes = tuple(int(a) for a in axes)
@@ -186,7 +142,7 @@ class Tensor:
             if self.requires_grad:
                 self._acc(g.transpose(inv))
 
-        return _make(out_data, (self,), bwd, "transpose")
+        return _make(out_data, (self,), bwd)
 
     # -- reductions --------------------------------------------------------
 
@@ -197,7 +153,7 @@ class Tensor:
             if self.requires_grad:
                 self._acc(np.broadcast_to(g, shape).copy())
 
-        return _make(self.data.sum(), (self,), bwd, "sum")
+        return _make(self.data.sum(), (self,), bwd)
 
 
 def parameter(data, name: str) -> Tensor:
@@ -236,8 +192,7 @@ def _normalize_axes(axes, ndim: int) -> tuple[int, ...]:
     return axes
 
 
-def _make(data, parents, backward_fn, op_name: str) -> Tensor:
-    assert _finite_ok(data), f"{op_name} produced non-finite values"
+def _make(data, parents, backward_fn) -> Tensor:
     requires = any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=requires)
     if requires:
@@ -331,7 +286,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, zero_pad: i
         if need_x:
             x._acc(gp[:, p : p + h, p : p + w] if p else gp)
 
-    return _make(out, (x, kernel, bias), bwd, "conv2d")
+    return _make(out, (x, kernel, bias), bwd)
 
 
 def _shifted(tap: int, n: int) -> tuple[slice, slice]:
@@ -446,7 +401,7 @@ def conv4d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             _conv4d_into(gx, g, flipped)
             x._acc(gx)
 
-    return _make(out, (x, kernel, bias), bwd, "conv4d")
+    return _make(out, (x, kernel, bias), bwd)
 
 
 # -- nonlinearities and normalizations --------------------------------------
@@ -454,15 +409,13 @@ def conv4d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
 def leaky_relu(x: Tensor, slope: float = 0.1) -> Tensor:
     pos = x.data >= 0
-    if _MARGIN_TRACE is not None and x.data.size:
-        _record_margin("kink", np.abs(x.data).min())
     out = np.where(pos, x.data, slope * x.data)
 
     def bwd(g):
         if x.requires_grad:
             x._acc(g * np.where(pos, 1.0, slope))
 
-    return _make(out, (x,), bwd, "leaky_relu")
+    return _make(out, (x,), bwd)
 
 
 def softmax_over(x: Tensor, axes) -> Tensor:
@@ -481,7 +434,7 @@ def softmax_over(x: Tensor, axes) -> Tensor:
             dot = (g * y).sum(axis=axes, keepdims=True)
             x._acc(y * (g - dot))
 
-    return _make(y, (x,), bwd, "softmax_over")
+    return _make(y, (x,), bwd)
 
 
 def max_over(x: Tensor, axes) -> Tensor:
@@ -500,9 +453,6 @@ def max_over(x: Tensor, axes) -> Tensor:
     argf = flat.argmax(axis=1)
     rows = np.arange(flat.shape[0])
     vals = flat[rows, argf].reshape(kept_shape)
-    if _MARGIN_TRACE is not None and flat.shape[1] >= 2:
-        top2 = np.partition(flat, flat.shape[1] - 2, axis=1)[:, -2:]
-        _record_margin("kink", (top2[:, 1] - top2[:, 0]).min())
     inv = tuple(np.argsort(perm))
 
     def bwd(g):
@@ -511,7 +461,7 @@ def max_over(x: Tensor, axes) -> Tensor:
             gf[rows, argf] = g.reshape(-1)
             x._acc(gf.reshape(xt.shape).transpose(inv))
 
-    return _make(vals, (x,), bwd, "max_over")
+    return _make(vals, (x,), bwd)
 
 
 def l2_normalize_channels(x: Tensor, eps: float = 1e-8) -> Tensor:
@@ -522,8 +472,6 @@ def l2_normalize_channels(x: Tensor, eps: float = 1e-8) -> Tensor:
         raise ValueError("eps must be > 0")
     d = x.data
     norm = np.sqrt((d * d).sum(axis=0))
-    if _MARGIN_TRACE is not None and norm.size:
-        _record_margin("norm", norm.min())
     denom = np.maximum(norm, eps)
     inv = 1.0 / denom
     y = d * inv
@@ -535,7 +483,7 @@ def l2_normalize_channels(x: Tensor, eps: float = 1e-8) -> Tensor:
             gx -= d * (((d * g).sum(axis=0) * inv**3) * live)
             x._acc(gx)
 
-    return _make(y, (x,), bwd, "l2_normalize_channels")
+    return _make(y, (x,), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -551,4 +499,4 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._acc(a.data.T @ g)
 
-    return _make(out, (a, b), bwd, "matmul")
+    return _make(out, (a, b), bwd)

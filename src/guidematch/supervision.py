@@ -33,7 +33,7 @@ _MASK_PENALTY = 1e6
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss went non-finite; carries the last good checkpoint."""
+    """The loss of ``step`` went non-finite; ``checkpoint_path`` holds the last finite-loss step's parameters."""
 
     def __init__(self, step: int, checkpoint_path):
         super().__init__(f"non-finite loss at step {step}; last good checkpoint at {checkpoint_path}")
@@ -304,8 +304,9 @@ def train(config: TrainConfig) -> TrainResult:
     frozen for ``freeze_steps`` steps and then fine-tunes at ``lr_finetune``.
     Emits ``checkpoint_final.gmck``, periodic snapshots, and a
     ``loss_curve.csv`` (step, loss, mode) under ``out_dir``; fully
-    deterministic for a fixed seed. A non-finite loss aborts the run after
-    writing the last finite-loss parameters.
+    deterministic for a fixed seed. The loss is the one finiteness check: a
+    non-finite loss at step k writes the parameters step k - 1 produced and
+    the curve to step k - 1, then raises ``TrainingDiverged``.
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -325,7 +326,6 @@ def train(config: TrainConfig) -> TrainResult:
     backbone_opt = AdamState(lr=config.lr_finetune)
 
     curve: list[tuple[int, float]] = []
-    snapshot = {p.name: p.data.copy() for p in model.parameters()}
     final_path = out_dir / "checkpoint_final.gmck"
 
     def write_curve():
@@ -333,26 +333,22 @@ def train(config: TrainConfig) -> TrainResult:
         lines += [f"{step},{loss!r},{config.mode}" for step, loss in curve]
         (out_dir / "loss_curve.csv").write_text("\n".join(lines) + "\n")
 
-    with numerics.finite_checks_disabled():
-        for step in range(1, config.iterations + 1):
-            if model.backbone.frozen and step > config.freeze_steps:
-                model.backbone.frozen = False
-            batch = sampler.next_batch()
-            loss, mean_loss = total_loss(model, batch, config.mode, config.lambda_px)
-            if not np.isfinite(mean_loss):
-                for p in model.parameters():
-                    p.data = snapshot[p.name]
-                model.save(final_path)
-                write_curve()
-                raise TrainingDiverged(step, final_path)
-            loss.backward()
-            adam_step(filter_opt, filter_params, [p.grad for p in filter_params])
-            if not model.backbone.frozen:
-                adam_step(backbone_opt, backbone_params, [p.grad for p in backbone_params])
-            curve.append((step, mean_loss))
-            snapshot = {p.name: p.data.copy() for p in model.parameters()}
-            if config.checkpoint_every and step % config.checkpoint_every == 0 and step < config.iterations:
-                model.save(out_dir / f"checkpoint_{step:06d}.gmck")
+    for step in range(1, config.iterations + 1):
+        if model.backbone.frozen and step > config.freeze_steps:
+            model.backbone.frozen = False
+        batch = sampler.next_batch()
+        loss, mean_loss = total_loss(model, batch, config.mode, config.lambda_px)
+        if not np.isfinite(mean_loss):
+            model.save(final_path)
+            write_curve()
+            raise TrainingDiverged(step, final_path)
+        loss.backward()
+        adam_step(filter_opt, filter_params, [p.grad for p in filter_params])
+        if not model.backbone.frozen:
+            adam_step(backbone_opt, backbone_params, [p.grad for p in backbone_params])
+        curve.append((step, mean_loss))
+        if config.checkpoint_every and step % config.checkpoint_every == 0 and step < config.iterations:
+            model.save(out_dir / f"checkpoint_{step:06d}.gmck")
 
     model.save(final_path)
     write_curve()

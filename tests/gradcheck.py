@@ -2,15 +2,22 @@
 
 Relative error uses a small denominator floor so checks stay meaningful for
 near-zero gradients without turning into loose absolute comparisons.
+``well_conditioned`` measures how far a forward pass stays from the kinks
+of the non-smooth ops by wrapping them on ``guidematch.numerics`` for that
+one pass; the library itself records nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 from typing import Callable, Sequence
+from unittest import mock
 
 import numpy as np
 
-from guidematch.numerics.tensor import Tensor, margin_trace
+from guidematch import numerics
+from guidematch.numerics import Tensor
 
 DEFAULT_STEP = 1e-5
 ERROR_FLOOR = 1e-6
@@ -25,21 +32,40 @@ KINK_MARGIN_STEPS = 30.0
 MIN_NORM = 0.05
 
 
+def _argmax_gap(x: Tensor, axes) -> float:
+    """Smallest gap between the two largest cells of any slice that ``max_over`` reduces."""
+    cells = np.moveaxis(x.data, axes, range(-len(axes), 0)).reshape(-1, math.prod(x.shape[a] for a in axes))
+    top2 = np.partition(cells, -2, axis=1)[:, -2:]
+    return (top2[:, 1] - top2[:, 0]).min()
+
+
+# op of guidematch.numerics -> (kind, distance of its input to the op's nearest non-smooth point)
+_PROBES = {
+    "leaky_relu": ("kink", lambda x, *_: np.abs(x.data).min()),
+    "max_over": ("kink", _argmax_gap),
+    "l2_normalize_channels": ("norm", lambda x, *_: np.sqrt((x.data * x.data).sum(axis=0)).min()),
+}
+
+
 def well_conditioned(build_scalar: Callable[[], Tensor], step: float = DEFAULT_STEP) -> bool:
-    """True when the forward pass stays clear of kinks and tiny norms."""
-    with margin_trace() as margins:
+    """True when the forward pass stays clear of kinks and tiny norms: runs
+    ``build_scalar`` once with the ops of ``_PROBES`` wrapped where the library
+    looks them up, on ``guidematch.numerics``, and checks every input's margin."""
+    margins: list[tuple[str, float]] = []
+
+    def probed(op, kind, margin):
+        def run(x, *args):
+            margins.append((kind, margin(x, *args)))
+            return op(x, *args)
+
+        return run
+
+    with contextlib.ExitStack() as stack:
+        for name, (kind, margin) in _PROBES.items():
+            stack.enter_context(mock.patch.object(numerics, name, probed(getattr(numerics, name), kind, margin)))
         build_scalar()
-    for kind, value in margins:
-        if kind == "kink" and value < KINK_MARGIN_STEPS * step:
-            return False
-        if kind == "norm" and value < MIN_NORM:
-            return False
-    return True
-
-
-def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = ERROR_FLOOR) -> np.ndarray:
-    denom = np.maximum(floor, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return np.abs(analytic - numeric) / denom
+    limits = {"kink": KINK_MARGIN_STEPS * step, "norm": MIN_NORM}
+    return all(value >= limits[kind] for kind, value in margins)
 
 
 def max_gradient_error(
@@ -76,7 +102,7 @@ def max_gradient_error(
             f_minus = float(build_scalar().data)
             flat[j] = orig
             numeric = (f_plus - f_minus) / (2.0 * step)
-            worst = max(worst, float(relative_error(a_flat[j], np.float64(numeric))))
+            worst = max(worst, abs(a_flat[j] - numeric) / max(ERROR_FLOOR, abs(a_flat[j]), abs(numeric)))
     return worst
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from guidematch import coarse_matcher as cm
@@ -25,23 +26,7 @@ def _config_hash(path):
     return line
 
 
-def test_eval_pose_is_byte_deterministic(tmp_path):
-    assert run_cli(["synth", "--scenes", "2", "--seed", "5", "--out", str(tmp_path / "scenes")]) == 0
-    checkpoint = tmp_path / "model.gmck"
-    cm.CoarseModel.create(0).save(checkpoint)
-    for variant in ev.POSE_VARIANTS:
-        outputs = []
-        for run in ("first", "second"):
-            out = tmp_path / variant / run
-            argv = ["eval-pose", "--dataset", str(tmp_path / "scenes"), "--variant", variant]
-            argv += ["--checkpoint", str(checkpoint), *_ratio_flags(variant), "--out", str(out)]
-            assert run_cli(argv) == 0, variant
-            outputs.append([(out / name).read_bytes() for name in ("pose_pairs.csv", "pose_summary.csv")])
-        assert outputs[0] == outputs[1], variant
-
-
-def test_eval_pose_is_byte_deterministic_on_repeated_stamps(tmp_path, scenes):
-    scene_root, checkpoint = scenes
+def _assert_eval_pose_deterministic(tmp_path, scene_root, checkpoint):
     for variant in ev.POSE_VARIANTS:
         outputs = []
         for run in ("first", "second"):
@@ -51,6 +36,16 @@ def test_eval_pose_is_byte_deterministic_on_repeated_stamps(tmp_path, scenes):
             assert run_cli(argv) == 0, variant
             outputs.append([(out / name).read_bytes() for name in ("pose_pairs.csv", "pose_summary.csv")])
         assert outputs[0] == outputs[1], variant
+
+
+def test_eval_pose_is_byte_deterministic(tmp_path):
+    assert run_cli(["synth", "--scenes", "2", "--seed", "5", "--out", str(tmp_path / "scenes")]) == 0
+    cm.CoarseModel.create(0).save(tmp_path / "model.gmck")
+    _assert_eval_pose_deterministic(tmp_path, tmp_path / "scenes", tmp_path / "model.gmck")
+
+
+def test_eval_pose_is_byte_deterministic_on_repeated_stamps(tmp_path, scenes):
+    _assert_eval_pose_deterministic(tmp_path, *scenes)
 
 
 @pytest.mark.parametrize("variant", ev.POSE_VARIANTS)
@@ -93,11 +88,58 @@ def test_unknown_variant_is_a_usage_error(tmp_path, scenes, command):
         (["--max-keypoints", "0"], "--max-keypoints must be at least 1"),
         (["--variant", "raw", "--ratio", "0.9"], "raw variant takes no --ratio"),
         (["--variant", "mutual", "--ratio", "0.9"], "mutual variant takes no --ratio"),
+        (["--window", "0"], "--window must be > 0"),
+        (["--window", "nan"], "--window must be > 0"),
+        (["--band", "0"], "--band must be > 0"),
+        (["--band", "-2"], "--band must be > 0"),
     ],
 )
 def test_bad_matching_setting_is_a_usage_error(tmp_path, scenes, command, flags, message, capsys):
     assert run_cli(_matching_argv(command, scenes[0], tmp_path / "out") + flags) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("eval-pose", ["--ransac-thresholds", "abc"], "--ransac-thresholds must be comma-separated numbers"),
+        ("eval-pose", ["--pose-thresholds", "0,10"], "--pose-thresholds values must be finite and > 0"),
+        ("eval-pose", ["--keypoint-noise", "-1"], "--keypoint-noise must be finite and >= 0"),
+        ("eval-pose", ["--descriptor-corruption", "1.5"], "--descriptor-corruption must be in [0, 1]"),
+        ("eval-pck", ["--thresholds", "8,-16"], "--thresholds values must be finite and > 0"),
+    ],
+)
+def test_bad_eval_setting_is_a_usage_error(tmp_path, scenes, command, flags, message, capsys):
+    scene_root, checkpoint = scenes
+    argv = [command, "--dataset", str(scene_root), "--out", str(tmp_path / "out")]
+    if command == "eval-pck":
+        argv += ["--checkpoint", str(checkpoint)]
+    assert run_cli(argv + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_infinite_window_and_band_are_accepted(tmp_path, scenes):
+    # an infinite band is raw matching; model-guided ignores the window
+    argv = ["match", "--scene-dir", str(scenes[0] / "scene_0000"), "--out"]
+    assert run_cli(argv + [str(tmp_path / "a"), "--variant", "mutual"]) == 0
+    assert run_cli(argv + [str(tmp_path / "b"), "--variant", "model-guided", "--band", "inf", "--window", "inf"]) == 0
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+def test_non_finite_checkpoint_fails_naming_the_coarse_scores(tmp_path, scenes, capsys):
+    scene_root, checkpoint = scenes
+    model = cm.CoarseModel.load(checkpoint)
+    model.cons_filter.weights[0].data[0, 0, 1, 1, 1, 1] = np.nan
+    model.save(tmp_path / "nan.gmck")
+    image = np.random.default_rng(0).random((64, 64))
+    with pytest.raises(ValueError, match="non-finite coarse scores"):
+        cm.compute_match_fields(cm.CoarseModel.load(tmp_path / "nan.gmck"), image, image, 64)
+    out = ["--dataset", str(scene_root), "--checkpoint", str(tmp_path / "nan.gmck"), "--out", str(tmp_path / "out")]
+    for argv in (["eval-pck", *out], ["eval-pose", *out, "--variant", "guided"]):
+        assert run_cli(argv) == 2, argv[0]
+        assert "non-finite coarse scores" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

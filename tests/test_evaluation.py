@@ -19,11 +19,12 @@ class TestEvalPoseFailures:
         report = ev.eval_pose(scenes, "guided", model=cm.CoarseModel.create(0), keypoint_noise_px=8.0, seed=0)
         assert any(row["n_matches"] > 0 for row in report.rows)
 
-    def test_matching_error_scores_as_pose_failure(self):
-        def no_matches(scene, feats):
+    def test_matching_error_scores_as_pose_failure(self, monkeypatch):
+        def no_matches(*args, **kwargs):
             raise km.MatchingError("nothing to match")
 
-        report = ev.eval_pose([generate_scene(SceneConfig(), 0)], no_matches, keypoint_source="gt")
+        monkeypatch.setattr(km, "match_raw", no_matches)
+        report = ev.eval_pose([generate_scene(SceneConfig(), 0)], "raw", keypoint_source="gt")
         (row,) = report.rows
         assert row["n_matches"] == 0 and math.isinf(row["pose_err_deg"]) and not row["fm_correct"]
 

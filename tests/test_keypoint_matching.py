@@ -177,7 +177,7 @@ class TestDescribe:
         on_first = np.nonzero(np.all(np.abs(kps.xy - 30) < 9, axis=1))[0]
         assert len(on_first), "no keypoints on the first stamp"
         k = kps.xy[on_first[0]]
-        desc = km.describe(img, _keypoints([k, k + 65.0]), patch=13)
+        desc = km.describe(img, _keypoints([k, k + 65.0]))
         assert np.linalg.norm(desc.vectors[0] - desc.vectors[1]) < 1e-6
 
     def test_constant_patch_zero_vector(self):
@@ -418,7 +418,7 @@ class TestModelGuided:
         wrong = FundamentalMatrix.from_array(
             np.array([[0, 0, 0], [0, 0, -1.0], [1e-3, 1.0, -60.0]])
         )
-        bad = km.match_model_guided(ka, da, kb, db, band_px=3.0, model_override=wrong)
+        bad = km.match_epipolar_band(ka, da, kb, db, wrong, 3.0)
 
         def precision(ms):
             if not len(ms):
@@ -535,7 +535,7 @@ class TestMaskedMatcherOracles:
         desc_a = _descriptors(data.draw, pool, len(pts_a))
         desc_b = _descriptors(data.draw, pool, len(pts_b))
         kps_a, kps_b = _keypoints(pts_a), _keypoints(pts_b)
-        ms = km.match_model_guided(kps_a, desc_a, kps_b, desc_b, band, model_override=fmat)
+        ms = km.match_epipolar_band(kps_a, desc_a, kps_b, desc_b, fmat, band)
         ref = oracles.epipolar_band_match_loop(
             fmat.matrix, kps_a.xy, kps_b.xy, desc_a.vectors, desc_b.vectors, band
         )

@@ -33,11 +33,6 @@ N_GRAD_SEEDS = 20
 GRAD_TOL = 1e-4
 
 
-def weighted_sum(t, rng):
-    w = rng.standard_normal(t.shape)
-    return (t * w).sum(), w
-
-
 class TestConv2d:
     def test_pointwise_scaling(self):
         x = Tensor(np.arange(9, dtype=float).reshape(1, 3, 3))
@@ -470,11 +465,10 @@ class TestCheckpoint:
 
 _LOSS_CASE_DIGEST = """
 import hashlib
-from guidematch import supervision
-from test_supervision import _loss_case
+from test_supervision import OBJECTIVES, _loss_case
 h = hashlib.sha256()
-for mode in supervision.MODES:
-    f, params = _loss_case(mode, 0)
+for objective in OBJECTIVES:
+    f, params = _loss_case(objective, 0)
     for p in params:
         h.update(p.data.tobytes())
     h.update(repr(f().item()).encode())

@@ -13,6 +13,7 @@ from gradcheck import max_gradient_error, sample_coords, well_conditioned
 
 
 def volume_from_scores(s, stride=16):
+    """A volume whose filtered scores are ``s``, with its two softmaxes."""
     ha, wa, hb, wb = s.shape
     filtered = Tensor(s)
     return cm.CorrelationVolume(
@@ -380,11 +381,16 @@ class TestTraining:
             sup.TrainConfig.from_file(cfg_path, dataset_dir="d", out_dir="o")
 
 
-def _loss_case(mode, seed):
-    """``pair_loss`` of one mode as a function of a tiny model's parameters:
-    a random 48x48 pair, a perturbed rectified F and a permutation of the
-    3x3 cell centres as ground truth."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, sup.MODES.index(mode)]))
+# the three losses, and "volume": prob_ab weighted by a random array, which
+# checks the forward pass with no loss's max or mask after it
+OBJECTIVES = (*sup.MODES, "volume")
+
+
+def _loss_case(objective, seed):
+    """One objective of ``OBJECTIVES`` as a function of a tiny model's
+    parameters: a random 48x48 pair, a perturbed rectified F and a
+    permutation of the 3x3 cell centres as ground truth."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, OBJECTIVES.index(objective)]))
     model = cm.CoarseModel.create(seed, backbone_channels=(3, 4, 4, 4), filter_hidden=(2,))
     # the zero output head would make untrained scores uniform (argmax ties);
     # give it generic weights so the losses are checked at a generic point
@@ -401,16 +407,18 @@ def _loss_case(mode, seed):
     perm = rng.permutation(9)
     jitter = rng.uniform(-5, 5, (9, 2))
     gt = np.column_stack([centers + jitter, centers[perm] + rng.uniform(-5, 5, (9, 2))])
-    pair = {
-        "image": sup.TrainingPair(img_a, img_b, 1, fundamental=fund, gt_matches=gt),
-        "epipolar": sup.TrainingPair(img_a, img_b, 1, fundamental=fund),
-        "point": sup.TrainingPair(img_a, img_b, 1, fundamental=fund, gt_matches=gt),
-    }[mode]
+    if objective == "volume":
+        weights = rng.standard_normal((3, 3, 3, 3))
+        return (lambda: (cm.compute_volume(model, img_a, img_b).prob_ab * weights).sum()), model.parameters()
+    pair = sup.TrainingPair(img_a, img_b, 1, fundamental=fund, gt_matches=None if objective == "epipolar" else gt)
+    return (lambda: sup.pair_loss(model, pair, objective, lambda_px=16.0)), model.parameters()
 
-    def f():
-        return sup.pair_loss(model, pair, mode, lambda_px=16.0)
 
-    return f, model.parameters()
+def _first_well_conditioned(objective, limit=50):
+    """The case of the lowest seed below ``limit`` whose forward pass is well conditioned."""
+    seed = next((s for s in range(limit) if well_conditioned(_loss_case(objective, s)[0])), None)
+    assert seed is not None, f"no well-conditioned {objective} seed below {limit}"
+    return seed, _loss_case(objective, seed)
 
 
 N_LOSS_SEEDS = 20
@@ -436,6 +444,5 @@ class TestLossGradients:
         assert worst < 1e-4
 
     def test_every_coordinate_epipolar(self):
-        seed = next((s for s in range(50) if well_conditioned(_loss_case("epipolar", s)[0])), None)
-        assert seed is not None, "no well-conditioned seed"
-        assert max_gradient_error(*_loss_case("epipolar", seed)) < 1e-4
+        _, case = _first_well_conditioned("epipolar")
+        assert max_gradient_error(*case) < 1e-4
