@@ -165,9 +165,17 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _load_model(path, max_side: int) -> cm.CoarseModel:
+    """The checkpoint's model; a --max-side below its stride is a usage error."""
+    model = cm.CoarseModel.load(path)
+    if max_side < model.stride:
+        raise UsageError(f"--max-side must be at least the model stride {model.stride}, got {max_side}")
+    return model
+
+
 def _cmd_coarse_match(args) -> int:
     out = _require_out(args)
-    model = cm.CoarseModel.load(args.checkpoint)
+    model = _load_model(args.checkpoint, args.max_side)
     scene = load_scene(args.scene_dir)
     ab, ba = cm.compute_match_fields(model, scene.image_a, scene.image_b, args.max_side)
     field = ab if args.direction == "AB" else ba
@@ -187,10 +195,10 @@ def _matching(args) -> tuple[cm.CoarseModel | None, dict]:
         raise UsageError(f"{args.variant} variant takes no --ratio; use ratio or ratio+mutual")
     if args.max_keypoints < 1:
         raise UsageError(f"--max-keypoints must be at least 1, got {args.max_keypoints}")
-    for flag, value in (("--window", args.window), ("--band", args.band)):
-        if not value > 0:  # inf (raw matching) passes, nan does not
+    for flag, value in (("--window", args.window), ("--band", args.band), ("--ratio", args.ratio)):
+        if value is not None and not value > 0:  # inf (raw matching) passes, nan does not
             raise UsageError(f"{flag} must be > 0, got {value:g}")
-    model = cm.CoarseModel.load(args.checkpoint) if args.checkpoint else None
+    model = _load_model(args.checkpoint, args.max_side) if args.checkpoint else None
     return model, dict(window_px=args.window, ratio=args.ratio, band_px=args.band, max_side=args.max_side)
 
 
@@ -209,7 +217,7 @@ def _cmd_match(args) -> int:
 def _cmd_eval_pck(args) -> int:
     out = _require_out(args)
     thresholds = _thresholds(args.thresholds, "--thresholds")
-    model = cm.CoarseModel.load(args.checkpoint)
+    model = _load_model(args.checkpoint, args.max_side)
     scenes = load_scene_dir(args.dataset)
     meta = {
         "checkpoint": Path(args.checkpoint).name,

@@ -11,7 +11,12 @@ coarse match field.
 The forward pass is four pure stages, ``extract_features``, ``correlate``,
 ``filter_symmetric`` and ``normalize_scores``; ``compute_volume`` runs them
 and returns one immutable ``CorrelationVolume``, which the supervision
-losses and ``extract_matches`` read.
+losses and ``extract_matches`` read. Every stage takes a batch: N pairs
+whose A images share one shape and whose B images share one shape, given
+as (N, H, W) image stacks. Feature maps are (C, N, H/s, W/s) and volumes
+(N, Ha, Wa, Hb, Wb); each layer runs the whole batch in one call, and a
+pair's scores do not depend on the batch it ran in. Evaluation runs one
+pair, N = 1.
 """
 
 from __future__ import annotations
@@ -75,8 +80,9 @@ class Backbone:
             out.extend([w, b])
         return out
 
-    def forward(self, image: np.ndarray) -> Tensor:
-        x = Tensor(image[None])
+    def forward(self, images: np.ndarray) -> Tensor:
+        """(N, H, W) images to a (C, N, H/s, W/s) feature map, one conv2d call per block."""
+        x = Tensor(images[None])
         for w, b in zip(self.weights, self.biases):
             x = numerics.leaky_relu(numerics.conv2d(x, w, b, stride=2, zero_pad=1), LEAKY_SLOPE)
         return x
@@ -120,25 +126,31 @@ class ConsensusFilter:
         return out + [self.weights[-1]]
 
     def forward(self, volume: Tensor) -> Tensor:
-        """Apply to a (Ha, Wa, Hb, Wb) volume, preserving its shape."""
-        spatial = volume.shape
-        x = volume.reshape((1, *spatial))
+        """Apply to an (N, Ha, Wa, Hb, Wb) stack of volumes, preserving its shape.
+
+        The single input and output channel make the stack the (1, N, ...)
+        input of ``conv4d`` by a free reshape: one call per layer for the
+        whole batch.
+        """
+        shape = volume.shape
+        x = volume.reshape((1, *shape))
         for w, b in zip(self.weights[:-1], self.biases):
             x = numerics.leaky_relu(numerics.conv4d(x, w, b), LEAKY_SLOPE)
-        return numerics.conv4d(x, self.weights[-1], self.output_bias).reshape(spatial)
+        return numerics.conv4d(x, self.weights[-1], self.output_bias).reshape(shape)
 
 
 @dataclass(frozen=True)
 class CorrelationVolume:
-    """Filtered correlation scores of one image pair and their two softmaxes.
+    """Filtered correlation scores of a batch of N image pairs and their two softmaxes.
 
     Built whole by ``compute_volume``; every grid cell covers ``stride``
-    pixels in both images.
+    pixels in both images. Axis 0 is the pair; all A images of the batch
+    have one size, and so have all B images.
     """
 
-    filtered: Tensor  # (Ha, Wa, Hb, Wb)
-    prob_ab: Tensor  # softmax over the B dimensions
-    prob_ba: Tensor  # softmax over the A dimensions
+    filtered: Tensor  # (N, Ha, Wa, Hb, Wb)
+    prob_ab: Tensor  # softmax over the B dimensions (3, 4)
+    prob_ba: Tensor  # softmax over the A dimensions (1, 2)
     stride: int
     image_size_a: tuple[int, int]
     image_size_b: tuple[int, int]
@@ -189,36 +201,48 @@ def resize_image(image: np.ndarray, max_side: int, stride: int) -> tuple[np.ndar
     return resize_bilinear(image, ht, wt), (wt / w, ht / h)
 
 
-def extract_features(backbone: Backbone, image: np.ndarray) -> Tensor:
-    """Backbone forward pass followed by per-cell L2 normalization: (C, H/s, W/s)."""
-    h, w = image.shape
+def extract_features(backbone: Backbone, images: np.ndarray) -> Tensor:
+    """Backbone forward pass of (N, H, W) images followed by per-cell L2
+    normalization: (C, N, H/s, W/s)."""
+    if images.ndim != 3:
+        raise ValueError(f"extract_features expects an (N, H, W) image stack, got shape {images.shape}")
+    h, w = images.shape[1:]
     s = backbone.stride
     if h % s or w % s:
         raise ValueError(
             f"image size {h}x{w} is not a multiple of the backbone stride {s}; "
             "resize it first (see resize_image)"
         )
-    return numerics.l2_normalize_channels(backbone.forward(image), NORM_EPS)
+    return numerics.l2_normalize_channels(backbone.forward(images), NORM_EPS)
 
 
 def correlate(fa: Tensor, fb: Tensor) -> Tensor:
-    """Dense dot products between every cell of A and every cell of B."""
-    ca, ha, wa = fa.shape
-    cb, hb, wb = fb.shape
+    """Dense dot products between every cell of A and every cell of B, per pair.
+
+    (C, N, Ha, Wa) and (C, N, Hb, Wb) feature maps give an (N, Ha, Wa, Hb, Wb)
+    volume: one stacked matrix product, one GEMM per pair.
+    """
+    ca, n, ha, wa = fa.shape
+    cb, nb, hb, wb = fb.shape
     if ca != cb:
         raise ValueError(f"channel mismatch: {ca} vs {cb}")
-    left = fa.reshape((ca, ha * wa)).transpose((1, 0))
-    right = fb.reshape((cb, hb * wb))
-    return numerics.matmul(left, right).reshape((ha, wa, hb, wb))
+    if n != nb:
+        raise ValueError(f"batch mismatch: {n} A maps vs {nb} B maps")
+    left = fa.reshape((ca, n, ha * wa)).transpose((1, 2, 0))
+    right = fb.reshape((cb, n, hb * wb)).transpose((1, 0, 2))
+    return numerics.matmul(left, right).reshape((n, ha, wa, hb, wb))
 
 
-_SWAP_AB = (2, 3, 0, 1)
+# swaps the A and B axes of an (N, Ha, Wa, Hb, Wb) volume
+_SWAP_AB = (0, 3, 4, 1, 2)
 
 
 def filter_symmetric(cons: ConsensusFilter, raw: Tensor) -> Tensor:
     """Run the consensus filter in both image orders and average.
 
-    Guarantees filtered(A,B)[i,j,k,l] == filtered(B,A)[k,l,i,j].
+    Guarantees filtered(A,B)[n,i,j,k,l] == filtered(B,A)[n,k,l,i,j]. The two
+    orders stay two passes over the batch: stacking them into one call would
+    double the filter's working set.
     """
     direct = cons.forward(raw)
     swapped = cons.forward(raw.transpose(_SWAP_AB)).transpose(_SWAP_AB)
@@ -226,22 +250,24 @@ def filter_symmetric(cons: ConsensusFilter, raw: Tensor) -> Tensor:
 
 
 def normalize_scores(filtered: Tensor) -> tuple[Tensor, Tensor]:
-    """Softmax over the B dimensions and over the A dimensions: (prob_ab, prob_ba)."""
-    return numerics.softmax_over(filtered, (2, 3)), numerics.softmax_over(filtered, (0, 1))
+    """Softmax over the B dimensions and over the A dimensions of an
+    (N, Ha, Wa, Hb, Wb) volume: (prob_ab, prob_ba)."""
+    return numerics.softmax_over(filtered, (3, 4)), numerics.softmax_over(filtered, (1, 2))
 
 
-def extract_matches(vol: CorrelationVolume, direction: str = "AB") -> CoarseMatchField:
-    """Argmax over the target image's grid; ties go to the lowest linear index.
+def extract_matches(vol: CorrelationVolume, direction: str = "AB", pair: int = 0) -> CoarseMatchField:
+    """Argmax over the target image's grid for pair ``pair`` of the batch;
+    ties go to the lowest linear index.
 
     "BA" runs the same rule on the transposed scores. The softmax preserves
     per-slice argmaxes, so extracting from the raw filtered scores and from
     the normalized ones is equivalent.
     """
-    s = vol.filtered.data
+    s = vol.filtered.data[pair]
     if direction == "AB":
         sizes = vol.image_size_a, vol.image_size_b
     elif direction == "BA":
-        s = s.transpose(_SWAP_AB)
+        s = s.transpose(2, 3, 0, 1)
         sizes = vol.image_size_b, vol.image_size_a
     else:
         raise ValueError(f"direction must be 'AB' or 'BA', got {direction!r}")
@@ -358,12 +384,15 @@ class CoarseModel:
         return model
 
 
-def compute_volume(model: CoarseModel, image_a: np.ndarray, image_b: np.ndarray) -> CorrelationVolume:
-    """Full forward pass: features, correlation, symmetric filter, softmax."""
-    fa = extract_features(model.backbone, image_a)
-    fb = extract_features(model.backbone, image_b)
+def compute_volume(model: CoarseModel, images_a: np.ndarray, images_b: np.ndarray) -> CorrelationVolume:
+    """Full forward pass of (N, H, W) image stacks, pair n being
+    (images_a[n], images_b[n]): features, correlation, symmetric filter, softmax."""
+    fa = extract_features(model.backbone, images_a)
+    fb = extract_features(model.backbone, images_b)
     filtered = filter_symmetric(model.cons_filter, correlate(fa, fb))
-    return CorrelationVolume(filtered, *normalize_scores(filtered), model.stride, image_a.shape, image_b.shape)
+    return CorrelationVolume(
+        filtered, *normalize_scores(filtered), model.stride, images_a.shape[1:], images_b.shape[1:]
+    )
 
 
 def compute_match_fields(
@@ -374,7 +403,7 @@ def compute_match_fields(
     model: non-finite filtered scores, say from a broken checkpoint, raise ``ValueError``."""
     image_a, scale_a = resize_image(image_a, max_side, model.stride)
     image_b, scale_b = resize_image(image_b, max_side, model.stride)
-    vol = compute_volume(model, image_a, image_b)
+    vol = compute_volume(model, image_a[None], image_b[None])
     if not np.isfinite(vol.filtered.data).all():
         raise ValueError("the coarse model produced non-finite coarse scores")
     ab = extract_matches(vol, "AB")

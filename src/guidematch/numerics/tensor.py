@@ -46,9 +46,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
@@ -227,14 +224,34 @@ def _tap_slice(offset: int, count: int, stride: int) -> slice:
 # -- convolution -----------------------------------------------------------
 
 
+def _per_sample_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(M, K) @ (N, K, P) as one product per sample: (N, M, P).
+
+    Each sample gets the BLAS call it would get alone, so its rounding does
+    not depend on N. With K = 1 the products are exact in any routine, and
+    numpy's stacked product runs that case without BLAS, so a broadcast
+    multiply takes its place.
+    """
+    if a.shape[1] == 1:
+        return a * b
+    return np.matmul(a, b)
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, zero_pad: int = 0) -> Tensor:
-    """Cross-correlate a (C_in, H, W) map with a (C_out, C_in, kh, kw) kernel.
+    """Cross-correlate a (C_in, N, H, W) stack of N maps with a (C_out, C_in, kh, kw) kernel.
 
     Zero padding, square stride; kernel spatial dims must be odd. Output is
-    (C_out, H', W') with H' = floor((H + 2*pad - kh) / stride) + 1.
+    (C_out, N, H', W') with H' = floor((H + 2*pad - kh) / stride) + 1.
+    Each tap multiplies the (C_out, C_in) tap matrix with every sample's
+    (C_in, H'*W') slab in one call (``_per_sample_product``), so each sample
+    gets the BLAS call it would get alone; one GEMM over all samples would
+    not, since a sample whose output is one cell alone takes the
+    matrix-vector routine, which rounds differently. So sample n's output
+    and input gradient do not depend on N. The kernel gradient sums over
+    the batch inside one GEMM per tap.
     """
-    if x.ndim != 3:
-        raise ValueError(f"conv2d input must be 3-d (C,H,W), got shape {x.shape}")
+    if x.ndim != 4:
+        raise ValueError(f"conv2d input must be 4-d (C,N,H,W), got shape {x.shape}")
     if kernel.ndim != 4:
         raise ValueError(f"conv2d kernel must be 4-d, got shape {kernel.shape}")
     c_out, c_in, kh, kw = kernel.shape
@@ -248,43 +265,55 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, zero_pad: i
         )
     if bias.shape != (c_out,):
         raise ValueError(f"conv2d bias must have shape ({c_out},), got {bias.shape}")
-    _, h, w = x.shape
+    _, n, h, w = x.shape
     p = int(zero_pad)
     ho = (h + 2 * p - kh) // stride + 1
     wo = (w + 2 * p - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ValueError(f"conv2d kernel {kh}x{kw} larger than padded input {h + 2 * p}x{w + 2 * p}")
 
-    xp = np.pad(x.data, ((0, 0), (p, p), (p, p))) if p else x.data
-    out = np.repeat(bias.data[:, None, None], ho, axis=1).repeat(wo, axis=2)
+    # sample-major views: (N, C, ...) slabs feed the stacked products
+    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+    xpn = xp.transpose(1, 0, 2, 3)
     kd = kernel.data
+    taps = np.ascontiguousarray(kd.transpose(2, 3, 0, 1))  # (kh, kw, C_out, C_in)
+    outn = np.empty((n, c_out, ho * wo))
+    outn[:] = bias.data[:, None]
     for dy in range(kh):
         ys = _tap_slice(dy, ho, stride)
         for dx in range(kw):
             xs = _tap_slice(dx, wo, stride)
-            out += np.tensordot(kd[:, :, dy, dx], xp[:, ys, xs], axes=([1], [0]))
+            # a copy even for a one-cell output, whose strided view would
+            # hand BLAS a vector stride that depends on N
+            slabs = np.ascontiguousarray(xpn[:, :, ys, xs]).reshape(n, c_in, ho * wo)
+            outn += _per_sample_product(taps[dy, dx], slabs)
+    out = np.ascontiguousarray(outn.reshape(n, c_out, ho, wo).transpose(1, 0, 2, 3))
 
     def bwd(g):
         if bias.requires_grad:
-            bias._acc(g.sum(axis=(1, 2)))
+            bias._acc(g.sum(axis=(1, 2, 3)))
         need_k = kernel.requires_grad
         need_x = x.requires_grad
         if not (need_k or need_x):
             return
         gk = np.zeros_like(kd) if need_k else None
-        gp = np.zeros_like(xp) if need_x else None
+        if need_x:
+            gn = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(n, c_out, ho * wo)
+            taps_t = np.ascontiguousarray(kd.transpose(2, 3, 1, 0))  # (kh, kw, C_in, C_out)
+            gpn = np.zeros((n, c_in) + xp.shape[2:])
         for dy in range(kh):
             ys = _tap_slice(dy, ho, stride)
             for dx in range(kw):
                 xs = _tap_slice(dx, wo, stride)
                 if need_k:
-                    gk[:, :, dy, dx] = np.tensordot(g, xp[:, ys, xs], axes=([1, 2], [1, 2]))
+                    gk[:, :, dy, dx] = np.tensordot(g, xp[:, :, ys, xs], axes=([1, 2, 3], [1, 2, 3]))
                 if need_x:
-                    gp[:, ys, xs] += np.tensordot(kd[:, :, dy, dx], g, axes=([0], [0]))
+                    gpn[:, :, ys, xs] += _per_sample_product(taps_t[dy, dx], gn).reshape(n, c_in, ho, wo)
         if need_k:
             kernel._acc(gk)
         if need_x:
-            x._acc(gp[:, p : p + h, p : p + w] if p else gp)
+            gp = gpn.transpose(1, 0, 2, 3)
+            x._acc(gp[:, :, p : p + h, p : p + w] if p else gp)
 
     return _make(out, (x, kernel, bias), bwd)
 
@@ -299,65 +328,75 @@ def _shifted(tap: int, n: int) -> tuple[slice, slice]:
 
 
 def _a_row_columns(x: np.ndarray):
-    """Yield ``(i, cols)`` for every A-row ``i`` of a (C, Ha, Wa, Hb, Wb) array.
+    """Yield ``(i, cols)`` for every A-row ``i`` of a (C, N, Ha, Wa, Hb, Wb) array.
 
-    ``cols`` has shape (9*C, (Wa+2)*Hb*Wb): row ``(dc*3 + dd)*C + c`` and
-    column ``(w, k, l)`` hold ``xp[c, i + 1, w, k + dc, l + dd]``, where
+    ``cols`` has shape (9*C, N*(Wa+2)*Hb*Wb): row ``(dc*3 + dd)*C + c`` and
+    column ``(n, w, k, l)`` hold ``xp[c, n, i + 1, w, k + dc, l + dd]``, where
     ``xp`` is ``x`` zero-padded by one on the four spatial axes. The B-taps
     and channels are unrolled; the Wa axis keeps its padding so that an A-tap
-    ``db`` is the column slice ``w in [db, db + Wa)``. One buffer is reused
-    for every row, so a caller must consume it before the next one.
+    ``db`` is the slice ``w in [db, db + Wa)`` of every sample's columns. So
+    one buffer, filled by nine slab copies, covers the whole batch, and one
+    matrix product per A-row serves all N samples. It is reused for every
+    row, so a caller must consume it before the next one.
     """
-    c, ha, wa, hb, wb = x.shape
-    cols = np.zeros((3, 3, c, wa + 2, hb, wb))
+    c, n, ha, wa, hb, wb = x.shape
+    cols = np.zeros((3, 3, c, n, wa + 2, hb, wb))
     shifts = [(dc, dd, _shifted(dc, hb), _shifted(dd, wb)) for dc in range(3) for dd in range(3)]
     for i in range(ha):
-        row = x[:, i]
+        row = x[:, :, i]
         for dc, dd, (dst_k, src_k), (dst_l, src_l) in shifts:
-            cols[dc, dd, :, 1 : wa + 1, dst_k, dst_l] = row[:, :, src_k, src_l]
+            cols[dc, dd, :, :, 1 : wa + 1, dst_k, dst_l] = row[:, :, :, src_k, src_l]
         yield i, cols.reshape(9 * c, -1)
 
 
 def _conv4d_into(out: np.ndarray, x: np.ndarray, kd: np.ndarray) -> None:
-    """Add the zero-padded stride-1 cross-correlation of (C_in, Ha, Wa, Hb, Wb)
-    with (C_out, C_in, 3, 3, 3, 3) to ``out``: one GEMM per A-row.
+    """Add the zero-padded stride-1 cross-correlation of (C_in, N, Ha, Wa, Hb, Wb)
+    with (C_out, C_in, 3, 3, 3, 3) to ``out``: one stacked product per A-row.
 
     The kernel matrix has one (C_out, 9*C_in) block of rows per A-tap
     (da, db). Its product with the columns of input row ``i`` feeds output
-    rows ``i + 1 - da``, shifted by ``db`` along Wa.
+    rows ``i + 1 - da``, shifted by ``db`` along Wa. The product is stacked
+    over the samples, so each sample's columns get the GEMM they would get
+    alone. One GEMM over all samples would not do: BLAS picks its kernels
+    by the column count, and one that handles a sample's last columns as a
+    tail alone and as full blocks in a batch rounds them differently.
     """
     c_out, c_in = kd.shape[:2]
-    _, ha, wa, hb, wb = x.shape
+    _, n, ha, wa, hb, wb = x.shape
+    m = (wa + 2) * hb * wb
     kmat = kd.transpose(2, 3, 0, 4, 5, 1).reshape(9 * c_out, 9 * c_in)
-    prod = np.empty((9 * c_out, (wa + 2) * hb * wb))
-    taps = prod.reshape(3, 3, c_out, wa + 2, hb, wb)
+    prod = np.empty((n, 9 * c_out, m))
+    taps = prod.reshape(n, 3, 3, c_out, wa + 2, hb, wb).transpose(1, 2, 3, 0, 4, 5, 6)
     for i, cols in _a_row_columns(x):
-        np.matmul(kmat, cols, out=prod)
+        np.matmul(kmat, cols.reshape(9 * c_in, n, m).transpose(1, 0, 2), out=prod)
         for da in range(3):
             a = i + 1 - da
             if 0 <= a < ha:
                 for db in range(3):
-                    out[:, a] += taps[da, db, :, db : db + wa]
+                    out[:, :, a] += taps[da, db, :, :, db : db + wa]
 
 
 def conv4d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Cross-correlate a (C_in, Ha, Wa, Hb, Wb) volume with 3^4 kernels.
+    """Cross-correlate a (C_in, N, Ha, Wa, Hb, Wb) stack of N volumes with 3^4 kernels.
 
     Fixed zero padding 1 and stride 1 on all four spatial axes, so the
-    output spatial shape equals the input's.
+    output is (C_out, N, Ha, Wa, Hb, Wb).
 
     For each A-row the 9 B-taps and the input channels are unrolled into a
-    (9*C_in, (Wa+2)*Hb*Wb) column matrix (see ``_a_row_columns``) and
-    multiplied by the kernel reshaped to (9*C_out, 9*C_in), whose 9 row
-    blocks are the A-taps; each block's slice is added to the output row it
-    feeds. The input gradient is the same routine on the output gradient
-    with the kernel flipped on its tap axes and its channel axes swapped.
-    The kernel gradient rebuilds the columns from the input, so the graph
-    keeps no padded copy, and multiplies them by the output-gradient slices
-    laid out like the forward product: one GEMM per A-row again.
+    (9*C_in, N*(Wa+2)*Hb*Wb) column matrix (see ``_a_row_columns``) and
+    multiplied, sample by sample in one stacked product, by the kernel
+    reshaped to (9*C_out, 9*C_in), whose 9 row blocks are the A-taps; each
+    block's slice is added to the output row it feeds. Every sample gets the
+    same BLAS calls and additions as alone, so sample n's output and input
+    gradient do not depend on N. The input gradient is the same routine on
+    the output gradient with the kernel flipped on its tap axes and its
+    channel axes swapped. The kernel gradient rebuilds the columns from the
+    input, so the graph keeps no padded copy, and multiplies them by the
+    output-gradient slices laid out like the forward product: one GEMM per
+    A-row, which also sums over the batch.
     """
-    if x.ndim != 5:
-        raise ValueError(f"conv4d input must be 5-d (C,Ha,Wa,Hb,Wb), got shape {x.shape}")
+    if x.ndim != 6:
+        raise ValueError(f"conv4d input must be 6-d (C,N,Ha,Wa,Hb,Wb), got shape {x.shape}")
     if kernel.ndim != 6 or kernel.shape[2:] != (3, 3, 3, 3):
         raise ValueError(f"conv4d kernel must be (C_out,C_in,3,3,3,3), got shape {kernel.shape}")
     c_out, c_in = kernel.shape[:2]
@@ -367,30 +406,30 @@ def conv4d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         )
     if bias.shape != (c_out,):
         raise ValueError(f"conv4d bias must have shape ({c_out},), got {bias.shape}")
-    spatial = x.shape[1:]
-    if min(spatial) < 1:
-        raise ValueError(f"conv4d spatial extents must be >= 1, got {spatial}")
+    dims = x.shape[1:]  # (N, Ha, Wa, Hb, Wb)
+    if min(dims) < 1:
+        raise ValueError(f"conv4d batch and spatial extents must be >= 1, got {dims}")
 
     kd = kernel.data
-    out = np.empty((c_out,) + spatial)
-    out[:] = bias.data[(slice(None),) + (None,) * 4]
+    out = np.empty((c_out,) + dims)
+    out[:] = bias.data[(slice(None),) + (None,) * 5]
     _conv4d_into(out, x.data, kd)
 
     def bwd(g):
         if bias.requires_grad:
-            bias._acc(g.sum(axis=(1, 2, 3, 4)))
+            bias._acc(g.sum(axis=(1, 2, 3, 4, 5)))
         if kernel.requires_grad:
             # gather, per input row, the output-gradient slices its columns
             # fed: block (da, db) is output row i + 1 - da, shifted by db
-            ha, wa = spatial[:2]
+            n, ha, wa = dims[:3]
             gk = np.zeros((9 * c_out, 9 * c_in))
-            g_taps = np.zeros((3, 3, c_out, wa + 2) + spatial[2:])
+            g_taps = np.zeros((3, 3, c_out, n, wa + 2) + dims[3:])
             for i, cols in _a_row_columns(x.data):
                 for da in range(3):
                     a = i + 1 - da
                     for db in range(3):
                         if 0 <= a < ha:
-                            g_taps[da, db, :, db : db + wa] = g[:, a]
+                            g_taps[da, db, :, :, db : db + wa] = g[:, :, a]
                         else:
                             g_taps[da, db] = 0.0
                 gk += g_taps.reshape(9 * c_out, -1) @ cols.T
@@ -464,14 +503,30 @@ def max_over(x: Tensor, axes) -> Tensor:
     return _make(vals, (x,), bwd)
 
 
+def _sum_channels(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in channel order.
+
+    numpy's reduction adds the channels in this order too, except when the
+    other axes hold one element: then it sums pairwise, so a one-cell map's
+    norm would depend on the batch it runs in.
+    """
+    out = a[0].copy()
+    for plane in a[1:]:
+        out += plane
+    return out
+
+
 def l2_normalize_channels(x: Tensor, eps: float = 1e-8) -> Tensor:
-    """Divide each (h, w) channel vector of a (C, H, W) map by max(norm, eps)."""
-    if x.ndim != 3:
-        raise ValueError(f"l2_normalize_channels expects (C,H,W), got shape {x.shape}")
+    """Divide each channel vector of a (C, N, H, W) map by max(norm, eps).
+
+    The channels are axis 0; any layout of the other axes works the same.
+    """
+    if x.ndim < 2:
+        raise ValueError(f"l2_normalize_channels expects channels on axis 0 of a (C,N,H,W) map, got shape {x.shape}")
     if eps <= 0:
         raise ValueError("eps must be > 0")
     d = x.data
-    norm = np.sqrt((d * d).sum(axis=0))
+    norm = np.sqrt(_sum_channels(d * d))
     denom = np.maximum(norm, eps)
     inv = 1.0 / denom
     y = d * inv
@@ -480,23 +535,26 @@ def l2_normalize_channels(x: Tensor, eps: float = 1e-8) -> Tensor:
         if x.requires_grad:
             gx = g * inv
             live = norm >= eps
-            gx -= d * (((d * g).sum(axis=0) * inv**3) * live)
+            gx -= d * ((_sum_channels(d * g) * inv**3) * live)
             x._acc(gx)
 
     return _make(y, (x,), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """One matrix product per entry of (B, m, k) @ (B, k, n) stacks: (B, m, n)."""
+    if a.ndim != 3 or b.ndim != 3:
+        raise ValueError(f"matmul expects two 3-d stacks, got {a.shape} and {b.shape}")
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"matmul stack sizes disagree: {a.shape} @ {b.shape}")
+    if a.shape[2] != b.shape[1]:
         raise ValueError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    out = np.matmul(a.data, b.data)
 
     def bwd(g):
         if a.requires_grad:
-            a._acc(g @ b.data.T)
+            a._acc(np.matmul(g, b.data.transpose(0, 2, 1)))
         if b.requires_grad:
-            b._acc(a.data.T @ g)
+            b._acc(np.matmul(a.data.transpose(0, 2, 1), g))
 
     return _make(out, (a, b), bwd)

@@ -7,10 +7,15 @@ source cells into geometrically consistent and inconsistent sets using the
 pair's fundamental matrix and pushes the two groups in opposite directions,
 with the inconsistent term halved so negative-only pairs stay balanced.
 Point supervision maximizes the score of the known ground-truth target
-cells. Every loss reads one ``coarse_matcher.CorrelationVolume`` and is
-evaluated in both matching directions and summed. Labels are computed on
-cell centers in resized pixels at the volume's one stride, so fundamental
-matrices and ground-truth matches must be in that frame.
+cells. Every loss reads one batched ``coarse_matcher.CorrelationVolume``
+plus one label, fundamental matrix or cell mask per pair, is evaluated in
+both matching directions, and returns the batch's summed loss as weighted
+sums over the (N, Ha, Wa) and (N, Hb, Wb) per-cell maxima, so a step's
+graph has a fixed number of nodes whatever the batch size. ``total_loss``
+groups a batch's pairs by image shapes and runs each group through the
+model as one batch. Labels are computed on cell centers in resized pixels
+at the volume's one stride, so fundamental matrices and ground-truth
+matches must be in that frame.
 """
 
 from __future__ import annotations
@@ -55,53 +60,68 @@ def _label_direction(scores: np.ndarray, F: FundamentalMatrix, lambda_px: float,
     return (epipolar_distances(F, src, tgt) < lambda_px).reshape(hs, ws)
 
 
-def loss_image(vol: cm.CorrelationVolume, label: int) -> Tensor:
-    """Sharpen (label +1) or flatten (label -1) the per-cell maxima, both directions."""
-    if label not in (-1, 1):
-        raise ValueError(f"label must be +1 or -1, got {label}")
-    max_ab = numerics.max_over(vol.prob_ab, (2, 3))
-    max_ba = numerics.max_over(vol.prob_ba, (0, 1))
-    return (max_ab.sum() + max_ba.sum()) * float(-label)
+def _weighted_sum(maxima: Tensor, weights: np.ndarray) -> Tensor:
+    """sum over pairs and cells of ``weights * maxima``; ``weights`` has one
+    entry per pair, or one per cell like ``maxima``."""
+    weights = np.asarray(weights, dtype=np.float64)
+    weights = weights.reshape(weights.shape + (1,) * (maxima.ndim - weights.ndim))
+    return (maxima * np.broadcast_to(weights, maxima.shape)).sum()
 
 
-def _epipolar_direction(max_t: Tensor, positive: np.ndarray | None) -> Tensor:
-    n_cells = max_t.size
-    if positive is None:
-        return max_t.sum() * (0.5 / n_cells)
+def _maxima(vol: cm.CorrelationVolume) -> tuple[Tensor, Tensor]:
+    """Per source cell, the best match probability: (N, Ha, Wa) and (N, Hb, Wb)."""
+    return numerics.max_over(vol.prob_ab, (3, 4)), numerics.max_over(vol.prob_ba, (1, 2))
+
+
+def loss_image(vol: cm.CorrelationVolume, labels) -> Tensor:
+    """Sharpen (label +1) or flatten (label -1) each pair's per-cell maxima, both directions."""
+    labels = np.asarray(labels)
+    if labels.shape != vol.filtered.shape[:1] or not np.isin(labels, (-1, 1)).all():
+        raise ValueError(f"labels must be one +1 or -1 per pair, got {labels.tolist()}")
+    max_ab, max_ba = _maxima(vol)
+    return _weighted_sum(max_ab, -labels) + _weighted_sum(max_ba, -labels)
+
+
+def _epipolar_weights(positive: np.ndarray) -> np.ndarray:
+    """One pair's per-cell weights in one direction: consistent cells share
+    -1, inconsistent ones share +0.5 (the halved damping); an empty set
+    contributes zero."""
     n_pos = int(positive.sum())
-    n_neg = n_cells - n_pos
-    total = max_t.sum() * 0.0
-    if n_neg:
-        total = total + (max_t * (~positive).astype(np.float64)).sum() * (0.5 / n_neg)
-    if n_pos:
-        total = total - (max_t * positive.astype(np.float64)).sum() * (1.0 / n_pos)
-    return total
+    n_neg = positive.size - n_pos
+    return np.where(positive, -1.0 / max(n_pos, 1), 0.5 / max(n_neg, 1))
 
 
-def loss_epipolar(vol: cm.CorrelationVolume, F: FundamentalMatrix | None, lambda_px: float) -> Tensor:
+def loss_epipolar(vol: cm.CorrelationVolume, fundamentals, lambda_px: float) -> Tensor:
     """Raise consistent-cell maxima, damp inconsistent ones (halved), both directions.
 
-    F must be in resized pixels (``FRAME_RESIZED``), the frame of the cell
-    centers. For a negative pair (F is None) every cell is inconsistent and
-    only the damping term remains; empty sets contribute zero.
+    ``fundamentals`` holds one F per pair, in resized pixels
+    (``FRAME_RESIZED``), the frame of the cell centers. For a negative pair
+    (F is None) every cell is inconsistent and only the damping term remains.
     """
-    if F is not None and F.frame != FRAME_RESIZED:
-        raise ValueError(
-            f"loss_epipolar expects a fundamental matrix in frame {FRAME_RESIZED!r}, got {F.frame!r}; "
-            "rescale it to the resized image coordinates first"
-        )
-    max_ab = numerics.max_over(vol.prob_ab, (2, 3))
-    max_ba = numerics.max_over(vol.prob_ba, (0, 1))
-    if F is None:
-        return _epipolar_direction(max_ab, None) + _epipolar_direction(max_ba, None)
-    s = vol.filtered.data
-    pos_ab = _label_direction(s, F, lambda_px, vol.stride)
-    pos_ba = _label_direction(s.transpose(2, 3, 0, 1), F.transposed(), lambda_px, vol.stride)
-    return _epipolar_direction(max_ab, pos_ab) + _epipolar_direction(max_ba, pos_ba)
+    if len(fundamentals) != vol.filtered.shape[0]:
+        raise ValueError(f"{len(fundamentals)} fundamental matrices for {vol.filtered.shape[0]} pairs")
+    for F in fundamentals:
+        if F is not None and F.frame != FRAME_RESIZED:
+            raise ValueError(
+                f"loss_epipolar expects a fundamental matrix in frame {FRAME_RESIZED!r}, got {F.frame!r}; "
+                "rescale it to the resized image coordinates first"
+            )
+    max_ab, max_ba = _maxima(vol)
+    w_ab, w_ba = [], []
+    for s, F in zip(vol.filtered.data, fundamentals):
+        if F is None:
+            pos_ab = np.zeros(max_ab.shape[1:], dtype=bool)
+            pos_ba = np.zeros(max_ba.shape[1:], dtype=bool)
+        else:
+            pos_ab = _label_direction(s, F, lambda_px, vol.stride)
+            pos_ba = _label_direction(s.transpose(2, 3, 0, 1), F.transposed(), lambda_px, vol.stride)
+        w_ab.append(_epipolar_weights(pos_ab))
+        w_ba.append(_epipolar_weights(pos_ba))
+    return _weighted_sum(max_ab, np.stack(w_ab)) + _weighted_sum(max_ba, np.stack(w_ba))
 
 
 def build_gt_cells(gt_matches: np.ndarray, stride: int, shape: tuple[int, int, int, int]) -> np.ndarray:
-    """Bool mask of a volume's ``shape``: mask[i, j, k, l] marks a ground-truth cell match.
+    """Bool mask of one pair's volume ``shape``: mask[i, j, k, l] marks a ground-truth cell match.
 
     Pixel matches are quantized to the cells containing them; duplicates collapse.
     """
@@ -123,48 +143,63 @@ def _points_direction(prob: Tensor, mask: np.ndarray, axes: tuple[int, int]) -> 
     # push non-candidate cells far below any probability before taking the max
     shifted = prob * maskf + (maskf - 1.0) * _MASK_PENALTY
     best = numerics.max_over(shifted, axes)
-    return (best * has_gt.astype(np.float64)).sum() * -1.0
+    return _weighted_sum(best, -has_gt.astype(np.float64))
 
 
-def loss_points(vol: cm.CorrelationVolume, mask: np.ndarray) -> Tensor:
+def loss_points(vol: cm.CorrelationVolume, masks: np.ndarray) -> Tensor:
     """Maximize the best ground-truth cell score per source cell, both directions.
 
-    ``mask`` is the ground-truth cell mask of ``build_gt_cells``.
+    ``masks`` stacks one ground-truth cell mask of ``build_gt_cells`` per pair.
     """
-    if not mask.any():
+    if masks.shape != vol.filtered.shape:
+        raise ValueError(f"ground-truth masks of shape {masks.shape} for a volume of shape {vol.filtered.shape}")
+    if not masks.any(axis=(1, 2, 3, 4)).all():
         raise ValueError("all ground-truth cell sets are empty, pair unusable for point supervision")
-    return _points_direction(vol.prob_ab, mask, (2, 3)) + _points_direction(vol.prob_ba, mask, (0, 1))
+    return _points_direction(vol.prob_ab, masks, (3, 4)) + _points_direction(vol.prob_ba, masks, (1, 2))
 
 
-def pair_loss(model: cm.CoarseModel, pair: TrainingPair, mode: str, lambda_px: float) -> Tensor:
-    vol = cm.compute_volume(model, pair.image_a, pair.image_b)
-    if mode == "image":
-        return loss_image(vol, pair.label)
-    if mode == "epipolar":
-        if pair.label == 1:
-            if pair.fundamental is None:
-                raise ValueError("positive pair without a fundamental matrix in epipolar mode")
-            return loss_epipolar(vol, pair.fundamental, lambda_px)
-        return loss_epipolar(vol, None, lambda_px)
+def _check_pair(pair: TrainingPair, mode: str) -> None:
+    if mode == "epipolar" and pair.label == 1 and pair.fundamental is None:
+        raise ValueError("positive pair without a fundamental matrix in epipolar mode")
     if mode == "point":
         if pair.label != 1:
             raise ValueError("point supervision cannot use negative pairs")
         if pair.gt_matches is None:
             raise ValueError("positive pair without ground-truth matches in point mode")
-        return loss_points(vol, build_gt_cells(pair.gt_matches, vol.stride, vol.filtered.shape))
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def _group_loss(vol: cm.CorrelationVolume, pairs: list[TrainingPair], mode: str, lambda_px: float) -> Tensor:
+    if mode == "image":
+        return loss_image(vol, [p.label for p in pairs])
+    if mode == "epipolar":
+        return loss_epipolar(vol, [p.fundamental if p.label == 1 else None for p in pairs], lambda_px)
+    shape = vol.filtered.shape[1:]
+    return loss_points(vol, np.stack([build_gt_cells(p.gt_matches, vol.stride, shape) for p in pairs]))
 
 
 def total_loss(
     model: cm.CoarseModel, pairs: list[TrainingPair], mode: str, lambda_px: float
 ) -> tuple[Tensor, float]:
-    """Sum of per-pair losses and the batch mean for reporting."""
+    """Summed loss of a batch and its per-pair mean for reporting.
+
+    Pairs whose A images share a shape and whose B images share a shape form
+    one group, which runs through the model as one batch; a dataset of one
+    image size gives one group. The sum over groups follows the order in
+    which each group's first pair appears.
+    """
     if not pairs:
         raise ValueError("empty batch")
-    total = None
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    groups: dict[tuple, list[TrainingPair]] = {}
     for pair in pairs:
-        l = pair_loss(model, pair, mode, lambda_px)
-        total = l if total is None else total + l
+        _check_pair(pair, mode)
+        groups.setdefault((pair.image_a.shape, pair.image_b.shape), []).append(pair)
+    total = None
+    for group in groups.values():
+        vol = cm.compute_volume(model, np.stack([p.image_a for p in group]), np.stack([p.image_b for p in group]))
+        loss = _group_loss(vol, group, mode, lambda_px)
+        total = loss if total is None else total + loss
     return total, float(total.data) / len(pairs)
 
 

@@ -79,6 +79,8 @@ def max_gradient_error(
     ``build_scalar`` must rebuild the forward graph from the current parameter
     values. When ``coords`` maps a parameter's position in ``params`` to flat
     indices, only those coordinates are probed; otherwise every element is.
+    A coordinate whose error is not finite (a nan or inf gradient or
+    difference) makes the result inf, which no bound accepts.
     """
     out = build_scalar()
     out.backward()
@@ -102,7 +104,10 @@ def max_gradient_error(
             f_minus = float(build_scalar().data)
             flat[j] = orig
             numeric = (f_plus - f_minus) / (2.0 * step)
-            worst = max(worst, abs(a_flat[j] - numeric) / max(ERROR_FLOOR, abs(a_flat[j]), abs(numeric)))
+            error = abs(a_flat[j] - numeric) / max(ERROR_FLOOR, abs(a_flat[j]), abs(numeric))
+            if not math.isfinite(error):
+                return math.inf
+            worst = max(worst, error)
     return worst
 
 

@@ -92,10 +92,15 @@ def test_unknown_variant_is_a_usage_error(tmp_path, scenes, command):
         (["--window", "nan"], "--window must be > 0"),
         (["--band", "0"], "--band must be > 0"),
         (["--band", "-2"], "--band must be > 0"),
+        (["--variant", "ratio", "--ratio", "0"], "--ratio must be > 0"),
+        (["--variant", "ratio+mutual", "--ratio", "-0.5"], "--ratio must be > 0"),
+        (["--variant", "ratio", "--ratio", "nan"], "--ratio must be > 0"),
+        (["--variant", "guided", "--max-side", "8"], "--max-side must be at least the model stride 16"),
     ],
 )
 def test_bad_matching_setting_is_a_usage_error(tmp_path, scenes, command, flags, message, capsys):
-    assert run_cli(_matching_argv(command, scenes[0], tmp_path / "out") + flags) == 1
+    argv = _matching_argv(command, scenes[0], tmp_path / "out") + ["--checkpoint", str(scenes[1])]
+    assert run_cli(argv + flags) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -108,6 +113,7 @@ def test_bad_matching_setting_is_a_usage_error(tmp_path, scenes, command, flags,
         ("eval-pose", ["--keypoint-noise", "-1"], "--keypoint-noise must be finite and >= 0"),
         ("eval-pose", ["--descriptor-corruption", "1.5"], "--descriptor-corruption must be in [0, 1]"),
         ("eval-pck", ["--thresholds", "8,-16"], "--thresholds values must be finite and > 0"),
+        ("eval-pck", ["--max-side", "15"], "--max-side must be at least the model stride 16"),
     ],
 )
 def test_bad_eval_setting_is_a_usage_error(tmp_path, scenes, command, flags, message, capsys):

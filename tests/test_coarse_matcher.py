@@ -26,10 +26,10 @@ def random_filter(hidden, rng):
 
 
 def orthonormal_feature_map(n_cells):
-    """Feature grid whose cell vectors are distinct rows of an identity matrix."""
+    """One-map (C, 1, H, W) feature grid whose cell vectors are distinct rows of an identity matrix."""
     h = w = int(np.sqrt(n_cells))
     c = h * w
-    return Tensor(np.eye(c).reshape(c, h, w))
+    return Tensor(np.eye(c).reshape(c, 1, h, w))
 
 
 def interpolate_one(field, p):
@@ -40,19 +40,19 @@ def interpolate_one(field, p):
 class TestExtractFeatures:
     def test_shape(self):
         model = cm.CoarseModel.create(0)
-        fmap = cm.extract_features(model.backbone, np.zeros((64, 64)))
-        assert fmap.shape == (32, 4, 4)
+        fmap = cm.extract_features(model.backbone, np.zeros((3, 64, 64)))
+        assert fmap.shape == (32, 3, 4, 4)
         assert model.stride == 16
 
     def test_non_multiple_errors_with_resize_hint(self):
         model = cm.CoarseModel.create(0)
         with pytest.raises(ValueError, match="resize"):
-            cm.extract_features(model.backbone, np.zeros((60, 64)))
+            cm.extract_features(model.backbone, np.zeros((1, 60, 64)))
 
     def test_constant_image_interior_cells_equal(self):
         model = cm.CoarseModel.create(1)
-        fmap = cm.extract_features(model.backbone, np.full((96, 96), 0.37))
-        g = fmap.data
+        fmap = cm.extract_features(model.backbone, np.full((1, 96, 96), 0.37))
+        g = fmap.data[:, 0]
         interior = g[:, 1:-1, 1:-1].reshape(g.shape[0], -1)
         ref = interior[:, :1]
         assert np.abs(interior - ref).max() < 1e-9
@@ -60,7 +60,7 @@ class TestExtractFeatures:
     def test_unit_norms(self):
         model = cm.CoarseModel.create(2)
         rng = np.random.default_rng(0)
-        fmap = cm.extract_features(model.backbone, rng.random((64, 64)))
+        fmap = cm.extract_features(model.backbone, rng.random((2, 64, 64)))
         norms = np.sqrt((fmap.data**2).sum(axis=0))
         assert np.abs(norms - 1.0).max() < 1e-9
 
@@ -94,7 +94,7 @@ class TestResizeImage:
 class TestCorrelate:
     def test_orthonormal_identity(self):
         fa = orthonormal_feature_map(9)
-        c = cm.correlate(fa, fa).data
+        c = cm.correlate(fa, fa).data[0]
         for i in range(3):
             for j in range(3):
                 expected = np.zeros((3, 3))
@@ -102,28 +102,54 @@ class TestCorrelate:
                 assert np.array_equal(c[i, j], expected)
 
     def test_orthogonal_maps_all_zero(self):
-        grid_a = np.zeros((4, 2, 2))
+        grid_a = np.zeros((4, 1, 2, 2))
         grid_a[0] = 1.0
-        grid_b = np.zeros((4, 2, 2))
+        grid_b = np.zeros((4, 1, 2, 2))
         grid_b[1] = 1.0
         assert np.abs(cm.correlate(Tensor(grid_a), Tensor(grid_b)).data).max() == 0.0
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
-        ga = rng.standard_normal((6, 4, 4))
-        gb = rng.standard_normal((6, 3, 5))
+        ga = rng.standard_normal((6, 2, 4, 4))
+        gb = rng.standard_normal((6, 2, 3, 5))
         raw = cm.correlate(Tensor(ga), Tensor(gb))
-        assert np.abs(raw.data - oracles.correlation_loops(ga, gb)).max() < 1e-12
+        ref = np.stack([oracles.correlation_loops(ga[:, n], gb[:, n]) for n in range(2)])
+        assert np.abs(raw.data - ref).max() < 1e-12
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel"):
-            cm.correlate(Tensor(np.zeros((4, 2, 2))), Tensor(np.zeros((5, 2, 2))))
+            cm.correlate(Tensor(np.zeros((4, 1, 2, 2))), Tensor(np.zeros((5, 1, 2, 2))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        c=st.integers(1, 5),
+        grids=st.tuples(*[st.integers(1, 4)] * 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_invariant(self, n, c, grids, seed):
+        # the B map rides along as the op's weight: per-pair slices of the
+        # output and of both gradients match each pair run alone
+        rng = np.random.default_rng(seed)
+        ha, wa, hb, wb = grids
+        fa, fb = rng.standard_normal((c, n, ha, wa)), rng.standard_normal((c, n, hb, wb))
+        raw = cm.correlate(Tensor(fa), Tensor(fb)).data
+        g = rng.standard_normal(raw.shape)
+        pa, pb = parameter(fa, "fa"), parameter(fb, "fb")
+        (cm.correlate(pa, pb) * Tensor(g)).sum().backward()
+        for k in range(n):
+            qa, qb = parameter(fa[:, k : k + 1], "fa"), parameter(fb[:, k : k + 1], "fb")
+            out = cm.correlate(qa, qb)
+            assert np.array_equal(out.data, raw[k : k + 1])
+            (out * Tensor(g[k : k + 1])).sum().backward()
+            assert np.array_equal(qa.grad, pa.grad[:, k : k + 1])
+            assert np.array_equal(qb.grad, pb.grad[:, k : k + 1])
 
     def test_cosine_range(self):
         model = cm.CoarseModel.create(4)
         rng = np.random.default_rng(4)
-        fa = cm.extract_features(model.backbone, rng.random((64, 64)))
-        fb = cm.extract_features(model.backbone, rng.random((64, 64)))
+        fa = cm.extract_features(model.backbone, rng.random((2, 64, 64)))
+        fb = cm.extract_features(model.backbone, rng.random((2, 64, 64)))
         c = cm.correlate(fa, fb).data
         assert c.min() >= -1.0 - 1e-9 and c.max() <= 1.0 + 1e-9
 
@@ -134,16 +160,16 @@ class TestFilterSymmetric:
         filt.weights[0].data = np.zeros((1, 1, 3, 3, 3, 3))
         filt.weights[0].data[0, 0, 1, 1, 1, 1] = 1.0
         rng = np.random.default_rng(5)
-        raw = rng.standard_normal((3, 3, 3, 3))
+        raw = rng.standard_normal((2, 3, 3, 3, 3))
         assert np.abs(cm.filter_symmetric(filt, Tensor(raw)).data - raw).max() < 1e-12
 
     def test_order_symmetry(self):
         rng = np.random.default_rng(6)
         filt = random_filter((4,), rng)
-        raw = rng.standard_normal((2, 3, 4, 2))
+        raw = rng.standard_normal((2, 2, 3, 4, 2))
         ab = cm.filter_symmetric(filt, Tensor(raw)).data
-        ba = cm.filter_symmetric(filt, Tensor(raw.transpose(2, 3, 0, 1))).data
-        assert np.abs(ab - ba.transpose(2, 3, 0, 1)).max() < 1e-12
+        ba = cm.filter_symmetric(filt, Tensor(raw.transpose(0, 3, 4, 1, 2))).data
+        assert np.abs(ab - ba.transpose(0, 3, 4, 1, 2)).max() < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -154,7 +180,7 @@ class TestFilterSymmetric:
     def test_order_symmetry_any_shape(self, spatial, hidden, seed):
         rng = np.random.default_rng(seed)
         filt = random_filter(tuple(hidden), rng)
-        raw = rng.standard_normal(spatial)
+        raw = rng.standard_normal((1, *spatial))
         ab = cm.filter_symmetric(filt, Tensor(raw)).data
         ba = cm.filter_symmetric(filt, Tensor(raw.transpose(cm._SWAP_AB))).data
         assert np.abs(ab - ba.transpose(cm._SWAP_AB)).max() < 1e-12
@@ -162,29 +188,29 @@ class TestFilterSymmetric:
     def test_matches_two_pass_reference(self):
         rng = np.random.default_rng(7)
         filt = random_filter((4,), rng)
-        raw = rng.standard_normal((2, 2, 3, 3))
+        raw = rng.standard_normal((2, 2, 2, 3, 3))
         filtered = cm.filter_symmetric(filt, Tensor(raw)).data
         direct = filt.forward(Tensor(raw)).data
-        swapped = filt.forward(Tensor(raw.transpose(2, 3, 0, 1))).data.transpose(2, 3, 0, 1)
+        swapped = filt.forward(Tensor(raw.transpose(0, 3, 4, 1, 2))).data.transpose(0, 3, 4, 1, 2)
         assert np.abs(filtered - 0.5 * (direct + swapped)).max() < 1e-12
 
 
 class TestNormalizeScores:
     def test_uniform(self):
-        prob_ab, _ = cm.normalize_scores(Tensor(np.zeros((2, 2, 3, 3))))
+        prob_ab, _ = cm.normalize_scores(Tensor(np.zeros((1, 2, 2, 3, 3))))
         assert np.abs(prob_ab.data - 1 / 9).max() < 1e-12
 
     def test_dominant_cell_saturates(self):
-        s = np.zeros((1, 1, 2, 2))
-        s[0, 0, 1, 1] = 1000.0
+        s = np.zeros((1, 1, 1, 2, 2))
+        s[0, 0, 0, 1, 1] = 1000.0
         prob_ab, _ = cm.normalize_scores(Tensor(s))
-        assert prob_ab.data[0, 0, 1, 1] > 1.0 - 1e-12
+        assert prob_ab.data[0, 0, 0, 1, 1] > 1.0 - 1e-12
 
     def test_sums(self):
         rng = np.random.default_rng(8)
-        prob_ab, prob_ba = cm.normalize_scores(Tensor(rng.standard_normal((3, 2, 4, 2))))
-        assert np.abs(prob_ab.data.sum(axis=(2, 3)) - 1.0).max() < 1e-10
-        assert np.abs(prob_ba.data.sum(axis=(0, 1)) - 1.0).max() < 1e-10
+        prob_ab, prob_ba = cm.normalize_scores(Tensor(rng.standard_normal((2, 3, 2, 4, 2))))
+        assert np.abs(prob_ab.data.sum(axis=(3, 4)) - 1.0).max() < 1e-10
+        assert np.abs(prob_ba.data.sum(axis=(1, 2)) - 1.0).max() < 1e-10
 
 
 class TestExtractMatches:
@@ -304,6 +330,29 @@ class TestInterpolateMatch:
         assert ((out[:, 0] > 0) & (out[:, 0] < w_t) & (out[:, 1] > 0) & (out[:, 1] < h_t)).all()
 
 
+class TestBatchedModel:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        cells=st.tuples(*[st.integers(1, 4)] * 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_match_fields_do_not_depend_on_the_batch(self, cells, seed):
+        rng = np.random.default_rng(seed)
+        model = make_model()
+        for p in model.parameters():
+            p.data = rng.standard_normal(p.shape)
+        s = model.stride
+        ha, wa, hb, wb = (s * c for c in cells)
+        images_a, images_b = rng.random((3, ha, wa)), rng.random((3, hb, wb))
+        vol = cm.compute_volume(model, images_a, images_b)
+        for n in range(3):
+            fields = cm.compute_match_fields(model, images_a[n], images_b[n], max(ha, wa, hb, wb))
+            for field, direction in zip(fields, ("AB", "BA")):
+                ref = cm.extract_matches(vol, direction, n)
+                assert np.array_equal(field.target_cells, ref.target_cells)
+                assert np.array_equal(field.scores, ref.scores)
+
+
 class TestEndToEndGradients:
     def test_full_pipeline_finite_differences(self):
         seed, (f, params) = _first_well_conditioned("volume")
@@ -316,11 +365,11 @@ class TestModelCheckpoint:
         model = make_model(seed=3)
         rng = np.random.default_rng(14)
         img = rng.random((64, 64))
-        vol = cm.compute_volume(model, img, img)
+        vol = cm.compute_volume(model, img[None], img[None])
         model.save(tmp_path / "m.gmck")
         loaded = cm.CoarseModel.load(tmp_path / "m.gmck")
         assert loaded.backbone.channels == model.backbone.channels
-        vol2 = cm.compute_volume(loaded, img, img)
+        vol2 = cm.compute_volume(loaded, img[None], img[None])
         assert np.array_equal(vol.filtered.data, vol2.filtered.data)
 
     def test_checkpoint_with_output_bias_loads_to_same_cells(self, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import guidematch
+from guidematch.numerics import tensor
 from guidematch.numerics import (
     AdamState,
     Tensor,
@@ -35,7 +37,7 @@ GRAD_TOL = 1e-4
 
 class TestConv2d:
     def test_pointwise_scaling(self):
-        x = Tensor(np.arange(9, dtype=float).reshape(1, 3, 3))
+        x = Tensor(np.arange(9, dtype=float).reshape(1, 1, 3, 3))
         k = Tensor(np.full((1, 1, 1, 1), 2.0))
         b = Tensor(np.zeros(1))
         out = conv2d(x, k, b)
@@ -43,7 +45,7 @@ class TestConv2d:
 
     def test_zero_kernel_gives_bias(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.standard_normal((3, 5, 5)))
+        x = Tensor(rng.standard_normal((3, 2, 5, 5)))
         k = Tensor(np.zeros((2, 3, 3, 3)))
         b = Tensor(np.array([0.7, -1.2]))
         out = conv2d(x, k, b, stride=1, zero_pad=1)
@@ -53,16 +55,16 @@ class TestConv2d:
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (3, 2)])
     def test_matches_loop_oracle(self, stride, pad):
         rng = np.random.default_rng(stride * 10 + pad)
-        x = rng.standard_normal((2, 8, 8))
+        x = rng.standard_normal((2, 3, 8, 8))
         k = rng.standard_normal((4, 2, 3, 3))
         b = rng.standard_normal(4)
         out = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, zero_pad=pad)
-        ref = oracles.conv2d_loops(x, k, b, stride=stride, pad=pad)
+        ref = np.stack([oracles.conv2d_loops(x[:, n], k, b, stride=stride, pad=pad) for n in range(3)], axis=1)
         assert out.data.shape == ref.shape
         assert np.max(np.abs(out.data - ref)) < 1e-12
 
     def test_channel_mismatch_names_dimension(self):
-        x = Tensor(np.zeros((3, 4, 4)))
+        x = Tensor(np.zeros((3, 1, 4, 4)))
         k = Tensor(np.zeros((1, 2, 3, 3)))
         with pytest.raises(ValueError, match="channel"):
             conv2d(x, k, Tensor(np.zeros(1)))
@@ -71,8 +73,8 @@ class TestConv2d:
         rng = np.random.default_rng(3)
         k = Tensor(rng.standard_normal((3, 2, 3, 3)))
         b = Tensor(np.zeros(3))
-        x = rng.standard_normal((2, 6, 6))
-        y = rng.standard_normal((2, 6, 6))
+        x = rng.standard_normal((2, 2, 6, 6))
+        y = rng.standard_normal((2, 2, 6, 6))
         a, c = 1.7, -0.4
         lhs = conv2d(Tensor(a * x + c * y), k, b, zero_pad=1).data
         rhs = a * conv2d(Tensor(x), k, b, zero_pad=1).data + c * conv2d(Tensor(y), k, b, zero_pad=1).data
@@ -82,10 +84,10 @@ class TestConv2d:
         # an even side leaves the last padded column unread, as backbone inputs do
         for side, seed in itertools.product((5, 6), range(N_GRAD_SEEDS)):
             rng = np.random.default_rng(seed)
-            x = parameter(rng.standard_normal((2, side, side)), "x")
+            x = parameter(rng.standard_normal((2, 2, side, side)), "x")
             k = parameter(rng.standard_normal((3, 2, 3, 3)), "k")
             b = parameter(rng.standard_normal(3), "b")
-            w = rng.standard_normal((3, 3, 3))
+            w = rng.standard_normal((3, 2, 3, 3))
 
             def f():
                 return (conv2d(x, k, b, stride=2, zero_pad=1) * w).sum()
@@ -96,45 +98,45 @@ class TestConv2d:
 class TestConv4d:
     def test_delta_kernel_identity(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((1, 3, 4, 2, 3))
+        x = rng.standard_normal((1, 2, 3, 4, 2, 3))
         k = np.zeros((1, 1, 3, 3, 3, 3))
         k[0, 0, 1, 1, 1, 1] = 1.0
         out = conv4d(Tensor(x), Tensor(k), Tensor(np.zeros(1)))
         assert np.max(np.abs(out.data - x)) < 1e-15
 
     def test_zero_kernel_bias(self):
-        x = Tensor(np.ones((1, 2, 2, 2, 2)))
+        x = Tensor(np.ones((1, 2, 2, 2, 2, 2)))
         out = conv4d(x, Tensor(np.zeros((1, 1, 3, 3, 3, 3))), Tensor(np.array([0.5])))
         assert np.allclose(out.data, 0.5)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((1, 3, 3, 3, 3))
+        x = rng.standard_normal((1, 2, 3, 3, 3, 3))
         k = rng.standard_normal((2, 1, 3, 3, 3, 3))
         b = rng.standard_normal(2)
         out = conv4d(Tensor(x), Tensor(k), Tensor(b))
-        ref = oracles.conv4d_loops(x, k, b)
+        ref = np.stack([oracles.conv4d_loops(x[:, n], k, b) for n in range(2)], axis=1)
         assert np.max(np.abs(out.data - ref)) < 1e-12
 
     def test_matches_tap_reference_at_model_width(self):
         rng = np.random.default_rng(8)
-        x = parameter(rng.standard_normal((16, 3, 4, 3, 4)), "x")
+        x = parameter(rng.standard_normal((16, 1, 3, 4, 3, 4)), "x")
         k = parameter(rng.standard_normal((16, 16, 3, 3, 3, 3)), "k")
         b = parameter(rng.standard_normal(16), "b")
         out = conv4d(x, k, b)
-        assert np.max(np.abs(out.data - oracles.conv4d_taps(x.data, k.data, b.data))) < 1e-12
+        assert np.max(np.abs(out.data[:, 0] - oracles.conv4d_taps(x.data[:, 0], k.data, b.data))) < 1e-12
         g = rng.standard_normal(out.shape)
         (out * Tensor(g)).sum().backward()
-        gx, gk, _ = oracles.conv4d_taps_backward(x.data, k.data, g)
-        assert np.max(np.abs(x.grad - gx)) < 1e-12
+        gx, gk, _ = oracles.conv4d_taps_backward(x.data[:, 0], k.data, g[:, 0])
+        assert np.max(np.abs(x.grad[:, 0] - gx)) < 1e-12
         assert np.max(np.abs(k.grad - gk)) < 1e-12
 
     def test_linearity(self):
         rng = np.random.default_rng(9)
         k = Tensor(rng.standard_normal((2, 1, 3, 3, 3, 3)))
         b = Tensor(np.zeros(2))
-        x = rng.standard_normal((1, 2, 3, 2, 3))
-        y = rng.standard_normal((1, 2, 3, 2, 3))
+        x = rng.standard_normal((1, 2, 2, 3, 2, 3))
+        y = rng.standard_normal((1, 2, 2, 3, 2, 3))
         lhs = conv4d(Tensor(0.3 * x - 2.0 * y), k, b).data
         rhs = 0.3 * conv4d(Tensor(x), k, b).data - 2.0 * conv4d(Tensor(y), k, b).data
         assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -142,10 +144,10 @@ class TestConv4d:
     def test_gradients(self):
         for seed in range(N_GRAD_SEEDS):
             rng = np.random.default_rng(100 + seed)
-            x = parameter(rng.standard_normal((1, 3, 3, 2, 2)), "x")
+            x = parameter(rng.standard_normal((1, 2, 3, 3, 2, 2)), "x")
             k = parameter(rng.standard_normal((2, 1, 3, 3, 3, 3)), "k")
             b = parameter(rng.standard_normal(2), "b")
-            w = rng.standard_normal((2, 3, 3, 2, 2))
+            w = rng.standard_normal((2, 2, 3, 3, 2, 2))
 
             def f():
                 return (conv4d(x, k, b) * w).sum()
@@ -161,23 +163,92 @@ class TestConv4d:
     )
     def test_matches_oracles_any_shape(self, spatial, c_in, c_out, seed):
         rng = np.random.default_rng(seed)
-        x = parameter(rng.standard_normal((c_in, *spatial)), "x")
+        x = parameter(rng.standard_normal((c_in, 1, *spatial)), "x")
         k = parameter(rng.standard_normal((c_out, c_in, 3, 3, 3, 3)), "k")
         b = parameter(rng.standard_normal(c_out), "b")
         out = conv4d(x, k, b)
-        assert np.max(np.abs(out.data - oracles.conv4d_loops(x.data, k.data, b.data))) < 1e-12
+        assert np.max(np.abs(out.data[:, 0] - oracles.conv4d_loops(x.data[:, 0], k.data, b.data))) < 1e-12
         g = rng.standard_normal(out.shape)
         (out * Tensor(g)).sum().backward()
-        gx, gk, gb = oracles.conv4d_taps_backward(x.data, k.data, g)
-        assert np.max(np.abs(x.grad - gx)) < 1e-12
+        gx, gk, gb = oracles.conv4d_taps_backward(x.data[:, 0], k.data, g[:, 0])
+        assert np.max(np.abs(x.grad[:, 0] - gx)) < 1e-12
         assert np.max(np.abs(k.grad - gk)) < 1e-12
         assert np.max(np.abs(b.grad - gb)) < 1e-12
 
     def test_channel_mismatch(self):
-        x = Tensor(np.zeros((2, 2, 2, 2, 2)))
+        x = Tensor(np.zeros((2, 1, 2, 2, 2, 2)))
         k = Tensor(np.zeros((1, 3, 3, 3, 3, 3)))
         with pytest.raises(ValueError, match="channel"):
             conv4d(x, k, Tensor(np.zeros(1)))
+
+
+def assert_batch_invariant(op, x_data, weights, rng):
+    """``op(x, *weights)`` on a batch stacked along axis 1 of ``x_data`` (and
+    of the output) against each sample alone: the outputs and the input
+    gradients are byte-identical, and the weight gradients are within 1e-12,
+    relative to the largest entry, of the sum of the per-sample ones."""
+    x = parameter(x_data, "x")
+    ws = [parameter(w, f"w{i}") for i, w in enumerate(weights)]
+    out = op(x, *ws)
+    g = rng.standard_normal(out.shape)
+    (out * Tensor(g)).sum().backward()
+    summed = [np.zeros_like(w) for w in weights]
+    for n in range(x_data.shape[1]):
+        xn = parameter(x_data[:, n : n + 1], "xn")
+        wn = [parameter(w, f"w{i}") for i, w in enumerate(weights)]
+        out_n = op(xn, *wn)
+        assert np.array_equal(out_n.data, out.data[:, n : n + 1])
+        (out_n * Tensor(g[:, n : n + 1])).sum().backward()
+        assert np.array_equal(xn.grad, x.grad[:, n : n + 1])
+        for acc, w in zip(summed, wn):
+            acc += w.grad
+    for w, acc in zip(ws, summed):
+        assert np.abs(w.grad - acc).max() <= 1e-12 * np.abs(acc).max(), w.name
+
+
+_BATCH = st.integers(1, 4)
+_SEED = st.integers(0, 2**32 - 1)
+
+
+class TestBatchInvariance:
+    """A sample's output and input gradient do not depend on the batch it runs in."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=_BATCH,
+        size=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        c_in=st.integers(1, 4),
+        c_out=st.integers(1, 4),
+        k=st.sampled_from([1, 3]),
+        stride=st.integers(1, 3),
+        pad=st.integers(0, 1),
+        seed=_SEED,
+    )
+    def test_conv2d(self, n, size, c_in, c_out, k, stride, pad, seed):
+        h, w = (max(s, k - 2 * pad) for s in size)
+        rng = np.random.default_rng(seed)
+        weights = [rng.standard_normal((c_out, c_in, k, k)), rng.standard_normal(c_out)]
+        op = lambda x, kernel, bias: conv2d(x, kernel, bias, stride=stride, zero_pad=pad)  # noqa: E731
+        assert_batch_invariant(op, rng.standard_normal((c_in, n, h, w)), weights, rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=_BATCH,
+        spatial=st.tuples(*[st.integers(1, 4)] * 4),
+        c_in=st.integers(1, 3),
+        c_out=st.integers(1, 3),
+        seed=_SEED,
+    )
+    def test_conv4d(self, n, spatial, c_in, c_out, seed):
+        rng = np.random.default_rng(seed)
+        weights = [rng.standard_normal((c_out, c_in, 3, 3, 3, 3)), rng.standard_normal(c_out)]
+        assert_batch_invariant(conv4d, rng.standard_normal((c_in, n, *spatial)), weights, rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=_BATCH, c=st.integers(1, 12), size=st.tuples(st.integers(1, 3), st.integers(1, 3)), seed=_SEED)
+    def test_l2_normalize_channels(self, n, c, size, seed):
+        rng = np.random.default_rng(seed)
+        assert_batch_invariant(l2_normalize_channels, rng.standard_normal((c, n, *size)), [], rng)
 
 
 class TestSoftmax:
@@ -230,12 +301,12 @@ def _max_over_grad(x, axes):
 class TestMaxOver:
     def test_simple(self):
         vals, grad = _max_over_grad([[1.0, 3.0], [2.0, 0.0]], (0, 1))
-        assert vals.item() == 3.0
+        assert float(vals.data) == 3.0
         assert np.array_equal(grad, [[0.0, 1.0], [0.0, 0.0]])
 
     def test_tie_breaks_to_lowest_index(self):
         vals, grad = _max_over_grad(np.ones((2, 3, 2)), (0, 1, 2))
-        assert vals.item() == 1.0
+        assert float(vals.data) == 1.0
         expected = np.zeros((2, 3, 2))
         expected[0, 0, 0] = 1.0
         assert np.array_equal(grad, expected)
@@ -341,9 +412,9 @@ class TestBackward:
     def test_matmul_and_ops_gradients(self):
         for seed in range(N_GRAD_SEEDS):
             rng = np.random.default_rng(500 + seed)
-            a = parameter(rng.standard_normal((3, 4)), "a")
-            b = parameter(rng.standard_normal((4, 2)), "b")
-            w = rng.standard_normal((3, 2))
+            a = parameter(rng.standard_normal((2, 3, 4)), "a")
+            b = parameter(rng.standard_normal((2, 4, 2)), "b")
+            w = rng.standard_normal((2, 3, 2))
 
             def f():
                 m = matmul(a, b)
@@ -353,6 +424,24 @@ class TestBackward:
             x = parameter(rng.standard_normal((5, 5)), "x")
             wx = rng.standard_normal((5, 5))
             assert max_gradient_error(lambda: (leaky_relu(x, 0.1) * wx).sum(), [x]) < GRAD_TOL
+
+
+def _nan_gradient(x: Tensor) -> Tensor:
+    """Identity whose backward reports a nan gradient."""
+    return tensor._make(x.data.copy(), (x,), lambda g: x._acc(np.full(x.shape, np.nan)))
+
+
+class TestGradientCheck:
+    def test_nan_gradient_fails_the_check(self):
+        good = parameter(np.array([0.5, -1.0]), "good")
+        bad = parameter(np.array([2.0, 3.0]), "bad")
+
+        def f():
+            return (good * good).sum() + _nan_gradient(bad).sum()
+
+        assert max_gradient_error(lambda: (good * good).sum(), [good]) < GRAD_TOL
+        assert max_gradient_error(f, [good, bad]) == math.inf
+        assert max_gradient_error(f, [good, bad], coords={0: np.array([0]), 1: np.array([1])}) == math.inf
 
 
 class TestAdam:
@@ -471,7 +560,7 @@ for objective in OBJECTIVES:
     f, params = _loss_case(objective, 0)
     for p in params:
         h.update(p.data.tobytes())
-    h.update(repr(f().item()).encode())
+    h.update(repr(float(f().data)).encode())
 print(h.hexdigest())
 """
 
