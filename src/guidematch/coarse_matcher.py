@@ -255,15 +255,17 @@ def normalize_scores(filtered: Tensor) -> tuple[Tensor, Tensor]:
     return numerics.softmax_over(filtered, (3, 4)), numerics.softmax_over(filtered, (1, 2))
 
 
-def extract_matches(vol: CorrelationVolume, direction: str = "AB", pair: int = 0) -> CoarseMatchField:
-    """Argmax over the target image's grid for pair ``pair`` of the batch;
-    ties go to the lowest linear index.
+def extract_matches(vol: CorrelationVolume, direction: str = "AB") -> CoarseMatchField:
+    """Argmax over the target image's grid of a one-pair volume; ties go to
+    the lowest linear index.
 
     "BA" runs the same rule on the transposed scores. The softmax preserves
     per-slice argmaxes, so extracting from the raw filtered scores and from
     the normalized ones is equivalent.
     """
-    s = vol.filtered.data[pair]
+    if vol.filtered.shape[0] != 1:
+        raise ValueError(f"extract_matches reads a one-pair volume, got {vol.filtered.shape[0]} pairs")
+    s = vol.filtered.data[0]
     if direction == "AB":
         sizes = vol.image_size_a, vol.image_size_b
     elif direction == "BA":

@@ -91,6 +91,15 @@ def _epipolar_weights(positive: np.ndarray) -> np.ndarray:
     return np.where(positive, -1.0 / max(n_pos, 1), 0.5 / max(n_neg, 1))
 
 
+def _check_frames(fundamentals) -> None:
+    for F in fundamentals:
+        if F is not None and F.frame != FRAME_RESIZED:
+            raise ValueError(
+                f"loss_epipolar expects a fundamental matrix in frame {FRAME_RESIZED!r}, got {F.frame!r}; "
+                "rescale it to the resized image coordinates first"
+            )
+
+
 def loss_epipolar(vol: cm.CorrelationVolume, fundamentals, lambda_px: float) -> Tensor:
     """Raise consistent-cell maxima, damp inconsistent ones (halved), both directions.
 
@@ -100,12 +109,7 @@ def loss_epipolar(vol: cm.CorrelationVolume, fundamentals, lambda_px: float) -> 
     """
     if len(fundamentals) != vol.filtered.shape[0]:
         raise ValueError(f"{len(fundamentals)} fundamental matrices for {vol.filtered.shape[0]} pairs")
-    for F in fundamentals:
-        if F is not None and F.frame != FRAME_RESIZED:
-            raise ValueError(
-                f"loss_epipolar expects a fundamental matrix in frame {FRAME_RESIZED!r}, got {F.frame!r}; "
-                "rescale it to the resized image coordinates first"
-            )
+    _check_frames(fundamentals)
     max_ab, max_ba = _maxima(vol)
     w_ab, w_ba = [], []
     for s, F in zip(vol.filtered.data, fundamentals):
@@ -146,6 +150,11 @@ def _points_direction(prob: Tensor, mask: np.ndarray, axes: tuple[int, int]) -> 
     return _weighted_sum(best, -has_gt.astype(np.float64))
 
 
+def _check_masks(masks: np.ndarray) -> None:
+    if not masks.any(axis=(1, 2, 3, 4)).all():
+        raise ValueError("all ground-truth cell sets are empty, pair unusable for point supervision")
+
+
 def loss_points(vol: cm.CorrelationVolume, masks: np.ndarray) -> Tensor:
     """Maximize the best ground-truth cell score per source cell, both directions.
 
@@ -153,8 +162,7 @@ def loss_points(vol: cm.CorrelationVolume, masks: np.ndarray) -> Tensor:
     """
     if masks.shape != vol.filtered.shape:
         raise ValueError(f"ground-truth masks of shape {masks.shape} for a volume of shape {vol.filtered.shape}")
-    if not masks.any(axis=(1, 2, 3, 4)).all():
-        raise ValueError("all ground-truth cell sets are empty, pair unusable for point supervision")
+    _check_masks(masks)
     return _points_direction(vol.prob_ab, masks, (3, 4)) + _points_direction(vol.prob_ba, masks, (1, 2))
 
 
@@ -168,13 +176,28 @@ def _check_pair(pair: TrainingPair, mode: str) -> None:
             raise ValueError("positive pair without ground-truth matches in point mode")
 
 
-def _group_loss(vol: cm.CorrelationVolume, pairs: list[TrainingPair], mode: str, lambda_px: float) -> Tensor:
+def _group_targets(pairs: list[TrainingPair], mode: str, stride: int):
+    """A shape group's labels, fundamental matrices or ground-truth cell
+    masks, checked as its loss will check them."""
     if mode == "image":
-        return loss_image(vol, [p.label for p in pairs])
+        return [p.label for p in pairs]  # TrainingPair holds only +1 or -1
     if mode == "epipolar":
-        return loss_epipolar(vol, [p.fundamental if p.label == 1 else None for p in pairs], lambda_px)
-    shape = vol.filtered.shape[1:]
-    return loss_points(vol, np.stack([build_gt_cells(p.gt_matches, vol.stride, shape) for p in pairs]))
+        fundamentals = [p.fundamental if p.label == 1 else None for p in pairs]
+        _check_frames(fundamentals)
+        return fundamentals
+    (ha, wa), (hb, wb) = pairs[0].image_a.shape, pairs[0].image_b.shape
+    shape = (ha // stride, wa // stride, hb // stride, wb // stride)
+    masks = np.stack([build_gt_cells(p.gt_matches, stride, shape) for p in pairs])
+    _check_masks(masks)
+    return masks
+
+
+def _group_loss(vol: cm.CorrelationVolume, targets, mode: str, lambda_px: float) -> Tensor:
+    if mode == "image":
+        return loss_image(vol, targets)
+    if mode == "epipolar":
+        return loss_epipolar(vol, targets, lambda_px)
+    return loss_points(vol, targets)
 
 
 def total_loss(
@@ -185,7 +208,8 @@ def total_loss(
     Pairs whose A images share a shape and whose B images share a shape form
     one group, which runs through the model as one batch; a dataset of one
     image size gives one group. The sum over groups follows the order in
-    which each group's first pair appears.
+    which each group's first pair appears. Every pair's supervision is
+    checked before the first forward pass.
     """
     if not pairs:
         raise ValueError("empty batch")
@@ -195,10 +219,11 @@ def total_loss(
     for pair in pairs:
         _check_pair(pair, mode)
         groups.setdefault((pair.image_a.shape, pair.image_b.shape), []).append(pair)
+    targets = [_group_targets(group, mode, model.stride) for group in groups.values()]
     total = None
-    for group in groups.values():
+    for group, target in zip(groups.values(), targets):
         vol = cm.compute_volume(model, np.stack([p.image_a for p in group]), np.stack([p.image_b for p in group]))
-        loss = _group_loss(vol, group, mode, lambda_px)
+        loss = _group_loss(vol, target, mode, lambda_px)
         total = loss if total is None else total + loss
     return total, float(total.data) / len(pairs)
 

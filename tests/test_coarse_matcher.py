@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,10 @@ class TestExtractMatches:
             for j in range(4):
                 assert tuple(field.target_cells[i, j]) == (i, j)
 
+    def test_rejects_a_batch(self):
+        with pytest.raises(ValueError, match="one-pair volume"):
+            cm.extract_matches(volume_from_scores(np.zeros((2, 2, 2, 3, 3))), "AB")
+
     def test_constant_scores_tie_rule(self):
         vol = volume_from_scores(np.zeros((2, 2, 3, 3)))
         field = cm.extract_matches(vol, "AB")
@@ -347,8 +353,9 @@ class TestBatchedModel:
         vol = cm.compute_volume(model, images_a, images_b)
         for n in range(3):
             fields = cm.compute_match_fields(model, images_a[n], images_b[n], max(ha, wa, hb, wb))
+            pair = dataclasses.replace(vol, filtered=Tensor(vol.filtered.data[n : n + 1]))
             for field, direction in zip(fields, ("AB", "BA")):
-                ref = cm.extract_matches(vol, direction, n)
+                ref = cm.extract_matches(pair, direction)
                 assert np.array_equal(field.target_cells, ref.target_cells)
                 assert np.array_equal(field.scores, ref.scores)
 

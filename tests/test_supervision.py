@@ -238,6 +238,27 @@ class TestTotalLossAndBatching:
             assert float(total.data) == pytest.approx(sum(parts), abs=1e-12), mode
             assert mean == float(total.data) / len(batch)
 
+    @pytest.mark.parametrize("mode", ["epipolar", "point"])
+    def test_checks_every_group_before_any_forward_pass(self, mode, monkeypatch):
+        # the bad pair is alone in the second shape group
+        big, small = make_pairs(), make_pairs(2, size=48)
+        good = big.positives[0]
+        if mode == "epipolar":
+            F = FundamentalMatrix.from_array(good.fundamental.matrix, "original-px")
+            bad = sup.TrainingPair(small.positives[0].image_a, small.positives[0].image_b, 1, fundamental=F)
+            message = "frame"
+        else:
+            gt = np.array([[8.0, 8.0, 8.0, 56.0]])  # row 3 of a 3x3 B grid
+            bad = sup.TrainingPair(small.positives[0].image_a, small.positives[0].image_b, 1, gt_matches=gt)
+            message = "outside the B grid"
+
+        def no_forward(*args):
+            raise AssertionError("forward pass before the checks")
+
+        monkeypatch.setattr(cm, "compute_volume", no_forward)
+        with pytest.raises(ValueError, match=message):
+            sup.total_loss(tiny_model(), [good, bad], mode, 16.0)
+
     def test_point_mode_rejects_negatives(self):
         model = tiny_model()
         ds = make_pairs()
