@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Subcommands: synth, train, coarse-match, match, eval-pck, eval-pose.
-Exit codes: 0 success, 1 usage error (a bad flag or flag value, or a
---config key that names no setting or has a bad value), 2 runtime failure.
+Exit codes: 0 success, 1 usage error (a bad flag or flag value of any
+command, or a --config key that names no setting or has a bad value; synth
+and train check every setting, from a flag or the file alike, before they
+write anything), 2 runtime failure.
 Every command accepts --out, and only synth and train accept --config. Only
 synth, train and eval-pose draw random numbers, so only they accept --seed
 (default 0; train's --seed beats its config file's seed). Outputs are
@@ -130,16 +132,12 @@ _SYNTH_CONFIG_KEYS = (
 
 def _cmd_synth(args) -> int:
     out = _require_out(args)
-    overrides = load_config(args.config, SceneConfig, _SYNTH_CONFIG_KEYS) if args.config else {}
-    if args.width is not None:
-        overrides["width"] = args.width
-    if args.height is not None:
-        overrides["height"] = args.height
-    if args.planes is not None:
-        overrides["n_planes"] = args.planes
-    if args.repeated is not None:
-        overrides["repeated_stamps"] = args.repeated
-    config = SceneConfig(**overrides)
+    if args.scenes < 1:
+        raise UsageError(f"--scenes must be at least 1, got {args.scenes}")
+    config = load_config(
+        args.config, SceneConfig, _SYNTH_CONFIG_KEYS,
+        width=args.width, height=args.height, n_planes=args.planes, repeated_stamps=args.repeated,
+    )
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.scenes):
         scene = generate_scene(config, args.seed + i)
@@ -149,15 +147,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = sup.TrainConfig.from_file(
-        args.config,
-        mode=args.mode,
-        dataset_dir=args.dataset,
-        out_dir=args.out,
-        iterations=args.iterations,
-        lr=args.lr,
-        freeze_steps=args.freeze_steps,
-        seed=args.seed,  # only an explicit flag overrides the config file
+    config = load_config(
+        args.config, sup.TrainConfig, mode=args.mode, dataset_dir=args.dataset, out_dir=args.out,
+        iterations=args.iterations, lr=args.lr, freeze_steps=args.freeze_steps, seed=args.seed,
     )
     result = sup.train(config)
     print(f"checkpoint: {result.checkpoint_path}")

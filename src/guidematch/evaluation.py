@@ -61,14 +61,6 @@ def config_digest(parts: dict) -> str:
 # -- coarse matching accuracy -------------------------------------------------
 
 
-def pck_fractions(distances: np.ndarray, thresholds) -> list[float]:
-    """Fraction of distances strictly below each threshold."""
-    d = np.asarray(distances, dtype=np.float64)
-    if d.size == 0:
-        raise ValueError("no distances to evaluate")
-    return [float((d < t).mean()) for t in thresholds]
-
-
 def eval_pck(
     model: cm.CoarseModel,
     scenes: list[SyntheticScene],
@@ -79,20 +71,23 @@ def eval_pck(
     """Coarse-match accuracy against each scene's ground-truth pairs.
 
     Distances are measured in resized-image pixels between the interpolated
-    coarse match of the A point and the true B point.
+    coarse match of the A point and the true B point; ``pck_t`` is the
+    fraction strictly below t. A scene with no ground-truth point raises.
     """
     thresholds = list(thresholds)
     rows = []
     for scene in scenes:
+        if not len(scene.gt_points):
+            raise ValueError(f"scene {scene.seed}: no ground-truth points to evaluate")
         fld, _ = cm.compute_match_fields(model, scene.image_a, scene.image_b, max_side)
         pts_a = scene.gt_points[:, :2] * fld.scale_src
         pts_b = scene.gt_points[:, 2:] * fld.scale_tgt
         mapped = cm.interpolate_matches(fld, pts_a)
         d = np.hypot(mapped[:, 0] - pts_b[:, 0], mapped[:, 1] - pts_b[:, 1])
         row = {"scene": scene.seed, "n_points": len(d)}
-        for t, frac in zip(thresholds, pck_fractions(d, thresholds)):
+        for t in thresholds:
             row[f"below_{t:g}"] = int((d < t).sum())
-            row[f"pck_{t:g}"] = frac
+            row[f"pck_{t:g}"] = row[f"below_{t:g}"] / len(d)
         rows.append(row)
     total = sum(r["n_points"] for r in rows)
     agg = {"scene": "ALL", "n_points": total}

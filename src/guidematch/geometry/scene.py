@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import typing
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +68,8 @@ class SceneConfig:
             )
         if self.n_planes < 1:
             raise ValueError("need at least one plane")
+        if self.repeated_stamps < 0:
+            raise ValueError(f"repeated_stamps must be >= 0, got {self.repeated_stamps}")
 
 
 @dataclass
@@ -490,25 +492,36 @@ class ConfigError(ValueError):
     """A ``--config`` file or its overrides that cannot build the config."""
 
 
-def load_config(path, cls, keys=None) -> dict:
-    """A ``key = value`` file as keyword arguments of the dataclass ``cls``.
+def load_config(path, cls, keys=None, **flags):
+    """The dataclass ``cls`` built from a ``key = value`` file (none when
+    ``path`` is None) and ``flags``, keywords named after its fields.
 
-    Each value is converted by the type of the field its key names, which
-    must be int, float or str, and be in ``keys`` when that is given; any
-    other key, or a value that does not convert, raises a ``ConfigError``
-    that names the file and the key.
+    Each file value is converted by the type of the field its key names,
+    which must be int, float or str, and be in ``keys`` when that is given;
+    any other key, or a value that does not convert, raises a ``ConfigError``
+    that names the file and the key. A flag that is not None beats the file.
+    A field with no default that neither sets, or a ``ValueError`` from
+    ``cls``, raises a ``ConfigError`` too.
     """
     types = typing.get_type_hints(cls)
-    out = {}
-    for key, text in parse_kv_file(path).items():
+    values = {}
+    for key, text in (parse_kv_file(path) if path is not None else {}).items():
         kind = types.get(key) if keys is None or key in keys else None
         if kind not in (int, float, str):
             raise ConfigError(f"{path}: {key!r} is not a settable {cls.__name__} field")
         try:
-            out[key] = kind(text)
+            values[key] = kind(text)
         except ValueError as exc:
             raise ConfigError(f"{path}: {key}: {exc}") from exc
-    return out
+    values.update({k: v for k, v in flags.items() if v is not None})
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    missing = [name for name in required if name not in values]
+    if missing:
+        raise ConfigError(f"{cls.__name__} needs a --config key or a flag for: {', '.join(missing)}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @contextlib.contextmanager

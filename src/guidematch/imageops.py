@@ -32,8 +32,6 @@ def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     coordinate scaling, which the fundamental-matrix rescaling assumes.
     """
     h, w = image.shape
-    if out_h == h and out_w == w:
-        return image.copy()
     sy = out_h / h
     sx = out_w / w
     ys = np.arange(out_h)[:, None] / sy

@@ -88,9 +88,6 @@ class Tensor:
 
         return _make(out_data, (self, other), bwd)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __mul__(self, other):
         other = _coerce(other)
         a, b = self.data, other.data
@@ -104,18 +101,6 @@ class Tensor:
                 other._acc(_reduce_to(g * a, b.shape))
 
         return _make(out_data, (self, other), bwd)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
 
     # -- shape manipulation ----------------------------------------------
 

@@ -144,9 +144,12 @@ def _ransac_loop(pts_a, pts_b, cfg: RansacConfig, solve, residuals) -> ModelEsti
     models to (B, n) distances. Samples
     are drawn one ``rng.choice`` at a time in iteration order and the block
     is walked in that order with the same update and stopping rule, so the
-    result equals fitting and scoring one hypothesis per iteration.
+    result equals fitting and scoring one hypothesis per iteration. Fewer
+    than 8 points fail with no iteration run.
     """
     n = len(pts_a)
+    if n < 8:
+        return ModelEstimate(None, np.empty(0, dtype=np.int64), 0, False)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     best_matrix = None
     best_inliers = np.empty(0, dtype=np.int64)
@@ -202,9 +205,12 @@ def ransac_fundamental(pts_a: np.ndarray, pts_b: np.ndarray, cfg: RansacConfig) 
     """
     pts_a = np.asarray(pts_a, dtype=np.float64).reshape(-1, 2)
     pts_b = np.asarray(pts_b, dtype=np.float64).reshape(-1, 2)
-    if len(pts_a) < 8:
-        return ModelEstimate(None, np.empty(0, dtype=np.int64), 0, False)
     return _ransac_loop(pts_a, pts_b, cfg, _eight_point_batch, lambda m: _sampson_batch(m, pts_a, pts_b))
+
+
+def _calibrated(pts: np.ndarray, k_inv: np.ndarray) -> np.ndarray:
+    """(n, 2) pixel points in the calibrated coordinates of ``k_inv``, the inverse calibration."""
+    return (np.column_stack([pts, np.ones(len(pts))]) @ k_inv.T)[:, :2]
 
 
 def _essential_project(m: np.ndarray) -> np.ndarray:
@@ -222,12 +228,7 @@ def ransac_essential(
     """8-point in calibrated coordinates, essential projection, pixel Sampson scoring."""
     pts_a = np.asarray(pts_a, dtype=np.float64).reshape(-1, 2)
     pts_b = np.asarray(pts_b, dtype=np.float64).reshape(-1, 2)
-    if len(pts_a) < 8:
-        return ModelEstimate(None, np.empty(0, dtype=np.int64), 0, False)
-    inv_a = np.linalg.inv(k_a)
-    inv_b = np.linalg.inv(k_b)
-    norm_a = (np.column_stack([pts_a, np.ones(len(pts_a))]) @ inv_a.T)[:, :2]
-    norm_b = (np.column_stack([pts_b, np.ones(len(pts_b))]) @ inv_b.T)[:, :2]
+    inv_a, inv_b = np.linalg.inv(k_a), np.linalg.inv(k_b)
 
     def solve(sa, sb):
         f_norm, usable = _eight_point_batch(sa, sb)
@@ -237,7 +238,7 @@ def ransac_essential(
         # scored in pixels, through the calibrations
         return _sampson_batch(inv_b.T @ e @ inv_a, pts_a, pts_b)
 
-    return _ransac_loop(norm_a, norm_b, cfg, solve, residuals)
+    return _ransac_loop(_calibrated(pts_a, inv_a), _calibrated(pts_b, inv_b), cfg, solve, residuals)
 
 
 _W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -284,8 +285,8 @@ def recover_pose(
     pts_b = np.asarray(pts_b, dtype=np.float64).reshape(-1, 2)
     if len(pts_a) == 0:
         raise PoseRecoveryError("no correspondences to disambiguate the pose")
-    na = (np.column_stack([pts_a, np.ones(len(pts_a))]) @ np.linalg.inv(k_a).T)[:, :2]
-    nb = (np.column_stack([pts_b, np.ones(len(pts_b))]) @ np.linalg.inv(k_b).T)[:, :2]
+    na = _calibrated(pts_a, np.linalg.inv(k_a))
+    nb = _calibrated(pts_b, np.linalg.inv(k_b))
     u, _, vt = np.linalg.svd(e)
     if np.linalg.det(u) < 0:
         u = -u

@@ -20,6 +20,7 @@ matches must be in that frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +29,7 @@ import numpy as np
 from guidematch import coarse_matcher as cm
 from guidematch import numerics
 from guidematch.geometry.epipolar import FRAME_RESIZED, FundamentalMatrix, epipolar_distances, rescale_fundamental
-from guidematch.geometry.scene import ConfigError, SyntheticScene, TrainingPair, load_config, load_scene_dir
+from guidematch.geometry.scene import SyntheticScene, TrainingPair, load_scene_dir
 from guidematch.numerics import AdamState, Tensor, adam_step
 
 MODES = ("image", "epipolar", "point")
@@ -166,25 +167,21 @@ def loss_points(vol: cm.CorrelationVolume, masks: np.ndarray) -> Tensor:
     return _points_direction(vol.prob_ab, masks, (3, 4)) + _points_direction(vol.prob_ba, masks, (1, 2))
 
 
-def _check_pair(pair: TrainingPair, mode: str) -> None:
-    if mode == "epipolar" and pair.label == 1 and pair.fundamental is None:
-        raise ValueError("positive pair without a fundamental matrix in epipolar mode")
-    if mode == "point":
-        if pair.label != 1:
-            raise ValueError("point supervision cannot use negative pairs")
-        if pair.gt_matches is None:
-            raise ValueError("positive pair without ground-truth matches in point mode")
-
-
 def _group_targets(pairs: list[TrainingPair], mode: str, stride: int):
     """A shape group's labels, fundamental matrices or ground-truth cell
     masks, checked as its loss will check them."""
     if mode == "image":
         return [p.label for p in pairs]  # TrainingPair holds only +1 or -1
     if mode == "epipolar":
+        if any(p.label == 1 and p.fundamental is None for p in pairs):
+            raise ValueError("positive pair without a fundamental matrix in epipolar mode")
         fundamentals = [p.fundamental if p.label == 1 else None for p in pairs]
         _check_frames(fundamentals)
         return fundamentals
+    if any(p.label != 1 for p in pairs):
+        raise ValueError("point supervision cannot use negative pairs")
+    if any(p.gt_matches is None for p in pairs):
+        raise ValueError("positive pair without ground-truth matches in point mode")
     (ha, wa), (hb, wb) = pairs[0].image_a.shape, pairs[0].image_b.shape
     shape = (ha // stride, wa // stride, hb // stride, wb // stride)
     masks = np.stack([build_gt_cells(p.gt_matches, stride, shape) for p in pairs])
@@ -217,7 +214,6 @@ def total_loss(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     groups: dict[tuple, list[TrainingPair]] = {}
     for pair in pairs:
-        _check_pair(pair, mode)
         groups.setdefault((pair.image_a.shape, pair.image_b.shape), []).append(pair)
     targets = [_group_targets(group, mode, model.stride) for group in groups.values()]
     total = None
@@ -336,18 +332,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-    @classmethod
-    def from_file(cls, path, **overrides) -> "TrainConfig":
-        """The file's values (``load_config``; no file when ``path`` is None),
-        beaten by each override that is not None. A missing ``mode``,
-        ``dataset_dir`` or ``out_dir`` raises ``ConfigError``."""
-        values = load_config(path, cls) if path else {}
-        values.update({k: v for k, v in overrides.items() if v is not None})
-        missing = [k for k in ("mode", "dataset_dir", "out_dir") if k not in values]
-        if missing:
-            raise ConfigError(f"train needs a --config key or a flag for: {', '.join(missing)}")
-        return cls(**values)
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
+        for name in ("lr", "lr_finetune"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name):g}")
 
 
 @dataclass

@@ -200,3 +200,27 @@ def test_synth_config_accepts_only_its_keys(tmp_path, key, capsys):
     assert run_cli(["synth", "--scenes", "1", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
     assert repr(key.split(" = ")[0]) in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["synth", "--width", "100"], None, "image size 100x64 must be a multiple of stride 16"),
+        (["synth", "--scenes", "0"], None, "--scenes must be at least 1, got 0"),
+        (["synth", "--repeated", "-1"], None, "repeated_stamps must be >= 0, got -1"),
+        (["train"], "mode = sideways", "mode must be one of ('image', 'epipolar', 'point'), got 'sideways'"),
+        (["train", "--mode", "epipolar", "--iterations", "0"], None, "iterations must be at least 1, got 0"),
+        (["train", "--mode", "epipolar", "--lr", "nan"], None, "lr must be finite and >= 0, got nan"),
+        (["train", "--mode", "epipolar", "--lr", "-1"], None, "lr must be finite and >= 0, got -1"),
+    ],
+)
+def test_bad_synth_or_train_setting_is_a_usage_error(tmp_path, scenes, argv, config, message, capsys):
+    flags = ["--out", str(tmp_path / "out")]
+    if argv[0] == "train":
+        flags += ["--dataset", str(scenes[0])]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        flags += ["--config", str(tmp_path / "run.cfg")]
+    assert run_cli(argv + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

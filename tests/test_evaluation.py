@@ -108,6 +108,22 @@ class TestCorruptFeatures:
             assert np.array_equal(noisy.scale, kps.scale) and np.array_equal(noisy.response, kps.response)
 
 
+class TestEvalPck:
+    def test_fraction_is_the_count_over_the_points(self):
+        scenes = [generate_scene(SceneConfig(), s) for s in (0, 1)]
+        report = ev.eval_pck(cm.CoarseModel.create(0), scenes, (8.0, 16.0, 32.0), 64)
+        for row in report.rows + report.aggregates:
+            for t in ("8", "16", "32"):
+                assert 0 <= row[f"below_{t}"] <= row["n_points"]
+                assert row[f"pck_{t}"] == row[f"below_{t}"] / row["n_points"]
+
+    def test_scene_without_ground_truth_points_raises(self):
+        scene = generate_scene(SceneConfig(), 0)
+        scene.gt_points = scene.gt_points[:0]
+        with pytest.raises(ValueError, match="no ground-truth points"):
+            ev.eval_pck(cm.CoarseModel.create(0), [scene], (8.0,), 64)
+
+
 _errors = st.lists(st.floats(0.0, 30.0) | st.just(math.inf), min_size=1, max_size=20)
 
 

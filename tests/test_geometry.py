@@ -22,7 +22,7 @@ from guidematch.geometry import (
     save_scene,
 )
 from guidematch.geometry.epipolar import canonicalize_fundamental
-from guidematch.geometry.scene import SyntheticScene, load_config, read_pgm, write_pgm
+from guidematch.geometry.scene import ConfigError, SyntheticScene, load_config, read_pgm, write_pgm
 
 import oracles
 
@@ -333,10 +333,9 @@ class TestLoadConfig:
     def test_values_typed_by_field(self, tmp_path):
         path = tmp_path / "scene.cfg"
         path.write_text("# comment\nwidth = 128\ntexel_px = 3\nrotation_mode = identity\n")
-        values = load_config(path, SceneConfig)
-        assert values == {"width": 128, "texel_px": 3.0, "rotation_mode": "identity"}
-        assert type(values["width"]) is int and type(values["texel_px"]) is float
-        assert SceneConfig(**values).width == 128
+        config = load_config(path, SceneConfig)
+        assert config == SceneConfig(width=128, texel_px=3.0, rotation_mode="identity")
+        assert type(config.width) is int and type(config.texel_px) is float
 
     @pytest.mark.parametrize("key", ["widht", "baseline_range", "brightness_jitter"])
     def test_unknown_or_untyped_key_names_file_and_key(self, tmp_path, key):
@@ -348,9 +347,33 @@ class TestLoadConfig:
     def test_keys_limit_the_settable_fields(self, tmp_path):
         path = tmp_path / "scene.cfg"
         path.write_text("width = 128\nmax_retries = 3\n")
-        assert load_config(path, SceneConfig, ("width", "max_retries")) == {"width": 128, "max_retries": 3}
+        assert load_config(path, SceneConfig, ("width", "max_retries")) == SceneConfig(width=128, max_retries=3)
         with pytest.raises(ValueError, match="'max_retries'"):
             load_config(path, SceneConfig, ("width",))
+
+    def test_flag_beats_the_file(self, tmp_path):
+        path = tmp_path / "scene.cfg"
+        path.write_text("width = 128\nheight = 32\n")
+        assert load_config(path, SceneConfig, width=256) == SceneConfig(width=256, height=32)
+        assert load_config(None, SceneConfig, width=256) == SceneConfig(width=256)
+
+    def test_none_flag_keeps_the_file_value(self, tmp_path):
+        path = tmp_path / "scene.cfg"
+        path.write_text("width = 128\n")
+        assert load_config(path, SceneConfig, width=None, height=None) == SceneConfig(width=128)
+
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            ("width = 100\n", {}, "image size 100x64 must be a multiple of stride 16"),
+            ("", {"repeated_stamps": -1}, "repeated_stamps must be >= 0, got -1"),
+        ],
+    )
+    def test_value_the_dataclass_rejects_is_a_config_error(self, tmp_path, text, flags, message):
+        path = tmp_path / "scene.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path, SceneConfig, **flags)
 
 
 class TestSceneArchive:

@@ -11,7 +11,7 @@ from guidematch import coarse_matcher as cm
 from guidematch import supervision as sup
 from guidematch.geometry import FundamentalMatrix, SceneConfig, generate_scene, save_scene
 from guidematch.geometry.epipolar import FRAME_RESIZED
-from guidematch.geometry.scene import ConfigError
+from guidematch.geometry.scene import ConfigError, load_config
 from guidematch.numerics import Tensor
 
 import oracles
@@ -259,6 +259,25 @@ class TestTotalLossAndBatching:
         with pytest.raises(ValueError, match=message):
             sup.total_loss(tiny_model(), [good, bad], mode, 16.0)
 
+    @pytest.mark.parametrize("mode", ["epipolar", "point"])
+    def test_pair_without_the_mode_s_supervision_fails_before_any_forward_pass(self, mode, monkeypatch):
+        # the pair lacks what its mode reads, alone in the second shape group
+        big, small = make_pairs(), make_pairs(2, size=48)
+        src = small.positives[0]
+        if mode == "epipolar":
+            bad = sup.TrainingPair(src.image_a, src.image_b, 1, gt_matches=src.gt_matches)
+            message = "without a fundamental matrix"
+        else:
+            bad = sup.TrainingPair(src.image_a, src.image_b, 1, fundamental=src.fundamental)
+            message = "without ground-truth matches"
+
+        def no_forward(*args):
+            raise AssertionError("forward pass before the checks")
+
+        monkeypatch.setattr(cm, "compute_volume", no_forward)
+        with pytest.raises(ValueError, match=message):
+            sup.total_loss(tiny_model(), [big.positives[0], bad], mode, 16.0)
+
     def test_point_mode_rejects_negatives(self):
         model = tiny_model()
         ds = make_pairs()
@@ -402,7 +421,7 @@ class TestTraining:
         text = "mode = point\niterations = 7\nlr = 0.01\nlambda_px = 8\nseed = 3\n"
         cfg_path = tmp_path / "c.txt"
         cfg_path.write_text(text)
-        cfg = sup.TrainConfig.from_file(cfg_path, dataset_dir="d", out_dir="o")
+        cfg = load_config(cfg_path, sup.TrainConfig, dataset_dir="d", out_dir="o")
         assert cfg.mode == "point"
         assert cfg.iterations == 7
         assert cfg.lr == 0.01
@@ -413,17 +432,30 @@ class TestTraining:
         cfg_path = tmp_path / "c.txt"
         cfg_path.write_text("mode = point\niteration = 5\n")
         with pytest.raises(ValueError, match=r"c\.txt.*'iteration'"):
-            sup.TrainConfig.from_file(cfg_path, dataset_dir="d", out_dir="o")
+            load_config(cfg_path, sup.TrainConfig, dataset_dir="d", out_dir="o")
 
     def test_missing_required_value_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="mode"):
-            sup.TrainConfig.from_file(None, dataset_dir="d", out_dir="o")
+            load_config(None, sup.TrainConfig, dataset_dir="d", out_dir="o")
 
     def test_config_file_bad_value_names_file_and_key(self, tmp_path):
         cfg_path = tmp_path / "c.txt"
         cfg_path.write_text("mode = point\nbatch_size = 2.5\n")
         with pytest.raises(ValueError, match=r"c\.txt: batch_size"):
-            sup.TrainConfig.from_file(cfg_path, dataset_dir="d", out_dir="o")
+            load_config(cfg_path, sup.TrainConfig, dataset_dir="d", out_dir="o")
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"iterations": -3}, "iterations must be at least 1, got -3"),
+            ({"lr_finetune": float("inf")}, "lr_finetune must be finite and >= 0, got inf"),
+            ({"lr_finetune": -1e-3}, "lr_finetune must be finite and >= 0, got -0.001"),
+        ],
+    )
+    def test_settings_that_cannot_train_are_rejected(self, setting, message):
+        # the CLI test covers --iterations 0 and --lr nan / -1; lr_finetune has no flag
+        with pytest.raises(ValueError, match=message):
+            sup.TrainConfig(mode="epipolar", dataset_dir="d", out_dir="o", **setting)
 
 
 # the three losses, and "volume": prob_ab weighted by a random array, which
