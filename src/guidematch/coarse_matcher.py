@@ -16,11 +16,16 @@ whose A images share one shape and whose B images share one shape, given
 as (N, H, W) image stacks. Feature maps are (C, N, H/s, W/s) and volumes
 (N, Ha, Wa, Hb, Wb); each layer runs the whole batch in one call, and a
 pair's scores do not depend on the batch it ran in. Evaluation runs one
-pair, N = 1.
+pair, N = 1, through ``compute_match_fields``, and runs it detached: on a
+view of the model whose parameters share its arrays but require no grad,
+so no op records a graph and each hidden volume is freed as soon as the
+next layer has read it. Training runs ``compute_volume`` on the trainable
+model itself.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,18 +130,19 @@ class ConsensusFilter:
             out.extend([w, b])
         return out + [self.weights[-1]]
 
-    def forward(self, volume: Tensor) -> Tensor:
+    def forward(self, volume: Tensor, scratch: numerics.Conv4dScratch | None = None) -> Tensor:
         """Apply to an (N, Ha, Wa, Hb, Wb) stack of volumes, preserving its shape.
 
         The single input and output channel make the stack the (1, N, ...)
         input of ``conv4d`` by a free reshape: one call per layer for the
-        whole batch.
+        whole batch. Every call's forward work buffers come from ``scratch``
+        when one is given.
         """
         shape = volume.shape
         x = volume.reshape((1, *shape))
         for w, b in zip(self.weights[:-1], self.biases):
-            x = numerics.leaky_relu(numerics.conv4d(x, w, b), LEAKY_SLOPE)
-        return numerics.conv4d(x, self.weights[-1], self.output_bias).reshape(shape)
+            x = numerics.leaky_relu(numerics.conv4d(x, w, b, scratch=scratch), LEAKY_SLOPE)
+        return numerics.conv4d(x, self.weights[-1], self.output_bias, scratch=scratch).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -242,10 +248,14 @@ def filter_symmetric(cons: ConsensusFilter, raw: Tensor) -> Tensor:
 
     Guarantees filtered(A,B)[n,i,j,k,l] == filtered(B,A)[n,k,l,i,j]. The two
     orders stay two passes over the batch: stacking them into one call would
-    double the filter's working set.
+    double the filter's working set. The six ``conv4d`` calls of the two
+    passes share one ``Conv4dScratch``, so their column buffer and product
+    are allocated once per call of this function, not once per layer; the
+    backward pass allocates its own.
     """
-    direct = cons.forward(raw)
-    swapped = cons.forward(raw.transpose(_SWAP_AB)).transpose(_SWAP_AB)
+    scratch = numerics.Conv4dScratch()
+    direct = cons.forward(raw, scratch)
+    swapped = cons.forward(raw.transpose(_SWAP_AB), scratch).transpose(_SWAP_AB)
     return (direct + swapped) * 0.5
 
 
@@ -397,15 +407,38 @@ def compute_volume(model: CoarseModel, images_a: np.ndarray, images_b: np.ndarra
     )
 
 
+def _detached(model: CoarseModel) -> CoarseModel:
+    """A view of ``model`` for a forward pass that records no graph.
+
+    Its parameters are new tensors over the same arrays that do not require
+    grad; nothing is redrawn, and ``model`` is left as it was.
+    """
+
+    def plain(params: list[Tensor]) -> list[Tensor]:
+        return [Tensor(p.data, name=p.name) for p in params]
+
+    backbone = copy.copy(model.backbone)
+    backbone.weights, backbone.biases = plain(model.backbone.weights), plain(model.backbone.biases)
+    cons = copy.copy(model.cons_filter)
+    cons.weights, cons.biases = plain(model.cons_filter.weights), plain(model.cons_filter.biases)
+    return CoarseModel(backbone, cons)
+
+
 def compute_match_fields(
     model: CoarseModel, image_a: np.ndarray, image_b: np.ndarray, max_side: int
 ) -> tuple[CoarseMatchField, CoarseMatchField]:
     """Resize both images, run the model once, and extract the AB and BA
     fields stamped with the resize scales. Evaluation's one entry to the
-    model: non-finite filtered scores, say from a broken checkpoint, raise ``ValueError``."""
+    model: non-finite filtered scores, say from a broken checkpoint, raise ``ValueError``.
+
+    The forward pass runs detached, on ``_detached(model)``: no op records
+    parents or a backward closure, so each layer's output is freed once the
+    next layer has read it. The scores are the same bits as those of
+    ``compute_volume(model, ...)``, and ``model`` is not changed.
+    """
     image_a, scale_a = resize_image(image_a, max_side, model.stride)
     image_b, scale_b = resize_image(image_b, max_side, model.stride)
-    vol = compute_volume(model, image_a[None], image_b[None])
+    vol = compute_volume(_detached(model), image_a[None], image_b[None])
     if not np.isfinite(vol.filtered.data).all():
         raise ValueError("the coarse model produced non-finite coarse scores")
     ab = extract_matches(vol, "AB")

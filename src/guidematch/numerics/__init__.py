@@ -10,6 +10,7 @@ from guidematch.numerics.tensor import (
     parameter,
     conv2d,
     conv4d,
+    Conv4dScratch,
     softmax_over,
     max_over,
     l2_normalize_channels,
@@ -24,6 +25,7 @@ __all__ = [
     "parameter",
     "conv2d",
     "conv4d",
+    "Conv4dScratch",
     "softmax_over",
     "max_over",
     "l2_normalize_channels",

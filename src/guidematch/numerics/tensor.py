@@ -13,6 +13,8 @@ its filtered scores.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -303,6 +305,30 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, zero_pad: i
     return _make(out, (x, kernel, bias), bwd)
 
 
+class Conv4dScratch:
+    """Work buffers that a sequence of ``conv4d`` forward calls shares.
+
+    ``take(key, shape)`` returns a C-contiguous view of the first
+    prod(shape) elements of the key's flat buffer, which grows when it is
+    too small; a larger buffer is used through a prefix view. The view holds
+    whatever the last call left there, so a user that reads before writing
+    must clear it. Views taken earlier under the same key alias the new
+    one: a scratch serves one call at a time.
+    """
+
+    __slots__ = ("_buffers",)
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
 def _shifted(tap: int, n: int) -> tuple[slice, slice]:
     """(destination, source) slices of a zero-padded 3-tap shift along one axis.
 
@@ -312,7 +338,7 @@ def _shifted(tap: int, n: int) -> tuple[slice, slice]:
     return slice(max(0, 1 - tap), min(n, n + 1 - tap)), slice(max(0, tap - 1), min(n, n + tap - 1))
 
 
-def _a_row_columns(x: np.ndarray):
+def _a_row_columns(x: np.ndarray, scratch: Conv4dScratch):
     """Yield ``(i, cols)`` for every A-row ``i`` of a (C, N, Ha, Wa, Hb, Wb) array.
 
     ``cols`` has shape (9*C, N*(Wa+2)*Hb*Wb): row ``(dc*3 + dd)*C + c`` and
@@ -323,9 +349,15 @@ def _a_row_columns(x: np.ndarray):
     one buffer, filled by nine slab copies, covers the whole batch, and one
     matrix product per A-row serves all N samples. It is reused for every
     row, so a caller must consume it before the next one.
+
+    The buffer is the ``scratch``'s ``cols``. It is zeroed once per call,
+    before the first row: every row writes the same slices, so the padding
+    the copies leave out stays zero, but the scratch holds whatever its last
+    call wrote.
     """
     c, n, ha, wa, hb, wb = x.shape
-    cols = np.zeros((3, 3, c, n, wa + 2, hb, wb))
+    cols = scratch.take("cols", (3, 3, c, n, wa + 2, hb, wb))
+    cols.fill(0.0)
     shifts = [(dc, dd, _shifted(dc, hb), _shifted(dd, wb)) for dc in range(3) for dd in range(3)]
     for i in range(ha):
         row = x[:, :, i]
@@ -334,7 +366,7 @@ def _a_row_columns(x: np.ndarray):
         yield i, cols.reshape(9 * c, -1)
 
 
-def _conv4d_into(out: np.ndarray, x: np.ndarray, kd: np.ndarray) -> None:
+def _conv4d_into(out: np.ndarray, x: np.ndarray, kd: np.ndarray, scratch: Conv4dScratch) -> None:
     """Add the zero-padded stride-1 cross-correlation of (C_in, N, Ha, Wa, Hb, Wb)
     with (C_out, C_in, 3, 3, 3, 3) to ``out``: one stacked product per A-row.
 
@@ -345,14 +377,18 @@ def _conv4d_into(out: np.ndarray, x: np.ndarray, kd: np.ndarray) -> None:
     alone. One GEMM over all samples would not do: BLAS picks its kernels
     by the column count, and one that handles a sample's last columns as a
     tail alone and as full blocks in a batch rounds them differently.
+
+    The column buffer and the product are the ``scratch``'s ``cols`` and
+    ``prod``. Every product fully overwrites ``prod``, so it needs no
+    clearing.
     """
     c_out, c_in = kd.shape[:2]
     _, n, ha, wa, hb, wb = x.shape
     m = (wa + 2) * hb * wb
     kmat = kd.transpose(2, 3, 0, 4, 5, 1).reshape(9 * c_out, 9 * c_in)
-    prod = np.empty((n, 9 * c_out, m))
+    prod = scratch.take("prod", (n, 9 * c_out, m))
     taps = prod.reshape(n, 3, 3, c_out, wa + 2, hb, wb).transpose(1, 2, 3, 0, 4, 5, 6)
-    for i, cols in _a_row_columns(x):
+    for i, cols in _a_row_columns(x, scratch):
         np.matmul(kmat, cols.reshape(9 * c_in, n, m).transpose(1, 0, 2), out=prod)
         for da in range(3):
             a = i + 1 - da
@@ -361,11 +397,17 @@ def _conv4d_into(out: np.ndarray, x: np.ndarray, kd: np.ndarray) -> None:
                     out[:, :, a] += taps[da, db, :, :, db : db + wa]
 
 
-def conv4d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+def conv4d(x: Tensor, kernel: Tensor, bias: Tensor, scratch: Conv4dScratch | None = None) -> Tensor:
     """Cross-correlate a (C_in, N, Ha, Wa, Hb, Wb) stack of N volumes with 3^4 kernels.
 
     Fixed zero padding 1 and stride 1 on all four spatial axes, so the
     output is (C_out, N, Ha, Wa, Hb, Wb).
+
+    ``scratch`` lends the forward pass its column buffer and product, so a
+    sequence of calls allocates them once; without one the call makes its
+    own. It changes no output bit: the buffers are views of the same sizes
+    and the column buffer is zeroed first. The backward pass never uses it
+    and makes its own, so a graph holds no reference to a scratch.
 
     For each A-row the 9 B-taps and the input channels are unrolled into a
     (9*C_in, N*(Wa+2)*Hb*Wb) column matrix (see ``_a_row_columns``) and
@@ -398,7 +440,7 @@ def conv4d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     kd = kernel.data
     out = np.empty((c_out,) + dims)
     out[:] = bias.data[(slice(None),) + (None,) * 5]
-    _conv4d_into(out, x.data, kd)
+    _conv4d_into(out, x.data, kd, Conv4dScratch() if scratch is None else scratch)
 
     def bwd(g):
         if bias.requires_grad:
@@ -409,7 +451,7 @@ def conv4d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             n, ha, wa = dims[:3]
             gk = np.zeros((9 * c_out, 9 * c_in))
             g_taps = np.zeros((3, 3, c_out, n, wa + 2) + dims[3:])
-            for i, cols in _a_row_columns(x.data):
+            for i, cols in _a_row_columns(x.data, Conv4dScratch()):
                 for da in range(3):
                     a = i + 1 - da
                     for db in range(3):
@@ -422,7 +464,7 @@ def conv4d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         if x.requires_grad:
             flipped = kd[:, :, ::-1, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4, 5)
             gx = np.zeros(x.shape)
-            _conv4d_into(gx, g, flipped)
+            _conv4d_into(gx, g, flipped, Conv4dScratch())
             x._acc(gx)
 
     return _make(out, (x, kernel, bias), bwd)
@@ -432,8 +474,20 @@ def conv4d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float = 0.1) -> Tensor:
-    pos = x.data >= 0
-    out = np.where(pos, x.data, slope * x.data)
+    """``x`` where ``x >= 0``, else ``slope * x``, for 0 < slope <= 1.
+
+    Computed as ``max(x, slope * x)``, which equals the branch form bit for
+    bit, signed zeros, infinities and subnormals included, exactly when
+    0 < slope <= 1: then ``slope * x`` never lies beyond ``x`` on the side
+    away from zero. Other slopes raise ``ValueError``; slope 0 is among them
+    because ``0 * inf`` is nan. The sign mask the backward pass needs is
+    built only when ``x`` requires grad.
+    """
+    if not 0 < slope <= 1:
+        raise ValueError(f"leaky_relu slope must be in (0, 1], got {slope}")
+    out = slope * x.data
+    np.maximum(x.data, out, out=out)
+    pos = x.data >= 0 if x.requires_grad else None
 
     def bwd(g):
         if x.requires_grad:

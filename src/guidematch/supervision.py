@@ -337,6 +337,21 @@ class TrainConfig:
         for name in ("lr", "lr_finetune"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name):g}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.batch_size * self.positive_fraction % 1:
+            raise ValueError(f"batch_size must be even in {self.mode} mode (half positive pairs), got {self.batch_size}")
+        stride = 2 ** len(self.backbone_channels)
+        if self.max_side < stride:
+            raise ValueError(f"max_side must be at least the backbone stride {stride}, got {self.max_side}")
+        # epipolar_distances(...) < lambda_px labels the consistent cells
+        if not 0 < self.lambda_px < math.inf:
+            raise ValueError(f"lambda_px must be finite and > 0, got {self.lambda_px:g}")
+
+    @property
+    def positive_fraction(self) -> float:
+        """Share of positive pairs in a batch: all in point mode, else half."""
+        return 1.0 if self.mode == "point" else 0.5
 
 
 @dataclass
@@ -366,8 +381,7 @@ def train(config: TrainConfig) -> TrainResult:
     model = cm.CoarseModel.create(
         config.seed, config.backbone_channels, config.filter_hidden, frozen_backbone=True
     )
-    positive_fraction = 1.0 if config.mode == "point" else 0.5
-    sampler = BatchSampler(dataset, config.batch_size, config.seed, positive_fraction)
+    sampler = BatchSampler(dataset, config.batch_size, config.seed, config.positive_fraction)
 
     filter_params = model.cons_filter.parameters()
     backbone_params = model.backbone.parameters()

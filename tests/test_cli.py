@@ -212,6 +212,14 @@ def test_synth_config_accepts_only_its_keys(tmp_path, key, capsys):
         (["train", "--mode", "epipolar", "--iterations", "0"], None, "iterations must be at least 1, got 0"),
         (["train", "--mode", "epipolar", "--lr", "nan"], None, "lr must be finite and >= 0, got nan"),
         (["train", "--mode", "epipolar", "--lr", "-1"], None, "lr must be finite and >= 0, got -1"),
+        (["train", "--mode", "point"], "batch_size = 0", "batch_size must be at least 1, got 0"),
+        (["train", "--mode", "epipolar"], "batch_size = 3", "batch_size must be even in epipolar mode"),
+        (["train", "--mode", "image"], "batch_size = 5", "batch_size must be even in image mode"),
+        (["train", "--mode", "epipolar"], "max_side = 8", "max_side must be at least the backbone stride 16, got 8"),
+        (["train", "--mode", "epipolar"], "lambda_px = -1", "lambda_px must be finite and > 0, got -1"),
+        (["train", "--mode", "epipolar"], "lambda_px = 0", "lambda_px must be finite and > 0, got 0"),
+        (["train", "--mode", "epipolar"], "lambda_px = inf", "lambda_px must be finite and > 0, got inf"),
+        (["train", "--mode", "epipolar"], "lambda_px = nan", "lambda_px must be finite and > 0, got nan"),
     ],
 )
 def test_bad_synth_or_train_setting_is_a_usage_error(tmp_path, scenes, argv, config, message, capsys):

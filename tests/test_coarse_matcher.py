@@ -360,6 +360,61 @@ class TestBatchedModel:
                 assert np.array_equal(field.scores, ref.scores)
 
 
+class TestDetachedEval:
+    """Evaluation's forward pass runs on a view that records no graph."""
+
+    @staticmethod
+    def _model(seed):
+        rng = np.random.default_rng(seed)
+        model = cm.CoarseModel.create(seed, backbone_channels=(4, 8), filter_hidden=(4,), frozen_backbone=True)
+        for p in model.parameters():
+            p.data = rng.standard_normal(p.shape)
+        return model, rng
+
+    def test_callers_model_is_left_as_it_was(self):
+        model, rng = self._model(50)
+        params = model.parameters() + [model.cons_filter.output_bias]
+        before = [(p.requires_grad, p.grad, p.data, p.data.copy()) for p in params]
+        assert {p.requires_grad for p in params} == {False, True}  # frozen backbone, trainable filter
+        cm.compute_match_fields(model, rng.random((32, 48)), rng.random((48, 32)), 48)
+        assert model.parameters() + [model.cons_filter.output_bias] == params
+        for p, (flag, grad, data, values) in zip(params, before):
+            assert p.requires_grad == flag and p.grad is None and grad is None
+            assert p.data is data and np.array_equal(data, values)
+
+    def test_fields_are_bit_identical_to_the_trainable_forward(self, monkeypatch):
+        model, rng = self._model(51)
+        image_a, image_b = rng.random((32, 48)), rng.random((48, 32))
+        seen = []
+        compute_volume = cm.compute_volume
+
+        def recording(*args):
+            seen.append(compute_volume(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(cm, "compute_volume", recording)
+        fields = cm.compute_match_fields(model, image_a, image_b, 48)
+        monkeypatch.undo()
+        assert [v.filtered._parents for v in seen] == [()]  # the eval forward ran detached
+        vol = cm.compute_volume(model, image_a[None], image_b[None])
+        assert vol.filtered.requires_grad
+        for field, direction in zip(fields, ("AB", "BA")):
+            ref = cm.extract_matches(vol, direction)
+            assert np.array_equal(field.target_cells, ref.target_cells)
+            assert np.array_equal(field.scores.view(np.uint64), ref.scores.view(np.uint64))
+
+    def test_view_shares_arrays_and_records_no_parents(self):
+        model, rng = self._model(52)
+        view = cm._detached(model)
+        for p, v in zip(model.parameters(), view.parameters()):
+            assert v is not p and v.data is p.data and v.name == p.name and not v.requires_grad
+        raw = Tensor(rng.standard_normal((1, 2, 3, 2, 3)))
+        out = view.cons_filter.forward(raw)
+        assert isinstance(out, Tensor) and out._parents == () and out._backward is None
+        vol = cm.compute_volume(view, rng.random((1, 32, 32)), rng.random((1, 32, 32)))
+        assert all(t._parents == () and not t.requires_grad for t in (vol.filtered, vol.prob_ab, vol.prob_ba))
+
+
 class TestEndToEndGradients:
     def test_full_pipeline_finite_differences(self):
         seed, (f, params) = _first_well_conditioned("volume")

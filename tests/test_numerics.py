@@ -14,6 +14,7 @@ import guidematch
 from guidematch.numerics import tensor
 from guidematch.numerics import (
     AdamState,
+    Conv4dScratch,
     Tensor,
     adam_step,
     conv2d,
@@ -180,6 +181,99 @@ class TestConv4d:
         k = Tensor(np.zeros((1, 3, 3, 3, 3, 3)))
         with pytest.raises(ValueError, match="channel"):
             conv4d(x, k, Tensor(np.zeros(1)))
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The float64 bit patterns, so -0.0 and 0.0 (and nan payloads) differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestConv4dScratch:
+    """A shared scratch changes no bit of any conv4d output or gradient."""
+
+    # (C_in, C_out, N, spatial): the filter's three layers on one 12x16x12x16
+    # volume, then a batch of 8 small volumes; the buffers grow, then shrink
+    SEQUENCE = [
+        (1, 16, 1, (12, 16, 12, 16)),
+        (16, 16, 1, (12, 16, 12, 16)),
+        (16, 1, 1, (12, 16, 12, 16)),
+        (16, 16, 8, (4, 4, 4, 4)),
+    ]
+
+    def _cases(self, seed):
+        rng = np.random.default_rng(seed)
+        for c_in, c_out, n, spatial in self.SEQUENCE:
+            yield (
+                rng.standard_normal((c_in, n, *spatial)),
+                rng.standard_normal((c_out, c_in, 3, 3, 3, 3)),
+                rng.standard_normal(c_out),
+            )
+
+    @pytest.mark.parametrize("prefill", [None, np.nan])
+    def test_forward_is_bit_identical(self, prefill):
+        scratch = Conv4dScratch()
+        if prefill is not None:
+            # dirty buffers larger than any call of the sequence needs
+            scratch.take("cols", (2_000_000,)).fill(prefill)
+            scratch.take("prod", (2_000_000,)).fill(prefill)
+        for x, k, b in self._cases(31):
+            shared = conv4d(Tensor(x), Tensor(k), Tensor(b), scratch=scratch)
+            alone = conv4d(Tensor(x), Tensor(k), Tensor(b))
+            assert np.array_equal(_bits(shared.data), _bits(alone.data)), x.shape
+
+    def test_backward_is_bit_identical(self):
+        scratch = Conv4dScratch()
+        rng = np.random.default_rng(32)
+        for x, k, b in self._cases(33):
+            g = rng.standard_normal((k.shape[0], *x.shape[1:]))
+            grads = []
+            for sc in (scratch, None):
+                params = [parameter(x, "x"), parameter(k, "k"), parameter(b, "b")]
+                (conv4d(*params, scratch=sc) * Tensor(g)).sum().backward()
+                grads.append([p.grad for p in params])
+            for shared, alone in zip(*grads):
+                assert np.array_equal(_bits(shared), _bits(alone)), x.shape
+
+    def test_take_grows_and_reuses_a_prefix(self):
+        scratch = Conv4dScratch()
+        big = scratch.take("cols", (4, 5))
+        small = scratch.take("cols", (3, 2))
+        assert small.shape == (3, 2) and small.flags.c_contiguous
+        assert np.shares_memory(big, small)
+        grown = scratch.take("cols", (7, 5))
+        assert grown.shape == (7, 5) and not np.shares_memory(big, grown)
+        assert not np.shares_memory(grown, scratch.take("prod", (7, 5)))
+
+
+class TestLeakyRelu:
+    @staticmethod
+    def _special_data(rng):
+        x = rng.standard_normal(4000) * 10.0 ** rng.integers(-320, 300, 4000)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        specials = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310, 1e-308, -1e-308]
+        return np.concatenate([x, specials]).reshape(2, 2005)
+
+    @pytest.mark.parametrize("slope", [0.1, 0.5, 1e-3, 1.0, np.finfo(np.float64).smallest_subnormal])
+    @pytest.mark.parametrize("requires_grad", [False, True])
+    def test_forward_matches_branch_form_bit_for_bit(self, slope, requires_grad):
+        x = self._special_data(np.random.default_rng(41))
+        assert np.isinf(x).sum() == 2 and (x == 0).sum() >= 2
+        out = leaky_relu(Tensor(x, requires_grad=requires_grad), slope)
+        assert np.array_equal(_bits(out.data), _bits(np.where(x >= 0, x, slope * x)))
+        assert out.requires_grad == requires_grad
+
+    @pytest.mark.parametrize("slope", [-0.1, 1.5, 0.0, float("nan")])
+    def test_slope_outside_the_unit_interval_is_rejected(self, slope):
+        # slope 0 would turn +inf into nan: max(inf, 0 * inf)
+        with pytest.raises(ValueError, match="slope"):
+            leaky_relu(Tensor(np.ones(3)), slope)
+
+    def test_gradients(self):
+        for seed in range(N_GRAD_SEEDS):
+            rng = np.random.default_rng(600 + seed)
+            x = parameter(rng.standard_normal((4, 6)), "x")
+            w = rng.standard_normal((4, 6))
+            assert max_gradient_error(lambda: (leaky_relu(x, 0.2) * w).sum(), [x]) < GRAD_TOL
 
 
 def assert_batch_invariant(op, x_data, weights, rng):
