@@ -316,8 +316,9 @@ def match_model_guided(
     threshold; stage 2 is ``match_epipolar_band`` under that matrix. With
     an infinite band this is exactly raw matching.
     """
-    if math.isinf(band_px):
+    if band_px == math.inf:
         return match_raw(desc_a, desc_b)
+    cfg = rp.RansacConfig(threshold=band_px, seed=0)  # rejects a nan, -inf or non-positive band
     if len(kps_a) < 8 or len(kps_b) < 8:
         raise MatchingError("too few keypoints for the scale-based first stage")
     top_a = _top_scale_indices(kps_a)
@@ -328,7 +329,7 @@ def match_model_guided(
     if len(seeds) < 8:
         raise MatchingError(f"only {len(seeds)} mutual top-scale matches, need 8")
     seed_a, seed_b = kps_a.xy[top_a[seeds.index_a]], kps_b.xy[top_b[seeds.index_b]]
-    estimate = rp.ransac_fundamental(seed_a, seed_b, rp.RansacConfig(threshold=band_px, seed=0))
+    estimate = rp.ransac_fundamental(seed_a, seed_b, cfg)
     if not estimate.success:
         raise MatchingError("stage-1 fundamental matrix estimation failed")
     return match_epipolar_band(kps_a, desc_a, kps_b, desc_b, estimate.matrix, band_px)

@@ -8,14 +8,16 @@ triangulated points in front of both cameras.
 
 RANSAC fits and scores its hypotheses in blocks of up to 64: one batched
 8-point solver (``_eight_point_batch``) fits every minimal sample of a block
-and one batched Sampson pass scores them all against the full set. The
-samples are drawn in iteration order from the same generator calls, and the
-block is then walked in that order with the one-at-a-time update and
-adaptive stop, so iteration counts, inlier sets and matrices equal those of
-fitting one hypothesis per iteration bit for bit. Each row of a batched call
-goes through the same floating-point operations as a one-row call (norms are
-per-slice dot products, degenerate rows are masked before any division), so
-the consensus-set refits and ``sampson_distances`` are simply the B=1 calls.
+and one batched Sampson pass scores them all against the full set. A block's
+minimal samples come from one generator call (``_draw_samples``) that
+reproduces, draw for draw, the stream of one ``rng.choice(n, 8,
+replace=False)`` per iteration; the block is then walked in iteration order
+with the one-at-a-time update and adaptive stop, so iteration counts, inlier
+sets and matrices equal those of fitting one hypothesis per iteration bit for
+bit. Each row of a batched call goes through the same floating-point
+operations as a one-row call (norms are per-slice dot products, degenerate
+rows are masked before any division), so the consensus-set refits and
+``sampson_distances`` are simply the B=1 calls.
 The fitted matrices take the canonical form that
 ``geometry.epipolar.canonicalize_fundamental`` defines for every
 fundamental matrix.
@@ -24,6 +26,7 @@ fundamental matrix.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +50,11 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        # a nan threshold admits no inlier, so every fit would fail silently
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError(f"threshold must be positive and finite, got {self.threshold!r}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must be in (0, 1)")
 
@@ -92,7 +98,11 @@ def _eight_point_batch(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.n
     xa, ya = na[..., 0], na[..., 1]
     xb, yb = nb[..., 0], nb[..., 1]
     design = np.stack([xb * xa, xb * ya, xb, yb * xa, yb * ya, yb, xa, ya, np.ones_like(xa)], axis=-1)
-    _, sv, vt = np.linalg.svd(design)
+    # only V is read: a thin SVD skips the m x m U of a consensus-set refit and
+    # gives the same singular values and V (gesdd computes both from one
+    # bidiagonalization whichever U it is asked for); an 8-row sample needs
+    # full matrices for the 9th row of V
+    _, sv, vt = np.linalg.svd(design, full_matrices=design.shape[1] < 9)
     determined = sv[:, 7] > 1e-9 * sv[:, 0]
     f_px = tb.transpose(0, 2, 1) @ vt[:, -1].reshape(-1, 3, 3) @ ta
     matrices, canonical = canonicalize_fundamental(f_px)
@@ -136,16 +146,44 @@ def _adaptive_iterations(inlier_ratio: float, confidence: float, sample_size: in
 _BLOCK = 64
 
 
+def _draw_samples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """(count, 8) int64 minimal samples of range(n), n >= 8, from one generator call.
+
+    Equals ``np.stack([rng.choice(n, size=8, replace=False) for _ in
+    range(count)])`` bit for bit and leaves ``rng`` in the same state. For 8
+    picks ``Generator.choice`` makes 15 bounded draws: Floyd's selection (for
+    j = n-8 .. n-1 a draw from [0, j], taking j where it collides with an
+    earlier pick), then a Fisher-Yates shuffle of the picks (for i = 7 .. 1 a
+    draw from [0, i] and a swap); its other path, a tail shuffle, needs more
+    than n/50 picks of n > 10000, so 8 picks never take it. ``integers``
+    over the tiled bounds makes the
+    same bounded draws in the same order; the collision rule and the swaps
+    then run column by column over the block.
+    """
+    draws = rng.integers(0, np.tile(np.r_[n - 8 : n, 7:0:-1], count), endpoint=True).reshape(count, 15)
+    samples = np.empty((count, 8), dtype=np.int64)
+    for k in range(8):
+        taken = (samples[:, :k] == draws[:, k, None]).any(axis=1)
+        samples[:, k] = np.where(taken, n - 8 + k, draws[:, k])
+    rows = np.arange(count)
+    for i in range(7, 0, -1):
+        j = draws[:, 15 - i]
+        picked = samples[rows, j]
+        samples[rows, j] = samples[:, i]
+        samples[:, i] = picked
+    return samples
+
+
 def _ransac_loop(pts_a, pts_b, cfg: RansacConfig, solve, residuals) -> ModelEstimate:
     """Minimal-sample RANSAC, scored a block of hypotheses at a time.
 
     ``solve`` maps (B, m, 2) samples to (B, 3, 3) models and a (B,) mask of
     the usable ones (as ``_eight_point_batch``); ``residuals`` maps (B, 3, 3)
-    models to (B, n) distances. Samples
-    are drawn one ``rng.choice`` at a time in iteration order and the block
-    is walked in that order with the same update and stopping rule, so the
-    result equals fitting and scoring one hypothesis per iteration. Fewer
-    than 8 points fail with no iteration run.
+    models to (B, n) distances. A block's samples are drawn at once by
+    ``_draw_samples``, whose stream equals one ``rng.choice`` per iteration,
+    and the block is walked in iteration order with the same update and
+    stopping rule, so the result equals fitting and scoring one hypothesis
+    per iteration. Fewer than 8 points fail with no iteration run.
     """
     n = len(pts_a)
     if n < 8:
@@ -158,7 +196,7 @@ def _ransac_loop(pts_a, pts_b, cfg: RansacConfig, solve, residuals) -> ModelEsti
     needed = limit
     it = 0
     while it < needed:
-        samples = np.stack([rng.choice(n, size=8, replace=False) for _ in range(min(_BLOCK, needed - it))])
+        samples = _draw_samples(rng, n, min(_BLOCK, needed - it))
         models, usable = solve(pts_a[samples], pts_b[samples])
         hits = residuals(models) < cfg.threshold
         counts = hits.sum(axis=1)

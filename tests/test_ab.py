@@ -69,3 +69,45 @@ def test_one_pair_and_failures_are_reported():
 def test_run_line_names_pair_side_and_metrics(pair, side):
     line = ab.run_line(pair, side, ab.parse_result(stdout(5.61, 179.3)))
     assert line == f"pair {pair} {side:6s} failed 0/10  op_ms.p50 179.3  ops_per_s 5.61"
+
+
+def test_summary_keeps_each_run_and_the_figures_the_lines_print():
+    pairs = canned([
+        ((4.0, 250.0), (5.0, 200.0)),
+        ((4.5, 220.0), (5.5, 180.0)),
+        ((5.0, 200.0), (5.0, 210.0)),
+        ((4.2, 240.0), (5.2, 190.0)),
+        ((4.4, 230.0), (5.4, 185.0, 1)),
+    ])
+    result = ab.summary(pairs, END_TO_END)
+    ops = result["metrics"]["ops_per_s"]
+    assert ops["unit"] == "1/s" and ops["better"] == "higher"
+    assert ops["parent"] == {"runs": [4.0, 4.5, 5.0, 4.2, 4.4], "median": 4.4, "q1": 4.2, "q3": 4.5}
+    assert ops["change"]["runs"] == [5.0, 5.5, 5.0, 5.2, 5.4]
+    assert ops["change_rel"] == pytest.approx(5.2 / 4.4 - 1.0)
+    assert ops["change_wins"] == 4 and ops["beyond_parent_iqr"]
+    p50 = result["metrics"]["op_ms.p50"]
+    assert (p50["change"]["median"], p50["change_wins"]) == (190.0, 4)
+    assert result["pairs"] == 5
+    assert result["failed_ops"] == {"parent": {"failed": 0, "attempted": 50}, "change": {"failed": 1, "attempted": 50}}
+
+
+def test_json_option_writes_the_summary_of_the_runs(tmp_path, monkeypatch, capsys):
+    checkouts = {side: tmp_path / side for side in ab.SIDES}
+    for path in checkouts.values():
+        (path / "perfbench").mkdir(parents=True)
+        (path / "perfbench" / "run.py").write_text("")
+    (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    canned_runs = {
+        checkouts["parent"]: iter([(4.0, 250.0), (4.4, 230.0)]),
+        checkouts["change"]: iter([(5.0, 200.0), (5.2, 190.0)]),
+    }
+    monkeypatch.setattr(ab, "run_once", lambda checkout, *_: ab.parse_result(stdout(*next(canned_runs[checkout]))))
+    out = tmp_path / "ab.json"
+    argv = [str(checkouts["parent"]), str(checkouts["change"]), "--workload", "w", "--pairs", "2", "--seconds", "1",
+            "--seed", "3", "--json", str(out)]
+    assert ab.main(argv) == 0
+    written = json.loads(out.read_text())
+    pairs = canned([((4.0, 250.0), (5.0, 200.0)), ((4.4, 230.0), (5.2, 190.0))])
+    assert written == {"workload": "w", "seconds": 1, "seed": 3, **ab.summary(pairs, END_TO_END)}
+    assert "\n".join(ab.summarize(pairs, END_TO_END)) in capsys.readouterr().out

@@ -430,6 +430,14 @@ class TestModelGuided:
 
         assert precision(bad) < precision(good)
 
+    @pytest.mark.parametrize("band_px", [np.nan, -np.inf])
+    def test_nan_or_negative_infinite_band_is_a_value_error(self, band_px):
+        # not a stage-1 MatchingError that eval_pose would count as a pose
+        # failure, nor raw matching as an infinite band gives
+        scene, ka, da, kb, db = self._scene_keypoints(11)
+        with pytest.raises(ValueError, match="threshold must be positive and finite"):
+            km.match_model_guided(ka, da, kb, db, band_px=band_px)
+
     def test_too_few_keypoints_errors(self):
         img = textured_image(13)
         kps = km.detect_keypoints(img, max_count=5)

@@ -93,6 +93,23 @@ class TestSampson:
             )
 
 
+class TestRansacConfig:
+    # settings that would make every fit fail, or fail deep in the loop, are refused up front
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_a_non_finite_or_non_positive_threshold(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be positive and finite"):
+            rp.RansacConfig(threshold=threshold)
+
+    @pytest.mark.parametrize("max_iters", [0, -3, 2.5, 10.0, True])
+    def test_rejects_a_max_iters_that_is_not_an_integer_of_at_least_one(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            rp.RansacConfig(max_iters=max_iters)
+
+    def test_accepts_a_numpy_integer_budget(self):
+        assert rp.RansacConfig(max_iters=np.int64(1)).max_iters == 1
+
+
 class TestRansacFundamental:
     def test_all_exact_inliers(self):
         scene, pa, pb = scene_correspondences(5, n=100)
@@ -266,6 +283,27 @@ def _assert_equals_reference(est, ref):
         assert np.array_equal(est.matrix, matrix)
 
 
+class TestDrawSamples:
+    def test_equals_the_choice_loop_and_leaves_the_same_state(self):
+        """``_draw_samples`` pins numpy's ``Generator.choice`` algorithm for 8
+        picks without replacement (Floyd's selection, then a Fisher-Yates
+        shuffle of the picks). A numpy upgrade that changes that algorithm
+        must fail here first, before any RANSAC result or report changes.
+
+        Each generator serves the counts in turn, so later blocks start from
+        a state earlier draws left half-used.
+        """
+        for seed in (0, 7, 2**31 - 1):
+            for n in [*range(8, 601), 10_001, 20_000, 1_000_003]:
+                blocked = np.random.default_rng(np.random.SeedSequence([seed]))
+                looped = np.random.default_rng(np.random.SeedSequence([seed]))
+                for count in (1, 2, 63, 64):
+                    got = rp._draw_samples(blocked, n, count)
+                    want = np.stack([looped.choice(n, size=8, replace=False) for _ in range(count)])
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (seed, n, count)
+                    assert blocked.bit_generator.state == looped.bit_generator.state, (seed, n, count)
+
+
 class TestBatchedRansac:
     # blocked scoring must reproduce the one-hypothesis-at-a-time loop exactly
 
@@ -341,6 +379,23 @@ def minimal_sample_batches(draw):
     return sa, sb
 
 
+@st.composite
+def consensus_sets(draw):
+    """One consensus set of m = 9..300 correspondences, as a RANSAC refit
+    sees it: noisy two-view inliers plus uniform outliers, sometimes only a
+    few distinct points repeated, which leaves the design rank deficient."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(9, 300))
+    n_out = draw(st.integers(0, m))
+    pa, pb = two_view_points(rng, m - n_out)
+    pa = np.vstack([pa + rng.normal(0.0, draw(st.sampled_from([0.0, 0.3])), pa.shape), rng.uniform(0, 255, (n_out, 2))])
+    pb = np.vstack([pb, rng.uniform(0, 191, (n_out, 2))])
+    if draw(st.booleans()):
+        distinct = draw(st.integers(1, 10))
+        pa, pb = pa[np.arange(m) % distinct], pb[np.arange(m) % distinct]
+    return pa, pb
+
+
 class TestEightPointBatch:
     @settings(max_examples=150, deadline=None)
     @given(minimal_sample_batches())
@@ -365,6 +420,20 @@ class TestEightPointBatch:
                 continue
             assert usable[b]
             assert np.array_equal(matrices[b], ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(consensus_sets())
+    def test_consensus_refit_equals_full_svd_reference(self, points):
+        # the refit's thin SVD gives the full SVD's singular values and V bit for bit
+        pa, pb = points
+        matrices, usable = rp._eight_point_batch(pa[None], pb[None])
+        try:
+            ref = oracles.eight_point_reference(pa, pb)
+        except (oracles.DegenerateSample, ValueError):
+            assert not usable[0]
+            return
+        assert usable[0]
+        assert np.array_equal(matrices[0], ref)
 
     def test_sampson_rows_equal_single_calls(self):
         rng = np.random.default_rng(3)

@@ -1,6 +1,6 @@
 """Alternate the benchmark between two checkouts and summarize its end-to-end metrics.
 
-    python3 tools/ab.py PARENT CHANGE --workload W --pairs N --seconds S --seed K
+    python3 tools/ab.py PARENT CHANGE --workload W --pairs N --seconds S --seed K [--json PATH]
 
 PARENT and CHANGE are source checkouts, say a clone of each commit. A run
 is ``perfbench/run.py --workload W --seed K --seconds S`` started inside
@@ -14,7 +14,9 @@ per metric of the change's ``BENCHMARK.json``, each side's median and
 quartiles, the change's median relative to the parent's, the pairs the
 change won in the metric's better direction (ties count for neither), and
 whether the medians differ by more than the parent's interquartile range.
-A run that exits non-zero stops the tool with its stderr.
+With ``--json PATH`` the same summary, with every run's value, is also
+written to PATH as JSON. A run that exits non-zero stops the tool with its
+stderr.
 """
 
 from __future__ import annotations
@@ -57,27 +59,46 @@ def run_line(pair: int, side: str, result: dict) -> str:
     return f"pair {pair} {side:6s} failed {result['failed']}/{result['attempted']}  {metrics}"
 
 
-def summarize(pairs: list[dict[str, dict]], end_to_end: list[dict]) -> list[str]:
-    """One line per metric over ``pairs``, each a {"parent": result, "change": result} dict."""
-    lines = []
+def summary(pairs: list[dict[str, dict]], end_to_end: list[dict]) -> dict:
+    """Per metric over ``pairs``, each a {"parent": result, "change": result}
+    dict: each side's runs, median and quartiles, the change's median
+    relative to the parent's, its wins and whether the medians differ by
+    more than the parent's interquartile range; then the failed ops."""
+    metrics = {}
     for metric in end_to_end:
         name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
-        values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
-        medians = {side: statistics.median(values[side]) for side in SIDES}
-        quartiles = {side: _quartiles(values[side]) for side in SIDES}
-        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-        rel = medians["change"] / medians["parent"] - 1.0 if medians["parent"] else float("nan")
-        spread = quartiles["parent"][1] - quartiles["parent"][0]
+        entry = {"unit": metric["unit"], "better": metric["better"]}
+        for side in SIDES:
+            runs = [p[side]["metrics"][name]["value"] for p in pairs]
+            q1, q3 = _quartiles(runs)
+            entry[side] = {"runs": runs, "median": statistics.median(runs), "q1": q1, "q3": q3}
+        parent, change = entry["parent"], entry["change"]
+        entry["change_rel"] = change["median"] / parent["median"] - 1.0 if parent["median"] else float("nan")
+        entry["change_wins"] = sum(sign * (c - p) > 0 for p, c in zip(parent["runs"], change["runs"]))
+        entry["beyond_parent_iqr"] = abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]
+        metrics[name] = entry
+    failed_ops = {
+        side: {"failed": sum(p[side]["failed"] for p in pairs), "attempted": sum(p[side]["attempted"] for p in pairs)}
+        for side in SIDES
+    }
+    return {"pairs": len(pairs), "metrics": metrics, "failed_ops": failed_ops}
+
+
+def summarize(pairs: list[dict[str, dict]], end_to_end: list[dict]) -> list[str]:
+    """One line per metric of ``summary(pairs, end_to_end)``, then the failed ops."""
+    result = summary(pairs, end_to_end)
+    lines = []
+    for name, m in result["metrics"].items():
         sides = "  ".join(
-            f"{side} {medians[side]:.4g} [{quartiles[side][0]:.4g}, {quartiles[side][1]:.4g}]" for side in SIDES
+            f"{side} {m[side]['median']:.4g} [{m[side]['q1']:.4g}, {m[side]['q3']:.4g}]" for side in SIDES
         )
         lines.append(
-            f"{name} ({metric['unit']}, {metric['better']} is better): {sides}  change {rel:+.1%}  "
-            f"wins {wins}/{len(pairs)}  beyond parent IQR: {'yes' if abs(medians['change'] - medians['parent']) > spread else 'no'}"
+            f"{name} ({m['unit']}, {m['better']} is better): {sides}  change {m['change_rel']:+.1%}  "
+            f"wins {m['change_wins']}/{result['pairs']}  beyond parent IQR: {'yes' if m['beyond_parent_iqr'] else 'no'}"
         )
-    failed = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
-    attempted = {side: sum(p[side]["attempted"] for p in pairs) for side in SIDES}
-    lines.append("failed ops: " + "  ".join(f"{side} {failed[side]}/{attempted[side]}" for side in SIDES))
+    failed = result["failed_ops"]
+    counts = (f"{side} {failed[side]['failed']}/{failed[side]['attempted']}" for side in SIDES)
+    lines.append("failed ops: " + "  ".join(counts))
     return lines
 
 
@@ -89,6 +110,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--json", type=Path, help="also write the summary, with every run's value, to this file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -107,6 +129,9 @@ def main(argv=None) -> int:
         pairs.append(pair)
     print(f"{args.workload}: {args.pairs} pairs, {args.seconds} s per run, seed {args.seed}")
     print("\n".join(summarize(pairs, end_to_end)))
+    if args.json:
+        run = {"workload": args.workload, "seconds": args.seconds, "seed": args.seed}
+        args.json.write_text(json.dumps({**run, **summary(pairs, end_to_end)}, indent=1) + "\n")
     return 0
 
 
