@@ -124,18 +124,12 @@ def _require_out(args, name="--out") -> Path:
     return Path(args.out)
 
 
-_SYNTH_CONFIG_KEYS = (
-    "width", "height", "stride", "n_planes", "tilt_max", "texel_px", "repeated_stamps",
-    "stamp_px", "stamp_min_sep_px", "background_amplitude", "n_gt_points",
-)
-
-
 def _cmd_synth(args) -> int:
     out = _require_out(args)
     if args.scenes < 1:
         raise UsageError(f"--scenes must be at least 1, got {args.scenes}")
     config = load_config(
-        args.config, SceneConfig, _SYNTH_CONFIG_KEYS,
+        args.config, SceneConfig,
         width=args.width, height=args.height, n_planes=args.planes, repeated_stamps=args.repeated,
     )
     out.mkdir(parents=True, exist_ok=True)

@@ -58,6 +58,15 @@ def config_digest(parts: dict) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
+def _thresholds(values, name: str) -> list[float]:
+    """``values`` as a list; a ``ValueError`` unless each is finite and > 0."""
+    values = list(values)
+    bad = [t for t in values if not 0 < t < math.inf]
+    if bad:
+        raise ValueError(f"{name} must be finite and > 0, got {bad}")
+    return values
+
+
 # -- coarse matching accuracy -------------------------------------------------
 
 
@@ -72,9 +81,10 @@ def eval_pck(
 
     Distances are measured in resized-image pixels between the interpolated
     coarse match of the A point and the true B point; ``pck_t`` is the
-    fraction strictly below t. A scene with no ground-truth point raises.
+    fraction strictly below t. A scene with no ground-truth point, or a
+    threshold that is not finite and > 0, raises.
     """
-    thresholds = list(thresholds)
+    thresholds = _thresholds(thresholds, "PCK thresholds")
     rows = []
     for scene in scenes:
         if not len(scene.gt_points):
@@ -105,8 +115,9 @@ def pose_auc(errors, thresholds) -> list[float]:
     """Exact integral of the step recall curve, normalized per threshold.
 
     Failures must be encoded as infinite errors; they depress recall without
-    being dropped.
+    being dropped. Each threshold must be finite and > 0.
     """
+    thresholds = _thresholds(thresholds, "pose thresholds")
     errs = np.asarray(list(errors), dtype=np.float64)
     if errs.size == 0:
         raise ValueError("no errors to integrate")
@@ -130,9 +141,9 @@ def pose_auc(errors, thresholds) -> list[float]:
 @dataclass
 class PairFeatures:
     kps_a: km.KeypointSet
-    desc_a: km.DescriptorSet
+    desc_a: np.ndarray  # (n_a, km.PATCH**2), one descriptor row per keypoint
     kps_b: km.KeypointSet
-    desc_b: km.DescriptorSet
+    desc_b: np.ndarray
 
 
 MatcherFn = Callable[[SyntheticScene, PairFeatures], km.MatchSet]
@@ -182,6 +193,8 @@ def make_matcher(
         raise ValueError(f"{variant} variant needs a ratio value")
     if variant in ("raw", "mutual") and ratio is not None:
         raise ValueError(f"{variant} variant takes no ratio value; use ratio or ratio+mutual")
+    if ratio is not None and not ratio > 0:
+        raise ValueError(f"ratio must be > 0, got {ratio}")
     if variant == "guided" and model is None:
         raise ValueError("guided variant needs a coarse model checkpoint")
     mutual = variant not in ("raw", "ratio")
@@ -223,13 +236,13 @@ def corrupt_features(feats: PairFeatures, rng: np.random.Generator, keypoint_noi
         if keypoint_noise_px > 0:
             noise = rng.normal(0.0, keypoint_noise_px, size=(len(kps), 2))
             kps = km.KeypointSet(kps.xy + noise, kps.scale, kps.response)
-        vecs = desc.vectors.copy()
+        vecs = desc.copy()
         if descriptor_corruption > 0 and len(vecs):
             hit = rng.random(len(vecs)) < descriptor_corruption
             fresh = rng.standard_normal((int(hit.sum()), vecs.shape[1]))
             norms = np.linalg.norm(fresh, axis=1, keepdims=True)
             vecs[hit] = fresh / np.maximum(norms, 1e-12)
-        return kps, km.DescriptorSet(vecs)
+        return kps, vecs
 
     ka, da = corrupt(feats.kps_a, feats.desc_a)
     kb, db = corrupt(feats.kps_b, feats.desc_b)
@@ -268,8 +281,12 @@ def eval_pose(
     the achievable pose accuracy.
     """
     matcher = make_matcher(variant, model, window_px, ratio, band_px, max_side)
+    if not 0 <= keypoint_noise_px < math.inf:
+        raise ValueError(f"keypoint_noise_px must be finite and >= 0, got {keypoint_noise_px}")
+    if not 0 <= descriptor_corruption <= 1:
+        raise ValueError(f"descriptor_corruption must be in [0, 1], got {descriptor_corruption}")
     ransac_thresholds = list(ransac_thresholds)
-    pose_thresholds = list(pose_thresholds)
+    pose_thresholds = _thresholds(pose_thresholds, "pose thresholds")
     rows = []
     for pair_index, scene in enumerate(scenes):
         feats = pair_features(scene, max_keypoints, keypoint_source)
@@ -279,8 +296,7 @@ def eval_pose(
         try:
             matches = matcher(scene, feats)
             coords_a, coords_b = km.match_coords(matches, feats.kps_a, feats.kps_b)
-        except (km.MatchingError, rp.EstimationError):
-            matches = None
+        except km.MatchingError:
             coords_a = coords_b = np.zeros((0, 2))
         for t_index, thr in enumerate(ransac_thresholds):
             row = {

@@ -34,13 +34,19 @@ from guidematch.imageops import bilinear_sample
 
 _RAY_EPS = 1e-6
 _DEPTH_RANGE = (4.5, 9.0)  # camera-A depth: nearest foreground planes, backdrop
-_ROLL_MAX_DEG = 4.0  # camera-B roll about its viewing ray in "lookat" mode
+_BASELINE_RANGE = (0.8, 1.6)  # distance between the camera centres
+_ROLL_MAX_DEG = 4.0  # camera-B roll about its viewing ray
 _TEXTURE_LOW = 0.1  # texture intensity range
 _TEXTURE_HIGH = 0.9
+_TEXTURE_BLUR_PASSES = 2  # 3x3 box blurs of the texture noise
+_MIN_COMMON_POINTS = 30  # ground-truth points visible in both views, else retry
+_MAX_RETRIES = 20
 
 
 @dataclass
 class SceneConfig:
+    """The generator's settings; each field is a ``synth --config`` key."""
+
     width: int = 64
     height: int = 64
     stride: int = 16  # image sides must be multiples of this
@@ -48,18 +54,12 @@ class SceneConfig:
     # is near-degenerate for linear two-view estimation, so keep some depth
     n_planes: int = 4
     tilt_max: float = 0.18  # max |slope| of plane normals vs the optical axis
-    baseline_range: tuple[float, float] = (0.8, 1.6)
-    translation_dir: tuple[float, float, float] | None = None  # None: random, mostly lateral
-    rotation_mode: str = "lookat"  # or "identity"
     texel_px: float = 2.0  # approximate texture element size in image-A pixels
-    texture_blur_passes: int = 2
     repeated_stamps: int = 0
     stamp_px: int = 24  # stamp side length in image-A pixels
     stamp_min_sep_px: float = 80.0
-    background_amplitude: float = 1.0  # scaled down in repeated-stamp scenes
+    background_amplitude: float = 1.0  # backdrop texture contrast, 1 = full range
     n_gt_points: int = 60
-    min_common_points: int = 30
-    max_retries: int = 20
 
     def __post_init__(self):
         if self.width % self.stride or self.height % self.stride:
@@ -173,9 +173,9 @@ def trace_rays(
     return pts, idx, valid
 
 
-def _smooth_noise(rng: np.random.Generator, h: int, w: int, blur_passes: int) -> np.ndarray:
+def _smooth_noise(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
     t = rng.random((h, w))
-    for _ in range(blur_passes):
+    for _ in range(_TEXTURE_BLUR_PASSES):
         t = uniform_filter(t, size=3, mode="reflect")
     lo, hi = t.min(), t.max()
     if hi - lo < 1e-9:
@@ -232,22 +232,15 @@ def _build_scene(config: SceneConfig, rng: np.random.Generator):
 
     z_lo, z_hi = _DEPTH_RANGE
     z_mid = 0.5 * (z_lo + z_hi)
-    baseline = rng.uniform(*config.baseline_range)
-    if config.translation_dir is not None:
-        direction = np.asarray(config.translation_dir, dtype=np.float64)
-        direction = direction / np.linalg.norm(direction)
-    else:
-        direction = np.array([rng.uniform(-1, 1), 0.35 * rng.uniform(-1, 1), 0.3 * rng.uniform(-1, 1)])
-        n = np.linalg.norm(direction)
-        direction = direction / n if n > 1e-6 else np.array([1.0, 0.0, 0.0])
+    # Camera B: a random, mostly lateral baseline, looking at the scene centre
+    # with a random roll.
+    baseline = rng.uniform(*_BASELINE_RANGE)
+    direction = np.array([rng.uniform(-1, 1), 0.35 * rng.uniform(-1, 1), 0.3 * rng.uniform(-1, 1)])
+    n = np.linalg.norm(direction)
+    direction = direction / n if n > 1e-6 else np.array([1.0, 0.0, 0.0])
     center_b = baseline * direction
-    if config.rotation_mode == "identity":
-        r_b = np.eye(3)
-    elif config.rotation_mode == "lookat":
-        roll = np.radians(rng.uniform(-_ROLL_MAX_DEG, _ROLL_MAX_DEG))
-        r_b = _look_at(center_b, np.array([0.0, 0.0, z_mid]), roll)
-    else:
-        raise ValueError(f"unknown rotation_mode {config.rotation_mode!r}")
+    roll = np.radians(rng.uniform(-_ROLL_MAX_DEG, _ROLL_MAX_DEG))
+    r_b = _look_at(center_b, np.array([0.0, 0.0, z_mid]), roll)
     cam_b = CameraCalibration(K, r_b, -r_b @ center_b, w, h)
 
     planes: list[ScenePlane] = []
@@ -260,7 +253,7 @@ def _build_scene(config: SceneConfig, rng: np.random.Generator):
     texel = config.texel_px * z_back / focal
     tex_w = int(np.ceil(2 * half_u / texel)) + 4
     tex_h = int(np.ceil(2 * half_v / texel)) + 4
-    texture = _smooth_noise(rng, tex_h, tex_w, config.texture_blur_passes)
+    texture = _smooth_noise(rng, tex_h, tex_w)
     span = _TEXTURE_HIGH - _TEXTURE_LOW
     texture = _TEXTURE_LOW + span * (
         0.5 + config.background_amplitude * (texture - 0.5)
@@ -279,7 +272,7 @@ def _build_scene(config: SceneConfig, rng: np.random.Generator):
         half = rng.uniform(0.12, 0.22) * z_p * w / focal
         texel = config.texel_px * z_p / focal
         side = int(np.ceil(2 * half / texel)) + 4
-        tex = _smooth_noise(rng, side, side, config.texture_blur_passes)
+        tex = _smooth_noise(rng, side, side)
         tex = _TEXTURE_LOW + span * tex
         planes.append(
             ScenePlane(normal, float(normal @ anchor), anchor, bu, bv, tex, texel, half, half)
@@ -344,7 +337,7 @@ def _render(cam: CameraCalibration, planes: list[ScenePlane]) -> np.ndarray:
 def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
     """Deterministic per seed; retries with derived seeds until enough of the
     sampled ground-truth points are visible in both views."""
-    for attempt in range(config.max_retries):
+    for attempt in range(_MAX_RETRIES):
         rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
         cam_a, cam_b, planes = _build_scene(config, rng)
         margin = 2.0
@@ -356,15 +349,11 @@ def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
                 rng.uniform(margin, config.height - 1 - margin, n_sample),
             ]
         )
-        if np.linalg.norm(cam_a.center() - cam_b.center()) < 1e-12:
-            fundamental = None
-            pose = None
-        else:
-            fundamental = fundamental_from_calibration(cam_a, cam_b, FRAME_ORIGINAL)
-            pose = relative_pose_between(cam_a, cam_b)
+        fundamental = fundamental_from_calibration(cam_a, cam_b, FRAME_ORIGINAL)
+        pose = relative_pose_between(cam_a, cam_b)
         scene = SyntheticScene(cam_a, cam_b, np.empty(0), np.empty(0), np.empty((0, 4)), fundamental, pose, seed, planes)
         mapped, visible = scene.map_a_to_b(pts_a)
-        if int(visible.sum()) < config.min_common_points:
+        if int(visible.sum()) < _MIN_COMMON_POINTS:
             continue
         scene.image_a = _render(cam_a, planes)
         scene.image_b = _render(cam_b, planes)
@@ -372,8 +361,8 @@ def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
         scene.gt_points = gt[: config.n_gt_points]
         return scene
     raise ValueError(
-        f"seed {seed}: no view configuration with >= {config.min_common_points} common points "
-        f"after {config.max_retries} attempts"
+        f"seed {seed}: no view configuration with >= {_MIN_COMMON_POINTS} common points "
+        f"after {_MAX_RETRIES} attempts"
     )
 
 
@@ -492,21 +481,20 @@ class ConfigError(ValueError):
     """A ``--config`` file or its overrides that cannot build the config."""
 
 
-def load_config(path, cls, keys=None, **flags):
+def load_config(path, cls, **flags):
     """The dataclass ``cls`` built from a ``key = value`` file (none when
     ``path`` is None) and ``flags``, keywords named after its fields.
 
     Each file value is converted by the type of the field its key names,
-    which must be int, float or str, and be in ``keys`` when that is given;
-    any other key, or a value that does not convert, raises a ``ConfigError``
-    that names the file and the key. A flag that is not None beats the file.
-    A field with no default that neither sets, or a ``ValueError`` from
-    ``cls``, raises a ``ConfigError`` too.
+    which must be int, float or str; any other key, or a value that does not
+    convert, raises a ``ConfigError`` that names the file and the key. A flag
+    that is not None beats the file. A field with no default that neither
+    sets, or a ``ValueError`` from ``cls``, raises a ``ConfigError`` too.
     """
     types = typing.get_type_hints(cls)
     values = {}
     for key, text in (parse_kv_file(path) if path is not None else {}).items():
-        kind = types.get(key) if keys is None or key in keys else None
+        kind = types.get(key)
         if kind not in (int, float, str):
             raise ConfigError(f"{path}: {key!r} is not a settable {cls.__name__} field")
         try:

@@ -60,14 +60,6 @@ class KeypointSet:
 
 
 @dataclass
-class DescriptorSet:
-    vectors: np.ndarray  # (n, dim), unit rows (or all-zero for flat patches)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-
-@dataclass
 class MatchSet:
     """Per-source-keypoint best matches with the bookkeeping pruning needs."""
 
@@ -175,22 +167,22 @@ def detect_keypoints(image: np.ndarray, max_count: int = 500) -> KeypointSet:
     return KeypointSet(xy[kept], scale[kept], response[kept])
 
 
-def describe(image: np.ndarray, kps: KeypointSet) -> DescriptorSet:
-    """Mean-free, L2-normalized intensity patches of side ``PATCH``, bilinearly sampled.
+def describe(image: np.ndarray, kps: KeypointSet) -> np.ndarray:
+    """Mean-free, L2-normalized intensity patches of side ``PATCH``, bilinearly
+    sampled: one (n, PATCH**2) row per keypoint.
 
     Border keypoints use edge-clamped sampling; flat patches become zero
     vectors instead of dividing by a vanishing norm.
     """
     if not len(kps):
-        return DescriptorSet(np.zeros((0, PATCH * PATCH)))
+        return np.zeros((0, PATCH * PATCH))
     offs = np.arange(PATCH, dtype=np.float64) - PATCH // 2
     xs = kps.xy[:, 0][:, None, None] + offs[None, None, :]
     ys = kps.xy[:, 1][:, None, None] + offs[None, :, None]
     patches = bilinear_sample(np.asarray(image, dtype=np.float64), xs, ys).reshape(len(kps), -1)
     patches -= patches.mean(axis=1, keepdims=True)
     norms = np.linalg.norm(patches, axis=1, keepdims=True)
-    out = np.where(norms > 1e-12, patches / np.where(norms > 1e-12, norms, 1.0), 0.0)
-    return DescriptorSet(out)
+    return np.where(norms > 1e-12, patches / np.where(norms > 1e-12, norms, 1.0), 0.0)
 
 
 def _nearest_two(dist_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,7 +201,7 @@ def _nearest_two(dist_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return best, d1, np.where(np.isinf(d2), np.nan, d2)
 
 
-def _match_masked(desc_a: DescriptorSet, desc_b: DescriptorSet, mask: np.ndarray):
+def _match_masked(desc_a: np.ndarray, desc_b: np.ndarray, mask: np.ndarray):
     """Nearest descriptor among the candidates ``mask[i]`` of each source row.
 
     Distances are evaluated only over candidate pairs; rows without a
@@ -218,18 +210,18 @@ def _match_masked(desc_a: DescriptorSet, desc_b: DescriptorSet, mask: np.ndarray
     """
     rows, cols = np.nonzero(mask)
     dist = np.full(mask.shape, np.inf)
-    dist[rows, cols] = np.linalg.norm(desc_b.vectors[cols] - desc_a.vectors[rows], axis=1)
+    dist[rows, cols] = np.linalg.norm(desc_b[cols] - desc_a[rows], axis=1)
     index_a = np.nonzero(mask.any(axis=1))[0]
     if not len(index_a):
         return index_a, index_a.copy(), np.zeros(0), np.zeros(0)
     return (index_a, *_nearest_two(dist[index_a]))
 
 
-def match_raw(desc_a: DescriptorSet, desc_b: DescriptorSet) -> MatchSet:
+def match_raw(desc_a: np.ndarray, desc_b: np.ndarray) -> MatchSet:
     """Plain nearest neighbor in descriptor space; ties to the lowest index."""
     if not len(desc_a) or not len(desc_b):
         raise MatchingError("both descriptor sets must be non-empty")
-    a, b = desc_a.vectors, desc_b.vectors
+    a, b = desc_a, desc_b
     d2 = np.maximum(
         (a * a).sum(1)[:, None] + (b * b).sum(1)[None, :] - 2.0 * (a @ b.T), 0.0
     )
@@ -240,9 +232,9 @@ def match_raw(desc_a: DescriptorSet, desc_b: DescriptorSet) -> MatchSet:
 
 def match_guided(
     kps_a: KeypointSet,
-    desc_a: DescriptorSet,
+    desc_a: np.ndarray,
     kps_b: KeypointSet,
-    desc_b: DescriptorSet,
+    desc_b: np.ndarray,
     match_field: CoarseMatchField,
     window_px: float,
 ) -> MatchSet:
@@ -254,10 +246,10 @@ def match_guided(
     and those with an empty candidate window are left unmatched. With an
     infinite window this is exactly raw matching.
     """
+    if not window_px > 0:  # catches nan and -inf as well
+        raise ValueError(f"window must be positive, got {window_px}")
     if math.isinf(window_px):
         return match_raw(desc_a, desc_b)
-    if window_px <= 0:
-        raise ValueError(f"window must be positive, got {window_px}")
     queries = kps_a.xy * np.array(match_field.scale_src)
     h_px, w_px = match_field.src_image_size
     qx, qy = queries[:, 0], queries[:, 1]
@@ -291,7 +283,7 @@ def _top_scale_indices(kps: KeypointSet, fraction: float = 0.2) -> np.ndarray:
 
 
 def match_epipolar_band(
-    kps_a: KeypointSet, desc_a: DescriptorSet, kps_b: KeypointSet, desc_b: DescriptorSet,
+    kps_a: KeypointSet, desc_a: np.ndarray, kps_b: KeypointSet, desc_b: np.ndarray,
     F: FundamentalMatrix | np.ndarray, band_px: float,
 ) -> MatchSet:
     """Best descriptor among the B keypoints strictly within ``band_px`` of
@@ -304,9 +296,9 @@ def match_epipolar_band(
 
 def match_model_guided(
     kps_a: KeypointSet,
-    desc_a: DescriptorSet,
+    desc_a: np.ndarray,
     kps_b: KeypointSet,
-    desc_b: DescriptorSet,
+    desc_b: np.ndarray,
     band_px: float = 3.0,
 ) -> MatchSet:
     """Classical two-stage guided baseline.
@@ -323,8 +315,7 @@ def match_model_guided(
         raise MatchingError("too few keypoints for the scale-based first stage")
     top_a = _top_scale_indices(kps_a)
     top_b = _top_scale_indices(kps_b)
-    sub_a = DescriptorSet(desc_a.vectors[top_a])
-    sub_b = DescriptorSet(desc_b.vectors[top_b])
+    sub_a, sub_b = desc_a[top_a], desc_b[top_b]
     seeds = mutual_check(match_raw(sub_a, sub_b), match_raw(sub_b, sub_a))
     if len(seeds) < 8:
         raise MatchingError(f"only {len(seeds)} mutual top-scale matches, need 8")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from guidematch import coarse_matcher as cm
 from guidematch import evaluation as ev
 from guidematch import keypoint_matching as km
+from guidematch import robust_pose as rp
 from guidematch.geometry import SceneConfig, generate_scene
 
 
@@ -28,6 +29,32 @@ class TestEvalPoseFailures:
         (row,) = report.rows
         assert row["n_matches"] == 0 and math.isinf(row["pose_err_deg"]) and not row["fm_correct"]
 
+    def test_estimation_error_from_a_matcher_propagates(self, monkeypatch):
+        # only MatchingError is a pose failure; no matcher raises EstimationError
+        def estimation_error(*args, **kwargs):
+            raise rp.EstimationError("injected")
+
+        monkeypatch.setattr(km, "match_raw", estimation_error)
+        with pytest.raises(rp.EstimationError, match="injected"):
+            ev.eval_pose([generate_scene(SceneConfig(), 0)], "raw", keypoint_source="gt")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(keypoint_noise_px=-3.0), "keypoint_noise_px must be finite and >= 0"),
+            (dict(keypoint_noise_px=math.nan), "keypoint_noise_px must be finite and >= 0"),
+            (dict(keypoint_noise_px=math.inf), "keypoint_noise_px must be finite and >= 0"),
+            (dict(descriptor_corruption=1.5), r"descriptor_corruption must be in \[0, 1\]"),
+            (dict(descriptor_corruption=-0.1), r"descriptor_corruption must be in \[0, 1\]"),
+            (dict(descriptor_corruption=math.nan), r"descriptor_corruption must be in \[0, 1\]"),
+            (dict(pose_thresholds=(5.0, 0.0)), "pose thresholds must be finite and > 0"),
+        ],
+    )
+    def test_bad_setting_raises_before_the_first_pair(self, kwargs, message):
+        # the scene is never read: reading None would raise an AttributeError
+        with pytest.raises(ValueError, match=message):
+            ev.eval_pose([None], "raw", **kwargs)
+
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("injected bug")
@@ -47,6 +74,9 @@ class TestMakeMatcher:
             (dict(variant="guided", ratio=0.9), "needs a coarse model"),
             (dict(variant="raw", ratio=0.9), "takes no ratio"),
             (dict(variant="mutual", ratio=0.9), "takes no ratio"),
+            (dict(variant="ratio", ratio=0.0), "ratio must be > 0"),
+            (dict(variant="ratio+mutual", ratio=math.nan), "ratio must be > 0"),
+            (dict(variant="ratio", ratio=-1.0), "ratio must be > 0"),
         ],
     )
     def test_invalid_settings_raise(self, kwargs, message):
@@ -83,13 +113,13 @@ class TestCorruptFeatures:
 
     def test_input_unchanged(self):
         feats = self._features()
-        arrays = [feats.kps_a.xy, feats.kps_a.scale, feats.kps_a.response, feats.desc_a.vectors,
-                  feats.kps_b.xy, feats.kps_b.scale, feats.kps_b.response, feats.desc_b.vectors]
+        arrays = [feats.kps_a.xy, feats.kps_a.scale, feats.kps_a.response, feats.desc_a,
+                  feats.kps_b.xy, feats.kps_b.scale, feats.kps_b.response, feats.desc_b]
         before = [a.copy() for a in arrays]
         out = ev.corrupt_features(feats, np.random.default_rng(0), 2.0, 0.3)
         assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
         assert not np.array_equal(out.kps_a.xy, feats.kps_a.xy)
-        assert not np.array_equal(out.desc_b.vectors, feats.desc_b.vectors)
+        assert not np.array_equal(out.desc_b, feats.desc_b)
 
     def test_noise_equals_per_point_addition(self):
         # the noise draws and the additions of the per-point loop that shifted
@@ -123,6 +153,12 @@ class TestEvalPck:
         with pytest.raises(ValueError, match="no ground-truth points"):
             ev.eval_pck(cm.CoarseModel.create(0), [scene], (8.0,), 64)
 
+    @pytest.mark.parametrize("threshold", [0.0, -8.0, math.nan, math.inf])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        # the scene is never read: reading None would raise an AttributeError
+        with pytest.raises(ValueError, match="PCK thresholds must be finite and > 0"):
+            ev.eval_pck(cm.CoarseModel.create(0), [None], (8.0, threshold), 64)
+
 
 _errors = st.lists(st.floats(0.0, 30.0) | st.just(math.inf), min_size=1, max_size=20)
 
@@ -141,3 +177,8 @@ class TestPoseAuc:
     def test_extremes(self):
         assert ev.pose_auc([0.0, 0.0], (5.0,)) == [1.0]
         assert ev.pose_auc([math.inf], (5.0,)) == [0.0]
+
+    @pytest.mark.parametrize("threshold", [0.0, -5.0, math.nan, math.inf])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        with pytest.raises(ValueError, match="pose thresholds must be finite and > 0"):
+            ev.pose_auc([1.0, math.inf], [threshold])

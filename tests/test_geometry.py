@@ -1,3 +1,4 @@
+import dataclasses
 import tempfile
 
 import numpy as np
@@ -22,7 +23,9 @@ from guidematch.geometry import (
     save_scene,
 )
 from guidematch.geometry.epipolar import canonicalize_fundamental
+from guidematch.geometry import scene as scene_module
 from guidematch.geometry.scene import ConfigError, SyntheticScene, load_config, read_pgm, write_pgm
+from guidematch.supervision import TrainConfig
 
 import oracles
 
@@ -280,21 +283,19 @@ class TestSceneGeneration:
         assert a.gt_points.tobytes() == b.gt_points.tobytes()
 
     def test_identity_pose_identity_correspondence(self):
-        config = SceneConfig(
-            n_planes=1, baseline_range=(0.0, 0.0), rotation_mode="identity", tilt_max=0.0
-        )
-        scene = generate_scene(config, 3)
-        assert scene.fundamental is None
+        generated = generate_scene(SceneConfig(n_planes=1, tilt_max=0.0), 3)
+        scene = dataclasses.replace(generated, cam_b=generated.cam_a, fundamental=None, pose=None)
         pts = np.array([[10.0, 12.0], [40.0, 25.0], [31.5, 50.25]])
         mapped, visible = scene.map_a_to_b(pts)
         assert visible.all()
         assert np.abs(mapped - pts).max() < 1e-9
-        assert np.abs(scene.image_a - scene.image_b).max() < 1e-12
 
     def test_pure_x_translation_gives_rectified_f(self):
-        config = SceneConfig(translation_dir=(1.0, 0.0, 0.0), rotation_mode="identity")
-        scene = generate_scene(config, 4)
-        assert proportional(scene.fundamental.matrix, RECTIFIED)
+        # the generator's intrinsics (focal = the longer side) on a 96x64 image
+        cam_a = simple_camera(width=96, height=64, focal=96.0)
+        cam_b = simple_camera(width=96, height=64, focal=96.0, t=np.array([-1.2, 0.0, 0.0]))
+        F = fundamental_from_calibration(cam_a, cam_b)
+        assert proportional(F.matrix, RECTIFIED)
 
     def test_projection_consistent_with_correspondence(self):
         from guidematch.geometry.scene import trace_rays
@@ -316,26 +317,38 @@ class TestSceneGeneration:
             repeated_stamps=4,
             background_amplitude=0.06,
             stamp_min_sep_px=90.0,
-            texture_blur_passes=4,
         )
         scene = generate_scene(config, 1)
         assert scene.image_a.shape == (256, 256)
         # the stamped areas carry most of the contrast
         assert scene.image_a.std() > 0.01
 
-    def test_retries_exhausted_error(self):
-        config = SceneConfig(min_common_points=10_000, max_retries=2)
-        with pytest.raises(ValueError, match="common points"):
-            generate_scene(config, 0)
+    def test_retries_exhausted_error(self, monkeypatch):
+        monkeypatch.setattr(scene_module, "_MIN_COMMON_POINTS", 10_000)
+        monkeypatch.setattr(scene_module, "_MAX_RETRIES", 2)
+        with pytest.raises(ValueError, match=">= 10000 common points after 2 attempts"):
+            generate_scene(SceneConfig(), 0)
 
 
 class TestLoadConfig:
     def test_values_typed_by_field(self, tmp_path):
         path = tmp_path / "scene.cfg"
-        path.write_text("# comment\nwidth = 128\ntexel_px = 3\nrotation_mode = identity\n")
+        path.write_text("# comment\nwidth = 128\ntexel_px = 3\n")
         config = load_config(path, SceneConfig)
-        assert config == SceneConfig(width=128, texel_px=3.0, rotation_mode="identity")
+        assert config == SceneConfig(width=128, texel_px=3.0)
         assert type(config.width) is int and type(config.texel_px) is float
+        path.write_text("mode = point\ndataset_dir = scenes\nout_dir = run\n")
+        assert load_config(path, TrainConfig).mode == "point"
+
+    def test_every_scene_field_is_settable_from_a_file(self, tmp_path):
+        config = SceneConfig(
+            width=128, height=96, stride=32, n_planes=3, tilt_max=0.1, texel_px=3.0, repeated_stamps=2,
+            stamp_px=20, stamp_min_sep_px=60.0, background_amplitude=0.5, n_gt_points=40,
+        )
+        assert all(getattr(config, f.name) != f.default for f in dataclasses.fields(config))
+        path = tmp_path / "scene.cfg"
+        path.write_text("".join(f"{f.name} = {getattr(config, f.name)}\n" for f in dataclasses.fields(config)))
+        assert load_config(path, SceneConfig) == config
 
     @pytest.mark.parametrize("key", ["widht", "baseline_range", "brightness_jitter"])
     def test_unknown_or_untyped_key_names_file_and_key(self, tmp_path, key):
@@ -343,13 +356,6 @@ class TestLoadConfig:
         path.write_text(f"{key} = 1\n")
         with pytest.raises(ValueError, match=rf"scene\.cfg.*'{key}'"):
             load_config(path, SceneConfig)
-
-    def test_keys_limit_the_settable_fields(self, tmp_path):
-        path = tmp_path / "scene.cfg"
-        path.write_text("width = 128\nmax_retries = 3\n")
-        assert load_config(path, SceneConfig, ("width", "max_retries")) == SceneConfig(width=128, max_retries=3)
-        with pytest.raises(ValueError, match="'max_retries'"):
-            load_config(path, SceneConfig, ("width",))
 
     def test_flag_beats_the_file(self, tmp_path):
         path = tmp_path / "scene.cfg"

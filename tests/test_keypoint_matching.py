@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -178,23 +179,23 @@ class TestDescribe:
         assert len(on_first), "no keypoints on the first stamp"
         k = kps.xy[on_first[0]]
         desc = km.describe(img, _keypoints([k, k + 65.0]))
-        assert np.linalg.norm(desc.vectors[0] - desc.vectors[1]) < 1e-6
+        assert np.linalg.norm(desc[0] - desc[1]) < 1e-6
 
     def test_constant_patch_zero_vector(self):
         img = np.full((64, 64), 0.7)
         desc = km.describe(img, _keypoints([(32.0, 32.0)]))
-        assert np.all(desc.vectors == 0.0)
+        assert np.all(desc == 0.0)
 
     def test_same_keypoint_identical(self):
         img = textured_image(3)
         desc = km.describe(img, _keypoints([(50.3, 60.7), (50.3, 60.7)]))
-        assert np.array_equal(desc.vectors[0], desc.vectors[1])
+        assert np.array_equal(desc[0], desc[1])
 
     def test_unit_norm(self):
         img = textured_image(4)
         kps = km.detect_keypoints(img, max_count=30)
         desc = km.describe(img, kps)
-        norms = np.linalg.norm(desc.vectors, axis=1)
+        norms = np.linalg.norm(desc, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-9
 
 
@@ -203,28 +204,28 @@ class TestMatchRaw:
         rng = np.random.default_rng(0)
         vecs = rng.standard_normal((10, 16))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        ms = km.match_raw(km.DescriptorSet(vecs), km.DescriptorSet(vecs.copy()))
+        ms = km.match_raw(vecs, vecs.copy())
         assert np.array_equal(ms.index_b, np.arange(10))
         assert np.allclose(ms.distance, 0.0)
 
     def test_single_target(self):
         rng = np.random.default_rng(1)
-        a = km.DescriptorSet(rng.standard_normal((5, 8)))
-        b = km.DescriptorSet(rng.standard_normal((1, 8)))
+        a = rng.standard_normal((5, 8))
+        b = rng.standard_normal((1, 8))
         ms = km.match_raw(a, b)
         assert np.all(ms.index_b == 0)
         assert np.all(np.isnan(ms.second_distance))
 
     def test_empty_set_is_a_matching_error(self):
-        vecs = km.DescriptorSet(np.ones((3, 4)))
+        vecs = np.ones((3, 4))
         with pytest.raises(km.MatchingError, match="non-empty"):
-            km.match_raw(vecs, km.DescriptorSet(np.zeros((0, 4))))
+            km.match_raw(vecs, np.zeros((0, 4)))
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((20, 12))
         b = rng.standard_normal((15, 12))
-        ms = km.match_raw(km.DescriptorSet(a), km.DescriptorSet(b))
+        ms = km.match_raw(a, b)
         for i in range(20):
             dists = [float(np.linalg.norm(a[i] - b[j])) for j in range(15)]
             best = int(np.argmin(dists))
@@ -244,11 +245,11 @@ class TestSpatialGrid:
         pts = np.random.default_rng(4).uniform(0, 10, size=(7, 2)) * [100.0, -50.0]
         kps_a = _keypoints([(5.0, 5.0)])
         kps_b = _keypoints(pts)
-        desc_a = km.DescriptorSet(np.ones((1, 7)))
+        desc_a = np.ones((1, 7))
         for k in range(7):
             vecs = np.eye(7)
             vecs[k] = 1.0
-            ms = km.match_guided(kps_a, desc_a, kps_b, km.DescriptorSet(vecs), field, np.inf)
+            ms = km.match_guided(kps_a, desc_a, kps_b, vecs, field, np.inf)
             assert ms.pairs() == [(0, k)]
 
 
@@ -266,6 +267,12 @@ class TestMatchGuided:
         raw = km.match_raw(desc, desc)
         assert guided.pairs() == raw.pairs()
         assert np.array_equal(guided.distance, raw.distance)
+
+    @pytest.mark.parametrize("window", [0.0, -4.0, math.nan, -math.inf])
+    def test_window_must_be_positive(self, window):
+        _, kps, desc = self._setup()
+        with pytest.raises(ValueError, match="window must be positive"):
+            km.match_guided(kps, desc, kps, desc, oracle_field_from_offset(), window)
 
     def test_window_subset_property(self):
         img, kps, desc = self._setup(6)
@@ -286,7 +293,7 @@ class TestMatchGuided:
         field = CoarseMatchField(cells, np.ones((8, 8)), 16, (128, 128), (128, 128))
         keep = np.hypot(kps.xy[:, 0] - 120, kps.xy[:, 1] - 120) > 30
         kps_b = km.KeypointSet(kps.xy[keep], kps.scale[keep], kps.response[keep])
-        desc_b = km.DescriptorSet(desc.vectors[keep])
+        desc_b = desc[keep]
         ms = km.match_guided(kps, desc, kps_b, desc_b, field, 8.0)
         assert len(ms) == 0
 
@@ -296,8 +303,8 @@ class TestMatchGuided:
         field = oracle_field_from_offset()  # identity: (8, 8) maps to (8, 8)
         kps_a = _keypoints([(8.0, 8.0)])
         kps_b = _keypoints([(8.0, 8.0), (13.0, 8.0)])
-        desc_a = km.DescriptorSet(np.array([[1.0, 0.0]]))
-        desc_b = km.DescriptorSet(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        desc_a = np.array([[1.0, 0.0]])
+        desc_b = np.array([[0.0, 1.0], [1.0, 0.0]])
         ms = km.match_guided(kps_a, desc_a, kps_b, desc_b, field, 5.0)
         assert ms.pairs() == [(0, 0)]
         assert np.isnan(ms.second_distance[0])
@@ -306,8 +313,8 @@ class TestMatchGuided:
         field = oracle_field_from_offset()
         kps_a = _keypoints([(-3.0, 8.0), (8.0, 8.0), (8.0, 128.0)])
         kps_b = _keypoints([(8.0, 8.0)])
-        desc = km.DescriptorSet(np.ones((3, 2)))
-        ms = km.match_guided(kps_a, desc, kps_b, km.DescriptorSet(np.ones((1, 2))), field, 200.0)
+        desc = np.ones((3, 2))
+        ms = km.match_guided(kps_a, desc, kps_b, np.ones((1, 2)), field, 200.0)
         assert ms.pairs() == [(1, 0)]
 
     def test_repeated_structure_disambiguation(self):
@@ -349,8 +356,8 @@ class TestMutualAndRatio:
 
     def test_mutual_matches_definition_oracle(self):
         rng = np.random.default_rng(8)
-        a = km.DescriptorSet(rng.standard_normal((25, 6)))
-        b = km.DescriptorSet(rng.standard_normal((18, 6)))
+        a = rng.standard_normal((25, 6))
+        b = rng.standard_normal((18, 6))
         ab = km.match_raw(a, b)
         ba = km.match_raw(b, a)
         kept = km.mutual_check(ab, ba)
@@ -380,8 +387,8 @@ class TestMutualAndRatio:
 
     def test_monotone_in_ratio(self):
         rng = np.random.default_rng(9)
-        a = km.DescriptorSet(rng.standard_normal((40, 6)))
-        b = km.DescriptorSet(rng.standard_normal((40, 6)))
+        a = rng.standard_normal((40, 6))
+        b = rng.standard_normal((40, 6))
         ms = km.match_raw(a, b)
         sizes = [len(km.ratio_test(ms, r)) for r in (0.8, 0.9, 0.95)]
         assert sizes == sorted(sizes)
@@ -460,7 +467,7 @@ class TestFileFormats:
 
 def _descriptors(draw, pool, n):
     """Rows drawn from a three-vector pool, so equal descriptors (ties) recur."""
-    return km.DescriptorSet(pool[draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))])
+    return pool[draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))]
 
 
 def _mapped_or_nan(field, coords):
@@ -501,7 +508,7 @@ def guided_cases(draw):
         bx = mapped[i, 0] + window
         window = abs(mapped[i, 0] - bx)
         pts_b.append((bx, mapped[i, 1]))
-        desc_b = km.DescriptorSet(np.vstack([desc_b.vectors, desc_a.vectors[i]]))
+        desc_b = np.vstack([desc_b, desc_a[i]])
         edge = (i, len(pts_b) - 1)
     return field, _keypoints(pts_a), desc_a, _keypoints(pts_b), desc_b, window, edge
 
@@ -521,7 +528,7 @@ class TestMaskedMatcherOracles:
         field, kps_a, desc_a, kps_b, desc_b, window, edge = case
         ms = km.match_guided(kps_a, desc_a, kps_b, desc_b, field, window)
         mapped = _mapped_or_nan(field, kps_a.xy)
-        ref = oracles.guided_match_loop(mapped, kps_b.xy, desc_a.vectors, desc_b.vectors, window)
+        ref = oracles.guided_match_loop(mapped, kps_b.xy, desc_a, desc_b, window)
         _assert_same(ms, ref)
         if edge is not None:
             assert edge not in ms.pairs()
@@ -545,7 +552,7 @@ class TestMaskedMatcherOracles:
         kps_a, kps_b = _keypoints(pts_a), _keypoints(pts_b)
         ms = km.match_epipolar_band(kps_a, desc_a, kps_b, desc_b, fmat, band)
         ref = oracles.epipolar_band_match_loop(
-            fmat.matrix, kps_a.xy, kps_b.xy, desc_a.vectors, desc_b.vectors, band
+            fmat.matrix, kps_a.xy, kps_b.xy, desc_a, desc_b, band
         )
         _assert_same(ms, ref)
 

@@ -19,7 +19,7 @@ RECTIFIED = FundamentalMatrix.from_array(np.array([[0, 0, 0], [0, 0, -1.0], [0, 
 
 
 def scene_correspondences(seed=0, n=100, size=128):
-    config = SceneConfig(width=size, height=size, n_gt_points=n, min_common_points=min(40, n))
+    config = SceneConfig(width=size, height=size, n_gt_points=n)
     scene = generate_scene(config, seed)
     return scene, scene.gt_points[:, :2].copy(), scene.gt_points[:, 2:].copy()
 

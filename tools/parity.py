@@ -3,11 +3,12 @@
     python3 tools/parity.py OUT_DIR > manifest.txt
 
 Each step is its own ``python -m guidematch`` process on the checkout's
-``src/``: synth (8 scenes at 64x64, and 3 at 256x192 with 3 repeated
-stamps), a 6-step train in each supervision mode, eval-pck at two max
-sides, eval-pose for raw, mutual, guided and model-guided plus a stress
-run and a ground-truth-keypoint run, one guided match and one BA
-coarse-match field. The guided steps read the benchmark's committed
+``src/``: synth (8 scenes at 64x64, 3 at 256x192 with 3 repeated stamps,
+and 2 from a ``--config`` file, written into OUT_DIR as ``synth.cfg``, that
+sets every scene key off its default), a 6-step train in each supervision
+mode, eval-pck at two max sides, eval-pose for raw, mutual, guided and
+model-guided plus a stress run and a ground-truth-keypoint run, one guided
+match and one BA coarse-match field. The guided steps read the benchmark's committed
 checkpoint and change nothing there. OUT_DIR must not exist yet.
 
 The manifest has one ``<sha256>  <path>`` line per output file, sorted by
@@ -29,6 +30,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CHECKPOINT = ROOT / "perfbench" / "data" / "eval_epipolar60.gmck"
 MODES = ("image", "epipolar", "point")
+# every SceneConfig key, each off its default
+SYNTH_CONFIG = """\
+width = 128
+height = 96
+stride = 32
+n_planes = 3
+tilt_max = 0.1
+texel_px = 3
+repeated_stamps = 2
+stamp_px = 20
+stamp_min_sep_px = 60
+background_amplitude = 0.5
+n_gt_points = 40
+"""
 
 
 def recipe(out: Path) -> list[list[str]]:
@@ -39,6 +54,8 @@ def recipe(out: Path) -> list[list[str]]:
         ["synth", "--scenes", "8", "--width", "64", "--height", "64", "--seed", "0", "--out", train_set],
         ["synth", "--scenes", "3", "--width", "256", "--height", "192", "--repeated", "3", "--seed", "100",
          "--out", eval_set],
+        ["synth", "--scenes", "2", "--config", str(out / "synth.cfg"), "--seed", "200",
+         "--out", str(out / "synth_cfg")],
     ]
     for mode in MODES:
         steps.append(["train", "--mode", mode, "--dataset", train_set, "--iterations", "6", "--freeze-steps", "3",
@@ -74,7 +91,10 @@ def main(argv=None) -> int:
     if args.out.exists():
         parser.error(f"{args.out} already exists")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    for step in recipe(args.out.resolve()):
+    out = args.out.resolve()
+    out.mkdir(parents=True)
+    (out / "synth.cfg").write_text(SYNTH_CONFIG)
+    for step in recipe(out):
         done = subprocess.run([sys.executable, "-m", "guidematch", *step], env=env, capture_output=True, text=True)
         if done.returncode != 0:
             sys.stderr.write(f"step failed (exit {done.returncode}): {' '.join(step)}\n{done.stderr}")
