@@ -128,6 +128,8 @@ def _cmd_synth(args) -> int:
     out = _require_out(args)
     if args.scenes < 1:
         raise UsageError(f"--scenes must be at least 1, got {args.scenes}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     config = load_config(
         args.config, SceneConfig,
         width=args.width, height=args.height, n_planes=args.planes, repeated_stamps=args.repeated,
@@ -224,6 +226,8 @@ def _cmd_eval_pose(args) -> int:
     out = _require_out(args)
     ransac_thresholds = _thresholds(args.ransac_thresholds, "--ransac-thresholds")
     pose_thresholds = _thresholds(args.pose_thresholds, "--pose-thresholds")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if not 0 <= args.keypoint_noise < math.inf:
         raise UsageError(f"--keypoint-noise must be finite and >= 0, got {args.keypoint_noise:g}")
     if not 0 <= args.descriptor_corruption <= 1:

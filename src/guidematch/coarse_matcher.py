@@ -150,16 +150,15 @@ class CorrelationVolume:
     """Filtered correlation scores of a batch of N image pairs and their two softmaxes.
 
     Built whole by ``compute_volume``; every grid cell covers ``stride``
-    pixels in both images. Axis 0 is the pair; all A images of the batch
-    have one size, and so have all B images.
+    pixels in both images, so each image is its grid times ``stride``.
+    Axis 0 is the pair; all A images of the batch have one size, and so
+    have all B images.
     """
 
     filtered: Tensor  # (N, Ha, Wa, Hb, Wb)
     prob_ab: Tensor  # softmax over the B dimensions (3, 4)
     prob_ba: Tensor  # softmax over the A dimensions (1, 2)
     stride: int
-    image_size_a: tuple[int, int]
-    image_size_b: tuple[int, int]
 
 
 @dataclass
@@ -276,19 +275,17 @@ def extract_matches(vol: CorrelationVolume, direction: str = "AB") -> CoarseMatc
     if vol.filtered.shape[0] != 1:
         raise ValueError(f"extract_matches reads a one-pair volume, got {vol.filtered.shape[0]} pairs")
     s = vol.filtered.data[0]
-    if direction == "AB":
-        sizes = vol.image_size_a, vol.image_size_b
-    elif direction == "BA":
+    if direction == "BA":
         s = s.transpose(2, 3, 0, 1)
-        sizes = vol.image_size_b, vol.image_size_a
-    else:
+    elif direction != "AB":
         raise ValueError(f"direction must be 'AB' or 'BA', got {direction!r}")
     hs, ws, ht, wt = s.shape
     flat = s.reshape(hs * ws, ht * wt)
     arg = flat.argmax(axis=1)
     scores = flat[np.arange(hs * ws), arg].reshape(hs, ws)
     cells = np.stack(np.unravel_index(arg, (ht, wt)), axis=-1).reshape(hs, ws, 2)
-    return CoarseMatchField(cells, scores, vol.stride, *sizes)
+    stride = vol.stride
+    return CoarseMatchField(cells, scores, stride, (hs * stride, ws * stride), (ht * stride, wt * stride))
 
 
 def interpolate_matches(field: CoarseMatchField, pts: np.ndarray) -> np.ndarray:
@@ -402,9 +399,7 @@ def compute_volume(model: CoarseModel, images_a: np.ndarray, images_b: np.ndarra
     fa = extract_features(model.backbone, images_a)
     fb = extract_features(model.backbone, images_b)
     filtered = filter_symmetric(model.cons_filter, correlate(fa, fb))
-    return CorrelationVolume(
-        filtered, *normalize_scores(filtered), model.stride, images_a.shape[1:], images_b.shape[1:]
-    )
+    return CorrelationVolume(filtered, *normalize_scores(filtered), model.stride)
 
 
 def _detached(model: CoarseModel) -> CoarseModel:

@@ -59,8 +59,10 @@ def config_digest(parts: dict) -> str:
 
 
 def _thresholds(values, name: str) -> list[float]:
-    """``values`` as a list; a ``ValueError`` unless each is finite and > 0."""
+    """``values`` as a list; a ``ValueError`` unless it is non-empty and each is finite and > 0."""
     values = list(values)
+    if not values:
+        raise ValueError(f"{name} must not be empty")
     bad = [t for t in values if not 0 < t < math.inf]
     if bad:
         raise ValueError(f"{name} must be finite and > 0, got {bad}")
@@ -81,8 +83,8 @@ def eval_pck(
 
     Distances are measured in resized-image pixels between the interpolated
     coarse match of the A point and the true B point; ``pck_t`` is the
-    fraction strictly below t. A scene with no ground-truth point, or a
-    threshold that is not finite and > 0, raises.
+    fraction strictly below t. A scene with no ground-truth point, an empty
+    threshold list, or a threshold that is not finite and > 0, raises.
     """
     thresholds = _thresholds(thresholds, "PCK thresholds")
     rows = []
@@ -115,7 +117,7 @@ def pose_auc(errors, thresholds) -> list[float]:
     """Exact integral of the step recall curve, normalized per threshold.
 
     Failures must be encoded as infinite errors; they depress recall without
-    being dropped. Each threshold must be finite and > 0.
+    being dropped. There must be at least one threshold, each finite and > 0.
     """
     thresholds = _thresholds(thresholds, "pose thresholds")
     errs = np.asarray(list(errors), dtype=np.float64)
@@ -273,7 +275,8 @@ def eval_pose(
     majority) count as infinite pose error and an incorrect fundamental
     matrix; they never abort the sweep. An estimated fundamental matrix is
     deemed correct when its worst Sampson error over the scene's held-out
-    ground-truth pairs stays below 3 px.
+    ground-truth pairs stays below 3 px. A bad setting (a threshold list that
+    is empty or not positive, a negative seed) raises before the first pair.
 
     ``keypoint_source="gt"`` places keypoints at the scene's exact
     ground-truth correspondences instead of running the detector, which is
@@ -285,7 +288,9 @@ def eval_pose(
         raise ValueError(f"keypoint_noise_px must be finite and >= 0, got {keypoint_noise_px}")
     if not 0 <= descriptor_corruption <= 1:
         raise ValueError(f"descriptor_corruption must be in [0, 1], got {descriptor_corruption}")
-    ransac_thresholds = list(ransac_thresholds)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    ransac_thresholds = _thresholds(ransac_thresholds, "RANSAC thresholds")
     pose_thresholds = _thresholds(pose_thresholds, "pose thresholds")
     rows = []
     for pair_index, scene in enumerate(scenes):
@@ -312,7 +317,7 @@ def eval_pose(
             cfg = rp.RansacConfig(
                 threshold=thr, seed=int(np.random.SeedSequence([seed, pair_index, t_index]).generate_state(1)[0] % 2**31)
             )
-            if len(coords_a) >= 8 and scene.pose is not None:
+            if len(coords_a) >= 8:
                 est = rp.ransac_essential(coords_a, coords_b, scene.cam_a.K, scene.cam_b.K, cfg)
                 if est.success:
                     row["n_inliers"] = len(est.inliers)

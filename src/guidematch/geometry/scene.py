@@ -110,15 +110,26 @@ class ScenePlane:
 
 @dataclass
 class SyntheticScene:
+    """A calibrated image pair with ground-truth correspondences; its F and
+    pose are computed from the two cameras on each read, never stored."""
+
     cam_a: CameraCalibration
     cam_b: CameraCalibration
     image_a: np.ndarray
     image_b: np.ndarray
     gt_points: np.ndarray  # (n, 4) columns xA, yA, xB, yB in original pixels
-    fundamental: FundamentalMatrix | None
-    pose: RelativePose | None
     seed: int
     planes: list[ScenePlane] | None = None
+
+    @property
+    def fundamental(self) -> FundamentalMatrix:
+        """F in original pixels, mapping image-A points to epipolar lines in B."""
+        return fundamental_from_calibration(self.cam_a, self.cam_b, FRAME_ORIGINAL)
+
+    @property
+    def pose(self) -> RelativePose:
+        """Camera B's rotation and unit translation direction relative to A."""
+        return relative_pose_between(self.cam_a, self.cam_b)
 
     def map_a_to_b(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Dense ground-truth correspondence for image-A pixel positions.
@@ -349,9 +360,7 @@ def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
                 rng.uniform(margin, config.height - 1 - margin, n_sample),
             ]
         )
-        fundamental = fundamental_from_calibration(cam_a, cam_b, FRAME_ORIGINAL)
-        pose = relative_pose_between(cam_a, cam_b)
-        scene = SyntheticScene(cam_a, cam_b, np.empty(0), np.empty(0), np.empty((0, 4)), fundamental, pose, seed, planes)
+        scene = SyntheticScene(cam_a, cam_b, np.empty(0), np.empty(0), np.empty((0, 4)), seed, planes)
         mapped, visible = scene.map_a_to_b(pts_a)
         if int(visible.sum()) < _MIN_COMMON_POINTS:
             continue
@@ -444,6 +453,9 @@ def _format_floats(values) -> str:
 
 
 def save_scene(directory, scene: SyntheticScene) -> None:
+    """Write the scene's archive: ``imageA.pgm``, ``imageB.pgm``, ``meta.txt``
+    (seed and both cameras) and ``gt_points.csv``. F and pose are not stored;
+    they derive from the cameras."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     write_pgm(d / "imageA.pgm", scene.image_a)
@@ -460,9 +472,6 @@ def save_scene(directory, scene: SyntheticScene) -> None:
     for xa, ya, xb, yb in scene.gt_points:
         rows.append(",".join(repr(float(v)) for v in (xa, ya, xb, yb)))
     (d / "gt_points.csv").write_text("\n".join(rows) + "\n")
-    if scene.fundamental is not None:
-        body = "\n".join(_format_floats(row) for row in scene.fundamental.matrix)
-        (d / "F.txt").write_text(body + f"\nframe = {scene.fundamental.frame}\n")
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -541,35 +550,15 @@ def load_scene(directory) -> SyntheticScene:
                 int(meta[f"width_{tag}"]),
                 int(meta[f"height_{tag}"]),
             )
-        seed = int(meta.get("seed", 0))
+        seed = int(meta["seed"])
+        relative_pose_between(cams["a"], cams["b"])  # cameras that share a centre fix no geometry
     with _archive_file(d / "gt_points.csv"):
         rows = [line.split(",") for line in (d / "gt_points.csv").read_text().splitlines()[1:] if line.strip()]
         if any(len(row) != 4 for row in rows):
             raise ValueError("every row needs the 4 values xA,yA,xB,yB")
         gt = np.array([[float(v) for v in row] for row in rows]).reshape(-1, 4)
-    fundamental = None
-    f_path = d / "F.txt"
-    if f_path.exists():
-        with _archive_file(f_path):
-            f_lines = f_path.read_text().splitlines()
-            values = np.array([_parse_floats(f_lines[i]) for i in range(3)])
-            frame = f_lines[3].partition("=")[2].strip() if len(f_lines) > 3 else FRAME_ORIGINAL
-            fundamental = FundamentalMatrix.from_array(values, frame)
-    pose = None
-    try:
-        pose = relative_pose_between(cams["a"], cams["b"])
-    except ValueError:
-        pose = None
     return SyntheticScene(
-        cams["a"],
-        cams["b"],
-        read_pgm(d / "imageA.pgm"),
-        read_pgm(d / "imageB.pgm"),
-        gt,
-        fundamental,
-        pose,
-        seed,
-        planes=None,
+        cams["a"], cams["b"], read_pgm(d / "imageA.pgm"), read_pgm(d / "imageB.pgm"), gt, seed, planes=None
     )
 
 

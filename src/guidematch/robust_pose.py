@@ -61,10 +61,13 @@ class RansacConfig:
 
 @dataclass
 class ModelEstimate:
-    matrix: np.ndarray | None
+    matrix: np.ndarray | None  # None when the fit failed
     inliers: np.ndarray
     iterations: int
-    success: bool
+
+    @property
+    def success(self) -> bool:
+        return self.matrix is not None
 
 
 def _hartley_normalize(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,7 +190,7 @@ def _ransac_loop(pts_a, pts_b, cfg: RansacConfig, solve, residuals) -> ModelEsti
     """
     n = len(pts_a)
     if n < 8:
-        return ModelEstimate(None, np.empty(0, dtype=np.int64), 0, False)
+        return ModelEstimate(None, np.empty(0, dtype=np.int64), 0)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     best_matrix = None
     best_inliers = np.empty(0, dtype=np.int64)
@@ -209,7 +212,7 @@ def _ransac_loop(pts_a, pts_b, cfg: RansacConfig, solve, residuals) -> ModelEsti
                 best_inliers = np.nonzero(hits[b])[0]
                 needed = min(limit, _adaptive_iterations(len(best_inliers) / n, cfg.confidence, 8))
     if best_matrix is None or len(best_inliers) < 8:
-        return ModelEstimate(None, np.empty(0, dtype=np.int64), it, False)
+        return ModelEstimate(None, np.empty(0, dtype=np.int64), it)
     # iterated least-squares polish on the consensus set: a fit over all
     # inliers beats any minimal-sample hypothesis by a wide margin
     final = best_matrix
@@ -228,8 +231,8 @@ def _ransac_loop(pts_a, pts_b, cfg: RansacConfig, solve, residuals) -> ModelEsti
             break
     final_inliers = np.nonzero(residuals(final[None])[0] < cfg.threshold)[0]
     if len(final_inliers) < 8:
-        return ModelEstimate(None, np.empty(0, dtype=np.int64), it, False)
-    return ModelEstimate(final, final_inliers, it, True)
+        return ModelEstimate(None, np.empty(0, dtype=np.int64), it)
+    return ModelEstimate(final, final_inliers, it)
 
 
 def ransac_fundamental(pts_a: np.ndarray, pts_b: np.ndarray, cfg: RansacConfig) -> ModelEstimate:

@@ -229,8 +229,6 @@ def total_loss(
 
 def positive_pair(scene: SyntheticScene, max_side: int, stride: int) -> TrainingPair:
     """Resize a scene's views and re-express its supervision in that frame."""
-    if scene.fundamental is None:
-        raise ValueError("scene has no fundamental matrix, unusable as a positive pair")
     image_a, scale_a = cm.resize_image(scene.image_a, max_side, stride)
     image_b, scale_b = cm.resize_image(scene.image_b, max_side, stride)
     fund = rescale_fundamental(scene.fundamental, scale_a, scale_b, FRAME_RESIZED)
@@ -337,6 +335,8 @@ class TrainConfig:
         for name in ("lr", "lr_finetune"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name):g}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.batch_size * self.positive_fraction % 1:

@@ -114,6 +114,7 @@ def test_bad_matching_setting_is_a_usage_error(tmp_path, scenes, command, flags,
         ("eval-pose", ["--descriptor-corruption", "1.5"], "--descriptor-corruption must be in [0, 1]"),
         ("eval-pck", ["--thresholds", "8,-16"], "--thresholds values must be finite and > 0"),
         ("eval-pck", ["--max-side", "15"], "--max-side must be at least the model stride 16"),
+        ("eval-pose", ["--seed", "-2"], "--seed must be >= 0, got -2"),
     ],
 )
 def test_bad_eval_setting_is_a_usage_error(tmp_path, scenes, command, flags, message, capsys):
@@ -220,6 +221,8 @@ def test_synth_config_accepts_only_its_keys(tmp_path, key, capsys):
         (["train", "--mode", "epipolar"], "lambda_px = 0", "lambda_px must be finite and > 0, got 0"),
         (["train", "--mode", "epipolar"], "lambda_px = inf", "lambda_px must be finite and > 0, got inf"),
         (["train", "--mode", "epipolar"], "lambda_px = nan", "lambda_px must be finite and > 0, got nan"),
+        (["synth", "--seed", "-1"], None, "--seed must be >= 0, got -1"),
+        (["train", "--mode", "epipolar", "--seed", "-3"], None, "seed must be >= 0, got -3"),
     ],
 )
 def test_bad_synth_or_train_setting_is_a_usage_error(tmp_path, scenes, argv, config, message, capsys):

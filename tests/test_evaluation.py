@@ -48,6 +48,10 @@ class TestEvalPoseFailures:
             (dict(descriptor_corruption=-0.1), r"descriptor_corruption must be in \[0, 1\]"),
             (dict(descriptor_corruption=math.nan), r"descriptor_corruption must be in \[0, 1\]"),
             (dict(pose_thresholds=(5.0, 0.0)), "pose thresholds must be finite and > 0"),
+            (dict(pose_thresholds=()), "pose thresholds must not be empty"),
+            (dict(ransac_thresholds=()), "RANSAC thresholds must not be empty"),
+            (dict(ransac_thresholds=(1.0, math.nan)), "RANSAC thresholds must be finite and > 0"),
+            (dict(seed=-1), "seed must be >= 0, got -1"),
         ],
     )
     def test_bad_setting_raises_before_the_first_pair(self, kwargs, message):
@@ -159,6 +163,10 @@ class TestEvalPck:
         with pytest.raises(ValueError, match="PCK thresholds must be finite and > 0"):
             ev.eval_pck(cm.CoarseModel.create(0), [None], (8.0, threshold), 64)
 
+    def test_no_threshold_raises(self):
+        with pytest.raises(ValueError, match="PCK thresholds must not be empty"):
+            ev.eval_pck(cm.CoarseModel.create(0), [None], (), 64)
+
 
 _errors = st.lists(st.floats(0.0, 30.0) | st.just(math.inf), min_size=1, max_size=20)
 
@@ -182,3 +190,7 @@ class TestPoseAuc:
     def test_threshold_must_be_finite_and_positive(self, threshold):
         with pytest.raises(ValueError, match="pose thresholds must be finite and > 0"):
             ev.pose_auc([1.0, math.inf], [threshold])
+
+    def test_no_threshold_raises(self):
+        with pytest.raises(ValueError, match="pose thresholds must not be empty"):
+            ev.pose_auc([1.0, math.inf], [])

@@ -17,7 +17,6 @@ from guidematch.geometry import (
     generate_scene,
     load_scene,
     pose_error,
-    relative_pose_between,
     rescale_fundamental,
     rotation_from_axis_angle,
     save_scene,
@@ -284,7 +283,7 @@ class TestSceneGeneration:
 
     def test_identity_pose_identity_correspondence(self):
         generated = generate_scene(SceneConfig(n_planes=1, tilt_max=0.0), 3)
-        scene = dataclasses.replace(generated, cam_b=generated.cam_a, fundamental=None, pose=None)
+        scene = dataclasses.replace(generated, cam_b=generated.cam_a)
         pts = np.array([[10.0, 12.0], [40.0, 25.0], [31.5, 50.25]])
         mapped, visible = scene.map_a_to_b(pts)
         assert visible.all()
@@ -390,19 +389,20 @@ class TestSceneArchive:
         q = np.round(np.clip(scene.image_a, 0, 1) * 255) / 255.0
         assert np.array_equal(loaded.image_a, q)
         assert np.array_equal(loaded.gt_points, scene.gt_points)
-        assert np.abs(loaded.fundamental.matrix - scene.fundamental.matrix).max() < 1e-15
+        assert np.array_equal(loaded.fundamental.matrix, scene.fundamental.matrix)
+        assert loaded.fundamental.frame == scene.fundamental.frame
         assert loaded.seed == scene.seed
         assert np.array_equal(loaded.cam_a.K, scene.cam_a.K)
         assert np.array_equal(loaded.cam_b.R, scene.cam_b.R)
-        # arccos loses half the float precision near zero angle, hence 1e-5 deg
-        rot, trans = pose_error(loaded.pose, scene.pose)
-        assert rot < 1e-5 and trans < 1e-5
+        assert np.array_equal(loaded.pose.R, scene.pose.R)
+        assert np.array_equal(loaded.pose.t, scene.pose.t)
 
     def test_archive_files_exist(self, tmp_path):
         scene = generate_scene(SceneConfig(), 9)
         save_scene(tmp_path / "s", scene)
-        for name in ("imageA.pgm", "imageB.pgm", "meta.txt", "gt_points.csv", "F.txt"):
+        for name in ("imageA.pgm", "imageB.pgm", "meta.txt", "gt_points.csv"):
             assert (tmp_path / "s" / name).exists()
+        assert not (tmp_path / "s" / "F.txt").exists()
         lines = (tmp_path / "s" / "gt_points.csv").read_text().splitlines()
         assert lines[0] == "xA,yA,xB,yB"
         assert len(lines) - 1 >= 30
@@ -425,8 +425,7 @@ def _archived_scenes(draw):
     cam_a, cam_b = cams
     images = [rng.integers(0, 256, (c.height, c.width)) / 255.0 for c in cams]
     gt = rng.uniform(-1e3, 1e3, (draw(st.integers(0, 6)), 4))
-    F = fundamental_from_calibration(cam_a, cam_b) if draw(st.booleans()) else None
-    return SyntheticScene(cam_a, cam_b, *images, gt, F, relative_pose_between(cam_a, cam_b), draw(st.integers(0, 10**6)))
+    return SyntheticScene(cam_a, cam_b, *images, gt, draw(st.integers(0, 10**6)))
 
 
 class TestArchiveProperties:
@@ -460,11 +459,7 @@ class TestArchiveProperties:
         assert np.array_equal(loaded.image_b, scene.image_b)
         assert np.array_equal(loaded.gt_points, scene.gt_points.reshape(-1, 4))
         assert loaded.seed == scene.seed
-        if scene.fundamental is None:
-            assert loaded.fundamental is None
-        else:
-            assert np.abs(loaded.fundamental.matrix - scene.fundamental.matrix).max() < 1e-14
-            assert loaded.fundamental.frame == scene.fundamental.frame
+        assert np.array_equal(loaded.fundamental.matrix, fundamental_from_calibration(scene.cam_a, scene.cam_b).matrix)
 
 
 class TestArchiveErrors:
@@ -492,9 +487,11 @@ class TestArchiveErrors:
 
     def test_missing_meta_key(self, archive):
         meta = archive / "meta.txt"
-        meta.write_text("\n".join(l for l in meta.read_text().splitlines() if not l.startswith("K_a")))
-        with pytest.raises(ValueError, match="meta.txt: missing key 'K_a'"):
-            load_scene(archive)
+        lines = meta.read_text().splitlines()
+        for key in ("K_a", "seed"):
+            meta.write_text("\n".join(l for l in lines if not l.startswith(f"{key} =")))
+            with pytest.raises(ValueError, match=f"meta.txt: missing key '{key}'"):
+                load_scene(archive)
 
     def test_non_numeric_meta_value(self, archive):
         meta = archive / "meta.txt"
@@ -502,11 +499,22 @@ class TestArchiveErrors:
         with pytest.raises(ValueError, match="meta.txt"):
             load_scene(archive)
 
-    def test_short_fundamental_file(self, archive):
-        f_txt = archive / "F.txt"
-        f_txt.write_text("\n".join(f_txt.read_text().splitlines()[:2]))
-        with pytest.raises(ValueError, match="F.txt"):
+    def test_cameras_sharing_a_centre(self, archive):
+        # camera A sits at the origin; t_b = 0 puts camera B there too
+        meta = archive / "meta.txt"
+        lines = [("t_b = 0.0 0.0 0.0" if l.startswith("t_b =") else l) for l in meta.read_text().splitlines()]
+        meta.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="meta.txt: cameras share a center"):
             load_scene(archive)
+
+    def test_leftover_fundamental_file_is_ignored(self, archive):
+        before = load_scene(archive)
+        (archive / "F.txt").write_text("not a matrix\nframe = nowhere\n")
+        after = load_scene(archive)
+        assert np.array_equal(after.fundamental.matrix, before.fundamental.matrix)
+        for name in ("image_a", "image_b", "gt_points"):
+            assert np.array_equal(getattr(after, name), getattr(before, name))
+        assert after.seed == before.seed
 
     def test_short_ground_truth_row(self, archive):
         gt = archive / "gt_points.csv"

@@ -22,11 +22,8 @@ def volume_from_scores(s, stride=16):
     """A one-pair volume whose filtered scores are the (Ha, Wa, Hb, Wb) ``s``,
     with its two softmaxes; an (N, Ha, Wa, Hb, Wb) ``s`` gives N pairs."""
     s = s if s.ndim == 5 else s[None]
-    ha, wa, hb, wb = s.shape[1:]
     filtered = Tensor(s)
-    return cm.CorrelationVolume(
-        filtered, *cm.normalize_scores(filtered), stride, (ha * stride, wa * stride), (hb * stride, wb * stride)
-    )
+    return cm.CorrelationVolume(filtered, *cm.normalize_scores(filtered), stride)
 
 
 def one_hot_diagonal(n=2, m=2):

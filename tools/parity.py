@@ -6,7 +6,9 @@ Each step is its own ``python -m guidematch`` process on the checkout's
 ``src/``: synth (8 scenes at 64x64, 3 at 256x192 with 3 repeated stamps,
 and 2 from a ``--config`` file, written into OUT_DIR as ``synth.cfg``, that
 sets every scene key off its default), a 6-step train in each supervision
-mode, eval-pck at two max sides, eval-pose for raw, mutual, guided and
+mode, a 4-step epipolar and point train on the 256x192 scenes resized by a
+``--config`` file written as ``train.cfg`` (max side 128, batch 2),
+eval-pck at two max sides, eval-pose for raw, mutual, guided and
 model-guided plus a stress run and a ground-truth-keypoint run, one guided
 match and one BA coarse-match field. The guided steps read the benchmark's committed
 checkpoint and change nothing there. OUT_DIR must not exist yet.
@@ -44,6 +46,11 @@ stamp_min_sep_px = 60
 background_amplitude = 0.5
 n_gt_points = 40
 """
+# resizes the 256x192 scenes, so the training labels read a rescaled F
+TRAIN_CONFIG = """\
+max_side = 128
+batch_size = 2
+"""
 
 
 def recipe(out: Path) -> list[list[str]]:
@@ -60,6 +67,9 @@ def recipe(out: Path) -> list[list[str]]:
     for mode in MODES:
         steps.append(["train", "--mode", mode, "--dataset", train_set, "--iterations", "6", "--freeze-steps", "3",
                       "--seed", "0", "--out", str(out / f"train_{mode}")])
+    for mode in ("epipolar", "point"):
+        steps.append(["train", "--config", str(out / "train.cfg"), "--mode", mode, "--dataset", eval_set,
+                      "--iterations", "4", "--freeze-steps", "2", "--seed", "0", "--out", str(out / f"train256_{mode}")])
     steps.append(["eval-pck", "--checkpoint", ckpt, "--dataset", eval_set, "--out", str(out / "pck")])
     steps.append(["eval-pck", "--checkpoint", ckpt, "--dataset", eval_set, "--max-side", "128",
                   "--out", str(out / "pck_128")])
@@ -94,6 +104,7 @@ def main(argv=None) -> int:
     out = args.out.resolve()
     out.mkdir(parents=True)
     (out / "synth.cfg").write_text(SYNTH_CONFIG)
+    (out / "train.cfg").write_text(TRAIN_CONFIG)
     for step in recipe(out):
         done = subprocess.run([sys.executable, "-m", "guidematch", *step], env=env, capture_output=True, text=True)
         if done.returncode != 0:
