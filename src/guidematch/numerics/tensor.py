@@ -341,28 +341,28 @@ def _shifted(tap: int, n: int) -> tuple[slice, slice]:
 def _a_row_columns(x: np.ndarray, scratch: Conv4dScratch):
     """Yield ``(i, cols)`` for every A-row ``i`` of a (C, N, Ha, Wa, Hb, Wb) array.
 
-    ``cols`` has shape (9*C, N*(Wa+2)*Hb*Wb): row ``(dc*3 + dd)*C + c`` and
-    column ``(n, w, k, l)`` hold ``xp[c, n, i + 1, w, k + dc, l + dd]``, where
-    ``xp`` is ``x`` zero-padded by one on the four spatial axes. The B-taps
-    and channels are unrolled; the Wa axis keeps its padding so that an A-tap
-    ``db`` is the slice ``w in [db, db + Wa)`` of every sample's columns. So
-    one buffer, filled by nine slab copies, covers the whole batch, and one
-    matrix product per A-row serves all N samples. It is reused for every
-    row, so a caller must consume it before the next one.
+    ``cols`` has shape (9*C, N*Wa*Hb*Wb): row ``(dc*3 + dd)*C + c`` and
+    column ``(n, w, k, l)`` hold ``xp[c, n, i + 1, w + 1, k + dc, l + dd]``,
+    where ``xp`` is ``x`` zero-padded by one on the four spatial axes. The
+    B-taps and channels are unrolled; the Wa axis spans only the real
+    columns, so an A-tap ``db`` reads the columns ``w + db - 1`` that exist.
+    So one buffer, filled by nine slab copies, covers the whole batch, and
+    one matrix product per A-row serves all N samples. It is reused for
+    every row, so a caller must consume it before the next one.
 
     The buffer is the ``scratch``'s ``cols``. It is zeroed once per call,
-    before the first row: every row writes the same slices, so the padding
-    the copies leave out stays zero, but the scratch holds whatever its last
-    call wrote.
+    before the first row: every row writes the same slices, so the Hb/Wb
+    borders the copies leave out stay zero, but the scratch holds whatever
+    its last call wrote.
     """
     c, n, ha, wa, hb, wb = x.shape
-    cols = scratch.take("cols", (3, 3, c, n, wa + 2, hb, wb))
+    cols = scratch.take("cols", (3, 3, c, n, wa, hb, wb))
     cols.fill(0.0)
     shifts = [(dc, dd, _shifted(dc, hb), _shifted(dd, wb)) for dc in range(3) for dd in range(3)]
     for i in range(ha):
         row = x[:, :, i]
         for dc, dd, (dst_k, src_k), (dst_l, src_l) in shifts:
-            cols[dc, dd, :, :, 1 : wa + 1, dst_k, dst_l] = row[:, :, :, src_k, src_l]
+            cols[dc, dd, :, :, :, dst_k, dst_l] = row[:, :, :, src_k, src_l]
         yield i, cols.reshape(9 * c, -1)
 
 
@@ -372,29 +372,35 @@ def _conv4d_into(out: np.ndarray, x: np.ndarray, kd: np.ndarray, scratch: Conv4d
 
     The kernel matrix has one (C_out, 9*C_in) block of rows per A-tap
     (da, db). Its product with the columns of input row ``i`` feeds output
-    rows ``i + 1 - da``, shifted by ``db`` along Wa. The product is stacked
-    over the samples, so each sample's columns get the GEMM they would get
-    alone. One GEMM over all samples would not do: BLAS picks its kernels
-    by the column count, and one that handles a sample's last columns as a
-    tail alone and as full blocks in a batch rounds them differently.
+    row ``i + 1 - da``: output column ``w`` reads product column
+    ``w + db - 1`` where that exists (``_shifted``). Only the row blocks of
+    A-taps whose output row exists are multiplied, so the first and last
+    input rows skip one ``da`` each. The product is stacked over the samples, so each
+    sample's columns get the GEMM they would get alone. One GEMM over all
+    samples would not do: BLAS picks its kernels by the column count, and
+    one that handles a sample's last columns as a tail alone and as full
+    blocks in a batch rounds them differently.
 
     The column buffer and the product are the ``scratch``'s ``cols`` and
-    ``prod``. Every product fully overwrites ``prod``, so it needs no
-    clearing.
+    ``prod``. Every product fully overwrites the rows of ``prod`` that are
+    read, so it needs no clearing.
     """
     c_out, c_in = kd.shape[:2]
     _, n, ha, wa, hb, wb = x.shape
-    m = (wa + 2) * hb * wb
+    m = wa * hb * wb
     kmat = kd.transpose(2, 3, 0, 4, 5, 1).reshape(9 * c_out, 9 * c_in)
     prod = scratch.take("prod", (n, 9 * c_out, m))
-    taps = prod.reshape(n, 3, 3, c_out, wa + 2, hb, wb).transpose(1, 2, 3, 0, 4, 5, 6)
+    taps = prod.reshape(n, 3, 3, c_out, wa, hb, wb).transpose(1, 2, 3, 0, 4, 5, 6)
+    w_shifts = [_shifted(db, wa) for db in range(3)]
     for i, cols in _a_row_columns(x, scratch):
-        np.matmul(kmat, cols.reshape(9 * c_in, n, m).transpose(1, 0, 2), out=prod)
-        for da in range(3):
+        # the A-taps da whose output row i + 1 - da lies in [0, Ha)
+        lo, hi = (0 if i + 1 < ha else 1), (3 if i >= 1 else 2)
+        rows = slice(3 * c_out * lo, 3 * c_out * hi)
+        np.matmul(kmat[rows], cols.reshape(9 * c_in, n, m).transpose(1, 0, 2), out=prod[:, rows])
+        for da in range(lo, hi):
             a = i + 1 - da
-            if 0 <= a < ha:
-                for db in range(3):
-                    out[:, :, a] += taps[da, db, :, :, db : db + wa]
+            for db, (dst_w, src_w) in enumerate(w_shifts):
+                out[:, :, a, dst_w] += taps[da, db, :, :, src_w]
 
 
 def conv4d(x: Tensor, kernel: Tensor, bias: Tensor, scratch: Conv4dScratch | None = None) -> Tensor:
@@ -410,17 +416,18 @@ def conv4d(x: Tensor, kernel: Tensor, bias: Tensor, scratch: Conv4dScratch | Non
     and makes its own, so a graph holds no reference to a scratch.
 
     For each A-row the 9 B-taps and the input channels are unrolled into a
-    (9*C_in, N*(Wa+2)*Hb*Wb) column matrix (see ``_a_row_columns``) and
-    multiplied, sample by sample in one stacked product, by the kernel
-    reshaped to (9*C_out, 9*C_in), whose 9 row blocks are the A-taps; each
-    block's slice is added to the output row it feeds. Every sample gets the
-    same BLAS calls and additions as alone, so sample n's output and input
-    gradient do not depend on N. The input gradient is the same routine on
+    (9*C_in, N*Wa*Hb*Wb) column matrix (see ``_a_row_columns``) and
+    multiplied, sample by sample in one stacked product, by the row blocks
+    of the kernel, reshaped to (9*C_out, 9*C_in), whose A-taps feed an
+    output row that exists; each block's slice is added to the output row
+    it feeds. Every sample gets the same BLAS calls and additions as alone,
+    so sample n's output and input gradient do not depend on N. The input gradient is the same routine on
     the output gradient with the kernel flipped on its tap axes and its
     channel axes swapped. The kernel gradient rebuilds the columns from the
-    input, so the graph keeps no padded copy, and multiplies them by the
-    output-gradient slices laid out like the forward product: one GEMM per
-    A-row, which also sums over the batch.
+    input, so the graph keeps no column copy, and multiplies them by the
+    output-gradient slices laid out like the forward product, zero where a
+    tap reads outside the volume: one GEMM per A-row over all nine row
+    blocks, which also sums over the batch.
     """
     if x.ndim != 6:
         raise ValueError(f"conv4d input must be 6-d (C,N,Ha,Wa,Hb,Wb), got shape {x.shape}")
@@ -447,16 +454,18 @@ def conv4d(x: Tensor, kernel: Tensor, bias: Tensor, scratch: Conv4dScratch | Non
             bias._acc(g.sum(axis=(1, 2, 3, 4, 5)))
         if kernel.requires_grad:
             # gather, per input row, the output-gradient slices its columns
-            # fed: block (da, db) is output row i + 1 - da, shifted by db
+            # fed: block (da, db) holds output row i + 1 - da, its column w
+            # at column w + db - 1; the columns no output reads stay zero
             n, ha, wa = dims[:3]
             gk = np.zeros((9 * c_out, 9 * c_in))
-            g_taps = np.zeros((3, 3, c_out, n, wa + 2) + dims[3:])
+            g_taps = np.zeros((3, 3, c_out, n, wa) + dims[3:])
+            w_shifts = [_shifted(db, wa) for db in range(3)]
             for i, cols in _a_row_columns(x.data, Conv4dScratch()):
                 for da in range(3):
                     a = i + 1 - da
-                    for db in range(3):
+                    for db, (dst_w, src_w) in enumerate(w_shifts):
                         if 0 <= a < ha:
-                            g_taps[da, db, :, :, db : db + wa] = g[:, :, a]
+                            g_taps[da, db, :, :, src_w] = g[:, :, a, dst_w]
                         else:
                             g_taps[da, db] = 0.0
                 gk += g_taps.reshape(9 * c_out, -1) @ cols.T

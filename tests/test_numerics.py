@@ -176,6 +176,30 @@ class TestConv4d:
         assert np.max(np.abs(k.grad - gk)) < 1e-12
         assert np.max(np.abs(b.grad - gb)) < 1e-12
 
+    # extents where an A-row skips a dead row block (Ha <= 2) or a db slice
+    # along Wa is empty (Wa = 1)
+    @pytest.mark.parametrize("spatial", [(1, 3, 2, 3), (3, 1, 2, 2), (1, 1, 3, 4), (2, 1, 1, 1)])
+    @pytest.mark.parametrize("c_in", [1, 3])
+    @pytest.mark.parametrize("c_out", [1, 3])
+    def test_matches_oracles_at_small_extents(self, spatial, c_in, c_out):
+        rng = np.random.default_rng([c_in, c_out, *spatial])
+        x = parameter(rng.standard_normal((c_in, 2, *spatial)), "x")
+        k = parameter(rng.standard_normal((c_out, c_in, 3, 3, 3, 3)), "k")
+        b = parameter(rng.standard_normal(c_out), "b")
+        out = conv4d(x, k, b)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        gb_total = np.zeros(c_out)
+        for n in range(2):
+            ref = oracles.conv4d_loops(x.data[:, n], k.data, b.data)
+            assert np.max(np.abs(out.data[:, n] - ref)) < 1e-12
+            gx, gk, gb = oracles.conv4d_taps_backward(x.data[:, n], k.data, g[:, n])
+            assert np.max(np.abs(x.grad[:, n] - gx)) < 1e-12
+            gk_total = gk if n == 0 else gk_total + gk
+            gb_total += gb
+        assert np.max(np.abs(k.grad - gk_total)) < 1e-12
+        assert np.max(np.abs(b.grad - gb_total)) < 1e-12
+
     def test_channel_mismatch(self):
         x = Tensor(np.zeros((2, 1, 2, 2, 2, 2)))
         k = Tensor(np.zeros((1, 3, 3, 3, 3, 3)))
@@ -192,12 +216,15 @@ class TestConv4dScratch:
     """A shared scratch changes no bit of any conv4d output or gradient."""
 
     # (C_in, C_out, N, spatial): the filter's three layers on one 12x16x12x16
-    # volume, then a batch of 8 small volumes; the buffers grow, then shrink
+    # volume, then a batch of 8 small volumes and a batch of 2 volumes of
+    # 256x192 images resized to a max side of 128; the buffers grow, then
+    # shrink
     SEQUENCE = [
         (1, 16, 1, (12, 16, 12, 16)),
         (16, 16, 1, (12, 16, 12, 16)),
         (16, 1, 1, (12, 16, 12, 16)),
         (16, 16, 8, (4, 4, 4, 4)),
+        (16, 16, 2, (6, 8, 6, 8)),
     ]
 
     def _cases(self, seed):
