@@ -338,69 +338,106 @@ def _shifted(tap: int, n: int) -> tuple[slice, slice]:
     return slice(max(0, 1 - tap), min(n, n + 1 - tap)), slice(max(0, tap - 1), min(n, n + tap - 1))
 
 
-def _a_row_columns(x: np.ndarray, scratch: Conv4dScratch):
+def _tap_shifts(extents: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[slice, ...], tuple[slice, ...]]]:
+    """``(taps, destination, source)`` for every tap combination along
+    consecutive axes of the given extents: ``_shifted`` on each axis."""
+    shifts = [((), (), ())]
+    for e in extents:
+        axis = [(t, *_shifted(t, e)) for t in range(3)]
+        shifts = [(taps + (t,), dst + (d,), src + (s,)) for taps, dst, src in shifts for t, d, s in axis]
+    return shifts
+
+
+def _tap_split(c_in: int, c_out: int) -> int:
+    """How many of the four taps (da, db, dc, dd), counted from the last,
+    conv4d unrolls into its column buffer; the others index product row
+    blocks.
+
+    Split s gives 3^s*C_in column rows and 3^(4-s)*C_out product rows per
+    cell, and the GEMM's FLOPs do not depend on s, so s minimizes the rows
+    written and read; ties go to 2. conv4d runs one product per A-row, so
+    da is always a row tap (s <= 3), and s = 0 would win for no layer of
+    the filter.
+    """
+    return min((2, 1, 3), key=lambda s: 3**s * c_in + 3 ** (4 - s) * c_out)
+
+
+def _a_row_columns(x: np.ndarray, scratch: Conv4dScratch, split: int):
     """Yield ``(i, cols)`` for every A-row ``i`` of a (C, N, Ha, Wa, Hb, Wb) array.
 
-    ``cols`` has shape (9*C, N*Wa*Hb*Wb): row ``(dc*3 + dd)*C + c`` and
-    column ``(n, w, k, l)`` hold ``xp[c, n, i + 1, w + 1, k + dc, l + dd]``,
-    where ``xp`` is ``x`` zero-padded by one on the four spatial axes. The
-    B-taps and channels are unrolled; the Wa axis spans only the real
-    columns, so an A-tap ``db`` reads the columns ``w + db - 1`` that exist.
-    So one buffer, filled by nine slab copies, covers the whole batch, and
-    one matrix product per A-row serves all N samples. It is reused for
-    every row, so a caller must consume it before the next one.
+    ``cols`` has shape (3^split*C, N*Wa*Hb*Wb): it unrolls the last
+    ``split`` taps of (da, db, dc, dd) and the channels. With split 2, row
+    ``(dc*3 + dd)*C + c`` and column ``(n, w, k, l)`` hold
+    ``xp[c, n, i + 1, w + 1, k + dc, l + dd]``, where ``xp`` is ``x``
+    zero-padded by one on the four spatial axes; split 3 puts ``db`` before
+    ``dc`` (the column reads ``w + db``) and split 1 keeps only ``dd``. No
+    axis is padded, so a tap that is not unrolled reads the columns that
+    exist. One buffer, filled by 3^split slab copies, covers the whole
+    batch, so one matrix product per A-row serves all N samples. It is
+    reused for every row, so a caller must consume it before the next one.
 
     The buffer is the ``scratch``'s ``cols``. It is zeroed once per call,
-    before the first row: every row writes the same slices, so the Hb/Wb
-    borders the copies leave out stay zero, but the scratch holds whatever
-    its last call wrote.
+    before the first row: every row writes the same slices, so the borders
+    the copies leave out stay zero, but the scratch holds whatever its last
+    call wrote.
     """
     c, n, ha, wa, hb, wb = x.shape
-    cols = scratch.take("cols", (3, 3, c, n, wa, hb, wb))
+    cols = scratch.take("cols", (3,) * split + (c, n, wa, hb, wb))
     cols.fill(0.0)
-    shifts = [(dc, dd, _shifted(dc, hb), _shifted(dd, wb)) for dc in range(3) for dd in range(3)]
+    kept = (slice(None),) * (5 - split)  # channels, samples and the axes no unrolled tap shifts
+    copies = [(taps + kept + dst, kept + src) for taps, dst, src in _tap_shifts((wa, hb, wb)[3 - split :])]
     for i in range(ha):
         row = x[:, :, i]
-        for dc, dd, (dst_k, src_k), (dst_l, src_l) in shifts:
-            cols[dc, dd, :, :, :, dst_k, dst_l] = row[:, :, :, src_k, src_l]
-        yield i, cols.reshape(9 * c, -1)
+        for dst, src in copies:
+            cols[dst] = row[src]
+        yield i, cols.reshape(3**split * c, -1)
 
 
 def _conv4d_into(out: np.ndarray, x: np.ndarray, kd: np.ndarray, scratch: Conv4dScratch) -> None:
     """Add the zero-padded stride-1 cross-correlation of (C_in, N, Ha, Wa, Hb, Wb)
     with (C_out, C_in, 3, 3, 3, 3) to ``out``: one stacked product per A-row.
 
-    The kernel matrix has one (C_out, 9*C_in) block of rows per A-tap
-    (da, db). Its product with the columns of input row ``i`` feeds output
-    row ``i + 1 - da``: output column ``w`` reads product column
-    ``w + db - 1`` where that exists (``_shifted``). Only the row blocks of
-    A-taps whose output row exists are multiplied, so the first and last
-    input rows skip one ``da`` each. The product is stacked over the samples, so each
-    sample's columns get the GEMM they would get alone. One GEMM over all
-    samples would not do: BLAS picks its kernels by the column count, and
-    one that handles a sample's last columns as a tail alone and as full
-    blocks in a batch rounds them differently.
+    The taps split per call (``_tap_split``): the last s of (da, db, dc,
+    dd) go into the columns (``_a_row_columns``), the first 4 - s into the
+    kernel matrix's rows, one (C_out, 3^s*C_in) block of rows per
+    combination. The product of the block of (da, ...) with the columns of
+    input row ``i`` feeds output row ``i + 1 - da``, shifted along Wa by
+    ``db`` and along Hb by ``dc`` when those are row taps (``_shifted``).
+    Only the row blocks of A-taps whose output row exists are multiplied,
+    so the first and last input rows skip one ``da`` each. The product is
+    stacked over the samples, so each sample's columns get the GEMM they
+    would get alone. One GEMM over all samples would not do: BLAS picks its
+    kernels by the column count, and one that handles a sample's last
+    columns as a tail alone and as full blocks in a batch rounds them
+    differently.
 
     The column buffer and the product are the ``scratch``'s ``cols`` and
-    ``prod``. Every product fully overwrites the rows of ``prod`` that are
-    read, so it needs no clearing.
+    ``prod``; at 16 channels in and out (split 2) they are as large as at
+    1 -> 16 or 16 -> 1. Every product fully overwrites the rows of ``prod``
+    that are read, so it needs no clearing.
     """
     c_out, c_in = kd.shape[:2]
     _, n, ha, wa, hb, wb = x.shape
+    split = _tap_split(c_in, c_out)
+    row_taps = 4 - split
+    block = 3 ** (row_taps - 1) * c_out  # product rows per da
     m = wa * hb * wb
-    kmat = kd.transpose(2, 3, 0, 4, 5, 1).reshape(9 * c_out, 9 * c_in)
-    prod = scratch.take("prod", (n, 9 * c_out, m))
-    taps = prod.reshape(n, 3, 3, c_out, wa, hb, wb).transpose(1, 2, 3, 0, 4, 5, 6)
-    w_shifts = [_shifted(db, wa) for db in range(3)]
-    for i, cols in _a_row_columns(x, scratch):
+    # rows (da, ..., c_out), columns (..., dd, c_in)
+    kmat = kd.transpose(*range(2, 2 + row_taps), 0, *range(2 + row_taps, 6), 1).reshape(3 * block, -1)
+    prod = scratch.take("prod", (n, 3 * block, m))
+    taps = prod.reshape((n,) + (3,) * row_taps + (c_out, wa, hb, wb))
+    taps = taps.transpose(*range(1, row_taps + 1), row_taps + 1, 0, *range(row_taps + 2, row_taps + 5))
+    both = (slice(None), slice(None))  # channels and samples
+    adds = [(both + dst, t + both + src) for t, dst, src in _tap_shifts((wa, hb)[: row_taps - 1])]
+    for i, cols in _a_row_columns(x, scratch, split):
         # the A-taps da whose output row i + 1 - da lies in [0, Ha)
         lo, hi = (0 if i + 1 < ha else 1), (3 if i >= 1 else 2)
-        rows = slice(3 * c_out * lo, 3 * c_out * hi)
-        np.matmul(kmat[rows], cols.reshape(9 * c_in, n, m).transpose(1, 0, 2), out=prod[:, rows])
+        rows = slice(block * lo, block * hi)
+        np.matmul(kmat[rows], cols.reshape(-1, n, m).transpose(1, 0, 2), out=prod[:, rows])
         for da in range(lo, hi):
-            a = i + 1 - da
-            for db, (dst_w, src_w) in enumerate(w_shifts):
-                out[:, :, a, dst_w] += taps[da, db, :, :, src_w]
+            out_row, taps_da = out[:, :, i + 1 - da], taps[da]
+            for dst, src in adds:
+                out_row[dst] += taps_da[src]
 
 
 def conv4d(x: Tensor, kernel: Tensor, bias: Tensor, scratch: Conv4dScratch | None = None) -> Tensor:
@@ -415,19 +452,23 @@ def conv4d(x: Tensor, kernel: Tensor, bias: Tensor, scratch: Conv4dScratch | Non
     and the column buffer is zeroed first. The backward pass never uses it
     and makes its own, so a graph holds no reference to a scratch.
 
-    For each A-row the 9 B-taps and the input channels are unrolled into a
-    (9*C_in, N*Wa*Hb*Wb) column matrix (see ``_a_row_columns``) and
-    multiplied, sample by sample in one stacked product, by the row blocks
-    of the kernel, reshaped to (9*C_out, 9*C_in), whose A-taps feed an
-    output row that exists; each block's slice is added to the output row
-    it feeds. Every sample gets the same BLAS calls and additions as alone,
-    so sample n's output and input gradient do not depend on N. The input gradient is the same routine on
-    the output gradient with the kernel flipped on its tap axes and its
-    channel axes swapped. The kernel gradient rebuilds the columns from the
-    input, so the graph keeps no column copy, and multiplies them by the
-    output-gradient slices laid out like the forward product, zero where a
-    tap reads outside the volume: one GEMM per A-row over all nine row
-    blocks, which also sums over the batch.
+    For each A-row the last s of the taps (da, db, dc, dd) and the input
+    channels are unrolled into a (3^s*C_in, N*Wa*Hb*Wb) column matrix (see
+    ``_a_row_columns``) and multiplied, sample by sample in one stacked
+    product, by the row blocks of the kernel, reshaped to
+    (3^(4-s)*C_out, 3^s*C_in), whose A-taps feed an output row that
+    exists; each block's slice is added, shifted by its taps, to the output
+    row it feeds. s is picked per call from the channel counts
+    (``_tap_split``): 3 for the filter's 1 -> 16 layer, 2 for 16 -> 16 and
+    1 for 16 -> 1. Every sample gets the same BLAS calls and additions as
+    alone, so sample n's output and input gradient do not depend on N. The
+    input gradient is the same routine on the output gradient with the
+    kernel flipped on its tap axes and its channel axes swapped, so its
+    split follows the swapped channel counts. The kernel gradient rebuilds
+    the split-2 columns from the input, so the graph keeps no column copy,
+    and multiplies them by the output-gradient slices laid out like a
+    split-2 product, zero where a tap reads outside the volume: one GEMM
+    per A-row over all nine row blocks, which also sums over the batch.
     """
     if x.ndim != 6:
         raise ValueError(f"conv4d input must be 6-d (C,N,Ha,Wa,Hb,Wb), got shape {x.shape}")
@@ -460,7 +501,7 @@ def conv4d(x: Tensor, kernel: Tensor, bias: Tensor, scratch: Conv4dScratch | Non
             gk = np.zeros((9 * c_out, 9 * c_in))
             g_taps = np.zeros((3, 3, c_out, n, wa) + dims[3:])
             w_shifts = [_shifted(db, wa) for db in range(3)]
-            for i, cols in _a_row_columns(x.data, Conv4dScratch()):
+            for i, cols in _a_row_columns(x.data, Conv4dScratch(), 2):
                 for da in range(3):
                     a = i + 1 - da
                     for db, (dst_w, src_w) in enumerate(w_shifts):

@@ -158,8 +158,9 @@ class TestConv4d:
     @settings(max_examples=40, deadline=None)
     @given(
         spatial=st.tuples(*[st.integers(1, 4)] * 4),
-        c_in=st.integers(1, 3),
-        c_out=st.integers(1, 3),
+        # 1 -> 4 and 4 -> 1 take tap splits 3 and 1 (``_tap_split``)
+        c_in=st.integers(1, 4),
+        c_out=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_oracles_any_shape(self, spatial, c_in, c_out, seed):
@@ -176,12 +177,8 @@ class TestConv4d:
         assert np.max(np.abs(k.grad - gk)) < 1e-12
         assert np.max(np.abs(b.grad - gb)) < 1e-12
 
-    # extents where an A-row skips a dead row block (Ha <= 2) or a db slice
-    # along Wa is empty (Wa = 1)
-    @pytest.mark.parametrize("spatial", [(1, 3, 2, 3), (3, 1, 2, 2), (1, 1, 3, 4), (2, 1, 1, 1)])
-    @pytest.mark.parametrize("c_in", [1, 3])
-    @pytest.mark.parametrize("c_out", [1, 3])
-    def test_matches_oracles_at_small_extents(self, spatial, c_in, c_out):
+    @staticmethod
+    def _check_two_samples_against_oracles(c_in, c_out, spatial):
         rng = np.random.default_rng([c_in, c_out, *spatial])
         x = parameter(rng.standard_normal((c_in, 2, *spatial)), "x")
         k = parameter(rng.standard_normal((c_out, c_in, 3, 3, 3, 3)), "k")
@@ -200,11 +197,51 @@ class TestConv4d:
         assert np.max(np.abs(k.grad - gk_total)) < 1e-12
         assert np.max(np.abs(b.grad - gb_total)) < 1e-12
 
+    # extents where an A-row skips a dead row block (Ha <= 2) or a shift
+    # along Wa is empty (Wa = 1)
+    SMALL_EXTENTS = [(1, 3, 2, 3), (3, 1, 2, 2), (1, 1, 3, 4), (2, 1, 1, 1)]
+
+    @pytest.mark.parametrize("spatial", SMALL_EXTENTS)
+    @pytest.mark.parametrize("c_in", [1, 3, 4])
+    @pytest.mark.parametrize("c_out", [1, 3, 4])
+    def test_matches_oracles_at_small_extents(self, spatial, c_in, c_out):
+        self._check_two_samples_against_oracles(c_in, c_out, spatial)
+
+    # the filter's first and last layers: tap splits 3 and 1
+    @pytest.mark.parametrize("spatial", SMALL_EXTENTS + [(3, 4, 2, 3)])
+    @pytest.mark.parametrize("c_in, c_out", [(1, 16), (16, 1)])
+    def test_thin_filter_layers_match_oracles(self, spatial, c_in, c_out):
+        self._check_two_samples_against_oracles(c_in, c_out, spatial)
+
     def test_channel_mismatch(self):
         x = Tensor(np.zeros((2, 1, 2, 2, 2, 2)))
         k = Tensor(np.zeros((1, 3, 3, 3, 3, 3)))
         with pytest.raises(ValueError, match="channel"):
             conv4d(x, k, Tensor(np.zeros(1)))
+
+
+class TestTapSplit:
+    """conv4d unrolls the split that moves the fewest column and product rows."""
+
+    @staticmethod
+    def rows(split, c_in, c_out):
+        return 3**split * c_in + 3 ** (4 - split) * c_out
+
+    def test_the_filter_layers(self):
+        assert [tensor._tap_split(c_in, c_out) for c_in, c_out in [(1, 16), (16, 16), (16, 1)]] == [3, 2, 1]
+
+    def test_ties_go_to_two(self):
+        for c in range(1, 33):
+            for c_in, c_out in [(c, 3 * c), (3 * c, c)]:
+                assert self.rows(2, c_in, c_out) in {self.rows(s, c_in, c_out) for s in (1, 3)}
+                assert tensor._tap_split(c_in, c_out) == 2
+
+    def test_is_the_argmin_of_the_rows(self):
+        for c_in, c_out in itertools.product(range(1, 33), repeat=2):
+            rows = {s: self.rows(s, c_in, c_out) for s in (1, 2, 3)}
+            split = tensor._tap_split(c_in, c_out)
+            assert rows[split] == min(rows.values()), (c_in, c_out)
+            assert split == 2 or rows[2] > rows[split], (c_in, c_out)
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -356,11 +393,12 @@ class TestBatchInvariance:
     @given(
         n=_BATCH,
         spatial=st.tuples(*[st.integers(1, 4)] * 4),
-        c_in=st.integers(1, 3),
-        c_out=st.integers(1, 3),
+        # every tap split: 1 -> 4 and the filter's 1 -> 16 take 3, 4 -> 1 and 16 -> 1 take 1
+        channels=st.one_of(st.tuples(st.integers(1, 4), st.integers(1, 4)), st.sampled_from([(1, 16), (16, 1)])),
         seed=_SEED,
     )
-    def test_conv4d(self, n, spatial, c_in, c_out, seed):
+    def test_conv4d(self, n, spatial, channels, seed):
+        c_in, c_out = channels
         rng = np.random.default_rng(seed)
         weights = [rng.standard_normal((c_out, c_in, 3, 3, 3, 3)), rng.standard_normal(c_out)]
         assert_batch_invariant(conv4d, rng.standard_normal((c_in, n, *spatial)), weights, rng)
