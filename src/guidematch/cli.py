@@ -147,8 +147,7 @@ def _cmd_train(args) -> int:
         args.config, sup.TrainConfig, mode=args.mode, dataset_dir=args.dataset, out_dir=args.out,
         iterations=args.iterations, lr=args.lr, freeze_steps=args.freeze_steps, seed=args.seed,
     )
-    result = sup.train(config)
-    print(f"checkpoint: {result.checkpoint_path}")
+    print(f"checkpoint: {sup.train(config)}")
     print(f"loss curve: {Path(config.out_dir) / 'loss_curve.csv'}")
     return 0
 

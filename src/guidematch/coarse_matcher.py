@@ -39,6 +39,10 @@ LEAKY_SLOPE = 0.1
 NORM_EPS = 1e-8
 # default longest image side, in pixels, at which evaluation runs the model
 EVAL_MAX_SIDE = 497
+# the default architecture, the one training builds: backbone widths (total
+# stride 2 ** 4 = 16) and the consensus filter's hidden widths
+BACKBONE_CHANNELS = (8, 16, 32, 32)
+FILTER_HIDDEN = (16, 16)
 
 
 def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -49,11 +53,12 @@ def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -
 class Backbone:
     """Strided conv feature extractor; stride doubles per block.
 
-    Default: 4 blocks of 3x3 convs with leaky rectifiers, strides
-    (2, 2, 2, 2) and channels (8, 16, 32, 32), so the total stride is 16.
+    One block per entry of ``channels``: a 3x3 conv of stride 2 with that
+    many output channels and a leaky rectifier, so the total stride is
+    2 ** len(channels).
     """
 
-    def __init__(self, channels=(8, 16, 32, 32), rng: np.random.Generator | None = None, frozen: bool = False):
+    def __init__(self, channels, rng: np.random.Generator | None = None, frozen: bool = False):
         rng = rng or np.random.default_rng(0)
         self.channels = tuple(int(c) for c in channels)
         self.stride = 2 ** len(self.channels)
@@ -96,15 +101,15 @@ class Backbone:
 class ConsensusFilter:
     """Stack of 4D convolutions over the correlation volume.
 
-    Default: single-channel in and out through hidden widths (16, 16),
-    i.e. three conv layers, kernel 3, zero padding 1, leaky rectifiers
+    Single-channel in and out through the ``hidden`` widths, i.e.
+    len(hidden) + 1 conv layers, kernel 3, zero padding 1, leaky rectifiers
     between layers and a linear final layer. The final layer's bias is a
     constant zero: every loss reads softmaxes, which a shift of all scores
     leaves unchanged, so a trained output bias would get no gradient but
     rounding noise, and Adam would turn that noise into a random walk.
     """
 
-    def __init__(self, hidden=(16, 16), rng: np.random.Generator | None = None):
+    def __init__(self, hidden, rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
         dims = [1, *[int(h) for h in hidden], 1]
         self.hidden = tuple(int(h) for h in hidden)
@@ -345,8 +350,8 @@ class CoarseModel:
     def create(
         cls,
         seed: int = 0,
-        backbone_channels=(8, 16, 32, 32),
-        filter_hidden=(16, 16),
+        backbone_channels=BACKBONE_CHANNELS,
+        filter_hidden=FILTER_HIDDEN,
         frozen_backbone: bool = False,
     ) -> "CoarseModel":
         ss = np.random.SeedSequence([seed])

@@ -317,26 +317,24 @@ def eval_pose(
             cfg = rp.RansacConfig(
                 threshold=thr, seed=int(np.random.SeedSequence([seed, pair_index, t_index]).generate_state(1)[0] % 2**31)
             )
-            if len(coords_a) >= 8:
-                est = rp.ransac_essential(coords_a, coords_b, scene.cam_a.K, scene.cam_b.K, cfg)
-                if est.success:
-                    row["n_inliers"] = len(est.inliers)
-                    try:
-                        pose = rp.recover_pose(
-                            est, coords_a[est.inliers], coords_b[est.inliers], scene.cam_a.K, scene.cam_b.K
-                        )
-                        rot, trans = pose_error(pose, scene.pose)
-                        row["rot_deg"] = rot
-                        row["trans_deg"] = trans
-                        row["pose_err_deg"] = max(rot, trans)
-                    except rp.EstimationError:
-                        pass
-                est_f = rp.ransac_fundamental(coords_a, coords_b, cfg)
-                if est_f.success and len(scene.gt_points):
-                    worst = rp.sampson_distances(
-                        est_f.matrix, scene.gt_points[:, :2], scene.gt_points[:, 2:]
-                    ).max()
-                    row["fm_correct"] = bool(worst < FM_CORRECT_SAMPSON_PX)
+            # fewer than 8 matches fail both fits before any RANSAC iteration
+            est = rp.ransac_essential(coords_a, coords_b, scene.cam_a.K, scene.cam_b.K, cfg)
+            if est.success:
+                row["n_inliers"] = len(est.inliers)
+                try:
+                    pose = rp.recover_pose(
+                        est, coords_a[est.inliers], coords_b[est.inliers], scene.cam_a.K, scene.cam_b.K
+                    )
+                    rot, trans = pose_error(pose, scene.pose)
+                    row["rot_deg"] = rot
+                    row["trans_deg"] = trans
+                    row["pose_err_deg"] = max(rot, trans)
+                except rp.EstimationError:
+                    pass
+            est_f = rp.ransac_fundamental(coords_a, coords_b, cfg)
+            if est_f.success and len(scene.gt_points):
+                worst = rp.sampson_distances(est_f.matrix, scene.gt_points[:, :2], scene.gt_points[:, 2:]).max()
+                row["fm_correct"] = bool(worst < FM_CORRECT_SAMPSON_PX)
             rows.append(row)
     aggregates = []
     for thr in ransac_thresholds:

@@ -1,4 +1,7 @@
-"""Camera models, epipolar geometry, pose metrics, and synthetic scenes."""
+"""Camera models, epipolar geometry, pose metrics, and synthetic scenes.
+
+The training pairs built from scenes live in ``guidematch.supervision``.
+"""
 
 from guidematch.geometry.epipolar import (
     CameraCalibration,
@@ -14,7 +17,6 @@ from guidematch.geometry.epipolar import (
 from guidematch.geometry.scene import (
     SceneConfig,
     SyntheticScene,
-    TrainingPair,
     generate_scene,
     load_scene,
     load_scene_dir,
@@ -33,7 +35,6 @@ __all__ = [
     "rotation_from_axis_angle",
     "SceneConfig",
     "SyntheticScene",
-    "TrainingPair",
     "generate_scene",
     "load_scene",
     "load_scene_dir",

@@ -375,31 +375,6 @@ def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
     )
 
 
-# -- training-pair containers ------------------------------------------------
-
-
-@dataclass
-class TrainingPair:
-    """An image pair with its supervision payload.
-
-    Positive pairs (label +1) carry a fundamental matrix, ground-truth
-    matches, or both; negative pairs (label -1) carry neither.
-    """
-
-    image_a: np.ndarray
-    image_b: np.ndarray
-    label: int
-    fundamental: FundamentalMatrix | None = None
-    gt_matches: np.ndarray | None = None
-    scene_ids: tuple[int, int] = (0, 0)
-
-    def __post_init__(self):
-        if self.label not in (-1, 1):
-            raise ValueError(f"label must be +1 or -1, got {self.label}")
-        if self.label == 1 and self.fundamental is None and self.gt_matches is None:
-            raise ValueError("positive pair needs a fundamental matrix or ground-truth matches")
-
-
 # -- scene archives ----------------------------------------------------------
 
 

@@ -16,6 +16,13 @@ groups a batch's pairs by image shapes and runs each group through the
 model as one batch. Labels are computed on cell centers in resized pixels
 at the volume's one stride, so fundamental matrices and ground-truth
 matches must be in that frame.
+
+A ``TrainingPair`` is two resized views. A positive pair shows one scene
+and carries both its fundamental matrix and its ground-truth matches in
+the resized frame, so every mode can train on it; a negative pair pairs
+views of two scenes and carries neither. ``PairDataset`` builds one
+positive and one negative pair per scene, and ``BatchSampler`` draws
+batches with a fixed share of each.
 """
 
 from __future__ import annotations
@@ -29,13 +36,33 @@ import numpy as np
 from guidematch import coarse_matcher as cm
 from guidematch import numerics
 from guidematch.geometry.epipolar import FRAME_RESIZED, FundamentalMatrix, epipolar_distances, rescale_fundamental
-from guidematch.geometry.scene import SyntheticScene, TrainingPair, load_scene_dir
+from guidematch.geometry.scene import SyntheticScene, load_scene_dir
 from guidematch.numerics import AdamState, Tensor, adam_step
 
 MODES = ("image", "epipolar", "point")
 
 # Large enough to never win an argmax against probabilities in (0, 1].
 _MASK_PENALTY = 1e6
+
+
+@dataclass(frozen=True)
+class TrainingPair:
+    """Two resized views: a positive pair (label +1) with its fundamental
+    matrix and ground-truth matches in the resized frame, or a negative
+    pair (label -1) with neither."""
+
+    image_a: np.ndarray
+    image_b: np.ndarray
+    fundamental: FundamentalMatrix | None = None
+    gt_matches: np.ndarray | None = None
+
+    def __post_init__(self):
+        if (self.fundamental is None) != (self.gt_matches is None):
+            raise ValueError("a pair carries both a fundamental matrix and ground-truth matches, or neither")
+
+    @property
+    def label(self) -> int:
+        return -1 if self.fundamental is None else 1
 
 
 class TrainingDiverged(RuntimeError):
@@ -171,17 +198,13 @@ def _group_targets(pairs: list[TrainingPair], mode: str, stride: int):
     """A shape group's labels, fundamental matrices or ground-truth cell
     masks, checked as its loss will check them."""
     if mode == "image":
-        return [p.label for p in pairs]  # TrainingPair holds only +1 or -1
+        return [p.label for p in pairs]
     if mode == "epipolar":
-        if any(p.label == 1 and p.fundamental is None for p in pairs):
-            raise ValueError("positive pair without a fundamental matrix in epipolar mode")
-        fundamentals = [p.fundamental if p.label == 1 else None for p in pairs]
+        fundamentals = [p.fundamental for p in pairs]  # None for a negative pair
         _check_frames(fundamentals)
         return fundamentals
     if any(p.label != 1 for p in pairs):
         raise ValueError("point supervision cannot use negative pairs")
-    if any(p.gt_matches is None for p in pairs):
-        raise ValueError("positive pair without ground-truth matches in point mode")
     (ha, wa), (hb, wb) = pairs[0].image_a.shape, pairs[0].image_b.shape
     shape = (ha // stride, wa // stride, hb // stride, wb // stride)
     masks = np.stack([build_gt_cells(p.gt_matches, stride, shape) for p in pairs])
@@ -237,14 +260,7 @@ def positive_pair(scene: SyntheticScene, max_side: int, stride: int) -> Training
     gt[:, 1] *= scale_a[1]
     gt[:, 2] *= scale_b[0]
     gt[:, 3] *= scale_b[1]
-    return TrainingPair(
-        image_a,
-        image_b,
-        label=1,
-        fundamental=fund,
-        gt_matches=gt,
-        scene_ids=(scene.seed, scene.seed),
-    )
+    return TrainingPair(image_a, image_b, fund, gt)
 
 
 @dataclass
@@ -253,21 +269,12 @@ class PairDataset:
     negatives: list[TrainingPair]
 
     @classmethod
-    def from_scenes(cls, scenes: list[SyntheticScene], max_side: int, stride: int = 16) -> "PairDataset":
+    def from_scenes(cls, scenes: list[SyntheticScene], max_side: int, stride: int) -> "PairDataset":
+        """Each scene's positive pair, and a negative pair of its A view and the next scene's B view (cyclic)."""
         if len(scenes) < 2:
             raise ValueError("need at least two scenes to form negative pairs")
         positives = [positive_pair(s, max_side, stride) for s in scenes]
-        negatives = []
-        for i, pos in enumerate(positives):
-            j = (i + 1) % len(positives)
-            negatives.append(
-                TrainingPair(
-                    pos.image_a,
-                    positives[j].image_b,
-                    label=-1,
-                    scene_ids=(scenes[i].seed, scenes[j].seed),
-                )
-            )
+        negatives = [TrainingPair(p.image_a, q.image_b) for p, q in zip(positives, positives[1:] + positives[:1])]
         return cls(positives, negatives)
 
 
@@ -282,12 +289,10 @@ class BatchSampler:
             raise ValueError(f"batch_size {batch_size} incompatible with positive fraction {positive_fraction}")
         self.n_pos = int(round(n_pos))
         self.n_neg = batch_size - self.n_pos
-        if self.n_pos and not dataset.positives:
-            raise ValueError("dataset has no positive pairs")
-        if self.n_neg and not dataset.negatives:
-            raise ValueError("dataset has no negative pairs")
-        if self.n_pos > len(dataset.positives) or self.n_neg > len(dataset.negatives):
-            raise ValueError("batch larger than the available pairs of a class")
+        classes = (("positive", self.n_pos, dataset.positives), ("negative", self.n_neg, dataset.negatives))
+        for name, count, pool in classes:
+            if count > len(pool):
+                raise ValueError(f"a batch of {batch_size} takes {count} {name} pairs; the dataset has {len(pool)}")
         self.dataset = dataset
         self.rng = np.random.default_rng(np.random.SeedSequence([seed]))
         self._pos_queue: list[int] = []
@@ -324,8 +329,6 @@ class TrainConfig:
     seed: int = 0
     checkpoint_every: int = 500
     max_side: int = 401
-    backbone_channels: tuple[int, ...] = (8, 16, 32, 32)
-    filter_hidden: tuple[int, ...] = (16, 16)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -341,7 +344,7 @@ class TrainConfig:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.batch_size * self.positive_fraction % 1:
             raise ValueError(f"batch_size must be even in {self.mode} mode (half positive pairs), got {self.batch_size}")
-        stride = 2 ** len(self.backbone_channels)
+        stride = 2 ** len(cm.BACKBONE_CHANNELS)  # of the model train builds
         if self.max_side < stride:
             raise ValueError(f"max_side must be at least the backbone stride {stride}, got {self.max_side}")
         # epipolar_distances(...) < lambda_px labels the consistent cells
@@ -354,34 +357,25 @@ class TrainConfig:
         return 1.0 if self.mode == "point" else 0.5
 
 
-@dataclass
-class TrainResult:
-    checkpoint_path: Path
-    curve: list[tuple[int, float]]
-    model: cm.CoarseModel
-
-
-def train(config: TrainConfig) -> TrainResult:
+def train(config: TrainConfig) -> Path:
     """Stochastic training with a frozen-backbone warm-up phase.
 
     The consensus filter trains from the start at ``lr``; the backbone stays
     frozen for ``freeze_steps`` steps and then fine-tunes at ``lr_finetune``.
-    Emits ``checkpoint_final.gmck``, periodic snapshots, and a
-    ``loss_curve.csv`` (step, loss, mode) under ``out_dir``; fully
-    deterministic for a fixed seed. The loss is the one finiteness check: a
+    Emits ``checkpoint_final.gmck``, whose path it returns, periodic
+    snapshots, and a ``loss_curve.csv`` (step, loss, mode) under
+    ``out_dir``; fully deterministic for a fixed seed. ``out_dir`` is made
+    once the scenes, pairs and sampler are built, so a run that cannot
+    start writes nothing. The loss is the one finiteness check: a
     non-finite loss at step k writes the parameters step k - 1 produced and
     the curve to step k - 1, then raises ``TrainingDiverged``.
     """
+    scenes = load_scene_dir(config.dataset_dir)
+    model = cm.CoarseModel.create(config.seed, frozen_backbone=True)
+    dataset = PairDataset.from_scenes(scenes, config.max_side, model.stride)
+    sampler = BatchSampler(dataset, config.batch_size, config.seed, config.positive_fraction)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scenes = load_scene_dir(config.dataset_dir)
-    stride = 2 ** len(config.backbone_channels)
-    dataset = PairDataset.from_scenes(scenes, config.max_side, stride)
-
-    model = cm.CoarseModel.create(
-        config.seed, config.backbone_channels, config.filter_hidden, frozen_backbone=True
-    )
-    sampler = BatchSampler(dataset, config.batch_size, config.seed, config.positive_fraction)
 
     filter_params = model.cons_filter.parameters()
     backbone_params = model.backbone.parameters()
@@ -415,4 +409,4 @@ def train(config: TrainConfig) -> TrainResult:
 
     model.save(final_path)
     write_curve()
-    return TrainResult(final_path, curve, model)
+    return final_path

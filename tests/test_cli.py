@@ -186,6 +186,21 @@ def test_train_config_without_mode_is_a_usage_error(tmp_path, scenes, capsys):
     assert "mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "n_scenes, message",
+    [(3, "a batch of 8 takes 4 positive pairs; the dataset has 3"), (0, "no scene directories found")],
+)
+def test_train_that_cannot_start_writes_nothing(tmp_path, n_scenes, message, capsys):
+    dataset = tmp_path / "scenes"
+    dataset.mkdir()
+    if n_scenes:
+        assert run_cli(["synth", "--scenes", str(n_scenes), "--out", str(dataset)]) == 0
+    argv = ["train", "--mode", "epipolar", "--dataset", str(dataset), "--iterations", "2"]
+    assert run_cli(argv + ["--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_config_unknown_key_fails_naming_it(tmp_path, scenes, capsys):
     cfg = tmp_path / "train.cfg"
     cfg.write_text(f"mode = epipolar\ndataset_dir = {scenes[0]}\nout_dir = {tmp_path / 'run'}\niteration = 1\n")

@@ -29,6 +29,20 @@ class TestEvalPoseFailures:
         (row,) = report.rows
         assert row["n_matches"] == 0 and math.isinf(row["pose_err_deg"]) and not row["fm_correct"]
 
+    def test_fewer_than_eight_matches_fail_the_pose_and_the_fundamental_matrix(self, monkeypatch):
+        original = km.match_raw
+
+        def seven_matches(*args, **kwargs):
+            ms = original(*args, **kwargs)
+            return km.MatchSet(*(field[:7] for field in (ms.index_a, ms.index_b, ms.distance, ms.second_distance)))
+
+        monkeypatch.setattr(km, "match_raw", seven_matches)
+        report = ev.eval_pose([generate_scene(SceneConfig(), 0)], "raw", keypoint_source="gt")
+        assert report.rows
+        for row in report.rows:
+            assert row["n_matches"] == 7 and row["n_inliers"] == 0 and not row["fm_correct"]
+            assert all(math.isinf(row[key]) for key in ("rot_deg", "trans_deg", "pose_err_deg"))
+
     def test_estimation_error_from_a_matcher_propagates(self, monkeypatch):
         # only MatchingError is a pose failure; no matcher raises EstimationError
         def estimation_error(*args, **kwargs):

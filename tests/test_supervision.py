@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import guidematch
 from guidematch import coarse_matcher as cm
@@ -239,14 +241,14 @@ class TestTotalLossAndBatching:
     def test_checks_every_group_before_any_forward_pass(self, mode, monkeypatch):
         # the bad pair is alone in the second shape group
         big, small = make_pairs(), make_pairs(2, size=48)
-        good = big.positives[0]
+        good, src = big.positives[0], small.positives[0]
         if mode == "epipolar":
             F = FundamentalMatrix.from_array(good.fundamental.matrix, "original-px")
-            bad = sup.TrainingPair(small.positives[0].image_a, small.positives[0].image_b, 1, fundamental=F)
+            bad = sup.TrainingPair(src.image_a, src.image_b, F, src.gt_matches)
             message = "frame"
         else:
             gt = np.array([[8.0, 8.0, 8.0, 56.0]])  # row 3 of a 3x3 B grid
-            bad = sup.TrainingPair(small.positives[0].image_a, small.positives[0].image_b, 1, gt_matches=gt)
+            bad = sup.TrainingPair(src.image_a, src.image_b, src.fundamental, gt)
             message = "outside the B grid"
 
         def no_forward(*args):
@@ -256,24 +258,13 @@ class TestTotalLossAndBatching:
         with pytest.raises(ValueError, match=message):
             sup.total_loss(tiny_model(), [good, bad], mode, 16.0)
 
-    @pytest.mark.parametrize("mode", ["epipolar", "point"])
-    def test_pair_without_the_mode_s_supervision_fails_before_any_forward_pass(self, mode, monkeypatch):
-        # the pair lacks what its mode reads, alone in the second shape group
-        big, small = make_pairs(), make_pairs(2, size=48)
-        src = small.positives[0]
-        if mode == "epipolar":
-            bad = sup.TrainingPair(src.image_a, src.image_b, 1, gt_matches=src.gt_matches)
-            message = "without a fundamental matrix"
-        else:
-            bad = sup.TrainingPair(src.image_a, src.image_b, 1, fundamental=src.fundamental)
-            message = "without ground-truth matches"
-
-        def no_forward(*args):
-            raise AssertionError("forward pass before the checks")
-
-        monkeypatch.setattr(cm, "compute_volume", no_forward)
-        with pytest.raises(ValueError, match=message):
-            sup.total_loss(tiny_model(), [big.positives[0], bad], mode, 16.0)
+    @pytest.mark.parametrize("half", ["fundamental", "gt_matches"])
+    def test_pair_rejects_half_a_payload(self, half):
+        # a pair carries what every mode reads (positive) or nothing (negative)
+        src = make_pairs(2).positives[0]
+        payload = {half: getattr(src, half)}
+        with pytest.raises(ValueError, match="both a fundamental matrix and ground-truth matches, or neither"):
+            sup.TrainingPair(src.image_a, src.image_b, **payload)
 
     def test_point_mode_rejects_negatives(self):
         model = tiny_model()
@@ -293,20 +284,6 @@ class TestTotalLossAndBatching:
         batch = sup.BatchSampler(small, 2, seed=3).next_batch()
         assert {p.label for p in batch} == {1, -1}
 
-    def test_compose_batch_deterministic(self):
-        ds = make_pairs(4)
-        ids1 = [p.scene_ids for p in sup.BatchSampler(ds, 4, seed=9).next_batch()]
-        ids2 = [p.scene_ids for p in sup.BatchSampler(ds, 4, seed=9).next_batch()]
-        assert ids1 == ids2
-
-    def test_sampler_epoch_without_replacement(self):
-        ds = make_pairs(4)
-        sampler = sup.BatchSampler(ds, 2, seed=1)
-        seen = []
-        for _ in range(4):  # one epoch of positives
-            seen += [p.scene_ids[0] for p in sampler.next_batch() if p.label == 1]
-        assert sorted(seen) == sorted(p.scene_ids[0] for p in ds.positives)
-
     def test_requested_negative_fraction(self):
         ds = make_pairs(4)
         sampler = sup.BatchSampler(ds, 4, seed=2, positive_fraction=0.25)
@@ -316,15 +293,66 @@ class TestTotalLossAndBatching:
 
     def test_negatives_pair_views_of_different_scenes(self):
         ds = make_pairs(3)
-        for pos, neg in zip(ds.positives, ds.negatives):
+        for i, (pos, neg) in enumerate(zip(ds.positives, ds.negatives)):
             assert neg.label == -1 and neg.fundamental is None and neg.gt_matches is None
             assert neg.image_a is pos.image_a
-            assert neg.scene_ids[0] != neg.scene_ids[1]
+            assert neg.image_b is ds.positives[(i + 1) % 3].image_b
 
     def test_odd_batch_errors(self):
         ds = make_pairs(3)
         with pytest.raises(ValueError, match="incompatible"):
             sup.BatchSampler(ds, 3, seed=0)
+
+    @pytest.mark.parametrize(
+        "n_pos, n_neg, message",
+        [
+            (3, 4, "a batch of 8 takes 4 positive pairs; the dataset has 3"),
+            (4, 3, "a batch of 8 takes 4 negative pairs; the dataset has 3"),
+            (0, 4, "a batch of 8 takes 4 positive pairs; the dataset has 0"),
+        ],
+    )
+    def test_batch_larger_than_a_class_names_the_class_and_counts(self, n_pos, n_neg, message):
+        ds = make_pairs(4)
+        with pytest.raises(ValueError, match=message):
+            sup.BatchSampler(sup.PairDataset(ds.positives[:n_pos], ds.negatives[:n_neg]), 8, seed=0)
+
+
+def _blank_pairs(n, positive):
+    """``n`` distinct pairs of one class; the sampler reads nothing but their identity."""
+    rect = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    fund = FundamentalMatrix.from_array(rect, FRAME_RESIZED) if positive else None
+    gt = np.zeros((1, 4)) if positive else None
+    return [sup.TrainingPair(np.zeros((16, 16)), np.zeros((16, 16)), fund, gt) for _ in range(n)]
+
+
+@st.composite
+def sampler_cases(draw):
+    n_pos = draw(st.integers(0, 3))
+    n_neg = draw(st.integers(0 if n_pos else 1, 3))
+    dataset = sup.PairDataset(
+        _blank_pairs(draw(st.integers(max(n_pos, 1), 6)), True),
+        _blank_pairs(draw(st.integers(max(n_neg, 1), 6)), False),
+    )
+    return dataset, n_pos, n_neg, draw(st.integers(0, 2**32 - 1))
+
+
+class TestBatchSampler:
+    @settings(max_examples=60, deadline=None)
+    @given(sampler_cases(), st.integers(1, 12))
+    def test_each_epoch_of_a_class_yields_every_pair_once(self, case, n_batches):
+        dataset, n_pos, n_neg, seed = case
+        fraction = n_pos / (n_pos + n_neg)
+        sampler = sup.BatchSampler(dataset, n_pos + n_neg, seed, fraction)
+        batches = [sampler.next_batch() for _ in range(n_batches)]
+        for pool, count, offset in ((dataset.positives, n_pos, 0), (dataset.negatives, n_neg, n_pos)):
+            drawn = [id(p) for batch in batches for p in batch[offset : offset + count]]
+            assert len(drawn) == n_batches * count
+            for start in range(0, len(drawn), len(pool)):
+                # a whole epoch is every pair of the class once; the last, partial one repeats none
+                epoch = drawn[start : start + len(pool)]
+                assert len(set(epoch)) == len(epoch) and set(epoch) <= {id(p) for p in pool}
+        again = sup.BatchSampler(dataset, n_pos + n_neg, seed, fraction)
+        assert [[id(p) for p in again.next_batch()] for _ in batches] == [[id(p) for p in b] for b in batches]
 
 
 class TestTraining:
@@ -345,32 +373,30 @@ class TestTraining:
             seed=0,
             checkpoint_every=0,
             max_side=64,
-            backbone_channels=(2, 2, 2, 2),
-            filter_hidden=(2,),
         )
         defaults.update(kw)
         return sup.TrainConfig(**defaults)
 
     def test_zero_lr_keeps_parameters(self, tmp_path):
         config = self._config(tmp_path, lr=0.0, lr_finetune=0.0)
-        init = cm.CoarseModel.create(config.seed, config.backbone_channels, config.filter_hidden)
-        result = sup.train(config)
-        for p, q in zip(init.parameters(), result.model.parameters()):
+        init = cm.CoarseModel.create(config.seed)
+        trained = cm.CoarseModel.load(sup.train(config))
+        for p, q in zip(init.parameters(), trained.parameters()):
             assert np.array_equal(p.data, q.data), p.name
 
     def test_loss_decreases(self, tmp_path):
         config = self._config(tmp_path, iterations=50, freeze_steps=50, lr=3e-3)
-        result = sup.train(config)
-        first = np.mean([l for _, l in result.curve[:5]])
-        last = np.mean([l for _, l in result.curve[-5:]])
+        sup.train(config)
+        curve = (tmp_path / "run" / "loss_curve.csv").read_text().splitlines()[1:]
+        losses = [float(line.split(",")[1]) for line in curve]
+        assert len(losses) == 50
+        first, last = np.mean(losses[:5]), np.mean(losses[-5:])
         assert last < first
 
     def test_deterministic(self, tmp_path):
         c1 = self._config(tmp_path, out_dir=str(tmp_path / "r1"))
         c2 = self._config(tmp_path, out_dir=str(tmp_path / "r2"))
-        r1 = sup.train(c1)
-        r2 = sup.train(c2)
-        assert r1.checkpoint_path.read_bytes() == r2.checkpoint_path.read_bytes()
+        assert sup.train(c1).read_bytes() == sup.train(c2).read_bytes()
         assert (tmp_path / "r1" / "loss_curve.csv").read_bytes() == (tmp_path / "r2" / "loss_curve.csv").read_bytes()
 
     def test_artifacts_exist(self, tmp_path):
@@ -397,7 +423,7 @@ class TestTraining:
             sup.train(self._config(tmp_path))
         final = tmp_path / "run" / "checkpoint_final.gmck"
         assert info.value.step == k and info.value.checkpoint_path == final
-        assert final.read_bytes() == reference.checkpoint_path.read_bytes()
+        assert final.read_bytes() == reference.read_bytes()
         assert len((tmp_path / "run" / "loss_curve.csv").read_text().splitlines()) == 1 + (k - 1)
 
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
@@ -468,7 +494,7 @@ def _case_model(seed, rng):
     return model
 
 
-def _random_pair(rng, objective, cells=3):
+def _random_pair(rng, cells=3):
     """A random positive pair of ``cells`` x ``cells`` grids (16 px cells), a
     perturbed rectified F and a permutation of the cell centres as ground truth."""
     img_a = rng.random((16 * cells, 16 * cells))
@@ -483,7 +509,7 @@ def _random_pair(rng, objective, cells=3):
     perm = rng.permutation(cells * cells)
     jitter = rng.uniform(-5, 5, (cells * cells, 2))
     gt = np.column_stack([centers + jitter, centers[perm] + rng.uniform(-5, 5, (cells * cells, 2))])
-    return sup.TrainingPair(img_a, img_b, 1, fundamental=fund, gt_matches=None if objective == "epipolar" else gt)
+    return sup.TrainingPair(img_a, img_b, fund, gt)
 
 
 def _loss_case(objective, seed):
@@ -491,7 +517,7 @@ def _loss_case(objective, seed):
     of a tiny model's parameters."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, OBJECTIVES.index(objective)]))
     model = _case_model(seed, rng)
-    pair = _random_pair(rng, objective)
+    pair = _random_pair(rng)
     if objective == "volume":
         weights = rng.standard_normal((1, 3, 3, 3, 3))
         images = pair.image_a[None], pair.image_b[None]
@@ -507,9 +533,9 @@ def _batch_case(mode, seed):
     fewer than 1 seed in 100 clears the conditioning gate."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, len(OBJECTIVES) + sup.MODES.index(mode)]))
     model = _case_model(seed, rng)
-    pairs = [_random_pair(rng, mode, cells=2) for _ in range(2)]
+    pairs = [_random_pair(rng, cells=2) for _ in range(2)]
     if mode != "point":
-        pairs.append(sup.TrainingPair(rng.random((32, 32)), rng.random((32, 32)), -1))
+        pairs.append(sup.TrainingPair(rng.random((32, 32)), rng.random((32, 32))))
     return (lambda: sup.total_loss(model, pairs, mode, lambda_px=16.0)[0]), model.parameters()
 
 
