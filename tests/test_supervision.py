@@ -284,6 +284,20 @@ class TestTotalLossAndBatching:
         batch = sup.BatchSampler(small, 2, seed=3).next_batch()
         assert {p.label for p in batch} == {1, -1}
 
+    def test_compose_batch_deterministic(self):
+        ds = make_pairs(4)
+        ids1 = [id(p) for p in sup.BatchSampler(ds, 4, seed=9).next_batch()]
+        ids2 = [id(p) for p in sup.BatchSampler(ds, 4, seed=9).next_batch()]
+        assert ids1 == ids2
+
+    def test_sampler_epoch_without_replacement(self):
+        ds = make_pairs(4)
+        sampler = sup.BatchSampler(ds, 2, seed=1)
+        seen = []
+        for _ in range(4):  # one epoch of positives
+            seen += [id(p) for p in sampler.next_batch() if p.label == 1]
+        assert sorted(seen) == sorted(id(p) for p in ds.positives)
+
     def test_requested_negative_fraction(self):
         ds = make_pairs(4)
         sampler = sup.BatchSampler(ds, 4, seed=2, positive_fraction=0.25)
