@@ -26,6 +26,8 @@ model itself.
 from __future__ import annotations
 
 import copy
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,9 +47,38 @@ BACKBONE_CHANNELS = (8, 16, 32, 32)
 FILTER_HIDDEN = (16, 16)
 
 
-def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+# a parameter's array from its name and shape
+ParameterSource = Callable[[str, tuple[int, ...]], np.ndarray]
+
+
+def he_uniform(rng: np.random.Generator) -> ParameterSource:
+    """Fresh parameters: each weight drawn He-uniform from ``rng`` (its fan-in
+    is the product of all axes but the first), each bias zero."""
+
+    def draw(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if name.endswith("/bias"):
+            return np.zeros(shape)
+        bound = np.sqrt(6.0 / math.prod(shape[1:]))
+        return rng.uniform(-bound, bound, size=shape)
+
+    return draw
+
+
+def _parameter(params: ParameterSource, name: str, shape: tuple[int, ...]) -> Tensor:
+    return numerics.parameter(params(name, shape), name)
+
+
+def _checkpoint_source(arrays: dict[str, np.ndarray]) -> ParameterSource:
+    """Parameters read from a checkpoint's arrays; a missing or misshapen one raises ``ValueError``."""
+
+    def read(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if name not in arrays:
+            raise ValueError(f"checkpoint missing parameter {name!r}")
+        if arrays[name].shape != shape:
+            raise ValueError(f"checkpoint parameter {name!r} has shape {arrays[name].shape}")
+        return arrays[name]
+
+    return read
 
 
 class Backbone:
@@ -55,23 +86,18 @@ class Backbone:
 
     One block per entry of ``channels``: a 3x3 conv of stride 2 with that
     many output channels and a leaky rectifier, so the total stride is
-    2 ** len(channels).
+    2 ** len(channels). ``params`` gives each parameter's array, in order:
+    ``he_uniform(rng)`` draws fresh ones.
     """
 
-    def __init__(self, channels, rng: np.random.Generator | None = None, frozen: bool = False):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, channels, params: ParameterSource, frozen: bool = False):
         self.channels = tuple(int(c) for c in channels)
         self.stride = 2 ** len(self.channels)
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
-        c_in = 1
-        for i, c_out in enumerate(self.channels):
-            fan_in = c_in * 9
-            self.weights.append(
-                numerics.parameter(_he_uniform(rng, (c_out, c_in, 3, 3), fan_in), f"backbone/{i}/weight")
-            )
-            self.biases.append(numerics.parameter(np.zeros(c_out), f"backbone/{i}/bias"))
-            c_in = c_out
+        for i, (c_in, c_out) in enumerate(zip((1, *self.channels), self.channels)):
+            self.weights.append(_parameter(params, f"backbone/{i}/weight", (c_out, c_in, 3, 3)))
+            self.biases.append(_parameter(params, f"backbone/{i}/bias", (c_out,)))
         self.frozen = frozen
 
     @property
@@ -107,26 +133,18 @@ class ConsensusFilter:
     constant zero: every loss reads softmaxes, which a shift of all scores
     leaves unchanged, so a trained output bias would get no gradient but
     rounding noise, and Adam would turn that noise into a random walk.
+    ``params`` gives each parameter's array, in order, as for ``Backbone``.
     """
 
-    def __init__(self, hidden, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
-        dims = [1, *[int(h) for h in hidden], 1]
+    def __init__(self, hidden, params: ParameterSource):
         self.hidden = tuple(int(h) for h in hidden)
+        dims = [1, *self.hidden, 1]
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []  # hidden layers only
-        last = len(dims) - 2
         for i, (c_in, c_out) in enumerate(zip(dims[:-1], dims[1:])):
-            fan_in = c_in * 81
-            w = _he_uniform(rng, (c_out, c_in, 3, 3, 3, 3), fan_in)
-            if i == last:
-                # zero output head: scores start uniform, so early training is
-                # driven by the correlation statistics instead of having to
-                # unlearn an arbitrary random re-scoring of the volume
-                w = np.zeros_like(w)
-            self.weights.append(numerics.parameter(w, f"filter/{i}/weight"))
-            if i != last:
-                self.biases.append(numerics.parameter(np.zeros(c_out), f"filter/{i}/bias"))
+            self.weights.append(_parameter(params, f"filter/{i}/weight", (c_out, c_in, 3, 3, 3, 3)))
+            if i < len(self.hidden):
+                self.biases.append(_parameter(params, f"filter/{i}/bias", (c_out,)))
         self.output_bias = Tensor(np.zeros(1))
 
     def parameters(self) -> list[Tensor]:
@@ -354,12 +372,17 @@ class CoarseModel:
         filter_hidden=FILTER_HIDDEN,
         frozen_backbone: bool = False,
     ) -> "CoarseModel":
+        """A fresh model: ``he_uniform`` parameters from two generators spawned
+        from ``seed``, one per part, and a zero output head. With a zero head
+        the scores start uniform, so early training is driven by the
+        correlation statistics instead of having to unlearn an arbitrary
+        random re-scoring of the volume."""
         ss = np.random.SeedSequence([seed])
         rng_backbone, rng_filter = (np.random.default_rng(s) for s in ss.spawn(2))
-        return cls(
-            Backbone(backbone_channels, rng_backbone, frozen=frozen_backbone),
-            ConsensusFilter(filter_hidden, rng_filter),
-        )
+        cons_filter = ConsensusFilter(filter_hidden, he_uniform(rng_filter))
+        head = cons_filter.weights[-1]
+        head.data = np.zeros_like(head.data)
+        return cls(Backbone(backbone_channels, he_uniform(rng_backbone), frozen=frozen_backbone), cons_filter)
 
     @property
     def stride(self) -> int:
@@ -386,16 +409,10 @@ class CoarseModel:
         arrays = numerics.load_checkpoint(path)
         channels = tuple(int(c) for c in arrays["meta/backbone_channels"])
         hidden = tuple(int(h) for h in arrays["meta/filter_hidden"])
-        model = cls.create(0, channels, hidden)
         # checkpoints written before the output bias became a constant carry
         # it as filter/<last>/bias; like any array the model lacks, it is ignored
-        for p in model.parameters():
-            if p.name not in arrays:
-                raise ValueError(f"checkpoint missing parameter {p.name!r}")
-            if arrays[p.name].shape != p.data.shape:
-                raise ValueError(f"checkpoint parameter {p.name!r} has shape {arrays[p.name].shape}")
-            p.data = arrays[p.name]
-        return model
+        params = _checkpoint_source(arrays)
+        return cls(Backbone(channels, params), ConsensusFilter(hidden, params))
 
 
 def compute_volume(model: CoarseModel, images_a: np.ndarray, images_b: np.ndarray) -> CorrelationVolume:

@@ -104,6 +104,13 @@ def _violations(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s[:, 2] > _RANK_TOL * s[:, 0], np.abs(frobenius_norms(m) - 1.0) > _NORM_TOL
 
 
+def rank_two_projection(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest rank-2 matrix, in Frobenius norm, of each (3, 3) slice of
+    (B, 3, 3) matrices, and the (B, 3) singular values of the slices."""
+    u, s, vt = np.linalg.svd(m)
+    return (u[:, :, :2] * s[:, None, :2]) @ vt[:, :2], s
+
+
 def canonicalize_fundamental(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical forms of (B, 3, 3) matrices and a (B,) mask of the usable ones.
 
@@ -115,9 +122,8 @@ def canonicalize_fundamental(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     masked before any division), so each equals its own B=1 call bit for
     bit; an unusable slice holds finite garbage.
     """
-    u, s, vt = np.linalg.svd(m)
+    m2, s = rank_two_projection(m)
     rank_two = s[:, 1] > 0
-    m2 = (u[:, :, :2] * s[:, None, :2]) @ vt[:, :2]
     norm = frobenius_norms(m2)
     m2 = m2 / np.where(norm > 0, norm, 1.0)[:, None, None]
     flat = m2.reshape(-1, 9)

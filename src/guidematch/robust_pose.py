@@ -6,18 +6,25 @@ scored with the Sampson distance in pixels. Pose recovery picks among the
 four decompositions by cheirality, requiring a strict majority of
 triangulated points in front of both cameras.
 
-RANSAC fits and scores its hypotheses in blocks of up to 64: one batched
-8-point solver (``_eight_point_batch``) fits every minimal sample of a block
-and one batched Sampson pass scores them all against the full set. A block's
+RANSAC fits and scores its hypotheses in blocks of up to 64. A block's
 minimal samples come from one generator call (``_draw_samples``) that
 reproduces, draw for draw, the stream of one ``rng.choice(n, 8,
-replace=False)`` per iteration; the block is then walked in iteration order
-with the one-at-a-time update and adaptive stop, so iteration counts, inlier
-sets and matrices equal those of fitting one hypothesis per iteration bit for
-bit. Each row of a batched call goes through the same floating-point
-operations as a one-row call (norms are per-slice dot products, degenerate
-rows are masked before any division), so the consensus-set refits and
-``sampson_distances`` are simply the B=1 calls.
+replace=False)`` per iteration. One unchecked batched fit (``_fit_batch``, a
+QR null vector with no canonical form) gives every sample's hypothesis, and
+one batched Sampson pass counts each one's inliers at a threshold widened by
+a margin far above rounding; a sample whose QR shows its design is not
+determined counts none. The block is then walked in iteration order
+with the one-at-a-time update and adaptive stop. Only a hypothesis whose
+count beats the best so far is refitted by the checked solver
+(``_eight_point_batch``, an SVD null vector with the determinedness and
+canonical-form checks) and accepted by the one-at-a-time rule, so iteration
+counts, inlier sets and matrices equal those of fitting one checked
+hypothesis per iteration bit for bit; only fits that differ by more than
+the margin could change them. Each row of a batched call goes through the
+same floating-point operations as a one-row call (norms are per-slice dot
+products, degenerate rows are masked before any division), so a candidate's
+refit, the consensus-set refits and ``sampson_distances`` are simply the B=1
+calls.
 The fitted matrices take the canonical form that
 ``geometry.epipolar.canonicalize_fundamental`` defines for every
 fundamental matrix.
@@ -31,7 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from guidematch.geometry.epipolar import FundamentalMatrix, RelativePose, canonicalize_fundamental, frobenius_norms
+from guidematch.geometry.epipolar import (
+    FundamentalMatrix,
+    RelativePose,
+    canonicalize_fundamental,
+    frobenius_norms,
+    rank_two_projection,
+)
 
 
 class EstimationError(RuntimeError):
@@ -85,6 +98,18 @@ def _hartley_normalize(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return centered * s[:, None, None], T, spread
 
 
+def _design(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (B, m, 9) 8-point design matrices of B samples of (B, m, 2) points
+    in Hartley-normalized coordinates, the (B, 3, 3) normalizations of the A
+    and B points, and whether both point sets of a sample are spread."""
+    na, ta, spread_a = _hartley_normalize(sa)
+    nb, tb, spread_b = _hartley_normalize(sb)
+    xa, ya = na[..., 0], na[..., 1]
+    xb, yb = nb[..., 0], nb[..., 1]
+    design = np.stack([xb * xa, xb * ya, xb, yb * xa, yb * ya, yb, xa, ya, np.ones_like(xa)], axis=-1)
+    return design, ta, tb, spread_a & spread_b
+
+
 def _eight_point_batch(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hartley-normalized 8-point fits of B samples of (B, m, 2) points at once, m >= 8.
 
@@ -96,11 +121,7 @@ def _eight_point_batch(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.n
     same operations a one-row call would, so each row equals its own B=1
     call bit for bit; an unusable row holds finite garbage.
     """
-    na, ta, spread_a = _hartley_normalize(sa)
-    nb, tb, spread_b = _hartley_normalize(sb)
-    xa, ya = na[..., 0], na[..., 1]
-    xb, yb = nb[..., 0], nb[..., 1]
-    design = np.stack([xb * xa, xb * ya, xb, yb * xa, yb * ya, yb, xa, ya, np.ones_like(xa)], axis=-1)
+    design, ta, tb, spread = _design(sa, sb)
     # only V is read: a thin SVD skips the m x m U of a consensus-set refit and
     # gives the same singular values and V (gesdd computes both from one
     # bidiagonalization whichever U it is asked for); an 8-row sample needs
@@ -109,7 +130,29 @@ def _eight_point_batch(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.n
     determined = sv[:, 7] > 1e-9 * sv[:, 0]
     f_px = tb.transpose(0, 2, 1) @ vt[:, -1].reshape(-1, 3, 3) @ ta
     matrices, canonical = canonicalize_fundamental(f_px)
-    return matrices, spread_a & spread_b & determined & canonical
+    return matrices, spread & determined & canonical
+
+
+def _fit_batch(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked 8-point fits of B minimal samples of (B, 8, 2) points.
+
+    Returns (B, 3, 3) pixel-frame matrices of any rank, sign and scale and a
+    (B,) mask, false where ``_eight_point_batch`` cannot find the row usable.
+    The design is that of ``_eight_point_batch``, but its null vector is the
+    last column of Q in a complete QR of the transposed design, at well under
+    half the cost of the SVD, and nothing is put in canonical form. Hartley
+    normalization keeps a determined design well conditioned, so where
+    ``_eight_point_batch`` finds a row usable both give the same projective
+    matrix up to rounding. Each row equals its own B=1 call bit for bit.
+    """
+    design, ta, tb, _ = _design(sa, sb)
+    q, r = np.linalg.qr(design.transpose(0, 2, 1), mode="complete")
+    # the design's smallest singular value is at most R's smallest pivot and
+    # its largest at least R's largest, so pivots ten times further apart than
+    # _eight_point_batch's determinedness bound fail that bound too
+    pivots = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    possible = pivots.min(axis=1) > 1e-10 * pivots.max(axis=1)
+    return tb.transpose(0, 2, 1) @ q[:, :, -1].reshape(-1, 3, 3) @ ta, possible
 
 
 def _sampson_batch(m: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
@@ -147,6 +190,14 @@ def _adaptive_iterations(inlier_ratio: float, confidence: float, sample_size: in
 # hypotheses drawn, fitted and scored together; small enough that the draws
 # past an early adaptive stop cost little
 _BLOCK = 64
+# relative widening of the threshold at which unchecked hypotheses are
+# counted. The unchecked and checked fits of one usable sample give residuals
+# that differ by rounding: at most 3e-9 px on general two-view samples of
+# 256-px images, up to 2.4e-6 px on nearly planar ones whose design is within
+# a factor 5 of the determinedness bound. A margin far above that lets
+# rounding add a checked solve but never skip one; it adds none on the
+# benchmark's scenes.
+_TRIGGER_MARGIN = 1e-3
 
 
 def _draw_samples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -177,16 +228,31 @@ def _draw_samples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     return samples
 
 
-def _ransac_loop(pts_a, pts_b, cfg: RansacConfig, solve, residuals) -> ModelEstimate:
+def _ransac_loop(pts_a, pts_b, cfg: RansacConfig, solve, residuals, hypotheses) -> ModelEstimate:
     """Minimal-sample RANSAC, scored a block of hypotheses at a time.
 
-    ``solve`` maps (B, m, 2) samples to (B, 3, 3) models and a (B,) mask of
-    the usable ones (as ``_eight_point_batch``); ``residuals`` maps (B, 3, 3)
-    models to (B, n) distances. A block's samples are drawn at once by
-    ``_draw_samples``, whose stream equals one ``rng.choice`` per iteration,
-    and the block is walked in iteration order with the same update and
-    stopping rule, so the result equals fitting and scoring one hypothesis
-    per iteration. Fewer than 8 points fail with no iteration run.
+    ``solve`` is the checked solver: it maps (B, m, 2) samples to (B, 3, 3)
+    models and a (B,) mask of the usable ones (as ``_eight_point_batch``).
+    ``hypotheses`` is the unchecked one: it maps (B, 8, 2) minimal samples to
+    (B, 3, 3) models, equal to ``solve``'s up to rounding, sign and scale
+    where ``solve`` finds them usable, and a (B,) mask that is false only
+    where ``solve`` cannot (as ``_fit_batch``). ``residuals`` maps (B, 3, 3)
+    models to (B, n) distances that sign and scale leave unchanged.
+
+    A block's samples are drawn at once by ``_draw_samples``, whose stream
+    equals one ``rng.choice`` per iteration. ``hypotheses`` fits them all, and
+    each is counted at the threshold widened by ``_TRIGGER_MARGIN`` (a row
+    the mask rules out counts none). The block is then walked in iteration
+    order with the one-at-a-time update and stopping rule. A hypothesis whose
+    widened count beats the best so far is a candidate: ``solve`` refits its
+    one sample, and the fit is accepted if it is usable and has more inliers
+    than the best. Each hypothesis that fitting one checked model per
+    iteration would accept is a candidate, and a B=1 row of ``solve`` equals
+    its batched row, so iteration counts, inlier sets and matrices equal that
+    loop's bit for bit. They could differ only if the two fits of a sample
+    moved a residual across the threshold by more than the margin, which
+    rounding does not do (see ``_TRIGGER_MARGIN``). Fewer than 8 points fail
+    with no iteration run.
     """
     n = len(pts_a)
     if n < 8:
@@ -200,16 +266,22 @@ def _ransac_loop(pts_a, pts_b, cfg: RansacConfig, solve, residuals) -> ModelEsti
     it = 0
     while it < needed:
         samples = _draw_samples(rng, n, min(_BLOCK, needed - it))
-        models, usable = solve(pts_a[samples], pts_b[samples])
-        hits = residuals(models) < cfg.threshold
-        counts = hits.sum(axis=1)
+        sa, sb = pts_a[samples], pts_b[samples]
+        models, possible = hypotheses(sa, sb)
+        counts = np.where(possible, (residuals(models) < cfg.threshold * (1.0 + _TRIGGER_MARGIN)).sum(axis=1), 0)
         for b in range(len(samples)):
             if it >= needed:
                 break
             it += 1
-            if usable[b] and counts[b] > len(best_inliers):
-                best_matrix = models[b]
-                best_inliers = np.nonzero(hits[b])[0]
+            if counts[b] <= len(best_inliers):
+                continue
+            model, usable = solve(sa[b][None], sb[b][None])
+            if not usable[0]:
+                continue
+            inliers = np.nonzero(residuals(model)[0] < cfg.threshold)[0]
+            if len(inliers) > len(best_inliers):
+                best_matrix = model[0]
+                best_inliers = inliers
                 needed = min(limit, _adaptive_iterations(len(best_inliers) / n, cfg.confidence, 8))
     if best_matrix is None or len(best_inliers) < 8:
         return ModelEstimate(None, np.empty(0, dtype=np.int64), it)
@@ -246,7 +318,15 @@ def ransac_fundamental(pts_a: np.ndarray, pts_b: np.ndarray, cfg: RansacConfig) 
     """
     pts_a = np.asarray(pts_a, dtype=np.float64).reshape(-1, 2)
     pts_b = np.asarray(pts_b, dtype=np.float64).reshape(-1, 2)
-    return _ransac_loop(pts_a, pts_b, cfg, _eight_point_batch, lambda m: _sampson_batch(m, pts_a, pts_b))
+
+    def residuals(f):
+        return _sampson_batch(f, pts_a, pts_b)
+
+    def hypotheses(sa, sb):
+        f, possible = _fit_batch(sa, sb)
+        return rank_two_projection(f)[0], possible
+
+    return _ransac_loop(pts_a, pts_b, cfg, _eight_point_batch, residuals, hypotheses)
 
 
 def _calibrated(pts: np.ndarray, k_inv: np.ndarray) -> np.ndarray:
@@ -279,7 +359,11 @@ def ransac_essential(
         # scored in pixels, through the calibrations
         return _sampson_batch(inv_b.T @ e @ inv_a, pts_a, pts_b)
 
-    return _ransac_loop(_calibrated(pts_a, inv_a), _calibrated(pts_b, inv_b), cfg, solve, residuals)
+    def hypotheses(sa, sb):
+        f, possible = _fit_batch(sa, sb)
+        return _essential_project(f), possible
+
+    return _ransac_loop(_calibrated(pts_a, inv_a), _calibrated(pts_b, inv_b), cfg, solve, residuals, hypotheses)
 
 
 _W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])

@@ -15,7 +15,7 @@ END_TO_END = [
 ]
 
 
-def stdout(ops_per_s: float, p50: float, failed: int = 0) -> str:
+def stdout(ops_per_s: float, p50: float, failed: int = 0, digest: str = "d0", quality=None) -> str:
     """A run.py stdout: the report line, then the result line."""
     result = {
         "correct": failed == 0,
@@ -23,7 +23,8 @@ def stdout(ops_per_s: float, p50: float, failed: int = 0) -> str:
         "failed": failed,
         "metrics": {"ops_per_s": {"value": ops_per_s, "unit": "1/s"}, "op_ms.p50": {"value": p50, "unit": "ms"}},
     }
-    return json.dumps({"report": {"workload": "w"}}) + "\n" + json.dumps(result) + "\n"
+    report = {"workload": "w", "outputs_sha256": digest, "quality": quality or {"pose_auc": 0.5}}
+    return json.dumps({"report": report}) + "\n" + json.dumps(result) + "\n"
 
 
 def canned(rows):
@@ -32,6 +33,35 @@ def canned(rows):
 
 def test_parse_result_reads_the_last_line():
     assert ab.parse_result(stdout(4.5, 200.0))["metrics"]["ops_per_s"]["value"] == 4.5
+
+
+def test_parse_result_keeps_the_outputs_of_the_report_line():
+    result = ab.parse_result(stdout(4.5, 200.0, digest="abc", quality={"pck": 0.25}))
+    assert result["outputs_sha256"] == "abc" and result["quality"] == {"pck": 0.25}
+
+
+@pytest.mark.parametrize(
+    "change, agree",
+    [
+        ({}, {"outputs_sha256": True, "quality": True}),
+        ({"digest": "d1"}, {"outputs_sha256": False, "quality": True}),
+        ({"quality": {"pose_auc": 0.5000001}}, {"outputs_sha256": True, "quality": False}),
+        ({"quality": {"pose_auc": 0.5, "pck": 0.1}}, {"outputs_sha256": True, "quality": False}),
+    ],
+)
+def test_outputs_agree_compares_digest_and_quality(change, agree):
+    pair = {"parent": ab.parse_result(stdout(4.0, 200.0)), "change": ab.parse_result(stdout(5.0, 180.0, **change))}
+    assert ab.outputs_agree(pair) == agree
+    words = {True: "equal", False: "DIFFER"}
+    assert ab.outputs_line(2, agree) == (
+        f"pair 2 outputs: outputs_sha256 {words[agree['outputs_sha256']]}  quality {words[agree['quality']]}"
+    )
+
+
+def test_a_nan_quality_equals_a_nan():
+    nan = {"pose_auc": float("nan")}
+    pair = {side: ab.parse_result(stdout(4.0, 200.0, quality=nan)) for side in ab.SIDES}
+    assert ab.outputs_agree(pair) == {"outputs_sha256": True, "quality": True}
 
 
 def test_summary_gives_medians_quartiles_and_wins_by_direction():
@@ -100,7 +130,7 @@ def test_json_option_writes_the_summary_of_the_runs(tmp_path, monkeypatch, capsy
     (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
     canned_runs = {
         checkouts["parent"]: iter([(4.0, 250.0), (4.4, 230.0)]),
-        checkouts["change"]: iter([(5.0, 200.0), (5.2, 190.0)]),
+        checkouts["change"]: iter([(5.0, 200.0), (5.2, 190.0, 0, "d1")]),  # the second pair's outputs differ
     }
     monkeypatch.setattr(ab, "run_once", lambda checkout, *_: ab.parse_result(stdout(*next(canned_runs[checkout]))))
     out = tmp_path / "ab.json"
@@ -108,6 +138,14 @@ def test_json_option_writes_the_summary_of_the_runs(tmp_path, monkeypatch, capsy
             "--seed", "3", "--json", str(out)]
     assert ab.main(argv) == 0
     written = json.loads(out.read_text())
-    pairs = canned([((4.0, 250.0), (5.0, 200.0)), ((4.4, 230.0), (5.2, 190.0))])
+    pairs = canned([((4.0, 250.0), (5.0, 200.0)), ((4.4, 230.0), (5.2, 190.0, 0, "d1"))])
     assert written == {"workload": "w", "seconds": 1, "seed": 3, **ab.summary(pairs, END_TO_END)}
-    assert "\n".join(ab.summarize(pairs, END_TO_END)) in capsys.readouterr().out
+    assert written["outputs_agree"] == [
+        {"outputs_sha256": True, "quality": True},
+        {"outputs_sha256": False, "quality": True},
+    ]
+    out = capsys.readouterr().out
+    assert "\n".join(ab.summarize(pairs, END_TO_END)) in out
+    assert "pair 0 outputs: outputs_sha256 equal  quality equal\n" in out
+    assert "pair 1 outputs: outputs_sha256 DIFFER  quality equal\n" in out
+    assert "outputs equal (outputs_sha256 and quality): 1/2 pairs\n" in out

@@ -21,7 +21,7 @@ def make_model(seed=0, channels=(4, 8), hidden=(4,)):
 def random_filter(hidden, rng):
     """A consensus filter with every trainable weight and bias drawn at random; the
     default zero output head would make the filtered volume a constant."""
-    filt = cm.ConsensusFilter(hidden=hidden, rng=rng)
+    filt = cm.ConsensusFilter(hidden, cm.he_uniform(rng))
     for p in filt.parameters():
         p.data = rng.standard_normal(p.shape)
     return filt
@@ -158,7 +158,7 @@ class TestCorrelate:
 
 class TestFilterSymmetric:
     def test_identity_kernel_filter_is_identity(self):
-        filt = cm.ConsensusFilter(hidden=())
+        filt = cm.ConsensusFilter((), cm.he_uniform(np.random.default_rng(0)))
         filt.weights[0].data = np.zeros((1, 1, 3, 3, 3, 3))
         filt.weights[0].data[0, 0, 1, 1, 1, 1] = 1.0
         rng = np.random.default_rng(5)
@@ -433,6 +433,20 @@ class TestModelCheckpoint:
         assert loaded.backbone.channels == model.backbone.channels
         vol2 = cm.compute_volume(loaded, img[None], img[None])
         assert np.array_equal(vol.filtered.data, vol2.filtered.data)
+
+    def test_load_reads_every_parameter_and_draws_none(self, tmp_path, monkeypatch):
+        model = make_model(seed=5)
+        model.cons_filter.weights[-1].data = np.random.default_rng(17).standard_normal(model.cons_filter.weights[-1].shape)
+        model.save(tmp_path / "m.gmck")
+
+        def no_draws(rng):
+            raise AssertionError("load drew fresh parameters")
+
+        monkeypatch.setattr(cm, "he_uniform", no_draws)
+        loaded = cm.CoarseModel.load(tmp_path / "m.gmck")
+        assert [p.name for p in loaded.parameters()] == [p.name for p in model.parameters()]
+        for p, q in zip(loaded.parameters(), model.parameters()):
+            assert np.array_equal(p.data, q.data) and p.requires_grad
 
     def test_checkpoint_with_output_bias_loads_to_same_cells(self, tmp_path):
         # checkpoints written while the output bias was trainable carry it as

@@ -12,6 +12,7 @@ from guidematch.geometry import (
     rotation_from_axis_angle,
 )
 from guidematch import robust_pose as rp
+from guidematch.geometry.epipolar import rank_two_projection
 
 import oracles
 
@@ -453,6 +454,168 @@ class TestEightPointBatch:
         e = rp._essential_project(m)
         for b in range(20):
             assert np.array_equal(e[b], oracles.essential_project_reference(m[b]))
+
+
+def degenerate_two_view_points(rng, n, rotation_only):
+    """n exact correspondences through ``K_TEST`` that fix no fundamental
+    matrix: points on one plane seen by a moved camera, or any points seen by
+    a camera that only rotates. Either way the views are related by a
+    homography, and a minimal sample of them is not determined."""
+    r = rotation_from_axis_angle(rng.standard_normal(3), rng.uniform(0.02, 0.3))
+    x, y = rng.uniform(-2, 2, n), rng.uniform(-1.5, 1.5, n)
+    if rotation_only:
+        t, z = np.zeros(3), rng.uniform(4, 8, n)
+    else:
+        t, z = rng.normal(0.0, 0.3, 3), 6.0 + rng.uniform(-0.3, 0.3) * x + rng.uniform(-0.3, 0.3) * y
+    xyz = np.column_stack([x, y, z])
+    ha = xyz @ K_TEST.T
+    hb = (xyz @ r.T + t) @ K_TEST.T
+    return ha[:, :2] / ha[:, 2:], hb[:, :2] / hb[:, 2:]
+
+
+def _stub_model(inliers, residual):
+    """A stub model whose first ``inliers`` points have ``residual`` and the rest +inf."""
+    m = np.zeros((3, 3))
+    m[0, 0], m[0, 1] = inliers, residual
+    return m
+
+
+def _stub_residuals(n):
+    def residuals(models):
+        return np.where(np.arange(n) < models[:, 0, 0, None], models[:, 0, 1, None], np.inf)
+
+    return residuals
+
+
+class TestCheckedCandidates:
+    # the unchecked fit only picks the candidates; the checked solver decides
+
+    def test_a_hypothesis_within_the_margin_is_checked_and_accepted(self):
+        # unchecked, no point is below the threshold; checked, all are
+        threshold, n = 2.0, 8
+        pts = np.arange(2.0 * n).reshape(n, 2)
+        checked = _stub_model(n, threshold * (1 - 1e-12))
+        solved = []
+
+        def hypotheses(sa, sb):
+            return np.repeat(_stub_model(n, threshold * (1 + 1e-12))[None], len(sa), axis=0), np.ones(len(sa), bool)
+
+        def solve(sa, sb):
+            solved.append(sa.shape)
+            return np.repeat(checked[None], len(sa), axis=0), np.ones(len(sa), bool)
+
+        est = rp._ransac_loop(pts, pts, rp.RansacConfig(threshold=threshold), solve, _stub_residuals(n), hypotheses)
+        assert solved[0] == (1, 8, 2)
+        assert est.success and est.iterations == 1
+        assert np.array_equal(est.matrix, checked)
+        assert np.array_equal(est.inliers, np.arange(n))
+
+    def test_an_unusable_checked_fit_is_rejected_whatever_its_unchecked_count(self):
+        # a sample holding point 0 fits, unchecked, a model of all n inliers
+        # but is unusable when checked; any other sample fits the first 12
+        # points. Accepting the unusable fit would drop the adaptive budget to
+        # one iteration
+        n = 20
+        pts = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+        cfg = rp.RansacConfig(threshold=1.0, max_iters=100, seed=4)
+        residuals = _stub_residuals(n)
+        rejected = []
+
+        def bad(sample):
+            return len(sample) == 8 and 0.0 in sample[:, 0]
+
+        def hypotheses(sa, sb):
+            models = [_stub_model(n if bad(s) else 12, 0.0) for s in sa]
+            return np.stack(models), np.ones(len(sa), bool)
+
+        def solve(sa, sb):
+            usable = np.array([not bad(s) for s in sa])
+            rejected.extend(~usable)
+            # an unusable row holds garbage, here one that would win
+            return np.stack([_stub_model(n if bad(s) else 12, 0.0) for s in sa]), usable
+
+        def reference_solve(sa, sb):
+            if bad(sa):
+                raise oracles.DegenerateSample("stub")
+            return _stub_model(12, 0.0)
+
+        est = rp._ransac_loop(pts, pts, cfg, solve, residuals, hypotheses)
+        ref = oracles.ransac_loop_reference(pts, pts, cfg, reference_solve, lambda m: residuals(m[None])[0])
+        assert sum(rejected) > 0
+        assert est.iterations == 100
+        _assert_equals_reference(est, ref)
+
+
+class TestDegenerateScenes:
+    # a homography between the views: an all-inlier minimal sample fits many
+    # points unchecked but is not determined. Exact points are ruled out by
+    # the unchecked fit's mask; moved by 1e-7 px, some pass it and are
+    # rejected by the checked solver
+
+    @pytest.mark.parametrize("noise_px", [0.0, 1e-7, 1e-5])
+    @pytest.mark.parametrize("rotation_only", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_reference(self, seed, rotation_only, noise_px):
+        rng = np.random.default_rng(seed)
+        pa, pb = degenerate_two_view_points(rng, 30, rotation_only)
+        n_out = int(rng.integers(3, 12))
+        pa = np.vstack([pa + rng.normal(0.0, noise_px, pa.shape), rng.uniform(0, 255, (n_out, 2))])
+        pb = np.vstack([pb, rng.uniform(0, 191, (n_out, 2))])
+        cfg = rp.RansacConfig(threshold=1.0, max_iters=300, seed=seed)
+        _assert_equals_reference(rp.ransac_fundamental(pa, pb, cfg), oracles.ransac_fundamental_reference(pa, pb, cfg))
+        est = rp.ransac_essential(pa, pb, K_TEST, K_TEST, cfg)
+        _assert_equals_reference(est, oracles.ransac_essential_reference(pa, pb, K_TEST, K_TEST, cfg))
+
+
+def _same_up_to_sign_and_scale(m, ref, tol):
+    """Whether the (3, 3) matrices agree, scaled to unit norm and signed alike, within ``tol``."""
+    m = m / np.linalg.norm(m)
+    m = m if np.sum(m * ref) >= 0 else -m
+    return np.abs(m - ref / np.linalg.norm(ref)).max() <= tol
+
+
+class TestFitBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(minimal_sample_batches())
+    def test_rows_equal_single_calls(self, samples):
+        sa, sb = samples
+        sa, sb = sa[:, :8], sb[:, :8]
+        matrices, possible = rp._fit_batch(sa, sb)
+        for b in range(len(sa)):
+            single, single_possible = rp._fit_batch(sa[b : b + 1], sb[b : b + 1])
+            assert possible[b] == single_possible[0]
+            assert np.array_equal(matrices[b], single[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(minimal_sample_batches(), st.integers(0, 2**32 - 1))
+    def test_rules_out_only_rows_the_checked_solver_cannot_use(self, samples, seed):
+        # and most of those near its determinedness bound: homography-related
+        # points moved by 1e-10 to 1e-4 px
+        rng = np.random.default_rng(seed)
+        pa, pb = degenerate_two_view_points(rng, 64 * 8, rotation_only=bool(seed % 2))
+        pb = pb + rng.normal(0.0, 1.0, pb.shape) * 10.0 ** rng.uniform(-10, -4, (len(pb), 1))
+        for sa, sb in [(samples[0][:, :8], samples[1][:, :8]), (pa.reshape(64, 8, 2), pb.reshape(64, 8, 2))]:
+            _, possible = rp._fit_batch(sa, sb)
+            _, usable = rp._eight_point_batch(sa, sb)
+            assert not (usable & ~possible).any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3]), st.booleans())
+    def test_equals_the_checked_fit_on_well_conditioned_samples(self, seed, noise_px, two_view):
+        rng = np.random.default_rng(seed)
+        if two_view:
+            sa, sb = two_view_points(rng, 8)
+            sa = sa + rng.normal(0.0, noise_px, sa.shape)
+        else:
+            sa, sb = rng.uniform(0, 255, (8, 2)), rng.uniform(0, 191, (8, 2))
+        sv = np.linalg.svd(rp._design(sa[None], sb[None])[0][0], compute_uv=False)
+        if sv[7] < 1e-4 * sv[0]:
+            return  # not well conditioned
+        checked, usable = rp._eight_point_batch(sa[None], sb[None])
+        fit, possible = rp._fit_batch(sa[None], sb[None])
+        assert usable[0] and possible[0]
+        assert _same_up_to_sign_and_scale(rank_two_projection(fit)[0][0], checked[0], 1e-9)
+        assert _same_up_to_sign_and_scale(rp._essential_project(fit)[0], rp._essential_project(checked)[0], 1e-9)
 
 
 class TestTriangulate:

@@ -9,12 +9,16 @@ dropped from its environment so that neither side can see the other's
 sources. Pair i runs the two sides back to back, the parent first when i
 is even and the change first when i is odd.
 
-Each run prints one line with its end-to-end metrics. The summary gives,
-per metric of the change's ``BENCHMARK.json``, each side's median and
-quartiles, the change's median relative to the parent's, the pairs the
-change won in the metric's better direction (ties count for neither), and
-whether the medians differ by more than the parent's interquartile range.
-With ``--json PATH`` the same summary, with every run's value, is also
+Each run prints one line with its end-to-end metrics, and each pair one
+line that says whether its two runs' ``outputs_sha256`` and ``quality``
+(from the report line ``run.py`` prints before its result) are equal, so
+that "outputs unchanged" comes from the same runs as the timings. The
+summary gives, per metric of the change's ``BENCHMARK.json``, each side's
+median and quartiles, the change's median relative to the parent's, the
+pairs the change won in the metric's better direction (ties count for
+neither), and whether the medians differ by more than the parent's
+interquartile range; then the failed ops. With ``--json PATH`` the same
+summary, with every run's value and each pair's ``outputs_agree``, is also
 written to PATH as JSON. A run that exits non-zero stops the tool with its
 stderr.
 """
@@ -33,8 +37,25 @@ SIDES = ("parent", "change")
 
 
 def parse_result(stdout: str) -> dict:
-    """The result object ``perfbench/run.py`` prints as its last stdout line."""
-    return json.loads(stdout.strip().splitlines()[-1])
+    """The result object ``perfbench/run.py`` prints as its last stdout line,
+    with the ``outputs_sha256`` and ``quality`` of the report line before it."""
+    *_, report_line, result_line = stdout.strip().splitlines()
+    report = json.loads(report_line)["report"]
+    return {**json.loads(result_line), "outputs_sha256": report["outputs_sha256"], "quality": report["quality"]}
+
+
+def outputs_agree(pair: dict[str, dict]) -> dict[str, bool]:
+    """Whether the two sides of a pair report the same ``outputs_sha256`` and
+    the same ``quality`` (compared as JSON, so that a nan equals a nan)."""
+    parent, change = pair["parent"], pair["change"]
+    return {
+        "outputs_sha256": parent["outputs_sha256"] == change["outputs_sha256"],
+        "quality": json.dumps(parent["quality"], sort_keys=True) == json.dumps(change["quality"], sort_keys=True),
+    }
+
+
+def outputs_line(pair: int, agree: dict[str, bool]) -> str:
+    return f"pair {pair} outputs: " + "  ".join(f"{k} {'equal' if v else 'DIFFER'}" for k, v in agree.items())
 
 
 def run_once(checkout: Path, workload: str, seconds: int, seed: int) -> dict:
@@ -63,7 +84,8 @@ def summary(pairs: list[dict[str, dict]], end_to_end: list[dict]) -> dict:
     """Per metric over ``pairs``, each a {"parent": result, "change": result}
     dict: each side's runs, median and quartiles, the change's median
     relative to the parent's, its wins and whether the medians differ by
-    more than the parent's interquartile range; then the failed ops."""
+    more than the parent's interquartile range; then the failed ops and,
+    per pair, ``outputs_agree``."""
     metrics = {}
     for metric in end_to_end:
         name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
@@ -81,7 +103,12 @@ def summary(pairs: list[dict[str, dict]], end_to_end: list[dict]) -> dict:
         side: {"failed": sum(p[side]["failed"] for p in pairs), "attempted": sum(p[side]["attempted"] for p in pairs)}
         for side in SIDES
     }
-    return {"pairs": len(pairs), "metrics": metrics, "failed_ops": failed_ops}
+    return {
+        "pairs": len(pairs),
+        "metrics": metrics,
+        "failed_ops": failed_ops,
+        "outputs_agree": [outputs_agree(p) for p in pairs],
+    }
 
 
 def summarize(pairs: list[dict[str, dict]], end_to_end: list[dict]) -> list[str]:
@@ -126,9 +153,12 @@ def main(argv=None) -> int:
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             pair[side] = run_once(checkouts[side], args.workload, args.seconds, args.seed)
             print(run_line(i, side, pair[side]), flush=True)
+        print(outputs_line(i, outputs_agree(pair)), flush=True)
         pairs.append(pair)
     print(f"{args.workload}: {args.pairs} pairs, {args.seconds} s per run, seed {args.seed}")
     print("\n".join(summarize(pairs, end_to_end)))
+    agreed = sum(all(outputs_agree(p).values()) for p in pairs)
+    print(f"outputs equal (outputs_sha256 and quality): {agreed}/{args.pairs} pairs")
     if args.json:
         run = {"workload": args.workload, "seconds": args.seconds, "seed": args.seed}
         args.json.write_text(json.dumps({**run, **summary(pairs, end_to_end)}, indent=1) + "\n")
