@@ -16,15 +16,16 @@ epipolar line under a fundamental matrix fitted to a first round of matches.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, maximum_filter
+from scipy.ndimage import gaussian_filter
 
 from guidematch import robust_pose as rp
 from guidematch.coarse_matcher import CoarseMatchField, interpolate_matches
-from guidematch.geometry.epipolar import FundamentalMatrix, epipolar_distances
+from guidematch.geometry.epipolar import FundamentalMatrix
 from guidematch.imageops import bilinear_sample
 
 HARRIS_K = 0.06
@@ -42,7 +43,8 @@ class MatchingError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class KeypointSet:
     """Read-only float64 copies of positions ``xy`` (n, 2), window diameters and
-    responses (n,); a scalar scale or response applies to every keypoint."""
+    responses (n,); a scalar scale or response applies to every keypoint.
+    Positions must be finite."""
 
     xy: np.ndarray
     scale: np.ndarray
@@ -54,6 +56,8 @@ class KeypointSet:
             values = np.array(np.broadcast_to(values, xy.shape if name == "xy" else len(xy)), dtype=np.float64)
             values.flags.writeable = False
             object.__setattr__(self, name, values)
+        if not np.isfinite(self.xy).all():
+            raise ValueError("keypoint positions must be finite")
 
     def __len__(self) -> int:
         return len(self.xy)
@@ -112,10 +116,54 @@ def _downsample2(image: np.ndarray) -> np.ndarray:
     return 0.25 * (img[0::2, 0::2] + img[1::2, 0::2] + img[0::2, 1::2] + img[1::2, 1::2])
 
 
+def _running_max(values: np.ndarray) -> np.ndarray:
+    """``maximum_filter(values, 2 * NMS_RADIUS + 1, mode="nearest")`` of a 2-D
+    array without nan, bit for bit: per axis, the edge-padded array's
+    maxima over windows of 1, 2, 4, ... elements, doubled while that fits
+    the window, then two overlapping ones that span it. A maximum is one
+    of its inputs, so the order of the comparisons cannot round."""
+    size = 2 * NMS_RADIUS + 1
+    for axis in (0, 1):
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (NMS_RADIUS, NMS_RADIUS)
+        run = np.moveaxis(np.pad(values, pad, mode="edge"), axis, 0)
+        width = 1
+        while 2 * width <= size:
+            run = np.maximum(run[:-width], run[width:])
+            width *= 2
+        values = np.moveaxis(np.maximum(run[: len(run) - size + width], run[size - width :]), 0, axis)
+    return values
+
+
 def _suppress(xy: np.ndarray, response: np.ndarray, width: int, height: int, max_count: int) -> np.ndarray:
-    """Indices that greedy radius NMS keeps, by ``detect_keypoints``'s rule; O(n) memory."""
+    """Indices that greedy radius NMS keeps, by ``detect_keypoints``'s rule.
+
+    The pairs of in-image candidates strictly closer than ``NMS_RADIUS``
+    are found by sorting them by x and comparing each with the next ones
+    while their x gap stays below ``NMS_RADIUS`` (a pair that far apart in
+    x fails the distance test); the greedy pass then only sets flags. For
+    n candidates, p close pairs and at most w candidates within an x gap
+    of ``NMS_RADIUS`` of one, that takes O(n log n + n w) time and
+    O(n + p) memory.
+    """
     x, y = xy[:, 0], xy[:, 1]
-    blocked = ~((x >= 0) & (x <= width - 1) & (y >= 0) & (y <= height - 1))
+    inside = (x >= 0) & (x <= width - 1) & (y >= 0) & (y <= height - 1)
+    order = np.nonzero(inside)[0]
+    order = order[np.argsort(x[order], kind="stable")]
+    xs = x[order]
+    near = [np.zeros((2, 0), dtype=np.int64)]
+    for shift in range(1, len(order)):
+        k = np.nonzero(xs[shift:] - xs[:-shift] < NMS_RADIUS)[0]
+        if not len(k):
+            break  # x is sorted, so a longer shift has no smaller gap
+        i, j = order[k], order[k + shift]
+        close = (x[j] - x[i]) ** 2 + (y[j] - y[i]) ** 2 < NMS_RADIUS**2
+        near += [np.stack([i[close], j[close]]), np.stack([j[close], i[close]])]
+    source, target = np.concatenate(near, axis=1)
+    by_source = np.argsort(source, kind="stable")
+    neighbours = target[by_source].tolist()
+    start = np.searchsorted(source[by_source], np.arange(len(xy) + 1)).tolist()
+    blocked = (~inside).tolist()
     kept = []
     for i in np.argsort(-response, kind="stable").tolist():
         if blocked[i]:
@@ -123,8 +171,32 @@ def _suppress(xy: np.ndarray, response: np.ndarray, width: int, height: int, max
         kept.append(i)
         if len(kept) == max_count:
             break
-        blocked |= (x - x[i]) ** 2 + (y - y[i]) ** 2 < NMS_RADIUS**2
+        for j in neighbours[start[i] : start[i + 1]]:
+            blocked[j] = True
     return np.array(kept, dtype=np.int64)
+
+
+def _candidates(image: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (xy, scale, response) candidates of ``detect_keypoints`` in candidate
+    order, before suppression, from a finite float64 image."""
+    levels = [(np.zeros((0, 2)), np.zeros(0), np.zeros(0))]
+    level_img = image
+    for level in range(DETECTION_LEVELS):
+        if min(level_img.shape) < 24:
+            break
+        resp = _harris_response(level_img)
+        peak = resp.max()
+        if peak > 1e-12:
+            rows, cols = np.nonzero((resp == _running_max(resp)) & (resp > 0.005 * peak))
+            (lh, lw), m = resp.shape, NMS_RADIUS
+            keep = (rows >= m) & (rows < lh - m) & (cols >= m) & (cols < lw - m)
+            rows, cols = rows[keep], cols[keep]
+            factor = 2.0**level
+            offset = (factor - 1.0) / 2.0  # pyramid pixel centers sit between parents
+            xy = _refine_subpixel(resp, rows, cols) * factor + offset
+            levels.append((xy, np.full(len(xy), BASE_SCALE * factor), resp[rows, cols]))
+        level_img = _downsample2(level_img)
+    return tuple(np.concatenate(parts) for parts in zip(*levels))
 
 
 def detect_keypoints(image: np.ndarray, max_count: int = 500) -> KeypointSet:
@@ -137,32 +209,18 @@ def detect_keypoints(image: np.ndarray, max_count: int = 500) -> KeypointSet:
     strictly closer than ``NMS_RADIUS`` to a keypoint already kept is
     dropped, so only kept keypoints suppress. At most ``max_count`` are
     kept; a constant image yields an empty set. The scale is the detector
-    window diameter at the level the corner fired on.
+    window diameter at the level the corner fired on. ``max_count`` must be
+    an integer >= 1 and the image finite.
     """
-    if max_count < 1:
-        raise ValueError(f"max_count must be at least 1, got {max_count}")
+    if isinstance(max_count, bool) or not isinstance(max_count, numbers.Integral) or max_count < 1:
+        raise ValueError(f"max_count must be an integer >= 1, got {max_count!r}")
+    image = np.asarray(image, dtype=np.float64)
     h, w = image.shape
     if h < 32 or w < 32:
         raise ValueError(f"image {h}x{w} too small, need at least 32x32")
-    levels = [(np.zeros((0, 2)), np.zeros(0), np.zeros(0))]
-    level_img = np.asarray(image, dtype=np.float64)
-    for level in range(DETECTION_LEVELS):
-        if min(level_img.shape) < 24:
-            break
-        resp = _harris_response(level_img)
-        peak = resp.max()
-        if peak > 1e-12:
-            nms = maximum_filter(resp, size=2 * NMS_RADIUS + 1, mode="nearest")
-            rows, cols = np.nonzero((resp == nms) & (resp > 0.005 * peak))
-            (lh, lw), m = resp.shape, NMS_RADIUS
-            keep = (rows >= m) & (rows < lh - m) & (cols >= m) & (cols < lw - m)
-            rows, cols = rows[keep], cols[keep]
-            factor = 2.0**level
-            offset = (factor - 1.0) / 2.0  # pyramid pixel centers sit between parents
-            xy = _refine_subpixel(resp, rows, cols) * factor + offset
-            levels.append((xy, np.full(len(xy), BASE_SCALE * factor), resp[rows, cols]))
-        level_img = _downsample2(level_img)
-    xy, scale, response = (np.concatenate(parts) for parts in zip(*levels))
+    if not np.isfinite(image).all():
+        raise ValueError("image has non-finite pixels")
+    xy, scale, response = _candidates(image)
     kept = _suppress(xy, response, w, h, max_count)
     return KeypointSet(xy[kept], scale[kept], response[kept])
 
@@ -282,6 +340,26 @@ def _top_scale_indices(kps: KeypointSet, fraction: float = 0.2) -> np.ndarray:
     return np.lexsort((-kps.response, -kps.scale))[:k]
 
 
+def _band_distances(F: FundamentalMatrix | np.ndarray, xy_a: np.ndarray, xy_b: np.ndarray) -> np.ndarray:
+    """(n_a, n_b) distances of each B point to each A point's epipolar line.
+
+    They equal ``epipolar_distances`` of every (A, B) pair bit for bit, with
+    each A point's line computed once: a row of a matrix product does not
+    depend on the other rows, except that a one-row product takes another
+    BLAS path, so a single A point is doubled when the all-pairs call would
+    have had several rows.
+    """
+    m = getattr(F, "matrix", F)
+    n_a, n_b = len(xy_a), len(xy_b)
+    rows = np.column_stack([xy_a, np.ones(n_a)])
+    if n_a == 1 and n_b > 1:
+        rows = np.repeat(rows, 2, axis=0)
+    lines = (rows @ m.T)[:n_a, :, None]  # row i is F @ x_a, broadcast over B
+    numer = np.abs(lines[:, 0] * xy_b[:, 0] + lines[:, 1] * xy_b[:, 1] + lines[:, 2])
+    denom = np.hypot(lines[:, 0], lines[:, 1])
+    return np.divide(numer, denom, out=np.full((n_a, n_b), np.inf), where=denom > 0.0)
+
+
 def match_epipolar_band(
     kps_a: KeypointSet, desc_a: np.ndarray, kps_b: KeypointSet, desc_b: np.ndarray,
     F: FundamentalMatrix | np.ndarray, band_px: float,
@@ -289,8 +367,7 @@ def match_epipolar_band(
     """Best descriptor among the B keypoints strictly within ``band_px`` of
     the source keypoint's epipolar line under ``F``; source keypoints with
     an empty band are left unmatched."""
-    ia, ib = np.indices((len(kps_a), len(kps_b))).reshape(2, -1)
-    dists = epipolar_distances(F, kps_a.xy[ia], kps_b.xy[ib]).reshape(len(kps_a), len(kps_b))
+    dists = _band_distances(F, kps_a.xy, kps_b.xy)
     return MatchSet(*_match_masked(desc_a, desc_b, dists < band_px))
 
 

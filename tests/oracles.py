@@ -337,15 +337,16 @@ def greedy_nms_reference(candidates, width, height, max_count):
     skipped, and a candidate strictly within NMS_RADIUS of a kept one dropped."""
     order = sorted(range(len(candidates)), key=lambda i: (-candidates[i][3], i))
     kept = []
-    kept_xy = []
+    kept_xy = np.zeros((len(candidates), 2))
     for i in order:
         x0, y0 = candidates[i][:2]
         if not (0 <= x0 <= width - 1 and 0 <= y0 <= height - 1):
             continue
-        if any((x0 - x) ** 2 + (y0 - y) ** 2 < NMS_RADIUS**2 for x, y in kept_xy):
+        x, y = kept_xy[: len(kept)].T  # every kept keypoint so far
+        if np.any((x0 - x) ** 2 + (y0 - y) ** 2 < NMS_RADIUS**2):
             continue
+        kept_xy[len(kept)] = x0, y0
         kept.append(i)
-        kept_xy.append((x0, y0))
         if len(kept) == max_count:
             break
     return kept

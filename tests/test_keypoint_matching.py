@@ -1,15 +1,16 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import gaussian_filter, maximum_filter
 
 from guidematch import keypoint_matching as km
 from guidematch.coarse_matcher import CoarseMatchField, interpolate_matches
-from guidematch.geometry import FundamentalMatrix, SceneConfig, generate_scene
+from guidematch.geometry import FundamentalMatrix, SceneConfig, epipolar_distances, generate_scene
 
 import oracles
 
@@ -68,6 +69,12 @@ class TestKeypointSet:
         with pytest.raises(ValueError):
             km.KeypointSet(np.zeros((3, 2)), np.ones(2), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_raises(self, bad):
+        # caught here rather than as an index error deep inside describe
+        with pytest.raises(ValueError, match="finite"):
+            km.KeypointSet(np.array([[1.0, 2.0], [3.0, bad]]), km.BASE_SCALE, 1.0)
+
 
 @st.composite
 def detector_images(draw):
@@ -91,6 +98,23 @@ def detector_images(draw):
     # low contrast gives near-singular Hessians, and levels below the 1e-12 peak floor
     amplitude = draw(st.sampled_from([1.0, 0.05, 0.01, 0.002]))
     return img * amplitude, draw(st.integers(1, 400))
+
+
+@st.composite
+def plateau_arrays(draw):
+    """2-D arrays with plateaus, repeated values, signed zeros and infinities."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    value = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(allow_nan=False)
+    values = draw(st.lists(value, min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = draw(st.integers(1, 12))
+    return np.kron(rng.choice(np.array(values), size=(h, w)), np.ones((block, block)))[:h, :w]
+
+
+@pytest.fixture(scope="module")
+def noise_1080p():
+    """About 20k detection candidates, most of them kept."""
+    return np.random.default_rng(0).random((1080, 1920))
 
 
 class TestDetect:
@@ -159,11 +183,47 @@ class TestDetect:
         with pytest.raises(ValueError, match="small"):
             km.detect_keypoints(np.zeros((16, 16)))
 
-    @pytest.mark.parametrize("max_count", [0, -1])
+    @pytest.mark.parametrize("max_count", [0, -1, 2.5, 50.0, True, "50", None])
     def test_count_below_one_errors(self, max_count):
-        # no stop test can end the greedy loop at 0 or -1 kept keypoints
+        # no stop test can end the greedy loop at 0 or -1 kept keypoints, nor
+        # at a fractional cap, which the kept count never equals
         with pytest.raises(ValueError, match="max_count"):
             km.detect_keypoints(textured_image(1), max_count)
+
+    def test_numpy_integer_count(self):
+        img = textured_image(1)
+        assert _same_bits(km.detect_keypoints(img, np.int64(50)).xy, km.detect_keypoints(img, 50).xy)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_errors(self, bad):
+        # a non-finite response maximum would skip every level and return no keypoints
+        img = textured_image(1).copy()
+        img[40, 50] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            km.detect_keypoints(img)
+
+    @settings(max_examples=300, deadline=None)
+    @given(plateau_arrays())
+    def test_running_max_equals_maximum_filter(self, values):
+        want = maximum_filter(values, size=2 * km.NMS_RADIUS + 1, mode="nearest")
+        assert _same_bits(km._running_max(values), want)
+
+    def test_suppression_of_dense_candidates_equals_greedy_reference(self, noise_1080p):
+        xy, scale, response = km._candidates(noise_1080p)
+        assert len(xy) > 20000
+        cands = list(zip(xy[:, 0].tolist(), xy[:, 1].tolist(), scale.tolist(), response.tolist()))
+        kept = km._suppress(xy, response, 1920, 1080, len(cands))
+        assert kept.tolist() == oracles.greedy_nms_reference(cands, 1920, 1080, len(cands))
+
+    def test_memory_is_linear_in_the_image(self, noise_1080p):
+        # a table of candidate pairs would take gigabytes here
+        tracemalloc.start()
+        try:
+            km.detect_keypoints(noise_1080p, 100000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * noise_1080p.nbytes
 
     def test_inside_bounds(self):
         img = textured_image(2)
@@ -412,8 +472,6 @@ class TestModelGuided:
         ms = km.match_model_guided(ka, da, kb, db, band_px=3.0)
         assert len(ms) >= 8
         # matched pairs must sit close to the epipolar geometry of the scene
-        from guidematch.geometry import epipolar_distances
-
         ca, cb = km.match_coords(ms, ka, kb)
         d = epipolar_distances(scene.fundamental, ca, cb)
         # the estimated model may differ slightly from GT, allow slack
@@ -451,6 +509,22 @@ class TestModelGuided:
         desc = km.describe(img, kps)
         with pytest.raises(km.MatchingError):
             km.match_model_guided(kps, desc, kps, desc, band_px=3.0)
+
+    def test_band_distances_equal_all_pairs_epipolar_distances(self):
+        # one A keypoint against several B keypoints is the case where the
+        # one-row product of a per-keypoint line would take another BLAS path
+        rng = np.random.default_rng(5)
+        fmat = FundamentalMatrix.from_array(rng.standard_normal((3, 3)))
+        flat = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [5.0, 6.0, 7.0]])  # the origin's line is (0, 0, 7)
+        for n_a in range(1, 41):
+            for n_b in range(1, 41):
+                xy_a, xy_b = rng.random((n_a, 2)) * 256, rng.random((n_b, 2)) * 256
+                F = fmat
+                if (n_a + n_b) % 5 == 0:  # a degenerate line: an infinite distance
+                    F, xy_a[rng.integers(n_a)] = flat, 0.0
+                ia, ib = np.indices((n_a, n_b)).reshape(2, -1)
+                want = epipolar_distances(F, xy_a[ia], xy_b[ib]).reshape(n_a, n_b)
+                assert _same_bits(km._band_distances(F, xy_a, xy_b), want), (n_a, n_b)
 
 
 class TestFileFormats:

@@ -6,13 +6,16 @@ or compare two such directories.
 
 Each step is its own ``python -m guidematch`` process on the checkout's
 ``src/``: synth (8 scenes at 64x64, 3 at 256x192 with 3 repeated stamps,
-and 2 from a ``--config`` file, written into OUT_DIR as ``synth.cfg``, that
-sets every scene key off its default), a 6-step train in each supervision
-mode, a 4-step epipolar and point train on the 256x192 scenes resized by a
-``--config`` file written as ``train.cfg`` (max side 128, batch 2),
-eval-pck at two max sides, eval-pose for raw, mutual, guided and
-model-guided plus a stress run and a ground-truth-keypoint run, one guided
-match and one BA coarse-match field. The guided steps read the benchmark's committed
+2 at 640x480 with 3 repeated stamps, and 2 from a ``--config`` file,
+written into OUT_DIR as ``synth.cfg``, that sets every scene key off its
+default), a 6-step train in each supervision mode, a 4-step epipolar and
+point train on the 256x192 scenes resized by a ``--config`` file written
+as ``train.cfg`` (max side 128, batch 2), eval-pck at two max sides,
+eval-pose for raw, mutual, guided and model-guided plus a stress run and
+a ground-truth-keypoint run, a model-guided eval-pose on the 640x480
+scenes (860 to 1150 suppression candidates per image, so that the
+detector's neighbour search meets many candidates), one guided match and
+one BA coarse-match field. The guided steps read the benchmark's committed
 checkpoint and change nothing there. OUT_DIR must not exist yet.
 
 The manifest has one ``<sha256>  <path>`` line per output file, sorted by
@@ -81,6 +84,8 @@ def recipe(out: Path) -> list[list[str]]:
          "--out", eval_set],
         ["synth", "--scenes", "2", "--config", str(out / "synth.cfg"), "--seed", "200",
          "--out", str(out / "synth_cfg")],
+        ["synth", "--scenes", "2", "--width", "640", "--height", "480", "--repeated", "3", "--seed", "200",
+         "--out", str(out / "synth640")],
     ]
     for mode in MODES:
         steps.append(["train", "--mode", mode, "--dataset", train_set, "--iterations", "6", "--freeze-steps", "3",
@@ -99,6 +104,8 @@ def recipe(out: Path) -> list[list[str]]:
                   "--out", str(out / "pose_stress")])
     steps.append(["eval-pose", "--dataset", eval_set, "--variant", "guided", "--checkpoint", ckpt,
                   "--keypoint-source", "gt", "--window", "48", "--max-side", "128", "--out", str(out / "pose_gt")])
+    steps.append(["eval-pose", "--dataset", str(out / "synth640"), "--variant", "model-guided",
+                  "--out", str(out / "pose_model-guided_640")])
     scene = str(out / "synth256" / "scene_0000")
     steps.append(["match", "--scene-dir", scene, "--variant", "guided", "--checkpoint", ckpt,
                   "--out", str(out / "match_guided.csv")])
