@@ -4,9 +4,9 @@ A small strided conv backbone turns each grayscale image into a grid of
 unit feature vectors; all pairwise dot products form a 4D correlation
 volume; a stack of 4D convolutions re-scores it so that coherent
 neighborhoods win (applied in both image orders and averaged, which makes
-the scores symmetric under swapping the images); per-cell argmax plus
-bilinear interpolation of the surviving matches yields a pixel-level
-coarse match field.
+the scores symmetric under swapping the images). ``decode_cells`` takes
+each cell's argmax, for the evaluation field and the epipolar labels both,
+and bilinear interpolation of those matches gives pixel-level matches.
 
 The forward pass is four pure stages, ``extract_features``, ``correlate``,
 ``filter_symmetric`` and ``normalize_scores``; ``compute_volume`` runs them
@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from guidematch import numerics
-from guidematch.imageops import resize_bilinear
+from guidematch.imageops import bilinear_sample, resize_bilinear
 from guidematch.numerics import Tensor
 
 LEAKY_SLOPE = 0.1
@@ -287,13 +287,29 @@ def normalize_scores(filtered: Tensor) -> tuple[Tensor, Tensor]:
     return numerics.softmax_over(filtered, (3, 4)), numerics.softmax_over(filtered, (1, 2))
 
 
-def extract_matches(vol: CorrelationVolume, direction: str = "AB") -> CoarseMatchField:
-    """Argmax over the target image's grid of a one-pair volume; ties go to
-    the lowest linear index.
+def decode_cells(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each source cell's best target cell in one pair's (Hs, Ws, Ht, Wt) scores,
+    ties to the lowest linear index: (Hs, Ws, 2) cells, rows then cols, and their
+    (Hs, Ws) scores. The evaluation field and the epipolar labels both read it."""
+    hs, ws, ht, wt = scores.shape
+    flat = scores.reshape(hs * ws, ht * wt)
+    arg = flat.argmax(axis=1)
+    best = flat[np.arange(hs * ws), arg].reshape(hs, ws)
+    return np.stack(np.unravel_index(arg, (ht, wt)), axis=-1).reshape(hs, ws, 2), best
 
-    "BA" runs the same rule on the transposed scores. The softmax preserves
-    per-slice argmaxes, so extracting from the raw filtered scores and from
-    the normalized ones is equivalent.
+
+def cell_centers(cells: np.ndarray, stride: int) -> np.ndarray:
+    """Pixel (x, y) centers, ((col + 0.5) * stride, (row + 0.5) * stride), of
+    (..., 2) grid cells given as rows then cols."""
+    return (cells[..., ::-1] + 0.5) * stride
+
+
+def extract_matches(vol: CorrelationVolume, direction: str = "AB") -> CoarseMatchField:
+    """``decode_cells`` of a one-pair volume.
+
+    "BA" decodes the transposed scores. The softmax preserves per-slice
+    argmaxes, so extracting from the raw filtered scores and from the
+    normalized ones is equivalent.
     """
     if vol.filtered.shape[0] != 1:
         raise ValueError(f"extract_matches reads a one-pair volume, got {vol.filtered.shape[0]} pairs")
@@ -303,20 +319,16 @@ def extract_matches(vol: CorrelationVolume, direction: str = "AB") -> CoarseMatc
     elif direction != "AB":
         raise ValueError(f"direction must be 'AB' or 'BA', got {direction!r}")
     hs, ws, ht, wt = s.shape
-    flat = s.reshape(hs * ws, ht * wt)
-    arg = flat.argmax(axis=1)
-    scores = flat[np.arange(hs * ws), arg].reshape(hs, ws)
-    cells = np.stack(np.unravel_index(arg, (ht, wt)), axis=-1).reshape(hs, ws, 2)
     stride = vol.stride
-    return CoarseMatchField(cells, scores, stride, (hs * stride, ws * stride), (ht * stride, wt * stride))
+    return CoarseMatchField(*decode_cells(s), stride, (hs * stride, ws * stride), (ht * stride, wt * stride))
 
 
 def interpolate_matches(field: CoarseMatchField, pts: np.ndarray) -> np.ndarray:
     """Pixel-level match positions for source points, in target pixels.
 
-    Feature cell (i, j) has center ((j+0.5)*stride, (i+0.5)*stride) and its
-    match point is the center of its target cell; the four cells around the
-    query blend bilinearly, with queries clamped to the center bounding box.
+    A source cell's match point is its target cell's center; a query (x, y)
+    samples their grid with ``bilinear_sample`` at (x / stride - 0.5,
+    y / stride - 0.5), so queries clamp to the source centers' bounding box.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     h_px, w_px = field.src_image_size
@@ -324,26 +336,8 @@ def interpolate_matches(field: CoarseMatchField, pts: np.ndarray) -> np.ndarray:
     if (xs < 0).any() or (xs >= w_px).any() or (ys < 0).any() or (ys >= h_px).any():
         raise ValueError("query point outside the source image")
     s = field.stride
-    hs, ws = field.target_cells.shape[:2]
-    gx = np.clip(xs / s - 0.5, 0.0, max(ws - 1, 0))
-    gy = np.clip(ys / s - 0.5, 0.0, max(hs - 1, 0))
-    j0 = np.minimum(gx.astype(np.int64), max(ws - 2, 0))
-    i0 = np.minimum(gy.astype(np.int64), max(hs - 2, 0))
-    tx = np.clip(gx - j0, 0.0, 1.0)
-    ty = np.clip(gy - i0, 0.0, 1.0)
-    j1 = np.minimum(j0 + 1, ws - 1)
-    i1 = np.minimum(i0 + 1, hs - 1)
-    # match point of a cell: its target cell center, (col+0.5, row+0.5)*stride
-    targets = (field.target_cells[..., ::-1] + 0.5) * s
-    p00 = targets[i0, j0]
-    p01 = targets[i0, j1]
-    p10 = targets[i1, j0]
-    p11 = targets[i1, j1]
-    wx = tx[:, None]
-    wy = ty[:, None]
-    top = p00 * (1 - wx) + p01 * wx
-    bot = p10 * (1 - wx) + p11 * wx
-    return top * (1 - wy) + bot * wy
+    targets = np.moveaxis(cell_centers(field.target_cells, s), -1, 0)
+    return np.stack([bilinear_sample(t, xs / s - 0.5, ys / s - 0.5) for t in targets], axis=-1)
 
 
 def write_match_field(path, field: CoarseMatchField) -> None:

@@ -183,23 +183,26 @@ def fundamental_from_calibration(
     return FundamentalMatrix.from_array(f, frame)
 
 
-def epipolar_distances(F: FundamentalMatrix | np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
-    """Distance from each B point to the epipolar line of its A point.
-
-    Returns +inf where the epipolar line is degenerate (the A point is the
-    epipole), which callers treat as geometrically inconsistent.
-    """
+def epipolar_lines(F: FundamentalMatrix | np.ndarray, pts_a: np.ndarray) -> np.ndarray:
+    """(n, 3) epipolar lines in B of the A points: row n is F @ (x, y, 1)."""
     m = getattr(F, "matrix", F)
     pts_a = np.atleast_2d(np.asarray(pts_a, dtype=np.float64))
-    pts_b = np.atleast_2d(np.asarray(pts_b, dtype=np.float64))
-    ha = np.column_stack([pts_a, np.ones(len(pts_a))])
-    lines = ha @ m.T  # row n is F @ x_a
-    denom = np.hypot(lines[:, 0], lines[:, 1])
-    numer = np.abs(lines[:, 0] * pts_b[:, 0] + lines[:, 1] * pts_b[:, 1] + lines[:, 2])
-    out = np.full(len(pts_a), np.inf)
-    ok = denom > 0.0
-    out[ok] = numer[ok] / denom[ok]
-    return out
+    return np.column_stack([pts_a, np.ones(len(pts_a))]) @ m.T
+
+
+def line_distances(lines: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Distance from points (..., 2) to lines (..., 3), broadcast against each
+    other; +inf where a line is degenerate (both its normal entries zero)."""
+    numer = np.abs(lines[..., 0] * pts[..., 0] + lines[..., 1] * pts[..., 1] + lines[..., 2])
+    denom = np.hypot(lines[..., 0], lines[..., 1])
+    return np.divide(numer, denom, out=np.full(numer.shape, np.inf), where=denom > 0.0)
+
+
+def epipolar_distances(F: FundamentalMatrix | np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
+    """Distance from each B point to the epipolar line of its A point; +inf
+    where the line is degenerate (the A point is the epipole), which callers
+    treat as geometrically inconsistent."""
+    return line_distances(epipolar_lines(F, pts_a), np.asarray(pts_b, dtype=np.float64))
 
 
 def rescale_fundamental(

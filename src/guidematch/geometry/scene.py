@@ -167,18 +167,21 @@ class SyntheticScene:
         return mapped, visible
 
 
+def _pixel_rays(cam: CameraCalibration, pixels: np.ndarray) -> np.ndarray:
+    """World-frame ray directions, R^T K^-1 (x, y, 1), of (n, 2) pixels."""
+    return (cam.R.T @ np.linalg.inv(cam.K) @ np.column_stack([pixels, np.ones(len(pixels))]).T).T
+
+
 def trace_rays(
     cam: CameraCalibration, planes: list[ScenePlane], pixels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Intersect pixel rays with the planes; returns (points, plane index, hit mask)."""
-    pixels = np.atleast_2d(np.asarray(pixels, dtype=np.float64))
-    ones = np.ones((len(pixels), 1))
-    dirs = (cam.R.T @ np.linalg.inv(cam.K) @ np.hstack([pixels, ones]).T).T
+    dirs = _pixel_rays(cam, np.atleast_2d(np.asarray(pixels, dtype=np.float64)))
     center = cam.center()
     centers = np.broadcast_to(center, dirs.shape)
     s_all = np.stack([p.ray_hits(centers, dirs) for p in planes], axis=0)
     idx = np.argmin(s_all, axis=0)
-    s_hit = s_all[idx, np.arange(len(pixels))]
+    s_hit = s_all[idx, np.arange(len(dirs))]
     valid = np.isfinite(s_hit)
     pts = center + np.where(valid, s_hit, 0.0)[:, None] * dirs
     return pts, idx, valid
@@ -223,8 +226,7 @@ def _backdrop_extent(cams, plane_point, normal, basis_u, basis_v, offset):
             [[0, 0], [cam.width - 1, 0], [0, cam.height - 1], [cam.width - 1, cam.height - 1]],
             dtype=np.float64,
         )
-        ones = np.ones((4, 1))
-        dirs = (cam.R.T @ np.linalg.inv(cam.K) @ np.hstack([corners, ones]).T).T
+        dirs = _pixel_rays(cam, corners)
         c = cam.center()
         denom = dirs @ normal
         s = (offset - c @ normal) / denom

@@ -25,7 +25,7 @@ from scipy.ndimage import gaussian_filter
 
 from guidematch import robust_pose as rp
 from guidematch.coarse_matcher import CoarseMatchField, interpolate_matches
-from guidematch.geometry.epipolar import FundamentalMatrix
+from guidematch.geometry.epipolar import FundamentalMatrix, epipolar_lines, line_distances
 from guidematch.imageops import bilinear_sample
 
 HARRIS_K = 0.06
@@ -88,11 +88,16 @@ class MatchSet:
 
 
 def _harris_response(image: np.ndarray) -> np.ndarray:
-    gy, gx = np.gradient(image)
-    sxx = gaussian_filter(gx * gx, HARRIS_SIGMA)
-    syy = gaussian_filter(gy * gy, HARRIS_SIGMA)
-    sxy = gaussian_filter(gx * gy, HARRIS_SIGMA)
-    return sxx * syy - sxy * sxy - HARRIS_K * (sxx + syy) ** 2
+    """Harris response of a finite image; ``ValueError`` if it overflows (it is quartic in intensity)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gy, gx = np.gradient(image)
+        sxx = gaussian_filter(gx * gx, HARRIS_SIGMA)
+        syy = gaussian_filter(gy * gy, HARRIS_SIGMA)
+        sxy = gaussian_filter(gx * gy, HARRIS_SIGMA)
+        resp = sxx * syy - sxy * sxy - HARRIS_K * (sxx + syy) ** 2
+    if not np.isfinite(resp).all():
+        raise ValueError("the image's Harris response overflows; scale its intensities down")
+    return resp
 
 
 def _refine_subpixel(resp: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -210,7 +215,7 @@ def detect_keypoints(image: np.ndarray, max_count: int = 500) -> KeypointSet:
     dropped, so only kept keypoints suppress. At most ``max_count`` are
     kept; a constant image yields an empty set. The scale is the detector
     window diameter at the level the corner fired on. ``max_count`` must be
-    an integer >= 1 and the image finite.
+    an integer >= 1, the image finite and its Harris response too.
     """
     if isinstance(max_count, bool) or not isinstance(max_count, numbers.Integral) or max_count < 1:
         raise ValueError(f"max_count must be an integer >= 1, got {max_count!r}")
@@ -349,15 +354,9 @@ def _band_distances(F: FundamentalMatrix | np.ndarray, xy_a: np.ndarray, xy_b: n
     BLAS path, so a single A point is doubled when the all-pairs call would
     have had several rows.
     """
-    m = getattr(F, "matrix", F)
     n_a, n_b = len(xy_a), len(xy_b)
-    rows = np.column_stack([xy_a, np.ones(n_a)])
-    if n_a == 1 and n_b > 1:
-        rows = np.repeat(rows, 2, axis=0)
-    lines = (rows @ m.T)[:n_a, :, None]  # row i is F @ x_a, broadcast over B
-    numer = np.abs(lines[:, 0] * xy_b[:, 0] + lines[:, 1] * xy_b[:, 1] + lines[:, 2])
-    denom = np.hypot(lines[:, 0], lines[:, 1])
-    return np.divide(numer, denom, out=np.full((n_a, n_b), np.inf), where=denom > 0.0)
+    lines = epipolar_lines(F, np.repeat(xy_a, 2, axis=0) if n_a == 1 and n_b > 1 else xy_a)[:n_a]
+    return line_distances(lines[:, None], xy_b)
 
 
 def match_epipolar_band(

@@ -13,9 +13,10 @@ both matching directions, and returns the batch's summed loss as weighted
 sums over the (N, Ha, Wa) and (N, Hb, Wb) per-cell maxima, so a step's
 graph has a fixed number of nodes whatever the batch size. ``total_loss``
 groups a batch's pairs by image shapes and runs each group through the
-model as one batch. Labels are computed on cell centers in resized pixels
-at the volume's one stride, so fundamental matrices and ground-truth
-matches must be in that frame.
+model as one batch. Epipolar labels decode matches as the evaluation field
+does (``coarse_matcher.decode_cells``); all labels are computed on cell
+centers in resized pixels at the volume's one stride, so fundamental
+matrices and ground-truth matches must be in that frame.
 
 A ``TrainingPair`` is two resized views. A positive pair shows one scene
 and carries both its fundamental matrix and its ground-truth matches in
@@ -75,17 +76,15 @@ class TrainingDiverged(RuntimeError):
 
 
 def _label_direction(scores: np.ndarray, F: FundamentalMatrix, lambda_px: float, stride: int) -> np.ndarray:
-    """Per source cell: is its argmax match within ``lambda_px`` of the epipolar line?
+    """Per source cell: is its ``cm.decode_cells`` match within ``lambda_px`` of the epipolar line?
 
-    Both ends are cell centers, ((col + 0.5) * stride, (row + 0.5) * stride),
-    in resized pixels. Degenerate (infinite) distances count as inconsistent.
+    Both ends are ``cm.cell_centers``, in resized pixels. Degenerate
+    (infinite) distances count as inconsistent.
     """
-    hs, ws, ht, wt = scores.shape
-    ys, xs = np.mgrid[0:hs, 0:ws]
-    src = np.column_stack([(xs.ravel() + 0.5) * stride, (ys.ravel() + 0.5) * stride])
-    rows, cols = np.unravel_index(scores.reshape(hs * ws, ht * wt).argmax(axis=1), (ht, wt))
-    tgt = np.column_stack([(cols + 0.5) * stride, (rows + 0.5) * stride])
-    return (epipolar_distances(F, src, tgt) < lambda_px).reshape(hs, ws)
+    cells, _ = cm.decode_cells(scores)
+    src = cm.cell_centers(np.stack(np.indices(cells.shape[:2]), axis=-1), stride)
+    dists = epipolar_distances(F, src.reshape(-1, 2), cm.cell_centers(cells, stride).reshape(-1, 2))
+    return dists.reshape(cells.shape[:2]) < lambda_px
 
 
 def _weighted_sum(maxima: Tensor, weights: np.ndarray) -> Tensor:

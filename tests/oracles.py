@@ -162,6 +162,33 @@ def cell_center(i, j, stride):
     return ((j + 0.5) * stride, (i + 0.5) * stride)
 
 
+def interpolate_matches_reference(target_cells, stride, pts):
+    """Bilinear blend of the four cells' match points around each (x, y) query,
+    written out corner by corner; queries clamp to the cell centers' bounding box."""
+    s = stride
+    hs, ws = target_cells.shape[:2]
+    xs, ys = pts[:, 0], pts[:, 1]
+    gx = np.clip(xs / s - 0.5, 0.0, max(ws - 1, 0))
+    gy = np.clip(ys / s - 0.5, 0.0, max(hs - 1, 0))
+    j0 = np.minimum(gx.astype(np.int64), max(ws - 2, 0))
+    i0 = np.minimum(gy.astype(np.int64), max(hs - 2, 0))
+    tx = np.clip(gx - j0, 0.0, 1.0)
+    ty = np.clip(gy - i0, 0.0, 1.0)
+    j1 = np.minimum(j0 + 1, ws - 1)
+    i1 = np.minimum(i0 + 1, hs - 1)
+    # match point of a cell: its target cell center, (col+0.5, row+0.5)*stride
+    targets = (target_cells[..., ::-1] + 0.5) * s
+    p00 = targets[i0, j0]
+    p01 = targets[i0, j1]
+    p10 = targets[i1, j0]
+    p11 = targets[i1, j1]
+    wx = tx[:, None]
+    wy = ty[:, None]
+    top = p00 * (1 - wx) + p01 * wx
+    bot = p10 * (1 - wx) + p11 * wx
+    return top * (1 - wy) + bot * wy
+
+
 def label_cells_loops(s, F, lam, stride):
     """Per-cell epipolar-consistency classification by exhaustive scan."""
     ha, wa, hb, wb = s.shape

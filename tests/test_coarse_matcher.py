@@ -335,6 +335,32 @@ class TestInterpolateMatch:
         out = cm.interpolate_matches(field, pts)
         assert ((out[:, 0] > 0) & (out[:, 0] < w_t) & (out[:, 1] > 0) & (out[:, 1] < h_t)).all()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_four_corner_reference(self, data):
+        # one-cell rows and columns, cell centers, half-cell points and points
+        # just inside the far border, where the clamps and the corner choice act
+        stride = data.draw(st.integers(1, 32))
+        hs, ws, ht, wt = (data.draw(st.integers(1, 13)) for _ in range(4))
+        cell = st.tuples(st.integers(0, ht - 1), st.integers(0, wt - 1))
+        cells = np.array(data.draw(st.lists(cell, min_size=hs * ws, max_size=hs * ws))).reshape(hs, ws, 2)
+        sizes = (hs * stride, ws * stride), (ht * stride, wt * stride)
+        field = cm.CoarseMatchField(cells, np.ones((hs, ws)), stride, *sizes)
+
+        def coord(n):
+            side = float(n * stride)
+            return st.one_of(
+                st.integers(0, n - 1).map(lambda j: (j + 0.5) * stride),
+                st.integers(0, 2 * n - 1).map(lambda k: k * stride / 2),
+                st.just(float(np.nextafter(side, 0.0))),
+                st.floats(0.0, side, exclude_max=True),
+            )
+
+        pts = np.array(data.draw(st.lists(st.tuples(coord(ws), coord(hs)), min_size=1, max_size=20)))
+        out = cm.interpolate_matches(field, pts)
+        want = oracles.interpolate_matches_reference(cells, stride, pts)
+        assert out.shape == want.shape and out.tobytes() == want.tobytes()
+
 
 class TestBatchedModel:
     @settings(max_examples=10, deadline=None)

@@ -202,6 +202,14 @@ class TestDetect:
         with pytest.raises(ValueError, match="non-finite"):
             km.detect_keypoints(img)
 
+    def test_overflowing_response_errors(self):
+        # the response grows with the fourth power of the intensities, so a
+        # finite image can overflow it; that used to skip every level silently
+        image = generate_scene(SceneConfig(width=128, height=128), 0).image_a
+        assert len(km.detect_keypoints(image)) > 0
+        with pytest.raises(ValueError, match="overflows"):
+            km.detect_keypoints(image * 1e150)
+
     @settings(max_examples=300, deadline=None)
     @given(plateau_arrays())
     def test_running_max_equals_maximum_filter(self, values):

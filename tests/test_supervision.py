@@ -88,12 +88,35 @@ class TestLabelCells:
         assert not sup._label_direction(s, rect, 16.0, 16)[0].any()
 
     def test_matches_loop_oracle(self):
+        # integer-valued volumes tie often; the first best cell in scan order wins
         for seed in range(30):
             rng = np.random.default_rng(seed)
             s = rng.standard_normal((3, 3, 2, 4))
             F = random_fundamental(rng)
-            labels = sup._label_direction(s, F, 10.0, 16)
-            assert np.array_equal(labels, oracles.label_cells_loops(s, F.matrix, 10.0, 16))
+            ties = rng.integers(0, 3, size=(3, 3, 2, 4)).astype(np.float64)
+            for scores in (s, ties):
+                labels = sup._label_direction(scores, F, 10.0, 16)
+                assert np.array_equal(labels, oracles.label_cells_loops(scores, F.matrix, 10.0, 16))
+
+    def test_labels_decode_the_evaluation_cells(self, monkeypatch):
+        # the epipolar labels and the evaluation field read one decoder, so a
+        # change to it moves both; both directions, on volumes full of ties
+        decoded, decode = [], cm.decode_cells
+
+        def recording(scores):
+            out = decode(scores)
+            decoded.append(out[0])
+            return out
+
+        monkeypatch.setattr(cm, "decode_cells", recording)
+        for seed in range(20):
+            rng = np.random.default_rng(300 + seed)
+            vol = volume_from_scores(rng.integers(0, 3, size=(3, 4, 2, 5)).astype(np.float64))
+            decoded.clear()
+            sup.loss_epipolar(vol, [random_fundamental(rng)], 10.0)
+            assert len(decoded) == 2
+            for cells, direction in zip(decoded, ("AB", "BA")):
+                assert np.array_equal(cells, cm.extract_matches(vol, direction).target_cells)
 
     def test_frame_mismatch_errors(self):
         F = FundamentalMatrix.from_array(np.random.default_rng(0).standard_normal((3, 3)), "original-px")
