@@ -1,10 +1,10 @@
 """Command-line surface.
 
 Subcommands: synth, train, coarse-match, match, eval-pck, eval-pose.
-Exit codes: 0 success, 1 usage error (a bad flag or flag value of any
-command, or a --config key that names no setting or has a bad value; synth
-and train check every setting, from a flag or the file alike, before they
-write anything), 2 runtime failure.
+Exit codes: 0 success, 1 usage error, 2 runtime failure. A usage error is a
+``ConfigError``: the library checks every setting it takes (a flag or a
+--config key) before any work, the CLI only flag syntax, --out and synth's
+--scenes and --seed, so it writes nothing. A plain ``ValueError`` exits 2.
 Every command accepts --out, and only synth and train accept --config. Only
 synth, train and eval-pose draw random numbers, so only they accept --seed
 (default 0; train's --seed beats its config file's seed). Outputs are
@@ -15,25 +15,21 @@ matching flags, from --variant to --max-keypoints.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
+from guidematch import ConfigError
 from guidematch import coarse_matcher as cm
 from guidematch import evaluation as ev
 from guidematch import keypoint_matching as km
 from guidematch import supervision as sup
 from guidematch.geometry import SceneConfig, generate_scene, load_scene, load_scene_dir, save_scene
-from guidematch.geometry.scene import ConfigError, load_config
-
-
-class UsageError(Exception):
-    pass
+from guidematch.geometry.scene import load_config
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ConfigError(message)
 
 
 def _add_out(p: argparse.ArgumentParser):
@@ -100,36 +96,33 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matching(p, "mutual")
     p.add_argument("--ransac-thresholds", default="1.0")
     p.add_argument("--pose-thresholds", default="5,10,20")
-    p.add_argument("--keypoint-source", choices=("detect", "gt"), default="detect")
+    p.add_argument("--keypoint-source", choices=ev.KEYPOINT_SOURCES, default="detect")
     p.add_argument("--keypoint-noise", type=float, default=0.0)
     p.add_argument("--descriptor-corruption", type=float, default=0.0)
 
     return parser
 
 
-def _thresholds(text: str, flag: str) -> list[float]:
-    """The comma-separated values of ``flag``: at least one, each finite and > 0."""
+def _numbers(text: str, flag: str) -> list[float]:
+    """The comma-separated numbers of ``flag``; the library checks their values."""
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        return [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise UsageError(f"{flag} must be comma-separated numbers, got {text!r}") from None
-    if not values or not all(0 < v < math.inf for v in values):
-        raise UsageError(f"{flag} values must be finite and > 0, got {text!r}")
-    return values
+        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
-def _require_out(args, name="--out") -> Path:
+def _require_out(args) -> Path:
     if args.out is None:
-        raise UsageError(f"{name} is required for this command")
+        raise ConfigError("--out is required for this command")
     return Path(args.out)
 
 
 def _cmd_synth(args) -> int:
     out = _require_out(args)
     if args.scenes < 1:
-        raise UsageError(f"--scenes must be at least 1, got {args.scenes}")
+        raise ConfigError(f"--scenes must be at least 1, got {args.scenes}")
     if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     config = load_config(
         args.config, SceneConfig,
         width=args.width, height=args.height, n_planes=args.planes, repeated_stamps=args.repeated,
@@ -152,17 +145,9 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_model(path, max_side: int) -> cm.CoarseModel:
-    """The checkpoint's model; a --max-side below its stride is a usage error."""
-    model = cm.CoarseModel.load(path)
-    if max_side < model.stride:
-        raise UsageError(f"--max-side must be at least the model stride {model.stride}, got {max_side}")
-    return model
-
-
 def _cmd_coarse_match(args) -> int:
     out = _require_out(args)
-    model = _load_model(args.checkpoint, args.max_side)
+    model = cm.CoarseModel.load(args.checkpoint)
     scene = load_scene(args.scene_dir)
     ab, ba = cm.compute_match_fields(model, scene.image_a, scene.image_b, args.max_side)
     field = ab if args.direction == "AB" else ba
@@ -174,27 +159,17 @@ def _cmd_coarse_match(args) -> int:
 
 def _matching(args) -> tuple[cm.CoarseModel | None, dict]:
     """The coarse model and ``make_matcher``'s options from the ``_add_matching`` flags."""
-    if args.variant == "guided" and args.checkpoint is None:
-        raise UsageError("guided variant needs --checkpoint")
-    if args.variant.startswith("ratio") and args.ratio is None:
-        raise UsageError(f"{args.variant} variant needs --ratio")
-    if args.variant in ("raw", "mutual") and args.ratio is not None:
-        raise UsageError(f"{args.variant} variant takes no --ratio; use ratio or ratio+mutual")
-    if args.max_keypoints < 1:
-        raise UsageError(f"--max-keypoints must be at least 1, got {args.max_keypoints}")
-    for flag, value in (("--window", args.window), ("--band", args.band), ("--ratio", args.ratio)):
-        if value is not None and not value > 0:  # inf (raw matching) passes, nan does not
-            raise UsageError(f"{flag} must be > 0, got {value:g}")
-    model = _load_model(args.checkpoint, args.max_side) if args.checkpoint else None
+    model = cm.CoarseModel.load(args.checkpoint) if args.checkpoint else None
     return model, dict(window_px=args.window, ratio=args.ratio, band_px=args.band, max_side=args.max_side)
 
 
 def _cmd_match(args) -> int:
     out = _require_out(args)
     model, options = _matching(args)
+    matcher = ev.make_matcher(args.variant, model, **options)
     scene = load_scene(args.scene_dir)
     feats = ev.pair_features(scene, args.max_keypoints)
-    matches = ev.make_matcher(args.variant, model, **options)(scene, feats)
+    matches = matcher(scene, feats)
     out.parent.mkdir(parents=True, exist_ok=True)
     km.save_matches(out, matches, feats.kps_a, feats.kps_b)
     print(f"wrote {len(matches)} matches to {out}")
@@ -203,8 +178,8 @@ def _cmd_match(args) -> int:
 
 def _cmd_eval_pck(args) -> int:
     out = _require_out(args)
-    thresholds = _thresholds(args.thresholds, "--thresholds")
-    model = _load_model(args.checkpoint, args.max_side)
+    thresholds = _numbers(args.thresholds, "--thresholds")
+    model = cm.CoarseModel.load(args.checkpoint)
     scenes = load_scene_dir(args.dataset)
     meta = {
         "checkpoint": Path(args.checkpoint).name,
@@ -223,14 +198,8 @@ def _cmd_eval_pck(args) -> int:
 
 def _cmd_eval_pose(args) -> int:
     out = _require_out(args)
-    ransac_thresholds = _thresholds(args.ransac_thresholds, "--ransac-thresholds")
-    pose_thresholds = _thresholds(args.pose_thresholds, "--pose-thresholds")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    if not 0 <= args.keypoint_noise < math.inf:
-        raise UsageError(f"--keypoint-noise must be finite and >= 0, got {args.keypoint_noise:g}")
-    if not 0 <= args.descriptor_corruption <= 1:
-        raise UsageError(f"--descriptor-corruption must be in [0, 1], got {args.descriptor_corruption:g}")
+    ransac_thresholds = _numbers(args.ransac_thresholds, "--ransac-thresholds")
+    pose_thresholds = _numbers(args.pose_thresholds, "--pose-thresholds")
     model, options = _matching(args)
     scenes = load_scene_dir(args.dataset)
     options.update(
@@ -273,7 +242,7 @@ def run_cli(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1

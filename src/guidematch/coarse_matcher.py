@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from guidematch import numerics
+from guidematch import ConfigError, numerics
 from guidematch.imageops import bilinear_sample, resize_bilinear
 from guidematch.numerics import Tensor
 
@@ -208,14 +208,19 @@ class CoarseMatchField:
             raise ValueError("target cell col out of bounds")
 
 
+def check_max_side(max_side: int, stride: int) -> None:
+    """The rule on a resize bound: a ``ConfigError`` unless ``max_side`` holds one cell of ``stride``."""
+    if max_side < stride:
+        raise ConfigError(f"max_side must be at least the backbone stride {stride}, got {max_side}")
+
+
 def resize_image(image: np.ndarray, max_side: int, stride: int) -> tuple[np.ndarray, tuple[float, float]]:
     """Bound the longest side and round both sides down to stride multiples.
 
     Returns the resized image and the achieved per-axis scale factors
     (sx, sy) mapping original to resized coordinates: p' = (sx*x, sy*y).
     """
-    if max_side < stride:
-        raise ValueError(f"max_side {max_side} smaller than stride {stride}")
+    check_max_side(max_side, stride)
     h, w = image.shape
     if h < 2 or w < 2:
         raise ValueError(f"degenerate image {h}x{w}")

@@ -16,12 +16,14 @@ from typing import Callable
 
 import numpy as np
 
+from guidematch import ConfigError, check_count
 from guidematch import coarse_matcher as cm
 from guidematch import keypoint_matching as km
 from guidematch import robust_pose as rp
 from guidematch.geometry import SyntheticScene, pose_error
 
 POSE_VARIANTS = ("raw", "mutual", "ratio", "ratio+mutual", "guided", "model-guided")
+KEYPOINT_SOURCES = ("detect", "gt")
 FM_CORRECT_SAMPSON_PX = 3.0
 
 
@@ -44,9 +46,7 @@ class EvalReport:
 
 
 def _format_cell(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (int, np.integer)):  # bool is an int
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
@@ -59,13 +59,16 @@ def config_digest(parts: dict) -> str:
 
 
 def _thresholds(values, name: str) -> list[float]:
-    """``values`` as a list; a ``ValueError`` unless it is non-empty and each is finite and > 0."""
+    """``values`` as a list; a ``ConfigError`` unless it is non-empty, each is finite
+    and > 0, and no two share a ``%g`` label (their report column or row)."""
     values = list(values)
     if not values:
-        raise ValueError(f"{name} must not be empty")
+        raise ConfigError(f"{name} must not be empty")
     bad = [t for t in values if not 0 < t < math.inf]
     if bad:
-        raise ValueError(f"{name} must be finite and > 0, got {bad}")
+        raise ConfigError(f"{name} must be finite and > 0, got {bad}")
+    if len({f"{t:g}" for t in values}) < len(values):
+        raise ConfigError(f"{name} must differ when formatted with %g, got {values}")
     return values
 
 
@@ -83,10 +86,13 @@ def eval_pck(
 
     Distances are measured in resized-image pixels between the interpolated
     coarse match of the A point and the true B point; ``pck_t`` is the
-    fraction strictly below t. A scene with no ground-truth point, an empty
-    threshold list, or a threshold that is not finite and > 0, raises.
+    fraction strictly below t. A bad setting raises ``ConfigError`` before any
+    work; no scenes, or a scene with no ground-truth point, raise ``ValueError``.
     """
     thresholds = _thresholds(thresholds, "PCK thresholds")
+    cm.check_max_side(max_side, model.stride)
+    if not scenes:
+        raise ValueError("no scenes to evaluate")
     rows = []
     for scene in scenes:
         if not len(scene.gt_points):
@@ -151,20 +157,26 @@ class PairFeatures:
 MatcherFn = Callable[[SyntheticScene, PairFeatures], km.MatchSet]
 
 
+def _check_features(max_keypoints, keypoint_source: str) -> None:
+    check_count(max_keypoints, "max_keypoints")
+    if keypoint_source not in KEYPOINT_SOURCES:
+        raise ConfigError(f"keypoint_source must be one of {KEYPOINT_SOURCES}, got {keypoint_source!r}")
+
+
 def pair_features(scene: SyntheticScene, max_keypoints: int, keypoint_source: str = "detect") -> PairFeatures:
     """Keypoints of both views and their descriptors.
 
     ``keypoint_source="detect"`` runs the detector on each image; ``"gt"``
     places the keypoints at the scene's exact ground-truth correspondences.
+    A ``max_keypoints`` that is not an integer >= 1 is a ``ConfigError`` under both.
     """
+    _check_features(max_keypoints, keypoint_source)
     if keypoint_source == "gt":
         kps_a = km.KeypointSet(scene.gt_points[:, :2], km.BASE_SCALE, 1.0)
         kps_b = km.KeypointSet(scene.gt_points[:, 2:], km.BASE_SCALE, 1.0)
-    elif keypoint_source == "detect":
+    else:
         kps_a = km.detect_keypoints(scene.image_a, max_keypoints)
         kps_b = km.detect_keypoints(scene.image_b, max_keypoints)
-    else:
-        raise ValueError(f"keypoint_source must be 'detect' or 'gt', got {keypoint_source!r}")
     return PairFeatures(kps_a, km.describe(scene.image_a, kps_a), kps_b, km.describe(scene.image_b, kps_b))
 
 
@@ -187,18 +199,22 @@ def make_matcher(
     those within ``window_px`` resized-image pixels of the coarse match
     (``guided``; the window is converted to original pixels through the
     field's scales), or among those within ``band_px`` of the epipolar line
-    of a first-stage fundamental matrix (``model-guided``).
+    of a first-stage fundamental matrix (``model-guided``). A bad setting raises
+    ``ConfigError`` whether or not the variant reads it; inf is a valid window or band.
     """
     if variant not in POSE_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {POSE_VARIANTS}")
+        raise ConfigError(f"unknown variant {variant!r}, expected one of {POSE_VARIANTS}")
     if variant.startswith("ratio") and ratio is None:
-        raise ValueError(f"{variant} variant needs a ratio value")
+        raise ConfigError(f"{variant} variant needs a ratio value")
     if variant in ("raw", "mutual") and ratio is not None:
-        raise ValueError(f"{variant} variant takes no ratio value; use ratio or ratio+mutual")
-    if ratio is not None and not ratio > 0:
-        raise ValueError(f"ratio must be > 0, got {ratio}")
+        raise ConfigError(f"{variant} variant takes no ratio value; use ratio or ratio+mutual")
     if variant == "guided" and model is None:
-        raise ValueError("guided variant needs a coarse model checkpoint")
+        raise ConfigError("guided variant needs a coarse model checkpoint")
+    for name, value in (("window_px", window_px), ("band_px", band_px), ("ratio", ratio)):
+        if value is not None and not value > 0:
+            raise ConfigError(f"{name} must be > 0, got {value:g}")
+    if model is not None:
+        cm.check_max_side(max_side, model.stride)
     mutual = variant not in ("raw", "ratio")
 
     if variant == "guided":
@@ -275,8 +291,8 @@ def eval_pose(
     majority) count as infinite pose error and an incorrect fundamental
     matrix; they never abort the sweep. An estimated fundamental matrix is
     deemed correct when its worst Sampson error over the scene's held-out
-    ground-truth pairs stays below 3 px. A bad setting (a threshold list that
-    is empty or not positive, a negative seed) raises before the first pair.
+    ground-truth pairs stays below 3 px. A bad setting, of ``make_matcher`` and
+    ``pair_features`` too, raises ``ConfigError`` before any work; then no scenes raise ``ValueError``.
 
     ``keypoint_source="gt"`` places keypoints at the scene's exact
     ground-truth correspondences instead of running the detector, which is
@@ -284,14 +300,17 @@ def eval_pose(
     the achievable pose accuracy.
     """
     matcher = make_matcher(variant, model, window_px, ratio, band_px, max_side)
+    _check_features(max_keypoints, keypoint_source)
     if not 0 <= keypoint_noise_px < math.inf:
-        raise ValueError(f"keypoint_noise_px must be finite and >= 0, got {keypoint_noise_px}")
+        raise ConfigError(f"keypoint_noise_px must be finite and >= 0, got {keypoint_noise_px:g}")
     if not 0 <= descriptor_corruption <= 1:
-        raise ValueError(f"descriptor_corruption must be in [0, 1], got {descriptor_corruption}")
+        raise ConfigError(f"descriptor_corruption must be in [0, 1], got {descriptor_corruption:g}")
     if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     ransac_thresholds = _thresholds(ransac_thresholds, "RANSAC thresholds")
     pose_thresholds = _thresholds(pose_thresholds, "pose thresholds")
+    if not scenes:
+        raise ValueError("no scenes to evaluate")
     rows = []
     for pair_index, scene in enumerate(scenes):
         feats = pair_features(scene, max_keypoints, keypoint_source)

@@ -14,6 +14,7 @@ guidance is supposed to resolve.
 from __future__ import annotations
 
 import contextlib
+import math
 import typing
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import uniform_filter
 
+from guidematch import ConfigError
 from guidematch.geometry.epipolar import (
     FRAME_ORIGINAL,
     CameraCalibration,
@@ -62,14 +64,15 @@ class SceneConfig:
     n_gt_points: int = 60
 
     def __post_init__(self):
+        for name in ("width", "height", "stride", "n_planes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.width % self.stride or self.height % self.stride:
-            raise ValueError(
-                f"image size {self.width}x{self.height} must be a multiple of stride {self.stride}"
-            )
-        if self.n_planes < 1:
-            raise ValueError("need at least one plane")
+            raise ConfigError(f"image size {self.width}x{self.height} must be a multiple of stride {self.stride}")
+        if not 0 < self.texel_px < math.inf:
+            raise ConfigError(f"texel_px must be finite and > 0, got {self.texel_px:g}")
         if self.repeated_stamps < 0:
-            raise ValueError(f"repeated_stamps must be >= 0, got {self.repeated_stamps}")
+            raise ConfigError(f"repeated_stamps must be >= 0, got {self.repeated_stamps}")
 
 
 @dataclass
@@ -463,10 +466,6 @@ def parse_kv_file(path) -> dict[str, str]:
     return out
 
 
-class ConfigError(ValueError):
-    """A ``--config`` file or its overrides that cannot build the config."""
-
-
 def load_config(path, cls, **flags):
     """The dataclass ``cls`` built from a ``key = value`` file (none when
     ``path`` is None) and ``flags``, keywords named after its fields.
@@ -475,7 +474,8 @@ def load_config(path, cls, **flags):
     which must be int, float or str; any other key, or a value that does not
     convert, raises a ``ConfigError`` that names the file and the key. A flag
     that is not None beats the file. A field with no default that neither
-    sets, or a ``ValueError`` from ``cls``, raises a ``ConfigError`` too.
+    sets raises a ``ConfigError`` too, and so does ``cls`` itself for a bad
+    value: it owns its value rules.
     """
     types = typing.get_type_hints(cls)
     values = {}
@@ -492,10 +492,7 @@ def load_config(path, cls, **flags):
     missing = [name for name in required if name not in values]
     if missing:
         raise ConfigError(f"{cls.__name__} needs a --config key or a flag for: {', '.join(missing)}")
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return cls(**values)
 
 
 @contextlib.contextmanager

@@ -16,13 +16,13 @@ epipolar line under a fundamental matrix fitted to a first round of matches.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from guidematch import ConfigError, check_count
 from guidematch import robust_pose as rp
 from guidematch.coarse_matcher import CoarseMatchField, interpolate_matches
 from guidematch.geometry.epipolar import FundamentalMatrix, epipolar_lines, line_distances
@@ -217,8 +217,7 @@ def detect_keypoints(image: np.ndarray, max_count: int = 500) -> KeypointSet:
     window diameter at the level the corner fired on. ``max_count`` must be
     an integer >= 1, the image finite and its Harris response too.
     """
-    if isinstance(max_count, bool) or not isinstance(max_count, numbers.Integral) or max_count < 1:
-        raise ValueError(f"max_count must be an integer >= 1, got {max_count!r}")
+    check_count(max_count, "max_count")
     image = np.asarray(image, dtype=np.float64)
     h, w = image.shape
     if h < 32 or w < 32:
@@ -310,7 +309,7 @@ def match_guided(
     infinite window this is exactly raw matching.
     """
     if not window_px > 0:  # catches nan and -inf as well
-        raise ValueError(f"window must be positive, got {window_px}")
+        raise ConfigError(f"window must be positive, got {window_px}")
     if math.isinf(window_px):
         return match_raw(desc_a, desc_b)
     queries = kps_a.xy * np.array(match_field.scale_src)

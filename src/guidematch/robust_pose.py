@@ -33,11 +33,11 @@ fundamental matrix.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from guidematch import ConfigError, check_count
 from guidematch.geometry.epipolar import (
     FundamentalMatrix,
     RelativePose,
@@ -65,11 +65,10 @@ class RansacConfig:
     def __post_init__(self):
         # a nan threshold admits no inlier, so every fit would fail silently
         if not (math.isfinite(self.threshold) and self.threshold > 0):
-            raise ValueError(f"threshold must be positive and finite, got {self.threshold!r}")
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+            raise ConfigError(f"threshold must be positive and finite, got {self.threshold!r}")
+        check_count(self.max_iters, "max_iters")
         if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must be in (0, 1)")
+            raise ConfigError("confidence must be in (0, 1)")
 
 
 @dataclass

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from guidematch import coarse_matcher as cm
-from guidematch import numerics
+from guidematch import ConfigError, numerics
 from guidematch.geometry.epipolar import FRAME_RESIZED, FundamentalMatrix, epipolar_distances, rescale_fundamental
 from guidematch.geometry.scene import SyntheticScene, load_scene_dir
 from guidematch.numerics import AdamState, Tensor, adam_step
@@ -233,7 +233,7 @@ def total_loss(
     if not pairs:
         raise ValueError("empty batch")
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     groups: dict[tuple, list[TrainingPair]] = {}
     for pair in pairs:
         groups.setdefault((pair.image_a.shape, pair.image_b.shape), []).append(pair)
@@ -285,7 +285,7 @@ class BatchSampler:
     ):
         n_pos = batch_size * positive_fraction
         if abs(n_pos - round(n_pos)) > 1e-9:
-            raise ValueError(f"batch_size {batch_size} incompatible with positive fraction {positive_fraction}")
+            raise ConfigError(f"batch_size {batch_size} incompatible with positive fraction {positive_fraction}")
         self.n_pos = int(round(n_pos))
         self.n_neg = batch_size - self.n_pos
         classes = (("positive", self.n_pos, dataset.positives), ("negative", self.n_neg, dataset.negatives))
@@ -331,24 +331,22 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.iterations < 1:
-            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
+            raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
         for name in ("lr", "lr_finetune"):
             if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name):g}")
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name):g}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.batch_size * self.positive_fraction % 1:
-            raise ValueError(f"batch_size must be even in {self.mode} mode (half positive pairs), got {self.batch_size}")
-        stride = 2 ** len(cm.BACKBONE_CHANNELS)  # of the model train builds
-        if self.max_side < stride:
-            raise ValueError(f"max_side must be at least the backbone stride {stride}, got {self.max_side}")
+            raise ConfigError(f"batch_size must be even in {self.mode} mode (half positive pairs), got {self.batch_size}")
+        cm.check_max_side(self.max_side, 2 ** len(cm.BACKBONE_CHANNELS))  # the stride of the model train builds
         # epipolar_distances(...) < lambda_px labels the consistent cells
         if not 0 < self.lambda_px < math.inf:
-            raise ValueError(f"lambda_px must be finite and > 0, got {self.lambda_px:g}")
+            raise ConfigError(f"lambda_px must be finite and > 0, got {self.lambda_px:g}")
 
     @property
     def positive_fraction(self) -> float:

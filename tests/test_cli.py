@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from guidematch import ConfigError
 from guidematch import coarse_matcher as cm
 from guidematch import evaluation as ev
+from guidematch import supervision as sup
 from guidematch.cli import run_cli
+from guidematch.geometry import SceneConfig, load_scene, load_scene_dir
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +72,29 @@ def _matching_argv(command, scene_root, out):
     return ["eval-pose", "--dataset", str(scene_root), "--out", str(out)]
 
 
+def _library_error(call, *args, **kwargs) -> str:
+    """The text of the ``ConfigError`` that ``call(*args, **kwargs)`` raises."""
+    with pytest.raises(ConfigError) as info:
+        call(*args, **kwargs)
+    return str(info.value)
+
+
+def _matching_library(command, scene_root, model, variant=None, max_keypoints=300, **options):
+    """The library calls that ``command`` makes with the ``_add_matching`` flags, at their defaults."""
+    if command == "match":
+        scene = load_scene(scene_root / "scene_0000")
+        ev.make_matcher(variant or "raw", model, **options)(scene, ev.pair_features(scene, max_keypoints))
+    else:
+        ev.eval_pose(load_scene_dir(scene_root), variant or "mutual", model, max_keypoints=max_keypoints, **options)
+
+
 @pytest.mark.parametrize("command", ["match", "eval-pose"])
 def test_guided_without_checkpoint_is_a_usage_error(tmp_path, scenes, command, capsys):
     argv = _matching_argv(command, scenes[0], tmp_path / "out") + ["--variant", "guided"]
     assert run_cli(argv) == 1
-    assert "needs --checkpoint" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "guided variant needs a coarse model checkpoint" in err
+    assert _library_error(_matching_library, command, scenes[0], None, variant="guided") in err
     assert not (tmp_path / "out").exists()
 
 
@@ -80,50 +103,108 @@ def test_unknown_variant_is_a_usage_error(tmp_path, scenes, command):
     assert run_cli(_matching_argv(command, scenes[0], tmp_path / "out") + ["--variant", "sift"]) == 1
 
 
+# A row's expected text is the library's message for its setting; explicit ids
+# keep each row's test name stable when that wording changes.
 @pytest.mark.parametrize("command", ["match", "eval-pose"])
 @pytest.mark.parametrize(
-    "flags, message",
+    "flags, setting, message",
     [
-        (["--variant", "ratio"], "needs --ratio"),
-        (["--max-keypoints", "0"], "--max-keypoints must be at least 1"),
-        (["--variant", "raw", "--ratio", "0.9"], "raw variant takes no --ratio"),
-        (["--variant", "mutual", "--ratio", "0.9"], "mutual variant takes no --ratio"),
-        (["--window", "0"], "--window must be > 0"),
-        (["--window", "nan"], "--window must be > 0"),
-        (["--band", "0"], "--band must be > 0"),
-        (["--band", "-2"], "--band must be > 0"),
-        (["--variant", "ratio", "--ratio", "0"], "--ratio must be > 0"),
-        (["--variant", "ratio+mutual", "--ratio", "-0.5"], "--ratio must be > 0"),
-        (["--variant", "ratio", "--ratio", "nan"], "--ratio must be > 0"),
-        (["--variant", "guided", "--max-side", "8"], "--max-side must be at least the model stride 16"),
+        pytest.param(["--variant", "ratio"], dict(variant="ratio"), "ratio variant needs a ratio value",
+                     id="flags0-needs --ratio"),
+        pytest.param(["--max-keypoints", "0"], dict(max_keypoints=0), "max_keypoints must be an integer >= 1, got 0",
+                     id="flags1---max-keypoints must be at least 1"),
+        pytest.param(["--variant", "raw", "--ratio", "0.9"], dict(variant="raw", ratio=0.9),
+                     "raw variant takes no ratio value", id="flags2-raw variant takes no --ratio"),
+        pytest.param(["--variant", "mutual", "--ratio", "0.9"], dict(variant="mutual", ratio=0.9),
+                     "mutual variant takes no ratio value", id="flags3-mutual variant takes no --ratio"),
+        pytest.param(["--window", "0"], dict(window_px=0.0), "window_px must be > 0, got 0",
+                     id="flags4---window must be > 0"),
+        pytest.param(["--window", "nan"], dict(window_px=math.nan), "window_px must be > 0, got nan",
+                     id="flags5---window must be > 0"),
+        pytest.param(["--band", "0"], dict(band_px=0.0), "band_px must be > 0, got 0", id="flags6---band must be > 0"),
+        pytest.param(["--band", "-2"], dict(band_px=-2.0), "band_px must be > 0, got -2",
+                     id="flags7---band must be > 0"),
+        pytest.param(["--variant", "ratio", "--ratio", "0"], dict(variant="ratio", ratio=0.0),
+                     "ratio must be > 0, got 0", id="flags8---ratio must be > 0"),
+        pytest.param(["--variant", "ratio+mutual", "--ratio", "-0.5"], dict(variant="ratio+mutual", ratio=-0.5),
+                     "ratio must be > 0, got -0.5", id="flags9---ratio must be > 0"),
+        pytest.param(["--variant", "ratio", "--ratio", "nan"], dict(variant="ratio", ratio=math.nan),
+                     "ratio must be > 0, got nan", id="flags10---ratio must be > 0"),
+        pytest.param(["--variant", "guided", "--max-side", "8"], dict(variant="guided", max_side=8),
+                     "max_side must be at least the backbone stride 16, got 8",
+                     id="flags11---max-side must be at least the model stride 16"),
+        # raw reads neither the model nor max_side, and is checked all the same
+        pytest.param(["--variant", "raw", "--max-side", "8"], dict(variant="raw", max_side=8),
+                     "max_side must be at least the backbone stride 16, got 8", id="raw-max-side-below-stride"),
     ],
 )
-def test_bad_matching_setting_is_a_usage_error(tmp_path, scenes, command, flags, message, capsys):
-    argv = _matching_argv(command, scenes[0], tmp_path / "out") + ["--checkpoint", str(scenes[1])]
+def test_bad_matching_setting_is_a_usage_error(tmp_path, scenes, command, flags, setting, message, capsys):
+    scene_root, checkpoint = scenes
+    argv = _matching_argv(command, scene_root, tmp_path / "out") + ["--checkpoint", str(checkpoint)]
     assert run_cli(argv + flags) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert _library_error(_matching_library, command, scene_root, cm.CoarseModel.load(checkpoint), **setting) in err
     assert not (tmp_path / "out").exists()
 
 
+def _eval_library(command, scene_root, checkpoint, **setting):
+    """The library call that ``command`` makes, its other settings at the flags' defaults."""
+    if command == "eval-pck":
+        ev.eval_pck(cm.CoarseModel.load(checkpoint), load_scene_dir(scene_root), **setting)
+    else:
+        ev.eval_pose(load_scene_dir(scene_root), "mutual", **setting)
+
+
 @pytest.mark.parametrize(
-    "command, flags, message",
+    "command, flags, setting, message",
     [
-        ("eval-pose", ["--ransac-thresholds", "abc"], "--ransac-thresholds must be comma-separated numbers"),
-        ("eval-pose", ["--pose-thresholds", "0,10"], "--pose-thresholds values must be finite and > 0"),
-        ("eval-pose", ["--keypoint-noise", "-1"], "--keypoint-noise must be finite and >= 0"),
-        ("eval-pose", ["--descriptor-corruption", "1.5"], "--descriptor-corruption must be in [0, 1]"),
-        ("eval-pck", ["--thresholds", "8,-16"], "--thresholds values must be finite and > 0"),
-        ("eval-pck", ["--max-side", "15"], "--max-side must be at least the model stride 16"),
-        ("eval-pose", ["--seed", "-2"], "--seed must be >= 0, got -2"),
+        pytest.param("eval-pose", ["--ransac-thresholds", "abc"], None,
+                     "--ransac-thresholds must be comma-separated numbers",
+                     id="eval-pose-flags0---ransac-thresholds must be comma-separated numbers"),
+        pytest.param("eval-pose", ["--pose-thresholds", "0,10"], dict(pose_thresholds=[0.0, 10.0]),
+                     "pose thresholds must be finite and > 0, got [0.0]",
+                     id="eval-pose-flags1---pose-thresholds values must be finite and > 0"),
+        pytest.param("eval-pose", ["--keypoint-noise", "-1"], dict(keypoint_noise_px=-1.0),
+                     "keypoint_noise_px must be finite and >= 0, got -1",
+                     id="eval-pose-flags2---keypoint-noise must be finite and >= 0"),
+        pytest.param("eval-pose", ["--descriptor-corruption", "1.5"], dict(descriptor_corruption=1.5),
+                     "descriptor_corruption must be in [0, 1], got 1.5",
+                     id="eval-pose-flags3---descriptor-corruption must be in [0, 1]"),
+        pytest.param("eval-pck", ["--thresholds", "8,-16"], dict(thresholds=[8.0, -16.0]),
+                     "PCK thresholds must be finite and > 0, got [-16.0]",
+                     id="eval-pck-flags4---thresholds values must be finite and > 0"),
+        pytest.param("eval-pck", ["--max-side", "15"], dict(max_side=15),
+                     "max_side must be at least the backbone stride 16, got 15",
+                     id="eval-pck-flags5---max-side must be at least the model stride 16"),
+        pytest.param("eval-pose", ["--seed", "-2"], dict(seed=-2), "seed must be >= 0, got -2",
+                     id="eval-pose-flags6---seed must be >= 0, got -2"),
+        # ground-truth keypoints read no keypoint budget, and are checked all the same
+        pytest.param("eval-pose", ["--keypoint-source", "gt", "--max-keypoints", "0"],
+                     dict(keypoint_source="gt", max_keypoints=0), "max_keypoints must be an integer >= 1, got 0",
+                     id="eval-pose-gt-keypoints-max-keypoints-0"),
+        pytest.param("eval-pose", ["--pose-thresholds", ","], dict(pose_thresholds=[]),
+                     "pose thresholds must not be empty", id="eval-pose-no-pose-thresholds"),
+        # values that print alike would share a report column or summary row
+        pytest.param("eval-pose", ["--ransac-thresholds", "1,1"], dict(ransac_thresholds=[1.0, 1.0]),
+                     "RANSAC thresholds must differ when formatted with %g, got [1.0, 1.0]",
+                     id="eval-pose-repeated-ransac-threshold"),
+        pytest.param("eval-pose", ["--pose-thresholds", "5,5.0000001"], dict(pose_thresholds=[5.0, 5.0000001]),
+                     "pose thresholds must differ when formatted with %g", id="eval-pose-pose-thresholds-print-alike"),
+        pytest.param("eval-pck", ["--thresholds", "8,8.0000001"], dict(thresholds=[8.0, 8.0000001]),
+                     "PCK thresholds must differ when formatted with %g", id="eval-pck-thresholds-print-alike"),
     ],
 )
-def test_bad_eval_setting_is_a_usage_error(tmp_path, scenes, command, flags, message, capsys):
+def test_bad_eval_setting_is_a_usage_error(tmp_path, scenes, command, flags, setting, message, capsys):
     scene_root, checkpoint = scenes
     argv = [command, "--dataset", str(scene_root), "--out", str(tmp_path / "out")]
     if command == "eval-pck":
         argv += ["--checkpoint", str(checkpoint)]
     assert run_cli(argv + flags) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    if setting is not None:  # else the CLI cannot parse the flag
+        assert _library_error(_eval_library, command, scene_root, checkpoint, **setting) in err
     assert not (tmp_path / "out").exists()
 
 
@@ -218,29 +299,94 @@ def test_synth_config_accepts_only_its_keys(tmp_path, key, capsys):
     assert not (tmp_path / "s").exists()
 
 
+def _config_library(command, setting):
+    """The config that ``command`` builds from ``setting``; train's paths are placeholders."""
+    if command == "synth":
+        SceneConfig(**setting)
+    else:
+        sup.TrainConfig(**{"dataset_dir": "scenes", "out_dir": "run", **setting})
+
+
+# ids as for test_bad_matching_setting_is_a_usage_error; setting is None for a
+# rule the CLI owns
 @pytest.mark.parametrize(
-    "argv, config, message",
+    "argv, config, setting, message",
     [
-        (["synth", "--width", "100"], None, "image size 100x64 must be a multiple of stride 16"),
-        (["synth", "--scenes", "0"], None, "--scenes must be at least 1, got 0"),
-        (["synth", "--repeated", "-1"], None, "repeated_stamps must be >= 0, got -1"),
-        (["train"], "mode = sideways", "mode must be one of ('image', 'epipolar', 'point'), got 'sideways'"),
-        (["train", "--mode", "epipolar", "--iterations", "0"], None, "iterations must be at least 1, got 0"),
-        (["train", "--mode", "epipolar", "--lr", "nan"], None, "lr must be finite and >= 0, got nan"),
-        (["train", "--mode", "epipolar", "--lr", "-1"], None, "lr must be finite and >= 0, got -1"),
-        (["train", "--mode", "point"], "batch_size = 0", "batch_size must be at least 1, got 0"),
-        (["train", "--mode", "epipolar"], "batch_size = 3", "batch_size must be even in epipolar mode"),
-        (["train", "--mode", "image"], "batch_size = 5", "batch_size must be even in image mode"),
-        (["train", "--mode", "epipolar"], "max_side = 8", "max_side must be at least the backbone stride 16, got 8"),
-        (["train", "--mode", "epipolar"], "lambda_px = -1", "lambda_px must be finite and > 0, got -1"),
-        (["train", "--mode", "epipolar"], "lambda_px = 0", "lambda_px must be finite and > 0, got 0"),
-        (["train", "--mode", "epipolar"], "lambda_px = inf", "lambda_px must be finite and > 0, got inf"),
-        (["train", "--mode", "epipolar"], "lambda_px = nan", "lambda_px must be finite and > 0, got nan"),
-        (["synth", "--seed", "-1"], None, "--seed must be >= 0, got -1"),
-        (["train", "--mode", "epipolar", "--seed", "-3"], None, "seed must be >= 0, got -3"),
+        pytest.param(["synth", "--width", "100"], None, dict(width=100),
+                     "image size 100x64 must be a multiple of stride 16",
+                     id="argv0-None-image size 100x64 must be a multiple of stride 16"),
+        pytest.param(["synth", "--scenes", "0"], None, None,
+                     "--scenes must be at least 1, got 0",
+                     id="argv1-None---scenes must be at least 1, got 0"),
+        pytest.param(["synth", "--repeated", "-1"], None, dict(repeated_stamps=-1),
+                     "repeated_stamps must be >= 0, got -1",
+                     id="argv2-None-repeated_stamps must be >= 0, got -1"),
+        pytest.param(["train"], "mode = sideways", dict(mode="sideways"),
+                     "mode must be one of ('image', 'epipolar', 'point'), got 'sideways'",
+                     id="argv3-mode = sideways-mode must be one of ('image', 'epipolar', 'point'), got 'sideways'"),
+        pytest.param(["train", "--mode", "epipolar", "--iterations", "0"], None, dict(mode="epipolar", iterations=0),
+                     "iterations must be at least 1, got 0",
+                     id="argv4-None-iterations must be at least 1, got 0"),
+        pytest.param(["train", "--mode", "epipolar", "--lr", "nan"], None, dict(mode="epipolar", lr=math.nan),
+                     "lr must be finite and >= 0, got nan",
+                     id="argv5-None-lr must be finite and >= 0, got nan"),
+        pytest.param(["train", "--mode", "epipolar", "--lr", "-1"], None, dict(mode="epipolar", lr=-1.0),
+                     "lr must be finite and >= 0, got -1",
+                     id="argv6-None-lr must be finite and >= 0, got -1"),
+        pytest.param(["train", "--mode", "point"], "batch_size = 0", dict(mode="point", batch_size=0),
+                     "batch_size must be at least 1, got 0",
+                     id="argv7-batch_size = 0-batch_size must be at least 1, got 0"),
+        pytest.param(["train", "--mode", "epipolar"], "batch_size = 3", dict(mode="epipolar", batch_size=3),
+                     "batch_size must be even in epipolar mode",
+                     id="argv8-batch_size = 3-batch_size must be even in epipolar mode"),
+        pytest.param(["train", "--mode", "image"], "batch_size = 5", dict(mode="image", batch_size=5),
+                     "batch_size must be even in image mode",
+                     id="argv9-batch_size = 5-batch_size must be even in image mode"),
+        pytest.param(["train", "--mode", "epipolar"], "max_side = 8", dict(mode="epipolar", max_side=8),
+                     "max_side must be at least the backbone stride 16, got 8",
+                     id="argv10-max_side = 8-max_side must be at least the backbone stride 16, got 8"),
+        pytest.param(["train", "--mode", "epipolar"], "lambda_px = -1", dict(mode="epipolar", lambda_px=-1.0),
+                     "lambda_px must be finite and > 0, got -1",
+                     id="argv11-lambda_px = -1-lambda_px must be finite and > 0, got -1"),
+        pytest.param(["train", "--mode", "epipolar"], "lambda_px = 0", dict(mode="epipolar", lambda_px=0.0),
+                     "lambda_px must be finite and > 0, got 0",
+                     id="argv12-lambda_px = 0-lambda_px must be finite and > 0, got 0"),
+        pytest.param(["train", "--mode", "epipolar"], "lambda_px = inf", dict(mode="epipolar", lambda_px=math.inf),
+                     "lambda_px must be finite and > 0, got inf",
+                     id="argv13-lambda_px = inf-lambda_px must be finite and > 0, got inf"),
+        pytest.param(["train", "--mode", "epipolar"], "lambda_px = nan", dict(mode="epipolar", lambda_px=math.nan),
+                     "lambda_px must be finite and > 0, got nan",
+                     id="argv14-lambda_px = nan-lambda_px must be finite and > 0, got nan"),
+        pytest.param(["synth", "--seed", "-1"], None, None,
+                     "--seed must be >= 0, got -1",
+                     id="argv15-None---seed must be >= 0, got -1"),
+        pytest.param(["train", "--mode", "epipolar", "--seed", "-3"], None, dict(mode="epipolar", seed=-3),
+                     "seed must be >= 0, got -3",
+                     id="argv16-None-seed must be >= 0, got -3"),
+        pytest.param(["synth", "--width", "0"], None, dict(width=0),
+                     "width must be at least 1, got 0",
+                     id="synth-width-0"),
+        pytest.param(["synth", "--height", "-16"], None, dict(height=-16),
+                     "height must be at least 1, got -16",
+                     id="synth-height-negative"),
+        pytest.param(["synth", "--planes", "0"], None, dict(n_planes=0),
+                     "n_planes must be at least 1, got 0",
+                     id="synth-no-planes"),
+        pytest.param(["synth"], "stride = 0", dict(stride=0),
+                     "stride must be at least 1, got 0",
+                     id="synth-stride-0"),
+        pytest.param(["synth"], "texel_px = 0", dict(texel_px=0.0),
+                     "texel_px must be finite and > 0, got 0",
+                     id="synth-texel-0"),
+        pytest.param(["synth"], "texel_px = inf", dict(texel_px=math.inf),
+                     "texel_px must be finite and > 0, got inf",
+                     id="synth-texel-inf"),
+        pytest.param(["synth"], "texel_px = nan", dict(texel_px=math.nan),
+                     "texel_px must be finite and > 0, got nan",
+                     id="synth-texel-nan"),
     ],
 )
-def test_bad_synth_or_train_setting_is_a_usage_error(tmp_path, scenes, argv, config, message, capsys):
+def test_bad_synth_or_train_setting_is_a_usage_error(tmp_path, scenes, argv, config, setting, message, capsys):
     flags = ["--out", str(tmp_path / "out")]
     if argv[0] == "train":
         flags += ["--dataset", str(scenes[0])]
@@ -248,5 +394,8 @@ def test_bad_synth_or_train_setting_is_a_usage_error(tmp_path, scenes, argv, con
         (tmp_path / "run.cfg").write_text(config + "\n")
         flags += ["--config", str(tmp_path / "run.cfg")]
     assert run_cli(argv + flags) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    if setting is not None:
+        assert _library_error(_config_library, argv[0], setting) in err
     assert not (tmp_path / "out").exists()

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guidematch import ConfigError
 from guidematch import coarse_matcher as cm
 from guidematch import evaluation as ev
 from guidematch import keypoint_matching as km
@@ -122,6 +124,91 @@ class TestMakeMatcher:
         assert calls.count("match_raw") == directions
         assert calls.count("ratio_test") == ratio_tests
         assert calls.count("mutual_check") == mutual_checks
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("work began before every setting was checked")
+
+
+class TestSettingsBeforeWork:
+    """Each entry checks every setting it takes, whether or not the run reads
+    it, before it detects a keypoint or runs the coarse model."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        monkeypatch.setattr(km, "detect_keypoints", _fail_if_called)
+        monkeypatch.setattr(cm, "compute_match_fields", _fail_if_called)
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return cm.CoarseModel.create(0)
+
+    @pytest.fixture(scope="class")
+    def scenes(self):
+        return [generate_scene(SceneConfig(), 0)]
+
+    @pytest.mark.parametrize("variant", ev.POSE_VARIANTS)
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (dict(window_px=0.0), "window_px must be > 0, got 0"),
+            (dict(window_px=math.nan), "window_px must be > 0, got nan"),
+            (dict(band_px=-1.0), "band_px must be > 0, got -1"),
+            (dict(max_side=8), "max_side must be at least the backbone stride 16, got 8"),
+        ],
+    )
+    def test_make_matcher(self, model, variant, setting, message):
+        ratio = 0.9 if variant.startswith("ratio") else None
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ev.make_matcher(variant, model, ratio=ratio, **setting)
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (dict(variant="raw", keypoint_source="gt", max_keypoints=0), "max_keypoints must be an integer >= 1, got 0"),
+            (dict(variant="mutual", max_keypoints=2.5), "max_keypoints must be an integer >= 1, got 2.5"),
+            (dict(variant="mutual", keypoint_source="sift"), "keypoint_source must be one of ('detect', 'gt')"),
+            (dict(variant="raw", max_side=8), "max_side must be at least the backbone stride 16, got 8"),
+            (dict(variant="model-guided", window_px=0.0), "window_px must be > 0, got 0"),
+            (dict(variant="guided", keypoint_noise_px=-1.0), "keypoint_noise_px must be finite and >= 0, got -1"),
+            (dict(variant="mutual", descriptor_corruption=2.0), "descriptor_corruption must be in [0, 1], got 2"),
+            (dict(variant="mutual", seed=-1), "seed must be >= 0, got -1"),
+            (dict(variant="mutual", ransac_thresholds=(1.0, 1.0)), "RANSAC thresholds must differ when formatted"),
+            (dict(variant="mutual", pose_thresholds=(5, 5.0000001)), "pose thresholds must differ when formatted"),
+        ],
+    )
+    def test_eval_pose(self, model, scenes, setting, message):
+        for run_scenes in (scenes, []):  # a bad setting is reported before an empty scene list
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                ev.eval_pose(run_scenes, model=model, **setting)
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (dict(max_side=15), "max_side must be at least the backbone stride 16, got 15"),
+            (dict(thresholds=(8.0, 8.0000001)), "PCK thresholds must differ when formatted with %g, got [8.0, 8.0000001]"),
+        ],
+    )
+    def test_eval_pck(self, model, scenes, setting, message):
+        for run_scenes in (scenes, []):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                ev.eval_pck(model, run_scenes, **setting)
+
+    def test_no_scenes_is_bad_data(self, model):
+        for call in (lambda: ev.eval_pck(model, []), lambda: ev.eval_pose([], "raw")):
+            with pytest.raises(ValueError, match="no scenes to evaluate") as info:
+                call()
+            assert not isinstance(info.value, ConfigError)
+
+
+def test_thresholds_that_print_alike_share_no_auc():
+    # both would be reported as auc_5
+    with pytest.raises(ConfigError, match=re.escape("pose thresholds must differ when formatted with %g, got [5.0, 5.0]")):
+        ev.pose_auc([1.0], (5.0, 5.0))
+
+
+def test_report_cells_write_bools_as_integers():
+    assert [ev._format_cell(v) for v in (True, False, np.int64(3), 7, 0.5)] == ["1", "0", "3", "7", "0.5"]
 
 
 class TestCorruptFeatures:

@@ -11,6 +11,7 @@ from guidematch.geometry import (
     pose_error,
     rotation_from_axis_angle,
 )
+from guidematch import ConfigError
 from guidematch import robust_pose as rp
 from guidematch.geometry.epipolar import rank_two_projection
 
@@ -109,6 +110,11 @@ class TestRansacConfig:
 
     def test_accepts_a_numpy_integer_budget(self):
         assert rp.RansacConfig(max_iters=np.int64(1)).max_iters == 1
+
+    @pytest.mark.parametrize("setting", [dict(threshold=0.0), dict(max_iters=0), dict(confidence=1.0)])
+    def test_a_bad_setting_is_a_config_error(self, setting):
+        with pytest.raises(ConfigError):
+            rp.RansacConfig(**setting)
 
 
 class TestRansacFundamental:
