@@ -11,16 +11,17 @@ and bilinear interpolation of those matches gives pixel-level matches.
 The forward pass is four pure stages, ``extract_features``, ``correlate``,
 ``filter_symmetric`` and ``normalize_scores``; ``compute_volume`` runs them
 and returns one immutable ``CorrelationVolume``, which the supervision
-losses and ``extract_matches`` read. Every stage takes a batch: N pairs
-whose A images share one shape and whose B images share one shape, given
-as (N, H, W) image stacks. Feature maps are (C, N, H/s, W/s) and volumes
+losses and ``extract_matches`` read. ``volume_from_features`` is its part
+after the backbone, for a caller that holds the feature maps already.
+Every stage takes a batch: N pairs whose A images share one shape and whose
+B images share one shape, given as (N, H, W) image stacks. Feature maps are (C, N, H/s, W/s) and volumes
 (N, Ha, Wa, Hb, Wb); each layer runs the whole batch in one call, and a
 pair's scores do not depend on the batch it ran in. Evaluation runs one
 pair, N = 1, through ``compute_match_fields``, and runs it detached: on a
 view of the model whose parameters share its arrays but require no grad,
 so no op records a graph and each hidden volume is freed as soon as the
-next layer has read it. Training runs ``compute_volume`` on the trainable
-model itself.
+next layer has read it. Training runs ``extract_features`` and
+``volume_from_features`` on the trainable model itself.
 """
 
 from __future__ import annotations
@@ -414,13 +415,21 @@ class CoarseModel:
         return cls(Backbone(channels, params), ConsensusFilter(hidden, params))
 
 
-def compute_volume(model: CoarseModel, images_a: np.ndarray, images_b: np.ndarray) -> CorrelationVolume:
-    """Full forward pass of (N, H, W) image stacks, pair n being
-    (images_a[n], images_b[n]): features, correlation, symmetric filter, softmax."""
-    fa = extract_features(model.backbone, images_a)
-    fb = extract_features(model.backbone, images_b)
+def volume_from_features(model: CoarseModel, fa: Tensor, fb: Tensor) -> CorrelationVolume:
+    """The forward pass after the backbone: correlation, symmetric filter and
+    softmax of (C, N, Ha, Wa) and (C, N, Hb, Wb) feature maps of
+    ``extract_features``, pair n being (fa[:, n], fb[:, n])."""
     filtered = filter_symmetric(model.cons_filter, correlate(fa, fb))
     return CorrelationVolume(filtered, *normalize_scores(filtered), model.stride)
+
+
+def compute_volume(model: CoarseModel, images_a: np.ndarray, images_b: np.ndarray) -> CorrelationVolume:
+    """Full forward pass of (N, H, W) image stacks, pair n being
+    (images_a[n], images_b[n]): ``extract_features`` of each stack, then
+    ``volume_from_features``."""
+    return volume_from_features(
+        model, extract_features(model.backbone, images_a), extract_features(model.backbone, images_b)
+    )
 
 
 def _detached(model: CoarseModel) -> CoarseModel:

@@ -42,6 +42,8 @@ _TEXTURE_LOW = 0.1  # texture intensity range
 _TEXTURE_HIGH = 0.9
 _TEXTURE_BLUR_PASSES = 2  # 3x3 box blurs of the texture noise
 _MIN_COMMON_POINTS = 30  # ground-truth points visible in both views, else retry
+# generate_scene samples twice n_gt_points points, so fewer never reach _MIN_COMMON_POINTS
+_MIN_GT_POINTS = math.ceil(_MIN_COMMON_POINTS / 2)
 _MAX_RETRIES = 20
 
 
@@ -73,6 +75,10 @@ class SceneConfig:
             raise ConfigError(f"texel_px must be finite and > 0, got {self.texel_px:g}")
         if self.repeated_stamps < 0:
             raise ConfigError(f"repeated_stamps must be >= 0, got {self.repeated_stamps}")
+        if not 0 <= self.tilt_max < math.inf:
+            raise ConfigError(f"tilt_max must be finite and >= 0, got {self.tilt_max:g}")
+        if self.n_gt_points < _MIN_GT_POINTS:
+            raise ConfigError(f"n_gt_points must be at least {_MIN_GT_POINTS}, got {self.n_gt_points}")
 
 
 @dataclass

@@ -235,7 +235,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, zero_pad: i
     not, since a sample whose output is one cell alone takes the
     matrix-vector routine, which rounds differently. So sample n's output
     and input gradient do not depend on N. The kernel gradient sums over
-    the batch inside one GEMM per tap.
+    the batch in one stacked product: the (C_out, N*H'*W') output gradient
+    times the kh*kw tap slabs gathered into one (kh*kw, N*H'*W', C_in)
+    array, which numpy runs as one GEMM per tap.
     """
     if x.ndim != 4:
         raise ValueError(f"conv2d input must be 4-d (C,N,H,W), got shape {x.shape}")
@@ -283,7 +285,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, zero_pad: i
         need_x = x.requires_grad
         if not (need_k or need_x):
             return
-        gk = np.zeros_like(kd) if need_k else None
+        if need_k:
+            xpt = xp.transpose(1, 2, 3, 0)
+            tap_slabs = np.empty((kh, kw, n, ho, wo, c_in))
         if need_x:
             gn = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(n, c_out, ho * wo)
             taps_t = np.ascontiguousarray(kd.transpose(2, 3, 1, 0))  # (kh, kw, C_in, C_out)
@@ -293,11 +297,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, zero_pad: i
             for dx in range(kw):
                 xs = _tap_slice(dx, wo, stride)
                 if need_k:
-                    gk[:, :, dy, dx] = np.tensordot(g, xp[:, :, ys, xs], axes=([1, 2, 3], [1, 2, 3]))
+                    tap_slabs[dy, dx] = xpt[:, ys, xs]
                 if need_x:
                     gpn[:, :, ys, xs] += _per_sample_product(taps_t[dy, dx], gn).reshape(n, c_in, ho, wo)
         if need_k:
-            kernel._acc(gk)
+            g2 = np.ascontiguousarray(g).reshape(c_out, n * ho * wo)
+            gk = np.matmul(g2, tap_slabs.reshape(kh * kw, n * ho * wo, c_in))
+            kernel._acc(gk.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1))
         if need_x:
             gp = gpn.transpose(1, 0, 2, 3)
             x._acc(gp[:, :, p : p + h, p : p + w] if p else gp)

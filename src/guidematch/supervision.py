@@ -219,8 +219,34 @@ def _group_loss(vol: cm.CorrelationVolume, targets, mode: str, lambda_px: float)
     return loss_points(vol, targets)
 
 
+# id(image) -> (image, its (C, 1, h, w) features); holding the image keeps its id from being reused
+FeatureMap = dict[int, tuple[np.ndarray, np.ndarray]]
+
+
+def _add_features(backbone: cm.Backbone, images: list[np.ndarray], feature_map: FeatureMap) -> None:
+    """Add the features of the images ``feature_map`` lacks: one batched
+    ``cm.extract_features`` call per image shape, each image once."""
+    misses: dict[tuple, dict[int, np.ndarray]] = {}
+    for image in images:
+        if id(image) not in feature_map:
+            misses.setdefault(image.shape, {})[id(image)] = image
+    for same_shape in misses.values():
+        features = cm.extract_features(backbone, np.stack(list(same_shape.values()))).data
+        for n, (key, image) in enumerate(same_shape.items()):
+            feature_map[key] = (image, features[:, n : n + 1])
+
+
+def _stacked_features(images: list[np.ndarray], feature_map: FeatureMap) -> Tensor:
+    """The (C, N, h, w) features of same-shape ``images``, read from ``feature_map``."""
+    return Tensor(np.concatenate([feature_map[id(image)][1] for image in images], axis=1))
+
+
 def total_loss(
-    model: cm.CoarseModel, pairs: list[TrainingPair], mode: str, lambda_px: float
+    model: cm.CoarseModel,
+    pairs: list[TrainingPair],
+    mode: str,
+    lambda_px: float,
+    feature_map: FeatureMap | None = None,
 ) -> tuple[Tensor, float]:
     """Summed loss of a batch and its per-pair mean for reporting.
 
@@ -229,19 +255,34 @@ def total_loss(
     image size gives one group. The sum over groups follows the order in
     which each group's first pair appears. Every pair's supervision is
     checked before the first forward pass.
+
+    ``feature_map``, for a frozen backbone only, keeps each image's features
+    across calls: the batch's images it lacks go through the backbone
+    (``_add_features``), and every group's feature stacks are read from it.
+    Without one, each group's two image stacks go through the backbone.
     """
     if not pairs:
         raise ValueError("empty batch")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    if feature_map is not None and not model.backbone.frozen:
+        raise ValueError("a feature map holds a frozen backbone's features; this backbone is not frozen")
     groups: dict[tuple, list[TrainingPair]] = {}
     for pair in pairs:
         groups.setdefault((pair.image_a.shape, pair.image_b.shape), []).append(pair)
     targets = [_group_targets(group, mode, model.stride) for group in groups.values()]
+    if feature_map is not None:
+        _add_features(model.backbone, [image for p in pairs for image in (p.image_a, p.image_b)], feature_map)
+
+    def features(images: list[np.ndarray]) -> Tensor:
+        if feature_map is None:
+            return cm.extract_features(model.backbone, np.stack(images))
+        return _stacked_features(images, feature_map)
+
     total = None
     for group, target in zip(groups.values(), targets):
-        vol = cm.compute_volume(model, np.stack([p.image_a for p in group]), np.stack([p.image_b for p in group]))
-        loss = _group_loss(vol, target, mode, lambda_px)
+        fa, fb = features([p.image_a for p in group]), features([p.image_b for p in group])
+        loss = _group_loss(cm.volume_from_features(model, fa, fb), target, mode, lambda_px)
         total = loss if total is None else total + loss
     return total, float(total.data) / len(pairs)
 
@@ -339,6 +380,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name):g}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.checkpoint_every < 0:  # 0 writes no snapshots
+            raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.batch_size * self.positive_fraction % 1:
@@ -359,6 +402,16 @@ def train(config: TrainConfig) -> Path:
 
     The consensus filter trains from the start at ``lr``; the backbone stays
     frozen for ``freeze_steps`` steps and then fine-tunes at ``lr_finetune``.
+    While it is frozen, each dataset image goes through the backbone once:
+    the step that first draws it adds its features to a ``total_loss``
+    feature map, which later steps read. The map is dropped at the step
+    where the backbone unfreezes; from then on every step runs the backbone
+    on its whole batch. The reuse is exact: a frozen backbone's features
+    record no graph, and a sample's features do not depend on the batch it
+    ran in (``numerics.conv2d`` runs one product per sample, and
+    ``numerics.l2_normalize_channels`` sums channels in one order), so the
+    losses, the loss curve and every checkpoint are the same bits as with
+    the backbone run on every batch.
     Emits ``checkpoint_final.gmck``, whose path it returns, periodic
     snapshots, and a ``loss_curve.csv`` (step, loss, mode) under
     ``out_dir``; fully deterministic for a fixed seed. ``out_dir`` is made
@@ -387,11 +440,13 @@ def train(config: TrainConfig) -> Path:
         lines += [f"{step},{loss!r},{config.mode}" for step, loss in curve]
         (out_dir / "loss_curve.csv").write_text("\n".join(lines) + "\n")
 
+    feature_map: FeatureMap | None = {}
     for step in range(1, config.iterations + 1):
         if model.backbone.frozen and step > config.freeze_steps:
             model.backbone.frozen = False
+            feature_map = None
         batch = sampler.next_batch()
-        loss, mean_loss = total_loss(model, batch, config.mode, config.lambda_px)
+        loss, mean_loss = total_loss(model, batch, config.mode, config.lambda_px, feature_map)
         if not np.isfinite(mean_loss):
             model.save(final_path)
             write_curve()

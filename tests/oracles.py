@@ -1,16 +1,24 @@
 """Brute-force reference implementations used to verify the fast paths.
 
 Everything here is plain python loops or direct formula evaluation and must
-stay independent of the library code it checks.
+stay independent of the library code it checks. ``train_reference`` is the
+one exception: it drives the library's losses and optimizer, and checks only
+how ``train`` feeds them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import gaussian_filter, maximum_filter
+
+from guidematch import coarse_matcher as cm
+from guidematch import supervision as sup
+from guidematch.geometry.scene import load_scene_dir
+from guidematch.numerics import AdamState, adam_step
 
 
 def conv2d_loops(x, kernel, bias, stride=1, pad=0):
@@ -30,6 +38,21 @@ def conv2d_loops(x, kernel, bias, stride=1, pad=0):
                             acc += kernel[o, c, dy, dx] * xp[c, i * stride + dy, j * stride + dx]
                 out[o, i, j] = acc
     return out
+
+
+def conv2d_kernel_grad_taps(x, g, kh, kw, stride=1, pad=0):
+    """The kernel gradient of a conv2d of (C_in, N, H, W) ``x`` with output
+    gradient ``g``, one ``tensordot`` per tap."""
+    c_in = x.shape[0]
+    c_out, _, ho, wo = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gk = np.zeros((c_out, c_in, kh, kw))
+    for dy in range(kh):
+        ys = slice(dy, dy + stride * (ho - 1) + 1, stride)
+        for dx in range(kw):
+            xs = slice(dx, dx + stride * (wo - 1) + 1, stride)
+            gk[:, :, dy, dx] = np.tensordot(g, xp[:, :, ys, xs], axes=([1, 2, 3], [1, 2, 3]))
+    return gk
 
 
 def conv4d_loops(x, kernel, bias):
@@ -571,3 +594,33 @@ def triangulate_reference(r, t, na, nb):
         h = np.linalg.svd(rows)[2][-1]
         out[i] = np.inf if abs(h[3]) < 1e-15 else h[:3] / h[3]
     return out
+
+
+def train_reference(config):
+    """``supervision.train`` without the frozen-phase feature map: every step
+    runs the backbone on its whole batch. Writes the final checkpoint,
+    the snapshots and the loss curve as ``train`` does, and returns the final
+    checkpoint's path; a run that diverges is not covered."""
+    model = cm.CoarseModel.create(config.seed, frozen_backbone=True)
+    dataset = sup.PairDataset.from_scenes(load_scene_dir(config.dataset_dir), config.max_side, model.stride)
+    sampler = sup.BatchSampler(dataset, config.batch_size, config.seed, config.positive_fraction)
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    filter_opt, backbone_opt = AdamState(lr=config.lr), AdamState(lr=config.lr_finetune)
+    lines = ["step,loss,mode"]
+    for step in range(1, config.iterations + 1):
+        if step > config.freeze_steps:
+            model.backbone.frozen = False
+        loss, mean_loss = sup.total_loss(model, sampler.next_batch(), config.mode, config.lambda_px)
+        loss.backward()
+        params = model.cons_filter.parameters()
+        adam_step(filter_opt, params, [p.grad for p in params])
+        if not model.backbone.frozen:
+            params = model.backbone.parameters()
+            adam_step(backbone_opt, params, [p.grad for p in params])
+        lines.append(f"{step},{mean_loss!r},{config.mode}")
+        if config.checkpoint_every and step % config.checkpoint_every == 0 and step < config.iterations:
+            model.save(out_dir / f"checkpoint_{step:06d}.gmck")
+    model.save(out_dir / "checkpoint_final.gmck")
+    (out_dir / "loss_curve.csv").write_text("\n".join(lines) + "\n")
+    return out_dir / "checkpoint_final.gmck"

@@ -384,6 +384,18 @@ def _config_library(command, setting):
         pytest.param(["synth"], "texel_px = nan", dict(texel_px=math.nan),
                      "texel_px must be finite and > 0, got nan",
                      id="synth-texel-nan"),
+        pytest.param(["synth"], "n_gt_points = 0", dict(n_gt_points=0),
+                     "n_gt_points must be at least 15, got 0",
+                     id="synth-no-gt-points"),
+        pytest.param(["synth"], "tilt_max = nan", dict(tilt_max=math.nan),
+                     "tilt_max must be finite and >= 0, got nan",
+                     id="synth-tilt-nan"),
+        pytest.param(["synth"], "tilt_max = -0.5", dict(tilt_max=-0.5),
+                     "tilt_max must be finite and >= 0, got -0.5",
+                     id="synth-tilt-negative"),
+        pytest.param(["train", "--mode", "epipolar"], "checkpoint_every = -1", dict(mode="epipolar", checkpoint_every=-1),
+                     "checkpoint_every must be >= 0, got -1",
+                     id="train-checkpoint-every-negative"),
     ],
 )
 def test_bad_synth_or_train_setting_is_a_usage_error(tmp_path, scenes, argv, config, setting, message, capsys):

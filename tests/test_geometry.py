@@ -372,6 +372,11 @@ class TestLoadConfig:
         [
             ("width = 100\n", {}, "image size 100x64 must be a multiple of stride 16"),
             ("", {"repeated_stamps": -1}, "repeated_stamps must be >= 0, got -1"),
+            ("n_gt_points = 0\n", {}, "n_gt_points must be at least 15, got 0"),
+            ("n_gt_points = 14\n", {}, "n_gt_points must be at least 15, got 14"),
+            ("tilt_max = nan\n", {}, "tilt_max must be finite and >= 0, got nan"),
+            ("tilt_max = inf\n", {}, "tilt_max must be finite and >= 0, got inf"),
+            ("tilt_max = -0.1\n", {}, "tilt_max must be finite and >= 0, got -0.1"),
         ],
     )
     def test_value_the_dataclass_rejects_is_a_config_error(self, tmp_path, text, flags, message):
@@ -379,6 +384,10 @@ class TestLoadConfig:
         path.write_text(text)
         with pytest.raises(ConfigError, match=message):
             load_config(path, SceneConfig, **flags)
+
+    def test_fewest_points_and_untilted_planes_are_accepted(self):
+        # the fewest points that can reach the 30 common points a scene needs: 15 sample 30 candidates
+        SceneConfig(n_gt_points=15, tilt_max=0.0)
 
 
 class TestSceneArchive:

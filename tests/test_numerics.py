@@ -64,6 +64,21 @@ class TestConv2d:
         assert out.data.shape == ref.shape
         assert np.max(np.abs(out.data - ref)) < 1e-12
 
+    @pytest.mark.parametrize("stride, pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("c_in", [1, 8, 32])
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_kernel_gradient_equals_the_per_tap_oracle(self, stride, pad, c_in, n):
+        rng = np.random.default_rng(100 * c_in + 10 * n + 2 * stride + pad)
+        # a map of several output cells, then one whose output is one cell
+        for h, w in ((9, 10), (3 - 2 * pad, 3 - 2 * pad)):
+            x = rng.standard_normal((c_in, n, h, w))
+            k = parameter(rng.standard_normal((6, c_in, 3, 3)), "k")
+            out = conv2d(Tensor(x), k, Tensor(np.zeros(6)), stride=stride, zero_pad=pad)
+            g = rng.standard_normal(out.shape)
+            (out * g).sum().backward()
+            ref = oracles.conv2d_kernel_grad_taps(x, g, 3, 3, stride=stride, pad=pad)
+            assert np.array_equal(k.grad.view(np.uint64), ref.view(np.uint64)), out.shape
+
     def test_channel_mismatch_names_dimension(self):
         x = Tensor(np.zeros((3, 1, 4, 4)))
         k = Tensor(np.zeros((1, 2, 3, 3)))

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -277,9 +278,18 @@ class TestTotalLossAndBatching:
         def no_forward(*args):
             raise AssertionError("forward pass before the checks")
 
-        monkeypatch.setattr(cm, "compute_volume", no_forward)
+        monkeypatch.setattr(cm, "extract_features", no_forward)
+        model = tiny_model()
         with pytest.raises(ValueError, match=message):
-            sup.total_loss(tiny_model(), [good, bad], mode, 16.0)
+            sup.total_loss(model, [good, bad], mode, 16.0)
+        model.backbone.frozen = True  # a feature map's backbone work waits for the checks too
+        with pytest.raises(ValueError, match=message):
+            sup.total_loss(model, [good, bad], mode, 16.0, {})
+
+    def test_feature_map_needs_a_frozen_backbone(self):
+        pair = make_pairs(2).positives[0]
+        with pytest.raises(ValueError, match="not frozen"):
+            sup.total_loss(tiny_model(), [pair], "epipolar", 16.0, {})
 
     @pytest.mark.parametrize("half", ["fundamental", "gt_matches"])
     def test_pair_rejects_half_a_payload(self, half):
@@ -352,6 +362,30 @@ class TestTotalLossAndBatching:
         ds = make_pairs(4)
         with pytest.raises(ValueError, match=message):
             sup.BatchSampler(sup.PairDataset(ds.positives[:n_pos], ds.negatives[:n_neg]), 8, seed=0)
+
+
+class TestFeatureMap:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        shape=st.sampled_from([(64, 64), (96, 128)]),
+        steps=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=8), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacks_equal_one_batched_call(self, shape, steps, seed):
+        # each step draws dataset images in any order, with repeats, and finds
+        # some of them in the map already
+        rng = np.random.default_rng(seed)
+        backbone = cm.CoarseModel.create(seed % 1000, frozen_backbone=True).backbone
+        images = list(rng.random((6, *shape)))
+        feature_map = {}
+        for picks in steps:
+            batch = [images[i] for i in picks]
+            sup._add_features(backbone, batch, feature_map)
+            stacked = sup._stacked_features(batch, feature_map)
+            direct = cm.extract_features(backbone, np.stack(batch))
+            assert stacked.shape == direct.shape and not stacked.requires_grad
+            assert np.array_equal(stacked.data.view(np.uint64), direct.data.view(np.uint64))
+        assert len(feature_map) == len({i for picks in steps for i in picks})
 
 
 def _blank_pairs(n, positive):
@@ -477,6 +511,42 @@ class TestTraining:
             outputs.append([(out / name).read_bytes() for name in ("checkpoint_final.gmck", "loss_curve.csv")])
         assert outputs[0] == outputs[1]
 
+    def test_frozen_steps_run_each_image_through_the_backbone_once(self, tmp_path, monkeypatch):
+        freeze = 3
+        config = self._config(tmp_path, iterations=2 * freeze, freeze_steps=freeze, batch_size=4, checkpoint_every=2)
+        batches, calls = [], []  # each step's pairs; (step, images) of each extract_features call
+        next_batch, extract_features = sup.BatchSampler.next_batch, cm.extract_features
+
+        def spy_batch(sampler):
+            batches.append(next_batch(sampler))
+            return batches[-1]
+
+        def spy_features(backbone, images):
+            calls.append((len(batches), images.copy()))
+            return extract_features(backbone, images)
+
+        monkeypatch.setattr(sup.BatchSampler, "next_batch", spy_batch)
+        monkeypatch.setattr(cm, "extract_features", spy_features)
+        final = sup.train(config)
+        monkeypatch.undo()
+
+        frozen = [image.tobytes() for step, images in calls if step <= freeze for image in images]
+        assert len(frozen) == len(set(frozen))  # each dataset image at most once
+        assert all(sum(s == step for s, _ in calls) <= 1 for step in range(1, freeze + 1))  # one batched call
+        drawn = {im.tobytes() for batch in batches[:freeze] for p in batch for im in (p.image_a, p.image_b)}
+        assert set(frozen) == drawn
+        for step in range(freeze + 1, config.iterations + 1):
+            batch = batches[step - 1]
+            seen = [images for s, images in calls if s == step]
+            assert len(seen) == 2, step
+            assert np.array_equal(seen[0], np.stack([p.image_a for p in batch]))
+            assert np.array_equal(seen[1], np.stack([p.image_b for p in batch]))
+
+        reference = oracles.train_reference(dataclasses.replace(config, out_dir=str(tmp_path / "reference")))
+        names = ["loss_curve.csv", "checkpoint_000002.gmck", "checkpoint_000004.gmck", final.name]
+        for name in names:
+            assert (final.parent / name).read_bytes() == (reference.parent / name).read_bytes(), name
+
     def test_config_file_roundtrip(self, tmp_path):
         text = "mode = point\niterations = 7\nlr = 0.01\nlambda_px = 8\nseed = 3\n"
         cfg_path = tmp_path / "c.txt"
@@ -510,10 +580,11 @@ class TestTraining:
             ({"iterations": -3}, "iterations must be at least 1, got -3"),
             ({"lr_finetune": float("inf")}, "lr_finetune must be finite and >= 0, got inf"),
             ({"lr_finetune": -1e-3}, "lr_finetune must be finite and >= 0, got -0.001"),
+            ({"checkpoint_every": -1}, "checkpoint_every must be >= 0, got -1"),
         ],
     )
     def test_settings_that_cannot_train_are_rejected(self, setting, message):
-        # the CLI test covers --iterations 0 and --lr nan / -1; lr_finetune has no flag
+        # the CLI test covers --iterations 0, --lr nan / -1 and checkpoint_every = -1; lr_finetune has no flag
         with pytest.raises(ValueError, match=message):
             sup.TrainConfig(mode="epipolar", dataset_dir="d", out_dir="o", **setting)
 
