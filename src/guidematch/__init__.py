@@ -20,3 +20,9 @@ def check_count(value, name: str) -> None:
     """The rule on a count setting: a ``ConfigError`` unless ``value`` is an integer >= 1 (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def check_seed(value, name: str) -> None:
+    """The rule on a seed setting: a ``ConfigError`` unless ``value`` is an integer >= 0 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")

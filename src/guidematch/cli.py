@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from guidematch import ConfigError
+from guidematch import ConfigError, check_seed
 from guidematch import coarse_matcher as cm
 from guidematch import evaluation as ev
 from guidematch import keypoint_matching as km
@@ -121,8 +121,7 @@ def _cmd_synth(args) -> int:
     out = _require_out(args)
     if args.scenes < 1:
         raise ConfigError(f"--scenes must be at least 1, got {args.scenes}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    check_seed(args.seed, "--seed")
     config = load_config(
         args.config, SceneConfig,
         width=args.width, height=args.height, n_planes=args.planes, repeated_stamps=args.repeated,

@@ -38,8 +38,6 @@ from guidematch import ConfigError, numerics
 from guidematch.imageops import bilinear_sample, resize_bilinear
 from guidematch.numerics import Tensor
 
-LEAKY_SLOPE = 0.1
-NORM_EPS = 1e-8
 # default longest image side, in pixels, at which evaluation runs the model
 EVAL_MAX_SIDE = 497
 # the default architecture, the one training builds: backbone widths (total
@@ -121,7 +119,7 @@ class Backbone:
         """(N, H, W) images to a (C, N, H/s, W/s) feature map, one conv2d call per block."""
         x = Tensor(images[None])
         for w, b in zip(self.weights, self.biases):
-            x = numerics.leaky_relu(numerics.conv2d(x, w, b, stride=2, zero_pad=1), LEAKY_SLOPE)
+            x = numerics.leaky_relu(numerics.conv2d(x, w, b))
         return x
 
 
@@ -165,7 +163,7 @@ class ConsensusFilter:
         shape = volume.shape
         x = volume.reshape((1, *shape))
         for w, b in zip(self.weights[:-1], self.biases):
-            x = numerics.leaky_relu(numerics.conv4d(x, w, b, scratch=scratch), LEAKY_SLOPE)
+            x = numerics.leaky_relu(numerics.conv4d(x, w, b, scratch=scratch))
         return numerics.conv4d(x, self.weights[-1], self.output_bias, scratch=scratch).reshape(shape)
 
 
@@ -247,7 +245,7 @@ def extract_features(backbone: Backbone, images: np.ndarray) -> Tensor:
             f"image size {h}x{w} is not a multiple of the backbone stride {s}; "
             "resize it first (see resize_image)"
         )
-    return numerics.l2_normalize_channels(backbone.forward(images), NORM_EPS)
+    return numerics.l2_normalize_channels(backbone.forward(images))
 
 
 def correlate(fa: Tensor, fb: Tensor) -> Tensor:
@@ -407,8 +405,13 @@ class CoarseModel:
     @classmethod
     def load(cls, path) -> "CoarseModel":
         arrays = numerics.load_checkpoint(path)
-        channels = tuple(int(c) for c in arrays["meta/backbone_channels"])
-        hidden = tuple(int(h) for h in arrays["meta/filter_hidden"])
+
+        def widths(key: str) -> tuple[int, ...]:
+            if key not in arrays:
+                raise ValueError(f"{path}: checkpoint missing meta array {key!r}")
+            return tuple(int(c) for c in arrays[key])
+
+        channels, hidden = widths("meta/backbone_channels"), widths("meta/filter_hidden")
         # checkpoints written before the output bias became a constant carry
         # it as filter/<last>/bias; like any array the model lacks, it is ignored
         params = _checkpoint_source(arrays)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from guidematch import ConfigError, check_count
+from guidematch import ConfigError, check_count, check_seed
 from guidematch import coarse_matcher as cm
 from guidematch import keypoint_matching as km
 from guidematch import robust_pose as rp
@@ -305,8 +305,7 @@ def eval_pose(
         raise ConfigError(f"keypoint_noise_px must be finite and >= 0, got {keypoint_noise_px:g}")
     if not 0 <= descriptor_corruption <= 1:
         raise ConfigError(f"descriptor_corruption must be in [0, 1], got {descriptor_corruption:g}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_seed(seed, "seed")
     ransac_thresholds = _thresholds(ransac_thresholds, "RANSAC thresholds")
     pose_thresholds = _thresholds(pose_thresholds, "pose thresholds")
     if not scenes:

@@ -53,7 +53,6 @@ class SceneConfig:
 
     width: int = 64
     height: int = 64
-    stride: int = 16  # image sides must be multiples of this
     # one backdrop plus n-1 foreground rectangles; a mostly-planar point set
     # is near-degenerate for linear two-view estimation, so keep some depth
     n_planes: int = 4
@@ -66,15 +65,21 @@ class SceneConfig:
     n_gt_points: int = 60
 
     def __post_init__(self):
-        for name in ("width", "height", "stride", "n_planes"):
+        for name in ("width", "height", "n_planes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.width % self.stride or self.height % self.stride:
-            raise ConfigError(f"image size {self.width}x{self.height} must be a multiple of stride {self.stride}")
         if not 0 < self.texel_px < math.inf:
             raise ConfigError(f"texel_px must be finite and > 0, got {self.texel_px:g}")
         if self.repeated_stamps < 0:
             raise ConfigError(f"repeated_stamps must be >= 0, got {self.repeated_stamps}")
+        # _paste_stamps draws each stamp centre at least stamp_px inside the image
+        if self.repeated_stamps and not 1 <= self.stamp_px <= min(self.width, self.height) // 2:
+            raise ConfigError(
+                f"stamp_px must be in [1, {min(self.width, self.height) // 2}] for a "
+                f"{self.width}x{self.height} image with repeated stamps, got {self.stamp_px}"
+            )
+        if not math.isfinite(self.background_amplitude):
+            raise ConfigError(f"background_amplitude must be finite, got {self.background_amplitude:g}")
         if not 0 <= self.tilt_max < math.inf:
             raise ConfigError(f"tilt_max must be finite and >= 0, got {self.tilt_max:g}")
         if self.n_gt_points < _MIN_GT_POINTS:
@@ -537,9 +542,16 @@ def load_scene(directory) -> SyntheticScene:
         if any(len(row) != 4 for row in rows):
             raise ValueError("every row needs the 4 values xA,yA,xB,yB")
         gt = np.array([[float(v) for v in row] for row in rows]).reshape(-1, 4)
-    return SyntheticScene(
-        cams["a"], cams["b"], read_pgm(d / "imageA.pgm"), read_pgm(d / "imageB.pgm"), gt, seed, planes=None
-    )
+    images = {}
+    for tag in ("a", "b"):
+        path = d / f"image{tag.upper()}.pgm"
+        images[tag] = read_pgm(path)
+        h, w = images[tag].shape
+        if (w, h) != (cams[tag].width, cams[tag].height):
+            raise ValueError(
+                f"{path}: image is {w}x{h}, but meta.txt gives camera {tag} {cams[tag].width}x{cams[tag].height}"
+            )
+    return SyntheticScene(cams["a"], cams["b"], images["a"], images["b"], gt, seed, planes=None)
 
 
 def load_scene_dir(root) -> list[SyntheticScene]:

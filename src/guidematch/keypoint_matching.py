@@ -338,9 +338,10 @@ def ratio_test(ms: MatchSet, ratio: float) -> MatchSet:
     return MatchSet(ms.index_a[idx], ms.index_b[idx], ms.distance[idx], ms.second_distance[idx])
 
 
-def _top_scale_indices(kps: KeypointSet, fraction: float = 0.2) -> np.ndarray:
-    """The largest-scale keypoints, stronger response first within a scale, ties to the lowest index."""
-    k = max(8, math.ceil(fraction * len(kps)))
+def _top_scale_indices(kps: KeypointSet) -> np.ndarray:
+    """The largest-scale fifth of the keypoints, at least 8, stronger response
+    first within a scale, ties to the lowest index."""
+    k = max(8, math.ceil(0.2 * len(kps)))
     return np.lexsort((-kps.response, -kps.scale))[:k]
 
 
@@ -349,13 +350,10 @@ def _band_distances(F: FundamentalMatrix | np.ndarray, xy_a: np.ndarray, xy_b: n
 
     They equal ``epipolar_distances`` of every (A, B) pair bit for bit, with
     each A point's line computed once: a row of a matrix product does not
-    depend on the other rows, except that a one-row product takes another
-    BLAS path, so a single A point is doubled when the all-pairs call would
-    have had several rows.
+    depend on the other rows, given two or more (``match_model_guided``
+    passes at least 8); a one-row product takes another BLAS path.
     """
-    n_a, n_b = len(xy_a), len(xy_b)
-    lines = epipolar_lines(F, np.repeat(xy_a, 2, axis=0) if n_a == 1 and n_b > 1 else xy_a)[:n_a]
-    return line_distances(lines[:, None], xy_b)
+    return line_distances(epipolar_lines(F, xy_a)[:, None], xy_b)
 
 
 def match_epipolar_band(

@@ -1,7 +1,11 @@
 """Dense float64 tensor arithmetic with reverse-mode gradients plus Adam.
 
 Only the primitives the coarse matcher and its losses need are provided;
-this is deliberately not a general-purpose autodiff library. It has no
+this is deliberately not a general-purpose autodiff library. Each takes
+only what a caller varies: ``conv2d`` is the backbone's one convolution
+(3x3, stride 2, zero padding 1), as ``conv4d`` is the filter's (3^4,
+stride 1, zero padding 1); ``leaky_relu``'s slope, the normalization's
+epsilon and Adam's betas and epsilon are module constants. It has no
 global switches or test hooks; callers check finiteness (see ``tensor``).
 """
 

@@ -8,15 +8,16 @@ import numpy as np
 
 from guidematch.numerics.tensor import Tensor
 
+BETA1 = 0.9  # decay of the first-moment estimate
+BETA2 = 0.999  # decay of the second-moment estimate
+EPS = 1e-8  # added to the root of the second moment
+
 
 @dataclass
 class AdamState:
     """Optimizer state for one parameter group; moments keyed by parameter name."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -39,15 +40,15 @@ def adam_step(state: AdamState, params: list[Tensor], grads: list[np.ndarray]) -
 
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     for p, g in zip(params, grads):
         m = state.m.setdefault(p.name, np.zeros_like(p.data))
         v = state.v.setdefault(p.name, np.zeros_like(p.data))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         m_hat = m / c1
         v_hat = v / c2
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + EPS)

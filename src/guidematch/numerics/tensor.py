@@ -17,6 +17,9 @@ import math
 
 import numpy as np
 
+LEAKY_SLOPE = 0.1  # leaky_relu's slope below zero
+NORM_EPS = 1e-8  # l2_normalize_channels' smallest divisor
+
 
 def _as_array(data) -> np.ndarray:
     # np.ascontiguousarray would promote 0-d scalars to 1-d; this keeps them.
@@ -43,10 +46,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -204,8 +203,8 @@ def _topological_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _tap_slice(offset: int, count: int, stride: int) -> slice:
-    return slice(offset, offset + stride * (count - 1) + 1, stride)
+def _tap_slice(offset: int, count: int) -> slice:
+    return slice(offset, offset + 2 * (count - 1) + 1, 2)
 
 
 # -- convolution -----------------------------------------------------------
@@ -224,11 +223,12 @@ def _per_sample_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b)
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, zero_pad: int = 0) -> Tensor:
-    """Cross-correlate a (C_in, N, H, W) stack of N maps with a (C_out, C_in, kh, kw) kernel.
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """Cross-correlate a (C_in, N, H, W) stack of N maps with a (C_out, C_in, 3, 3) kernel.
 
-    Zero padding, square stride; kernel spatial dims must be odd. Output is
-    (C_out, N, H', W') with H' = floor((H + 2*pad - kh) / stride) + 1.
+    The backbone's one convolution, as ``conv4d`` is the filter's: fixed
+    zero padding 1 and stride 2, so the output is (C_out, N, H', W') with
+    H' = floor((H - 1) / 2) + 1.
     Each tap multiplies the (C_out, C_in) tap matrix with every sample's
     (C_in, H'*W') slab in one call (``_per_sample_product``), so each sample
     gets the BLAS call it would get alone; one GEMM over all samples would
@@ -236,18 +236,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, zero_pad: i
     matrix-vector routine, which rounds differently. So sample n's output
     and input gradient do not depend on N. The kernel gradient sums over
     the batch in one stacked product: the (C_out, N*H'*W') output gradient
-    times the kh*kw tap slabs gathered into one (kh*kw, N*H'*W', C_in)
+    times the nine tap slabs gathered into one (9, N*H'*W', C_in)
     array, which numpy runs as one GEMM per tap.
     """
     if x.ndim != 4:
         raise ValueError(f"conv2d input must be 4-d (C,N,H,W), got shape {x.shape}")
-    if kernel.ndim != 4:
-        raise ValueError(f"conv2d kernel must be 4-d, got shape {kernel.shape}")
-    c_out, c_in, kh, kw = kernel.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError(f"conv2d kernel spatial dims must be odd, got {kh}x{kw}")
-    if stride < 1:
-        raise ValueError(f"conv2d stride must be >= 1, got {stride}")
+    if kernel.ndim != 4 or kernel.shape[2:] != (3, 3):
+        raise ValueError(f"conv2d kernel must be (C_out,C_in,3,3), got shape {kernel.shape}")
+    c_out, c_in = kernel.shape[:2]
     if x.shape[0] != c_in:
         raise ValueError(
             f"conv2d channel mismatch: input has {x.shape[0]} channels, kernel expects {c_in}"
@@ -255,23 +251,19 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, zero_pad: i
     if bias.shape != (c_out,):
         raise ValueError(f"conv2d bias must have shape ({c_out},), got {bias.shape}")
     _, n, h, w = x.shape
-    p = int(zero_pad)
-    ho = (h + 2 * p - kh) // stride + 1
-    wo = (w + 2 * p - kw) // stride + 1
-    if ho < 1 or wo < 1:
-        raise ValueError(f"conv2d kernel {kh}x{kw} larger than padded input {h + 2 * p}x{w + 2 * p}")
+    ho, wo = (h - 1) // 2 + 1, (w - 1) // 2 + 1
 
     # sample-major views: (N, C, ...) slabs feed the stacked products
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
     xpn = xp.transpose(1, 0, 2, 3)
     kd = kernel.data
-    taps = np.ascontiguousarray(kd.transpose(2, 3, 0, 1))  # (kh, kw, C_out, C_in)
+    taps = np.ascontiguousarray(kd.transpose(2, 3, 0, 1))  # (3, 3, C_out, C_in)
     outn = np.empty((n, c_out, ho * wo))
     outn[:] = bias.data[:, None]
-    for dy in range(kh):
-        ys = _tap_slice(dy, ho, stride)
-        for dx in range(kw):
-            xs = _tap_slice(dx, wo, stride)
+    for dy in range(3):
+        ys = _tap_slice(dy, ho)
+        for dx in range(3):
+            xs = _tap_slice(dx, wo)
             # a copy even for a one-cell output, whose strided view would
             # hand BLAS a vector stride that depends on N
             slabs = np.ascontiguousarray(xpn[:, :, ys, xs]).reshape(n, c_in, ho * wo)
@@ -287,26 +279,25 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, zero_pad: i
             return
         if need_k:
             xpt = xp.transpose(1, 2, 3, 0)
-            tap_slabs = np.empty((kh, kw, n, ho, wo, c_in))
+            tap_slabs = np.empty((3, 3, n, ho, wo, c_in))
         if need_x:
             gn = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(n, c_out, ho * wo)
-            taps_t = np.ascontiguousarray(kd.transpose(2, 3, 1, 0))  # (kh, kw, C_in, C_out)
+            taps_t = np.ascontiguousarray(kd.transpose(2, 3, 1, 0))  # (3, 3, C_in, C_out)
             gpn = np.zeros((n, c_in) + xp.shape[2:])
-        for dy in range(kh):
-            ys = _tap_slice(dy, ho, stride)
-            for dx in range(kw):
-                xs = _tap_slice(dx, wo, stride)
+        for dy in range(3):
+            ys = _tap_slice(dy, ho)
+            for dx in range(3):
+                xs = _tap_slice(dx, wo)
                 if need_k:
                     tap_slabs[dy, dx] = xpt[:, ys, xs]
                 if need_x:
                     gpn[:, :, ys, xs] += _per_sample_product(taps_t[dy, dx], gn).reshape(n, c_in, ho, wo)
         if need_k:
             g2 = np.ascontiguousarray(g).reshape(c_out, n * ho * wo)
-            gk = np.matmul(g2, tap_slabs.reshape(kh * kw, n * ho * wo, c_in))
-            kernel._acc(gk.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1))
+            gk = np.matmul(g2, tap_slabs.reshape(9, n * ho * wo, c_in))
+            kernel._acc(gk.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1))
         if need_x:
-            gp = gpn.transpose(1, 0, 2, 3)
-            x._acc(gp[:, :, p : p + h, p : p + w] if p else gp)
+            x._acc(gpn.transpose(1, 0, 2, 3)[:, :, 1 : 1 + h, 1 : 1 + w])
 
     return _make(out, (x, kernel, bias), bwd)
 
@@ -529,25 +520,22 @@ def conv4d(x: Tensor, kernel: Tensor, bias: Tensor, scratch: Conv4dScratch | Non
 # -- nonlinearities and normalizations --------------------------------------
 
 
-def leaky_relu(x: Tensor, slope: float = 0.1) -> Tensor:
-    """``x`` where ``x >= 0``, else ``slope * x``, for 0 < slope <= 1.
+def leaky_relu(x: Tensor) -> Tensor:
+    """``x`` where ``x >= 0``, else ``LEAKY_SLOPE * x``.
 
-    Computed as ``max(x, slope * x)``, which equals the branch form bit for
-    bit, signed zeros, infinities and subnormals included, exactly when
-    0 < slope <= 1: then ``slope * x`` never lies beyond ``x`` on the side
-    away from zero. Other slopes raise ``ValueError``; slope 0 is among them
-    because ``0 * inf`` is nan. The sign mask the backward pass needs is
+    Computed as ``max(x, LEAKY_SLOPE * x)``, which equals the branch form
+    bit for bit, signed zeros, infinities and subnormals included, because
+    0 < LEAKY_SLOPE <= 1: then ``LEAKY_SLOPE * x`` never lies beyond ``x``
+    on the side away from zero. The sign mask the backward pass needs is
     built only when ``x`` requires grad.
     """
-    if not 0 < slope <= 1:
-        raise ValueError(f"leaky_relu slope must be in (0, 1], got {slope}")
-    out = slope * x.data
+    out = LEAKY_SLOPE * x.data
     np.maximum(x.data, out, out=out)
     pos = x.data >= 0 if x.requires_grad else None
 
     def bwd(g):
         if x.requires_grad:
-            x._acc(g * np.where(pos, 1.0, slope))
+            x._acc(g * np.where(pos, 1.0, LEAKY_SLOPE))
 
     return _make(out, (x,), bwd)
 
@@ -611,25 +599,23 @@ def _sum_channels(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def l2_normalize_channels(x: Tensor, eps: float = 1e-8) -> Tensor:
-    """Divide each channel vector of a (C, N, H, W) map by max(norm, eps).
+def l2_normalize_channels(x: Tensor) -> Tensor:
+    """Divide each channel vector of a (C, N, H, W) map by max(norm, NORM_EPS).
 
     The channels are axis 0; any layout of the other axes works the same.
     """
     if x.ndim < 2:
         raise ValueError(f"l2_normalize_channels expects channels on axis 0 of a (C,N,H,W) map, got shape {x.shape}")
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
     d = x.data
     norm = np.sqrt(_sum_channels(d * d))
-    denom = np.maximum(norm, eps)
+    denom = np.maximum(norm, NORM_EPS)
     inv = 1.0 / denom
     y = d * inv
 
     def bwd(g):
         if x.requires_grad:
             gx = g * inv
-            live = norm >= eps
+            live = norm >= NORM_EPS
             gx -= d * ((_sum_channels(d * g) * inv**3) * live)
             x._acc(gx)
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from guidematch import ConfigError, check_count
+from guidematch import ConfigError, check_count, check_seed
 from guidematch.geometry.epipolar import (
     FundamentalMatrix,
     RelativePose,
@@ -67,6 +67,7 @@ class RansacConfig:
         if not (math.isfinite(self.threshold) and self.threshold > 0):
             raise ConfigError(f"threshold must be positive and finite, got {self.threshold!r}")
         check_count(self.max_iters, "max_iters")
+        check_seed(self.seed, "seed")
         if not 0.0 < self.confidence < 1.0:
             raise ConfigError("confidence must be in (0, 1)")
 

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from guidematch import coarse_matcher as cm
-from guidematch import ConfigError, numerics
+from guidematch import ConfigError, check_seed, numerics
 from guidematch.geometry.epipolar import FRAME_RESIZED, FundamentalMatrix, epipolar_distances, rescale_fundamental
 from guidematch.geometry.scene import SyntheticScene, load_scene_dir
 from guidematch.numerics import AdamState, Tensor, adam_step
@@ -378,8 +378,7 @@ class TrainConfig:
         for name in ("lr", "lr_finetune"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name):g}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed, "seed")
         if self.checkpoint_every < 0:  # 0 writes no snapshots
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.batch_size < 1:

@@ -9,6 +9,8 @@ from guidematch import evaluation as ev
 from guidematch import supervision as sup
 from guidematch.cli import run_cli
 from guidematch.geometry import SceneConfig, load_scene, load_scene_dir
+from guidematch.geometry.scene import write_pgm
+from guidematch.numerics import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +179,7 @@ def _eval_library(command, scene_root, checkpoint, **setting):
         pytest.param("eval-pck", ["--max-side", "15"], dict(max_side=15),
                      "max_side must be at least the backbone stride 16, got 15",
                      id="eval-pck-flags5---max-side must be at least the model stride 16"),
-        pytest.param("eval-pose", ["--seed", "-2"], dict(seed=-2), "seed must be >= 0, got -2",
+        pytest.param("eval-pose", ["--seed", "-2"], dict(seed=-2), "seed must be an integer >= 0, got -2",
                      id="eval-pose-flags6---seed must be >= 0, got -2"),
         # ground-truth keypoints read no keypoint budget, and are checked all the same
         pytest.param("eval-pose", ["--keypoint-source", "gt", "--max-keypoints", "0"],
@@ -229,6 +231,30 @@ def test_non_finite_checkpoint_fails_naming_the_coarse_scores(tmp_path, scenes, 
         assert run_cli(argv) == 2, argv[0]
         assert "non-finite coarse scores" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_checkpoint_without_architecture_fails_naming_file_and_key(tmp_path, scenes, capsys):
+    scene_root, checkpoint = scenes
+    arrays = load_checkpoint(checkpoint)
+    del arrays["meta/backbone_channels"]
+    save_checkpoint(tmp_path / "headless.gmck", arrays)
+    argv = ["eval-pck", "--dataset", str(scene_root), "--checkpoint", str(tmp_path / "headless.gmck")]
+    assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "headless.gmck: checkpoint missing meta array 'meta/backbone_channels'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_image_that_disagrees_with_its_camera_fails_naming_it(tmp_path, capsys):
+    assert run_cli(["synth", "--scenes", "1", "--out", str(tmp_path / "s")]) == 0
+    write_pgm(tmp_path / "s" / "scene_0000" / "imageA.pgm", np.zeros((48, 80)))
+    assert run_cli(["eval-pose", "--dataset", str(tmp_path / "s"), "--out", str(tmp_path / "out")]) == 2
+    assert "imageA.pgm: image is 80x48, but meta.txt gives camera a 64x64" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_writes_any_image_size(tmp_path):
+    assert run_cli(["synth", "--scenes", "1", "--width", "100", "--height", "64", "--out", str(tmp_path / "s")]) == 0
+    assert load_scene(tmp_path / "s" / "scene_0000").image_a.shape == (64, 100)
 
 
 @pytest.mark.parametrize(
@@ -290,7 +316,7 @@ def test_train_config_unknown_key_fails_naming_it(tmp_path, scenes, capsys):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("key", ["rotation_mode = identity", "max_retries = 1", "widht = 64"])
+@pytest.mark.parametrize("key", ["rotation_mode = identity", "max_retries = 1", "widht = 64", "stride = 16"])
 def test_synth_config_accepts_only_its_keys(tmp_path, key, capsys):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text(f"width = 64\n{key}\n")
@@ -312,9 +338,6 @@ def _config_library(command, setting):
 @pytest.mark.parametrize(
     "argv, config, setting, message",
     [
-        pytest.param(["synth", "--width", "100"], None, dict(width=100),
-                     "image size 100x64 must be a multiple of stride 16",
-                     id="argv0-None-image size 100x64 must be a multiple of stride 16"),
         pytest.param(["synth", "--scenes", "0"], None, None,
                      "--scenes must be at least 1, got 0",
                      id="argv1-None---scenes must be at least 1, got 0"),
@@ -358,10 +381,10 @@ def _config_library(command, setting):
                      "lambda_px must be finite and > 0, got nan",
                      id="argv14-lambda_px = nan-lambda_px must be finite and > 0, got nan"),
         pytest.param(["synth", "--seed", "-1"], None, None,
-                     "--seed must be >= 0, got -1",
+                     "--seed must be an integer >= 0, got -1",
                      id="argv15-None---seed must be >= 0, got -1"),
         pytest.param(["train", "--mode", "epipolar", "--seed", "-3"], None, dict(mode="epipolar", seed=-3),
-                     "seed must be >= 0, got -3",
+                     "seed must be an integer >= 0, got -3",
                      id="argv16-None-seed must be >= 0, got -3"),
         pytest.param(["synth", "--width", "0"], None, dict(width=0),
                      "width must be at least 1, got 0",
@@ -372,9 +395,12 @@ def _config_library(command, setting):
         pytest.param(["synth", "--planes", "0"], None, dict(n_planes=0),
                      "n_planes must be at least 1, got 0",
                      id="synth-no-planes"),
-        pytest.param(["synth"], "stride = 0", dict(stride=0),
-                     "stride must be at least 1, got 0",
-                     id="synth-stride-0"),
+        pytest.param(["synth", "--repeated", "2"], "stamp_px = 40", dict(repeated_stamps=2, stamp_px=40),
+                     "stamp_px must be in [1, 32] for a 64x64 image with repeated stamps, got 40",
+                     id="synth-stamp-wider-than-half-the-image"),
+        pytest.param(["synth"], "background_amplitude = nan", dict(background_amplitude=math.nan),
+                     "background_amplitude must be finite, got nan",
+                     id="synth-background-amplitude-nan"),
         pytest.param(["synth"], "texel_px = 0", dict(texel_px=0.0),
                      "texel_px must be finite and > 0, got 0",
                      id="synth-texel-0"),

@@ -474,6 +474,14 @@ class TestModelCheckpoint:
         for p, q in zip(loaded.parameters(), model.parameters()):
             assert np.array_equal(p.data, q.data) and p.requires_grad
 
+    @pytest.mark.parametrize("key", ["meta/backbone_channels", "meta/filter_hidden"])
+    def test_missing_architecture_names_file_and_key(self, tmp_path, key):
+        arrays = make_model().state_dict()
+        del arrays[key]
+        numerics.save_checkpoint(tmp_path / "m.gmck", arrays)
+        with pytest.raises(ValueError, match=rf"m\.gmck: checkpoint missing meta array '{key}'"):
+            cm.CoarseModel.load(tmp_path / "m.gmck")
+
     def test_checkpoint_with_output_bias_loads_to_same_cells(self, tmp_path):
         # checkpoints written while the output bias was trainable carry it as
         # filter/<last>/bias; it shifts every score equally, so no argmax moves

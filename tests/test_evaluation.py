@@ -67,7 +67,9 @@ class TestEvalPoseFailures:
             (dict(pose_thresholds=()), "pose thresholds must not be empty"),
             (dict(ransac_thresholds=()), "RANSAC thresholds must not be empty"),
             (dict(ransac_thresholds=(1.0, math.nan)), "RANSAC thresholds must be finite and > 0"),
-            (dict(seed=-1), "seed must be >= 0, got -1"),
+            (dict(seed=-1), "seed must be an integer >= 0, got -1"),
+            (dict(seed=1.5), "seed must be an integer >= 0, got 1.5"),
+            (dict(seed=True), "seed must be an integer >= 0, got True"),
         ],
     )
     def test_bad_setting_raises_before_the_first_pair(self, kwargs, message):
@@ -172,7 +174,7 @@ class TestSettingsBeforeWork:
             (dict(variant="model-guided", window_px=0.0), "window_px must be > 0, got 0"),
             (dict(variant="guided", keypoint_noise_px=-1.0), "keypoint_noise_px must be finite and >= 0, got -1"),
             (dict(variant="mutual", descriptor_corruption=2.0), "descriptor_corruption must be in [0, 1], got 2"),
-            (dict(variant="mutual", seed=-1), "seed must be >= 0, got -1"),
+            (dict(variant="mutual", seed=-1), "seed must be an integer >= 0, got -1"),
             (dict(variant="mutual", ransac_thresholds=(1.0, 1.0)), "RANSAC thresholds must differ when formatted"),
             (dict(variant="mutual", pose_thresholds=(5, 5.0000001)), "pose thresholds must differ when formatted"),
         ],

@@ -341,7 +341,7 @@ class TestLoadConfig:
 
     def test_every_scene_field_is_settable_from_a_file(self, tmp_path):
         config = SceneConfig(
-            width=128, height=96, stride=32, n_planes=3, tilt_max=0.1, texel_px=3.0, repeated_stamps=2,
+            width=128, height=96, n_planes=3, tilt_max=0.1, texel_px=3.0, repeated_stamps=2,
             stamp_px=20, stamp_min_sep_px=60.0, background_amplitude=0.5, n_gt_points=40,
         )
         assert all(getattr(config, f.name) != f.default for f in dataclasses.fields(config))
@@ -349,7 +349,7 @@ class TestLoadConfig:
         path.write_text("".join(f"{f.name} = {getattr(config, f.name)}\n" for f in dataclasses.fields(config)))
         assert load_config(path, SceneConfig) == config
 
-    @pytest.mark.parametrize("key", ["widht", "baseline_range", "brightness_jitter"])
+    @pytest.mark.parametrize("key", ["widht", "baseline_range", "brightness_jitter", "stride"])
     def test_unknown_or_untyped_key_names_file_and_key(self, tmp_path, key):
         path = tmp_path / "scene.cfg"
         path.write_text(f"{key} = 1\n")
@@ -370,8 +370,15 @@ class TestLoadConfig:
     @pytest.mark.parametrize(
         "text, flags, message",
         [
-            ("width = 100\n", {}, "image size 100x64 must be a multiple of stride 16"),
             ("", {"repeated_stamps": -1}, "repeated_stamps must be >= 0, got -1"),
+            ("stamp_px = 40\n", {"repeated_stamps": 2},
+             r"stamp_px must be in \[1, 32\] for a 64x64 image with repeated stamps, got 40"),
+            ("stamp_px = 33\nwidth = 96\n", {"repeated_stamps": 1},
+             r"stamp_px must be in \[1, 32\] for a 96x64 image with repeated stamps, got 33"),
+            ("stamp_px = 0\n", {"repeated_stamps": 1},
+             r"stamp_px must be in \[1, 32\] for a 64x64 image with repeated stamps, got 0"),
+            ("background_amplitude = nan\n", {}, "background_amplitude must be finite, got nan"),
+            ("background_amplitude = -inf\n", {}, "background_amplitude must be finite, got -inf"),
             ("n_gt_points = 0\n", {}, "n_gt_points must be at least 15, got 0"),
             ("n_gt_points = 14\n", {}, "n_gt_points must be at least 15, got 14"),
             ("tilt_max = nan\n", {}, "tilt_max must be finite and >= 0, got nan"),
@@ -388,6 +395,16 @@ class TestLoadConfig:
     def test_fewest_points_and_untilted_planes_are_accepted(self):
         # the fewest points that can reach the 30 common points a scene needs: 15 sample 30 candidates
         SceneConfig(n_gt_points=15, tilt_max=0.0)
+
+    def test_widest_stamps_and_any_image_size_are_accepted(self):
+        # stamp centres are drawn in [stamp_px, side - stamp_px], one point wide at the limit
+        SceneConfig(repeated_stamps=2, stamp_px=32)
+        SceneConfig(width=31, height=65, repeated_stamps=1, stamp_px=15)
+        # without stamps stamp_px is never read
+        SceneConfig(stamp_px=0)
+        SceneConfig(stamp_px=40)
+        # the model rounds each side down to its stride when it reads a scene
+        SceneConfig(width=100, height=64)
 
 
 class TestSceneArchive:
@@ -524,6 +541,13 @@ class TestArchiveErrors:
         for name in ("image_a", "image_b", "gt_points"):
             assert np.array_equal(getattr(after, name), getattr(before, name))
         assert after.seed == before.seed
+
+    @pytest.mark.parametrize("name, tag", [("imageA.pgm", "a"), ("imageB.pgm", "b")])
+    def test_image_of_another_size_than_its_camera(self, archive, name, tag):
+        write_pgm(archive / name, np.zeros((48, 80)))
+        message = rf"{name}: image is 80x48, but meta.txt gives camera {tag} 64x48"
+        with pytest.raises(ValueError, match=message):
+            load_scene(archive)
 
     def test_short_ground_truth_row(self, archive):
         gt = archive / "gt_points.csv"

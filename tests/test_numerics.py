@@ -37,46 +37,46 @@ GRAD_TOL = 1e-4
 
 
 class TestConv2d:
-    def test_pointwise_scaling(self):
-        x = Tensor(np.arange(9, dtype=float).reshape(1, 1, 3, 3))
-        k = Tensor(np.full((1, 1, 1, 1), 2.0))
-        b = Tensor(np.zeros(1))
-        out = conv2d(x, k, b)
-        assert np.allclose(out.data, 2.0 * x.data)
+    def test_centre_tap_scales_every_other_pixel(self):
+        x = Tensor(np.arange(35, dtype=float).reshape(1, 1, 5, 7))
+        k = np.zeros((1, 1, 3, 3))
+        k[0, 0, 1, 1] = 2.0
+        out = conv2d(x, Tensor(k), Tensor(np.zeros(1)))
+        assert np.allclose(out.data, 2.0 * x.data[:, :, ::2, ::2])
 
     def test_zero_kernel_gives_bias(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((3, 2, 5, 5)))
         k = Tensor(np.zeros((2, 3, 3, 3)))
         b = Tensor(np.array([0.7, -1.2]))
-        out = conv2d(x, k, b, stride=1, zero_pad=1)
+        out = conv2d(x, k, b)
+        assert out.shape == (2, 2, 3, 3)
         assert np.allclose(out.data[0], 0.7)
         assert np.allclose(out.data[1], -1.2)
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (3, 2)])
-    def test_matches_loop_oracle(self, stride, pad):
-        rng = np.random.default_rng(stride * 10 + pad)
-        x = rng.standard_normal((2, 3, 8, 8))
+    @pytest.mark.parametrize("h, w", [(8, 8), (7, 9), (1, 2), (1, 1), (2, 5)])
+    def test_matches_loop_oracle(self, h, w):
+        rng = np.random.default_rng(h * 10 + w)
+        x = rng.standard_normal((2, 3, h, w))
         k = rng.standard_normal((4, 2, 3, 3))
         b = rng.standard_normal(4)
-        out = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, zero_pad=pad)
-        ref = np.stack([oracles.conv2d_loops(x[:, n], k, b, stride=stride, pad=pad) for n in range(3)], axis=1)
+        out = conv2d(Tensor(x), Tensor(k), Tensor(b))
+        ref = np.stack([oracles.conv2d_loops(x[:, n], k, b, stride=2, pad=1) for n in range(3)], axis=1)
         assert out.data.shape == ref.shape
         assert np.max(np.abs(out.data - ref)) < 1e-12
 
-    @pytest.mark.parametrize("stride, pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
     @pytest.mark.parametrize("c_in", [1, 8, 32])
     @pytest.mark.parametrize("n", [1, 8])
-    def test_kernel_gradient_equals_the_per_tap_oracle(self, stride, pad, c_in, n):
-        rng = np.random.default_rng(100 * c_in + 10 * n + 2 * stride + pad)
+    def test_kernel_gradient_equals_the_per_tap_oracle(self, c_in, n):
+        rng = np.random.default_rng(100 * c_in + 10 * n + 5)
         # a map of several output cells, then one whose output is one cell
-        for h, w in ((9, 10), (3 - 2 * pad, 3 - 2 * pad)):
+        for h, w in ((9, 10), (1, 1)):
             x = rng.standard_normal((c_in, n, h, w))
             k = parameter(rng.standard_normal((6, c_in, 3, 3)), "k")
-            out = conv2d(Tensor(x), k, Tensor(np.zeros(6)), stride=stride, zero_pad=pad)
+            out = conv2d(Tensor(x), k, Tensor(np.zeros(6)))
             g = rng.standard_normal(out.shape)
             (out * g).sum().backward()
-            ref = oracles.conv2d_kernel_grad_taps(x, g, 3, 3, stride=stride, pad=pad)
+            ref = oracles.conv2d_kernel_grad_taps(x, g, 3, 3, stride=2, pad=1)
             assert np.array_equal(k.grad.view(np.uint64), ref.view(np.uint64)), out.shape
 
     def test_channel_mismatch_names_dimension(self):
@@ -85,6 +85,11 @@ class TestConv2d:
         with pytest.raises(ValueError, match="channel"):
             conv2d(x, k, Tensor(np.zeros(1)))
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (1, 1, 5, 5), (1, 1, 3), (1, 1, 3, 3, 1)])
+    def test_kernel_other_than_3x3_is_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"kernel must be \(C_out,C_in,3,3\)"):
+            conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros(shape)), Tensor(np.zeros(1)))
+
     def test_linearity(self):
         rng = np.random.default_rng(3)
         k = Tensor(rng.standard_normal((3, 2, 3, 3)))
@@ -92,8 +97,8 @@ class TestConv2d:
         x = rng.standard_normal((2, 2, 6, 6))
         y = rng.standard_normal((2, 2, 6, 6))
         a, c = 1.7, -0.4
-        lhs = conv2d(Tensor(a * x + c * y), k, b, zero_pad=1).data
-        rhs = a * conv2d(Tensor(x), k, b, zero_pad=1).data + c * conv2d(Tensor(y), k, b, zero_pad=1).data
+        lhs = conv2d(Tensor(a * x + c * y), k, b).data
+        rhs = a * conv2d(Tensor(x), k, b).data + c * conv2d(Tensor(y), k, b).data
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_gradients(self):
@@ -106,7 +111,7 @@ class TestConv2d:
             w = rng.standard_normal((3, 2, 3, 3))
 
             def f():
-                return (conv2d(x, k, b, stride=2, zero_pad=1) * w).sum()
+                return (conv2d(x, k, b) * w).sum()
 
             assert max_gradient_error(f, [x, k, b]) < GRAD_TOL, (side, seed)
 
@@ -332,27 +337,20 @@ class TestLeakyRelu:
         specials = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310, 1e-308, -1e-308]
         return np.concatenate([x, specials]).reshape(2, 2005)
 
-    @pytest.mark.parametrize("slope", [0.1, 0.5, 1e-3, 1.0, np.finfo(np.float64).smallest_subnormal])
     @pytest.mark.parametrize("requires_grad", [False, True])
-    def test_forward_matches_branch_form_bit_for_bit(self, slope, requires_grad):
+    def test_forward_matches_branch_form_bit_for_bit(self, requires_grad):
         x = self._special_data(np.random.default_rng(41))
         assert np.isinf(x).sum() == 2 and (x == 0).sum() >= 2
-        out = leaky_relu(Tensor(x, requires_grad=requires_grad), slope)
-        assert np.array_equal(_bits(out.data), _bits(np.where(x >= 0, x, slope * x)))
+        out = leaky_relu(Tensor(x, requires_grad=requires_grad))
+        assert np.array_equal(_bits(out.data), _bits(np.where(x >= 0, x, 0.1 * x)))
         assert out.requires_grad == requires_grad
-
-    @pytest.mark.parametrize("slope", [-0.1, 1.5, 0.0, float("nan")])
-    def test_slope_outside_the_unit_interval_is_rejected(self, slope):
-        # slope 0 would turn +inf into nan: max(inf, 0 * inf)
-        with pytest.raises(ValueError, match="slope"):
-            leaky_relu(Tensor(np.ones(3)), slope)
 
     def test_gradients(self):
         for seed in range(N_GRAD_SEEDS):
             rng = np.random.default_rng(600 + seed)
             x = parameter(rng.standard_normal((4, 6)), "x")
             w = rng.standard_normal((4, 6))
-            assert max_gradient_error(lambda: (leaky_relu(x, 0.2) * w).sum(), [x]) < GRAD_TOL
+            assert max_gradient_error(lambda: (leaky_relu(x) * w).sum(), [x]) < GRAD_TOL
 
 
 def assert_batch_invariant(op, x_data, weights, rng):
@@ -392,17 +390,12 @@ class TestBatchInvariance:
         size=st.tuples(st.integers(1, 9), st.integers(1, 9)),
         c_in=st.integers(1, 4),
         c_out=st.integers(1, 4),
-        k=st.sampled_from([1, 3]),
-        stride=st.integers(1, 3),
-        pad=st.integers(0, 1),
         seed=_SEED,
     )
-    def test_conv2d(self, n, size, c_in, c_out, k, stride, pad, seed):
-        h, w = (max(s, k - 2 * pad) for s in size)
+    def test_conv2d(self, n, size, c_in, c_out, seed):
         rng = np.random.default_rng(seed)
-        weights = [rng.standard_normal((c_out, c_in, k, k)), rng.standard_normal(c_out)]
-        op = lambda x, kernel, bias: conv2d(x, kernel, bias, stride=stride, zero_pad=pad)  # noqa: E731
-        assert_batch_invariant(op, rng.standard_normal((c_in, n, h, w)), weights, rng)
+        weights = [rng.standard_normal((c_out, c_in, 3, 3)), rng.standard_normal(c_out)]
+        assert_batch_invariant(conv2d, rng.standard_normal((c_in, n, *size)), weights, rng)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -528,7 +521,7 @@ class TestL2Normalize:
         assert np.allclose(out.data.ravel(), [0.6, 0.8])
 
     def test_zero_vector_guard(self):
-        out = l2_normalize_channels(Tensor(np.zeros((3, 2, 2))), eps=1e-8)
+        out = l2_normalize_channels(Tensor(np.zeros((3, 2, 2))))
         assert np.all(out.data == 0.0)
 
     def test_unit_norms(self):
@@ -592,12 +585,12 @@ class TestBackward:
 
             def f():
                 m = matmul(a, b)
-                return (leaky_relu(m, 0.1) * w).sum() + (m * m).sum() * 0.1
+                return (leaky_relu(m) * w).sum() + (m * m).sum() * 0.1
 
             assert max_gradient_error(f, [a, b]) < GRAD_TOL
             x = parameter(rng.standard_normal((5, 5)), "x")
             wx = rng.standard_normal((5, 5))
-            assert max_gradient_error(lambda: (leaky_relu(x, 0.1) * wx).sum(), [x]) < GRAD_TOL
+            assert max_gradient_error(lambda: (leaky_relu(x) * wx).sum(), [x]) < GRAD_TOL
 
 
 def _nan_gradient(x: Tensor) -> Tensor:

@@ -111,7 +111,15 @@ class TestRansacConfig:
     def test_accepts_a_numpy_integer_budget(self):
         assert rp.RansacConfig(max_iters=np.int64(1)).max_iters == 1
 
-    @pytest.mark.parametrize("setting", [dict(threshold=0.0), dict(max_iters=0), dict(confidence=1.0)])
+    @pytest.mark.parametrize("seed", [-1, 0.5, True, "0"])
+    def test_rejects_a_seed_that_is_not_an_integer_of_at_least_zero(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            rp.RansacConfig(seed=seed)
+
+    def test_accepts_a_numpy_integer_seed(self):
+        assert rp.RansacConfig(seed=np.uint32(2**31)).seed == 2**31
+
+    @pytest.mark.parametrize("setting", [dict(threshold=0.0), dict(max_iters=0), dict(confidence=1.0), dict(seed=-1)])
     def test_a_bad_setting_is_a_config_error(self, setting):
         with pytest.raises(ConfigError):
             rp.RansacConfig(**setting)

@@ -581,6 +581,9 @@ class TestTraining:
             ({"lr_finetune": float("inf")}, "lr_finetune must be finite and >= 0, got inf"),
             ({"lr_finetune": -1e-3}, "lr_finetune must be finite and >= 0, got -0.001"),
             ({"checkpoint_every": -1}, "checkpoint_every must be >= 0, got -1"),
+            # a float seed would fail only in CoarseModel.create, a bool would train as seed 0 or 1
+            ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+            ({"seed": False}, "seed must be an integer >= 0, got False"),
         ],
     )
     def test_settings_that_cannot_train_are_rejected(self, setting, message):

@@ -57,7 +57,6 @@ MODES = ("image", "epipolar", "point")
 SYNTH_CONFIG = """\
 width = 128
 height = 96
-stride = 32
 n_planes = 3
 tilt_max = 0.1
 texel_px = 3
