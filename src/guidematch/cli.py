@@ -9,7 +9,9 @@ Every command accepts --out, and only synth and train accept --config. Only
 synth, train and eval-pose draw random numbers, so only they accept --seed
 (default 0; train's --seed beats its config file's seed). Outputs are
 byte-deterministic for a fixed seed. match and eval-pose share one set of
-matching flags, from --variant to --max-keypoints.
+matching flags, from --variant to --max-keypoints. These but --variant, and
+eval-pose's threshold and keypoint flags, take their defaults from the fields
+of ``evaluation.EvalSettings``, and eval-pose's config_hash is that object's.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ def _add_out(p: argparse.ArgumentParser):
 def _add_matching(p: argparse.ArgumentParser, default_variant: str):
     p.add_argument("--variant", choices=ev.POSE_VARIANTS, default=default_variant)
     p.add_argument("--checkpoint", default=None, help="coarse model, required by the guided variant")
-    p.add_argument("--window", type=float, default=16.0, help="guidance window, resized-image pixels")
+    p.add_argument("--window", type=float, default=None, help="guidance window, resized-image pixels")
     p.add_argument("--ratio", type=float, default=None)
-    p.add_argument("--band", type=float, default=3.0, help="epipolar band of model-guided, pixels")
-    p.add_argument("--max-side", type=int, default=cm.EVAL_MAX_SIDE)
-    p.add_argument("--max-keypoints", type=int, default=300)
+    p.add_argument("--band", type=float, default=None, help="epipolar band of model-guided, pixels")
+    p.add_argument("--max-side", type=int, default=None)
+    p.add_argument("--max-keypoints", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--thresholds", default="8,16,32")
+    p.add_argument("--thresholds", default=None)
     p.add_argument("--max-side", type=int, default=cm.EVAL_MAX_SIDE)
 
     p = subs.add_parser("eval-pose", help="two-view pose accuracy over a scene set")
@@ -94,17 +96,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="rng seed of the per-pair stress draws and RANSAC")
     p.add_argument("--dataset", required=True)
     _add_matching(p, "mutual")
-    p.add_argument("--ransac-thresholds", default="1.0")
-    p.add_argument("--pose-thresholds", default="5,10,20")
-    p.add_argument("--keypoint-source", choices=ev.KEYPOINT_SOURCES, default="detect")
-    p.add_argument("--keypoint-noise", type=float, default=0.0)
-    p.add_argument("--descriptor-corruption", type=float, default=0.0)
+    p.add_argument("--ransac-thresholds", default=None)
+    p.add_argument("--pose-thresholds", default=None)
+    p.add_argument("--keypoint-source", choices=ev.KEYPOINT_SOURCES, default=None)
+    p.add_argument("--keypoint-noise", type=float, default=None)
+    p.add_argument("--descriptor-corruption", type=float, default=None)
 
     return parser
 
 
-def _numbers(text: str, flag: str) -> list[float]:
-    """The comma-separated numbers of ``flag``; the library checks their values."""
+def _numbers(text: str | None, flag: str) -> list[float] | None:
+    """The comma-separated numbers of ``flag``, None when it is unset; the library checks their values."""
+    if text is None:
+        return None
     try:
         return [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
@@ -156,18 +160,22 @@ def _cmd_coarse_match(args) -> int:
     return 0
 
 
-def _matching(args) -> tuple[cm.CoarseModel | None, dict]:
-    """The coarse model and ``make_matcher``'s options from the ``_add_matching`` flags."""
+def _matching(args, **flags) -> tuple[cm.CoarseModel | None, ev.EvalSettings]:
+    """The coarse model and the settings of the ``_add_matching`` flags and ``flags``."""
+    settings = load_config(
+        None, ev.EvalSettings, variant=args.variant, window_px=args.window, ratio=args.ratio,
+        band_px=args.band, max_side=args.max_side, max_keypoints=args.max_keypoints, **flags,
+    )
     model = cm.CoarseModel.load(args.checkpoint) if args.checkpoint else None
-    return model, dict(window_px=args.window, ratio=args.ratio, band_px=args.band, max_side=args.max_side)
+    return model, settings
 
 
 def _cmd_match(args) -> int:
     out = _require_out(args)
-    model, options = _matching(args)
-    matcher = ev.make_matcher(args.variant, model, **options)
+    model, settings = _matching(args)
+    matcher = ev.make_matcher(settings, model)
     scene = load_scene(args.scene_dir)
-    feats = ev.pair_features(scene, args.max_keypoints)
+    feats = ev.pair_features(scene, settings.max_keypoints, settings.keypoint_source)
     matches = matcher(scene, feats)
     out.parent.mkdir(parents=True, exist_ok=True)
     km.save_matches(out, matches, feats.kps_a, feats.kps_b)
@@ -177,13 +185,15 @@ def _cmd_match(args) -> int:
 
 def _cmd_eval_pck(args) -> int:
     out = _require_out(args)
-    thresholds = _numbers(args.thresholds, "--thresholds")
+    thresholds = ev.PCK_THRESHOLDS if args.thresholds is None else _numbers(args.thresholds, "--thresholds")
     model = cm.CoarseModel.load(args.checkpoint)
     scenes = load_scene_dir(args.dataset)
+    # one spelling per value, so 8,16,32 and 8.0,16,32 hash alike
+    spelled = ",".join(repr(t).removesuffix(".0") for t in thresholds)
     meta = {
         "checkpoint": Path(args.checkpoint).name,
         "config_hash": ev.config_digest(
-            {"thresholds": args.thresholds, "max_side": args.max_side, "dataset": Path(args.dataset).name}
+            {"thresholds": spelled, "max_side": args.max_side, "dataset": Path(args.dataset).name}
         ),
     }
     report = ev.eval_pck(model, scenes, thresholds, args.max_side, metadata=meta)
@@ -197,30 +207,27 @@ def _cmd_eval_pck(args) -> int:
 
 def _cmd_eval_pose(args) -> int:
     out = _require_out(args)
-    ransac_thresholds = _numbers(args.ransac_thresholds, "--ransac-thresholds")
-    pose_thresholds = _numbers(args.pose_thresholds, "--pose-thresholds")
-    model, options = _matching(args)
-    scenes = load_scene_dir(args.dataset)
-    options.update(
-        max_keypoints=args.max_keypoints,
-        ransac_thresholds=ransac_thresholds,
-        pose_thresholds=pose_thresholds,
+    model, settings = _matching(
+        args,
+        ransac_thresholds=_numbers(args.ransac_thresholds, "--ransac-thresholds"),
+        pose_thresholds=_numbers(args.pose_thresholds, "--pose-thresholds"),
         keypoint_source=args.keypoint_source,
         keypoint_noise_px=args.keypoint_noise,
         descriptor_corruption=args.descriptor_corruption,
     )
+    scenes = load_scene_dir(args.dataset)
     meta = {
-        "variant": args.variant,
+        "variant": settings.variant,
         "seed": args.seed,
         "checkpoint": Path(args.checkpoint).name if args.checkpoint else "none",
-        "config_hash": ev.config_digest({**options, "variant": args.variant, "dataset": Path(args.dataset).name}),
+        "config_hash": settings.config_hash(Path(args.dataset).name),
     }
-    report = ev.eval_pose(scenes, args.variant, model=model, seed=args.seed, metadata=meta, **options)
+    report = ev.eval_pose(scenes, model=model, seed=args.seed, metadata=meta, **vars(settings))
     out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "pose_pairs.csv", "rows")
     report.write_csv(out / "pose_summary.csv", "aggregates")
     for agg in report.aggregates:
-        stats = ", ".join(f"auc@{t:g} = {agg[f'auc_{t:g}']:.4f}" for t in options["pose_thresholds"])
+        stats = ", ".join(f"auc@{t:g} = {agg[f'auc_{t:g}']:.4f}" for t in settings.pose_thresholds)
         print(f"ransac {agg['ransac_px']:g} px: {stats}, fm_recall = {agg['fm_recall']:.4f}")
     print(f"reports: {out / 'pose_pairs.csv'}, {out / 'pose_summary.csv'}")
     return 0

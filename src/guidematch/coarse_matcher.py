@@ -308,7 +308,7 @@ def cell_centers(cells: np.ndarray, stride: int) -> np.ndarray:
     return (cells[..., ::-1] + 0.5) * stride
 
 
-def extract_matches(vol: CorrelationVolume, direction: str = "AB") -> CoarseMatchField:
+def extract_matches(vol: CorrelationVolume, direction: str) -> CoarseMatchField:
     """``decode_cells`` of a one-pair volume.
 
     "BA" decodes the transposed scores. The softmax preserves per-slice

@@ -25,6 +25,7 @@ from guidematch.geometry import SyntheticScene, pose_error
 POSE_VARIANTS = ("raw", "mutual", "ratio", "ratio+mutual", "guided", "model-guided")
 KEYPOINT_SOURCES = ("detect", "gt")
 FM_CORRECT_SAMPSON_PX = 3.0
+PCK_THRESHOLDS = (8.0, 16.0, 32.0)
 
 
 @dataclass
@@ -78,7 +79,7 @@ def _thresholds(values, name: str) -> list[float]:
 def eval_pck(
     model: cm.CoarseModel,
     scenes: list[SyntheticScene],
-    thresholds=(8.0, 16.0, 32.0),
+    thresholds=PCK_THRESHOLDS,
     max_side: int = cm.EVAL_MAX_SIDE,
     metadata: dict | None = None,
 ) -> EvalReport:
@@ -163,7 +164,7 @@ def _check_features(max_keypoints, keypoint_source: str) -> None:
         raise ConfigError(f"keypoint_source must be one of {KEYPOINT_SOURCES}, got {keypoint_source!r}")
 
 
-def pair_features(scene: SyntheticScene, max_keypoints: int, keypoint_source: str = "detect") -> PairFeatures:
+def pair_features(scene: SyntheticScene, max_keypoints: int, keypoint_source: str) -> PairFeatures:
     """Keypoints of both views and their descriptors.
 
     ``keypoint_source="detect"`` runs the detector on each image; ``"gt"``
@@ -180,14 +181,53 @@ def pair_features(scene: SyntheticScene, max_keypoints: int, keypoint_source: st
     return PairFeatures(kps_a, km.describe(scene.image_a, kps_a), kps_b, km.describe(scene.image_b, kps_b))
 
 
-def make_matcher(
-    variant: str,
-    model: cm.CoarseModel | None = None,
-    window_px: float = 16.0,
-    ratio: float | None = None,
-    band_px: float = 3.0,
-    max_side: int = cm.EVAL_MAX_SIDE,
-) -> MatcherFn:
+@dataclass(frozen=True)
+class EvalSettings:
+    """The variant and every setting of ``make_matcher`` and ``eval_pose``, each default written once.
+
+    Construction runs every check that needs no model: a bad setting is a ``ConfigError``
+    whether or not the variant reads it; inf is a valid window or band. The thresholds
+    are kept as tuples of the values given: a report writes ``ransac_px`` 1 and 1.0 apart.
+    """
+
+    variant: str
+    window_px: float = 16.0
+    ratio: float | None = None
+    band_px: float = 3.0
+    max_side: int = cm.EVAL_MAX_SIDE
+    max_keypoints: int = 300
+    ransac_thresholds: tuple = (1.0,)
+    pose_thresholds: tuple = (5.0, 10.0, 20.0)
+    keypoint_source: str = "detect"
+    keypoint_noise_px: float = 0.0
+    descriptor_corruption: float = 0.0
+
+    def __post_init__(self):
+        if self.variant not in POSE_VARIANTS:
+            raise ConfigError(f"unknown variant {self.variant!r}, expected one of {POSE_VARIANTS}")
+        if self.variant.startswith("ratio") and self.ratio is None:
+            raise ConfigError(f"{self.variant} variant needs a ratio value")
+        if self.variant in ("raw", "mutual") and self.ratio is not None:
+            raise ConfigError(f"{self.variant} variant takes no ratio value; use ratio or ratio+mutual")
+        for name, value in (("window_px", self.window_px), ("band_px", self.band_px), ("ratio", self.ratio)):
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name} must be > 0, got {value:g}")
+        check_count(self.max_side, "max_side")
+        _check_features(self.max_keypoints, self.keypoint_source)
+        if not 0 <= self.keypoint_noise_px < math.inf:
+            raise ConfigError(f"keypoint_noise_px must be finite and >= 0, got {self.keypoint_noise_px:g}")
+        if not 0 <= self.descriptor_corruption <= 1:
+            raise ConfigError(f"descriptor_corruption must be in [0, 1], got {self.descriptor_corruption:g}")
+        object.__setattr__(self, "ransac_thresholds", tuple(_thresholds(self.ransac_thresholds, "RANSAC thresholds")))
+        object.__setattr__(self, "pose_thresholds", tuple(_thresholds(self.pose_thresholds, "pose thresholds")))
+
+    def config_hash(self, dataset: str) -> str:
+        """eval-pose's ``config_hash`` on ``dataset``: each field's ``str()``, the thresholds as lists."""
+        lists = {"ransac_thresholds": list(self.ransac_thresholds), "pose_thresholds": list(self.pose_thresholds)}
+        return config_digest({**vars(self), **lists, "dataset": dataset})
+
+
+def make_matcher(settings: EvalSettings, model: cm.CoarseModel | None = None) -> MatcherFn:
     """Build the match-and-prune chain for an evaluation variant.
 
     Every variant runs one chain: match A to B and, unless the variant is
@@ -199,42 +239,34 @@ def make_matcher(
     those within ``window_px`` resized-image pixels of the coarse match
     (``guided``; the window is converted to original pixels through the
     field's scales), or among those within ``band_px`` of the epipolar line
-    of a first-stage fundamental matrix (``model-guided``). A bad setting raises
-    ``ConfigError`` whether or not the variant reads it; inf is a valid window or band.
+    of a first-stage fundamental matrix (``model-guided``). ``settings`` checked
+    itself; the two rules that need the model raise ``ConfigError`` here: guided
+    needs one, and a given model's stride bounds ``max_side`` for every variant.
     """
-    if variant not in POSE_VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}, expected one of {POSE_VARIANTS}")
-    if variant.startswith("ratio") and ratio is None:
-        raise ConfigError(f"{variant} variant needs a ratio value")
-    if variant in ("raw", "mutual") and ratio is not None:
-        raise ConfigError(f"{variant} variant takes no ratio value; use ratio or ratio+mutual")
-    if variant == "guided" and model is None:
+    if settings.variant == "guided" and model is None:
         raise ConfigError("guided variant needs a coarse model checkpoint")
-    for name, value in (("window_px", window_px), ("band_px", band_px), ("ratio", ratio)):
-        if value is not None and not value > 0:
-            raise ConfigError(f"{name} must be > 0, got {value:g}")
     if model is not None:
-        cm.check_max_side(max_side, model.stride)
-    mutual = variant not in ("raw", "ratio")
+        cm.check_max_side(settings.max_side, model.stride)
+    mutual = settings.variant not in ("raw", "ratio")
 
-    if variant == "guided":
+    if settings.variant == "guided":
         def step(kps_src, desc_src, kps_tgt, desc_tgt, fld):
-            window = window_px / (0.5 * (fld.scale_tgt[0] + fld.scale_tgt[1]))
+            window = settings.window_px / (0.5 * (fld.scale_tgt[0] + fld.scale_tgt[1]))
             return km.match_guided(kps_src, desc_src, kps_tgt, desc_tgt, fld, window)
-    elif variant == "model-guided":
+    elif settings.variant == "model-guided":
         def step(kps_src, desc_src, kps_tgt, desc_tgt, fld):
-            return km.match_model_guided(kps_src, desc_src, kps_tgt, desc_tgt, band_px)
+            return km.match_model_guided(kps_src, desc_src, kps_tgt, desc_tgt, settings.band_px)
     else:
         def step(kps_src, desc_src, kps_tgt, desc_tgt, fld):
             return km.match_raw(desc_src, desc_tgt)
 
     def prune(ms):
-        return ms if ratio is None else km.ratio_test(ms, ratio)
+        return ms if settings.ratio is None else km.ratio_test(ms, settings.ratio)
 
     def matcher(scene, feats):
         fld_ab = fld_ba = None  # the coarse match fields only guided reads
-        if variant == "guided":
-            fld_ab, fld_ba = cm.compute_match_fields(model, scene.image_a, scene.image_b, max_side)
+        if settings.variant == "guided":
+            fld_ab, fld_ba = cm.compute_match_fields(model, scene.image_a, scene.image_b, settings.max_side)
         ab = prune(step(feats.kps_a, feats.desc_a, feats.kps_b, feats.desc_b, fld_ab))
         if not mutual:
             return ab
@@ -271,18 +303,9 @@ def eval_pose(
     scenes: list[SyntheticScene],
     variant: str,
     model: cm.CoarseModel | None = None,
-    ransac_thresholds=(1.0,),
-    pose_thresholds=(5.0, 10.0, 20.0),
-    window_px: float = 16.0,
-    ratio: float | None = None,
-    band_px: float = 3.0,
-    max_side: int = cm.EVAL_MAX_SIDE,
-    max_keypoints: int = 300,
-    keypoint_source: str = "detect",
-    keypoint_noise_px: float = 0.0,
-    descriptor_corruption: float = 0.0,
     seed: int = 0,
     metadata: dict | None = None,
+    **settings,
 ) -> EvalReport:
     """Match each pair, estimate the essential matrix per RANSAC threshold,
     recover the pose, and aggregate pose AUC plus fundamental-matrix recall.
@@ -291,37 +314,32 @@ def eval_pose(
     majority) count as infinite pose error and an incorrect fundamental
     matrix; they never abort the sweep. An estimated fundamental matrix is
     deemed correct when its worst Sampson error over the scene's held-out
-    ground-truth pairs stays below 3 px. A bad setting, of ``make_matcher`` and
-    ``pair_features`` too, raises ``ConfigError`` before any work; then no scenes raise ``ValueError``.
+    ground-truth pairs stays below 3 px. ``variant`` and ``settings`` build one ``EvalSettings``
+    and ``make_matcher`` checks it against the model; a bad setting, the seed too, is a
+    ``ConfigError`` before any work; then no scenes raise ``ValueError``.
 
     ``keypoint_source="gt"`` places keypoints at the scene's exact
     ground-truth correspondences instead of running the detector, which is
     the noiseless sanity mode; detector localization error otherwise bounds
     the achievable pose accuracy.
     """
-    matcher = make_matcher(variant, model, window_px, ratio, band_px, max_side)
-    _check_features(max_keypoints, keypoint_source)
-    if not 0 <= keypoint_noise_px < math.inf:
-        raise ConfigError(f"keypoint_noise_px must be finite and >= 0, got {keypoint_noise_px:g}")
-    if not 0 <= descriptor_corruption <= 1:
-        raise ConfigError(f"descriptor_corruption must be in [0, 1], got {descriptor_corruption:g}")
+    settings = EvalSettings(variant, **settings)
+    matcher = make_matcher(settings, model)
     check_seed(seed, "seed")
-    ransac_thresholds = _thresholds(ransac_thresholds, "RANSAC thresholds")
-    pose_thresholds = _thresholds(pose_thresholds, "pose thresholds")
     if not scenes:
         raise ValueError("no scenes to evaluate")
     rows = []
     for pair_index, scene in enumerate(scenes):
-        feats = pair_features(scene, max_keypoints, keypoint_source)
-        if keypoint_noise_px or descriptor_corruption:
+        feats = pair_features(scene, settings.max_keypoints, settings.keypoint_source)
+        if settings.keypoint_noise_px or settings.descriptor_corruption:
             rng = np.random.default_rng(np.random.SeedSequence([seed, pair_index]))
-            feats = corrupt_features(feats, rng, keypoint_noise_px, descriptor_corruption)
+            feats = corrupt_features(feats, rng, settings.keypoint_noise_px, settings.descriptor_corruption)
         try:
             matches = matcher(scene, feats)
             coords_a, coords_b = km.match_coords(matches, feats.kps_a, feats.kps_b)
         except km.MatchingError:
             coords_a = coords_b = np.zeros((0, 2))
-        for t_index, thr in enumerate(ransac_thresholds):
+        for t_index, thr in enumerate(settings.ransac_thresholds):
             row = {
                 "pair": scene.seed,
                 "ransac_px": thr,
@@ -355,11 +373,11 @@ def eval_pose(
                 row["fm_correct"] = bool(worst < FM_CORRECT_SAMPSON_PX)
             rows.append(row)
     aggregates = []
-    for thr in ransac_thresholds:
+    for thr in settings.ransac_thresholds:
         sub = [r for r in rows if r["ransac_px"] == thr]
         errors = [r["pose_err_deg"] for r in sub]
         agg = {"ransac_px": thr, "n_pairs": len(sub)}
-        for tau, auc in zip(pose_thresholds, pose_auc(errors, pose_thresholds)):
+        for tau, auc in zip(settings.pose_thresholds, pose_auc(errors, settings.pose_thresholds)):
             agg[f"auc_{tau:g}"] = auc
         agg["fm_recall"] = float(np.mean([r["fm_correct"] for r in sub]))
         aggregates.append(agg)

@@ -204,7 +204,7 @@ def _candidates(image: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.concatenate(parts) for parts in zip(*levels))
 
 
-def detect_keypoints(image: np.ndarray, max_count: int = 500) -> KeypointSet:
+def detect_keypoints(image: np.ndarray, max_count: int) -> KeypointSet:
     """Two-level Harris corners with NMS and sub-pixel quadratic refinement.
 
     Candidates are the peaks of each level's Harris response above 0.5% of

@@ -81,13 +81,47 @@ def _library_error(call, *args, **kwargs) -> str:
     return str(info.value)
 
 
-def _matching_library(command, scene_root, model, variant=None, max_keypoints=300, **options):
-    """The library calls that ``command`` makes with the ``_add_matching`` flags, at their defaults."""
+def _matching_library(command, scene_root, model, variant=None, **settings):
+    """The library calls that ``command`` makes with the ``_add_matching`` flags, the others at their defaults."""
     if command == "match":
         scene = load_scene(scene_root / "scene_0000")
-        ev.make_matcher(variant or "raw", model, **options)(scene, ev.pair_features(scene, max_keypoints))
+        settings = ev.EvalSettings(variant or "raw", **settings)
+        feats = ev.pair_features(scene, settings.max_keypoints, settings.keypoint_source)
+        ev.make_matcher(settings, model)(scene, feats)
     else:
-        ev.eval_pose(load_scene_dir(scene_root), variant or "mutual", model, max_keypoints=max_keypoints, **options)
+        ev.eval_pose(load_scene_dir(scene_root), variant or "mutual", model, **settings)
+
+
+@pytest.mark.parametrize("command, variant", [("match", "raw"), ("eval-pose", "mutual")])
+def test_unset_flags_take_the_settings_defaults(tmp_path, scenes, monkeypatch, command, variant):
+    # every flag default of the command is the EvalSettings field default
+    built = []
+    make_matcher = ev.make_matcher
+
+    def recording(settings, model=None):
+        built.append(settings)
+        return make_matcher(settings, model)
+
+    monkeypatch.setattr(ev, "make_matcher", recording)
+    assert run_cli(_matching_argv(command, scenes[0], tmp_path / "out")) == 0
+    assert built == [ev.EvalSettings(variant)]
+
+
+def test_default_eval_pose_config_hash_is_unchanged(tmp_path, scenes):
+    # the hash a default run wrote before the defaults moved onto EvalSettings
+    assert run_cli(["eval-pose", "--dataset", str(scenes[0]), "--out", str(tmp_path)]) == 0
+    assert _config_hash(tmp_path / "pose_pairs.csv") == "# config_hash = 544c72e54554"
+
+
+@pytest.mark.parametrize("command", ["match", "eval-pose"])
+@pytest.mark.parametrize("max_side", ["0", "-5"])
+def test_max_side_below_one_is_a_usage_error_without_a_checkpoint(tmp_path, scenes, command, max_side, capsys):
+    argv = _matching_argv(command, scenes[0], tmp_path / "out") + ["--variant", "raw", "--max-side", max_side]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert f"max_side must be an integer >= 1, got {max_side}" in err
+    assert _library_error(_matching_library, command, scenes[0], None, variant="raw", max_side=int(max_side)) in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["match", "eval-pose"])
@@ -138,6 +172,9 @@ def test_unknown_variant_is_a_usage_error(tmp_path, scenes, command):
         # raw reads neither the model nor max_side, and is checked all the same
         pytest.param(["--variant", "raw", "--max-side", "8"], dict(variant="raw", max_side=8),
                      "max_side must be at least the backbone stride 16, got 8", id="raw-max-side-below-stride"),
+        # the count rule comes before the model's stride rule
+        pytest.param(["--variant", "raw", "--max-side", "-5"], dict(variant="raw", max_side=-5),
+                     "max_side must be an integer >= 1, got -5", id="raw-max-side-below-one"),
     ],
 )
 def test_bad_matching_setting_is_a_usage_error(tmp_path, scenes, command, flags, setting, message, capsys):
@@ -274,6 +311,19 @@ def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, scenes, comma
     assert run_cli([command, *argv, flag, str(tmp_path / "any")]) == 1
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_pck_config_hash_reads_the_threshold_values(tmp_path, scenes):
+    scene_root, checkpoint = scenes
+    hashes = []
+    for i, thresholds in enumerate(["8,16,32", "8, 16, 32", "8.0,16,32", None, "8,16,32.00000001"]):
+        out = tmp_path / str(i)
+        argv = ["eval-pck", "--checkpoint", str(checkpoint), "--dataset", str(scene_root), "--out", str(out)]
+        assert run_cli(argv + (["--thresholds", thresholds] if thresholds else [])) == 0
+        hashes.append(_config_hash(out / "pck.csv"))
+    # each spelling of the defaults, and none, gives the hash the default spelling always gave
+    assert set(hashes[:4]) == {"# config_hash = 4fe80307e983"}
+    assert hashes[4] != hashes[0]
 
 
 def test_config_hash_covers_max_side(tmp_path, scenes):

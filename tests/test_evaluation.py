@@ -103,7 +103,7 @@ class TestMakeMatcher:
     )
     def test_invalid_settings_raise(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            ev.make_matcher(**kwargs)
+            ev.make_matcher(ev.EvalSettings(**kwargs))
 
     @pytest.mark.parametrize(
         "variant, directions, ratio_tests, mutual_checks",
@@ -120,9 +120,9 @@ class TestMakeMatcher:
 
             monkeypatch.setattr(km, name, counted)
         scene = generate_scene(SceneConfig(width=128, height=96), 3)
-        feats = ev.pair_features(scene, 60)
+        feats = ev.pair_features(scene, 60, "detect")
         ratio = 0.9 if "ratio" in variant else None
-        ev.make_matcher(variant, ratio=ratio)(scene, feats)
+        ev.make_matcher(ev.EvalSettings(variant, ratio=ratio))(scene, feats)
         assert calls.count("match_raw") == directions
         assert calls.count("ratio_test") == ratio_tests
         assert calls.count("mutual_check") == mutual_checks
@@ -157,12 +157,21 @@ class TestSettingsBeforeWork:
             (dict(window_px=math.nan), "window_px must be > 0, got nan"),
             (dict(band_px=-1.0), "band_px must be > 0, got -1"),
             (dict(max_side=8), "max_side must be at least the backbone stride 16, got 8"),
+            (dict(max_side=-5), "max_side must be an integer >= 1, got -5"),
         ],
     )
     def test_make_matcher(self, model, variant, setting, message):
         ratio = 0.9 if variant.startswith("ratio") else None
         with pytest.raises(ConfigError, match=re.escape(message)):
-            ev.make_matcher(variant, model, ratio=ratio, **setting)
+            ev.make_matcher(ev.EvalSettings(variant, ratio=ratio, **setting), model)
+
+    @pytest.mark.parametrize("variant", ev.POSE_VARIANTS)
+    @pytest.mark.parametrize("max_side", [0, -5, 2.5, True])
+    def test_max_side_is_a_count_with_or_without_a_model(self, model, scenes, variant, max_side):
+        ratio = 0.9 if variant.startswith("ratio") else None
+        for run_model in (model, None):
+            with pytest.raises(ConfigError, match=re.escape(f"max_side must be an integer >= 1, got {max_side!r}")):
+                ev.eval_pose(scenes, variant, run_model, ratio=ratio, max_side=max_side)
 
     @pytest.mark.parametrize(
         "setting, message",
@@ -216,7 +225,7 @@ def test_report_cells_write_bools_as_integers():
 class TestCorruptFeatures:
     def _features(self):
         scene = generate_scene(SceneConfig(width=128, height=96), 3)
-        return ev.pair_features(scene, 60)
+        return ev.pair_features(scene, 60, "detect")
 
     def test_input_unchanged(self):
         feats = self._features()

@@ -160,7 +160,7 @@ class TestDetect:
         assert km._suppress(xy, np.array([3.0, 2.0, 1.0]), 32, 32, 10).tolist() == [1]
 
     def test_constant_image_empty(self):
-        kps = km.detect_keypoints(np.full((64, 64), 0.3))
+        kps = km.detect_keypoints(np.full((64, 64), 0.3), 500)
         assert len(kps) == 0 and kps.xy.shape == (0, 2) and kps.scale.shape == kps.response.shape == (0,)
 
     def test_single_blob(self):
@@ -181,7 +181,7 @@ class TestDetect:
 
     def test_too_small_errors(self):
         with pytest.raises(ValueError, match="small"):
-            km.detect_keypoints(np.zeros((16, 16)))
+            km.detect_keypoints(np.zeros((16, 16)), 500)
 
     @pytest.mark.parametrize("max_count", [0, -1, 2.5, 50.0, True, "50", None])
     def test_count_below_one_errors(self, max_count):
@@ -200,15 +200,15 @@ class TestDetect:
         img = textured_image(1).copy()
         img[40, 50] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            km.detect_keypoints(img)
+            km.detect_keypoints(img, 500)
 
     def test_overflowing_response_errors(self):
         # the response grows with the fourth power of the intensities, so a
         # finite image can overflow it; that used to skip every level silently
         image = generate_scene(SceneConfig(width=128, height=128), 0).image_a
-        assert len(km.detect_keypoints(image)) > 0
+        assert len(km.detect_keypoints(image, 500)) > 0
         with pytest.raises(ValueError, match="overflows"):
-            km.detect_keypoints(image * 1e150)
+            km.detect_keypoints(image * 1e150, 500)
 
     @settings(max_examples=300, deadline=None)
     @given(plateau_arrays())
