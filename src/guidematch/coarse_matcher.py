@@ -17,11 +17,14 @@ Every stage takes a batch: N pairs whose A images share one shape and whose
 B images share one shape, given as (N, H, W) image stacks. Feature maps are (C, N, H/s, W/s) and volumes
 (N, Ha, Wa, Hb, Wb); each layer runs the whole batch in one call, and a
 pair's scores do not depend on the batch it ran in. Evaluation runs one
-pair, N = 1, through ``compute_match_fields``, and runs it detached: on a
-view of the model whose parameters share its arrays but require no grad,
-so no op records a graph and each hidden volume is freed as soon as the
-next layer has read it. Training runs ``extract_features`` and
-``volume_from_features`` on the trainable model itself.
+pair, N = 1, through ``compute_match_fields``, and runs it detached and in
+float32: on a copy of the model whose parameters are float32 and require no
+grad, so no op records a graph, each hidden volume is freed as soon as the
+next layer has read it, and the forward pass moves half the bytes.
+Evaluation reads only each cell's argmax, which float32 keeps: a decoded
+cell can move only where its best two scores lie within the float32
+forward's error of each other. Training runs ``extract_features`` and
+``volume_from_features`` on the trainable model itself, in float64.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from guidematch import ConfigError, numerics
+from guidematch import ConfigError, check_count, numerics
 from guidematch.imageops import bilinear_sample, resize_bilinear
 from guidematch.numerics import Tensor
 
@@ -188,7 +191,7 @@ class CoarseMatchField:
     """Per-source-cell argmax matches, interpolatable to pixel level."""
 
     target_cells: np.ndarray  # (Hs, Ws, 2) int, rows then cols
-    scores: np.ndarray  # (Hs, Ws)
+    scores: np.ndarray  # (Hs, Ws); float32 from compute_match_fields
     stride: int
     src_image_size: tuple[int, int]
     tgt_image_size: tuple[int, int]
@@ -208,7 +211,9 @@ class CoarseMatchField:
 
 
 def check_max_side(max_side: int, stride: int) -> None:
-    """The rule on a resize bound: a ``ConfigError`` unless ``max_side`` holds one cell of ``stride``."""
+    """The rule on a resize bound: a ``ConfigError`` unless ``max_side`` is a
+    count (``check_count``) that holds one cell of ``stride``."""
+    check_count(max_side, "max_side")
     if max_side < stride:
         raise ConfigError(f"max_side must be at least the backbone stride {stride}, got {max_side}")
 
@@ -436,19 +441,21 @@ def compute_volume(model: CoarseModel, images_a: np.ndarray, images_b: np.ndarra
 
 
 def _detached(model: CoarseModel) -> CoarseModel:
-    """A view of ``model`` for a forward pass that records no graph.
+    """A float32 copy of ``model`` for a forward pass that records no graph.
 
-    Its parameters are new tensors over the same arrays that do not require
-    grad; nothing is redrawn, and ``model`` is left as it was.
+    Its parameters, the constant output bias included, are float32 copies
+    that do not require grad; nothing is redrawn, and ``model`` is left as
+    it was.
     """
 
     def plain(params: list[Tensor]) -> list[Tensor]:
-        return [Tensor(p.data, name=p.name) for p in params]
+        return [Tensor(p.data.astype(np.float32), name=p.name) for p in params]
 
     backbone = copy.copy(model.backbone)
     backbone.weights, backbone.biases = plain(model.backbone.weights), plain(model.backbone.biases)
     cons = copy.copy(model.cons_filter)
     cons.weights, cons.biases = plain(model.cons_filter.weights), plain(model.cons_filter.biases)
+    (cons.output_bias,) = plain([model.cons_filter.output_bias])
     return CoarseModel(backbone, cons)
 
 
@@ -459,14 +466,19 @@ def compute_match_fields(
     fields stamped with the resize scales. Evaluation's one entry to the
     model: non-finite filtered scores, say from a broken checkpoint, raise ``ValueError``.
 
-    The forward pass runs detached, on ``_detached(model)``: no op records
-    parents or a backward closure, so each layer's output is freed once the
-    next layer has read it. The scores are the same bits as those of
-    ``compute_volume(model, ...)``, and ``model`` is not changed.
+    The forward pass runs detached and in float32, on ``_detached(model)``
+    and the resized images cast to float32: no op records parents or a
+    backward closure, so each layer's output is freed once the next layer
+    has read it, and ``model`` is not changed. The fields keep the decoded
+    cells of ``compute_volume(model, ...)``, the float64 forward, except
+    where a cell's best two float64 scores lie within the float32 forward's
+    error of each other; their float32 scores carry that error, which the
+    ``coarse-match`` score column shows. A score beyond float32's range is
+    reported as non-finite.
     """
     image_a, scale_a = resize_image(image_a, max_side, model.stride)
     image_b, scale_b = resize_image(image_b, max_side, model.stride)
-    vol = compute_volume(_detached(model), image_a[None], image_b[None])
+    vol = compute_volume(_detached(model), image_a.astype(np.float32)[None], image_b.astype(np.float32)[None])
     if not np.isfinite(vol.filtered.data).all():
         raise ValueError("the coarse model produced non-finite coarse scores")
     ab = extract_matches(vol, "AB")

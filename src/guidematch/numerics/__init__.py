@@ -1,5 +1,7 @@
-"""Dense float64 tensor arithmetic with reverse-mode gradients plus Adam.
+"""Dense tensor arithmetic with reverse-mode gradients plus Adam.
 
+Training runs in float64, with gradients; a forward pass on float32 data
+stays in float32 and records no graph (evaluation's, see ``tensor``).
 Only the primitives the coarse matcher and its losses need are provided;
 this is deliberately not a general-purpose autodiff library. Each takes
 only what a caller varies: ``conv2d`` is the backbone's one convolution

@@ -1,4 +1,13 @@
-"""Float64 tensors that record the operations applied to them.
+"""Float64 tensors that record the operations applied to them, and float32
+tensors that record nothing.
+
+A tensor holds float64, or float32 when it is built from float32 data; any
+other data becomes float64. Every op returns the dtype of its tensor
+operands, and a Python-scalar operand takes the tensor's dtype, so a
+forward pass on float32 parameters and inputs runs in float32 throughout:
+evaluation's detached forward (``coarse_matcher.compute_match_fields``)
+does. Gradients are float64 only: a float32 tensor that requires grad is a
+``ValueError``.
 
 Every operation builds the value eagerly with numpy and attaches a closure
 that propagates gradients to its inputs; ``Tensor.backward`` on a scalar
@@ -21,18 +30,26 @@ LEAKY_SLOPE = 0.1  # leaky_relu's slope below zero
 NORM_EPS = 1e-8  # l2_normalize_channels' smallest divisor
 
 
+_FLOAT32 = np.dtype(np.float32)  # the one dtype besides float64 a tensor holds
+
+
 def _as_array(data) -> np.ndarray:
-    # np.ascontiguousarray would promote 0-d scalars to 1-d; this keeps them.
-    return np.array(data, dtype=np.float64, copy=None, order="C")
+    # float32 data stays float32, anything else becomes float64; np.ascontiguousarray
+    # would promote 0-d scalars to 1-d, this keeps them.
+    dtype = _FLOAT32 if getattr(data, "dtype", None) is _FLOAT32 else np.float64
+    return np.array(data, dtype=dtype, copy=None, order="C")
 
 
 class Tensor:
-    """A dense float64 array plus the bookkeeping for reverse-mode gradients."""
+    """A dense float64 or float32 array plus the bookkeeping for reverse-mode
+    gradients, which only a float64 one may require."""
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = _as_array(data)
+        if requires_grad and self.data.dtype is _FLOAT32:
+            raise ValueError(f"a float32 tensor cannot require grad (name={name!r}); gradients are float64")
         self.requires_grad = bool(requires_grad)
         self.name = name
         self.grad: np.ndarray | None = None
@@ -76,7 +93,7 @@ class Tensor:
     # -- elementwise arithmetic ------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
+        other = _coerce(other, self.data.dtype)
         a, b = self.data, other.data
         _check_binary_shapes("add", a, b)
         out_data = a + b
@@ -90,7 +107,7 @@ class Tensor:
         return _make(out_data, (self, other), bwd)
 
     def __mul__(self, other):
-        other = _coerce(other)
+        other = _coerce(other, self.data.dtype)
         a, b = self.data, other.data
         _check_binary_shapes("mul", a, b)
         out_data = a * b
@@ -144,10 +161,12 @@ def parameter(data, name: str) -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
 
 
-def _coerce(x) -> Tensor:
+def _coerce(x, dtype: np.dtype) -> Tensor:
+    """``x`` as a tensor operand of one whose data has ``dtype``: a tensor as it
+    is, anything else, such as a Python scalar, converted to ``dtype``."""
     if isinstance(x, Tensor):
         return x
-    return Tensor(x)
+    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _check_binary_shapes(op: str, a: np.ndarray, b: np.ndarray) -> None:
@@ -228,7 +247,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
     The backbone's one convolution, as ``conv4d`` is the filter's: fixed
     zero padding 1 and stride 2, so the output is (C_out, N, H', W') with
-    H' = floor((H - 1) / 2) + 1.
+    H' = floor((H - 1) / 2) + 1, in the operands' dtype.
     Each tap multiplies the (C_out, C_in) tap matrix with every sample's
     (C_in, H'*W') slab in one call (``_per_sample_product``), so each sample
     gets the BLAS call it would get alone; one GEMM over all samples would
@@ -258,7 +277,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     xpn = xp.transpose(1, 0, 2, 3)
     kd = kernel.data
     taps = np.ascontiguousarray(kd.transpose(2, 3, 0, 1))  # (3, 3, C_out, C_in)
-    outn = np.empty((n, c_out, ho * wo))
+    outn = np.empty((n, c_out, ho * wo), dtype=np.result_type(x.data, kd, bias.data))
     outn[:] = bias.data[:, None]
     for dy in range(3):
         ys = _tap_slice(dy, ho)
@@ -305,12 +324,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 class Conv4dScratch:
     """Work buffers that a sequence of ``conv4d`` forward calls shares.
 
-    ``take(key, shape)`` returns a C-contiguous view of the first
-    prod(shape) elements of the key's flat buffer, which grows when it is
-    too small; a larger buffer is used through a prefix view. The view holds
-    whatever the last call left there, so a user that reads before writing
-    must clear it. Views taken earlier under the same key alias the new
-    one: a scratch serves one call at a time.
+    ``take(key, shape, dtype)`` returns a C-contiguous view of the first
+    prod(shape) elements of the key's flat buffer, which is replaced when it
+    is too small or of another dtype; a larger buffer is used through a
+    prefix view. The view holds whatever the last call left there, so a user
+    that reads before writing must clear it. Views taken earlier under the
+    same key alias the new one: a scratch serves one call at a time.
     """
 
     __slots__ = ("_buffers",)
@@ -318,11 +337,11 @@ class Conv4dScratch:
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
 
-    def take(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    def take(self, key: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         size = math.prod(shape)
         buf = self._buffers.get(key)
-        if buf is None or buf.size < size:
-            buf = self._buffers[key] = np.empty(size)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[key] = np.empty(size, dtype=dtype)
         return buf[:size].reshape(shape)
 
 
@@ -379,7 +398,7 @@ def _a_row_columns(x: np.ndarray, scratch: Conv4dScratch, split: int):
     call wrote.
     """
     c, n, ha, wa, hb, wb = x.shape
-    cols = scratch.take("cols", (3,) * split + (c, n, wa, hb, wb))
+    cols = scratch.take("cols", (3,) * split + (c, n, wa, hb, wb), x.dtype)
     cols.fill(0.0)
     kept = (slice(None),) * (5 - split)  # channels, samples and the axes no unrolled tap shifts
     copies = [(taps + kept + dst, kept + src) for taps, dst, src in _tap_shifts((wa, hb, wb)[3 - split :])]
@@ -421,7 +440,7 @@ def _conv4d_into(out: np.ndarray, x: np.ndarray, kd: np.ndarray, scratch: Conv4d
     m = wa * hb * wb
     # rows (da, ..., c_out), columns (..., dd, c_in)
     kmat = kd.transpose(*range(2, 2 + row_taps), 0, *range(2 + row_taps, 6), 1).reshape(3 * block, -1)
-    prod = scratch.take("prod", (n, 3 * block, m))
+    prod = scratch.take("prod", (n, 3 * block, m), out.dtype)
     taps = prod.reshape((n,) + (3,) * row_taps + (c_out, wa, hb, wb))
     taps = taps.transpose(*range(1, row_taps + 1), row_taps + 1, 0, *range(row_taps + 2, row_taps + 5))
     both = (slice(None), slice(None))  # channels and samples
@@ -441,7 +460,7 @@ def conv4d(x: Tensor, kernel: Tensor, bias: Tensor, scratch: Conv4dScratch | Non
     """Cross-correlate a (C_in, N, Ha, Wa, Hb, Wb) stack of N volumes with 3^4 kernels.
 
     Fixed zero padding 1 and stride 1 on all four spatial axes, so the
-    output is (C_out, N, Ha, Wa, Hb, Wb).
+    output is (C_out, N, Ha, Wa, Hb, Wb), in the operands' dtype.
 
     ``scratch`` lends the forward pass its column buffer and product, so a
     sequence of calls allocates them once; without one the call makes its
@@ -483,7 +502,7 @@ def conv4d(x: Tensor, kernel: Tensor, bias: Tensor, scratch: Conv4dScratch | Non
         raise ValueError(f"conv4d batch and spatial extents must be >= 1, got {dims}")
 
     kd = kernel.data
-    out = np.empty((c_out,) + dims)
+    out = np.empty((c_out,) + dims, dtype=np.result_type(x.data, kd, bias.data))
     out[:] = bias.data[(slice(None),) + (None,) * 5]
     _conv4d_into(out, x.data, kd, Conv4dScratch() if scratch is None else scratch)
 

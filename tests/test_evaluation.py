@@ -197,6 +197,7 @@ class TestSettingsBeforeWork:
         "setting, message",
         [
             (dict(max_side=15), "max_side must be at least the backbone stride 16, got 15"),
+            (dict(max_side=100.5), "max_side must be an integer >= 1, got 100.5"),
             (dict(thresholds=(8.0, 8.0000001)), "PCK thresholds must differ when formatted with %g, got [8.0, 8.0000001]"),
         ],
     )

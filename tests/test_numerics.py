@@ -284,26 +284,28 @@ class TestConv4dScratch:
         (16, 16, 2, (6, 8, 6, 8)),
     ]
 
-    def _cases(self, seed):
+    def _cases(self, seed, dtype=np.float64):
         rng = np.random.default_rng(seed)
         for c_in, c_out, n, spatial in self.SEQUENCE:
             yield (
-                rng.standard_normal((c_in, n, *spatial)),
-                rng.standard_normal((c_out, c_in, 3, 3, 3, 3)),
-                rng.standard_normal(c_out),
+                rng.standard_normal((c_in, n, *spatial)).astype(dtype),
+                rng.standard_normal((c_out, c_in, 3, 3, 3, 3)).astype(dtype),
+                rng.standard_normal(c_out).astype(dtype),
             )
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("prefill", [None, np.nan])
-    def test_forward_is_bit_identical(self, prefill):
+    def test_forward_is_bit_identical(self, prefill, dtype):
         scratch = Conv4dScratch()
         if prefill is not None:
             # dirty buffers larger than any call of the sequence needs
-            scratch.take("cols", (2_000_000,)).fill(prefill)
-            scratch.take("prod", (2_000_000,)).fill(prefill)
-        for x, k, b in self._cases(31):
+            scratch.take("cols", (2_000_000,), np.dtype(dtype)).fill(prefill)
+            scratch.take("prod", (2_000_000,), np.dtype(dtype)).fill(prefill)
+        for x, k, b in self._cases(31, dtype):
             shared = conv4d(Tensor(x), Tensor(k), Tensor(b), scratch=scratch)
             alone = conv4d(Tensor(x), Tensor(k), Tensor(b))
-            assert np.array_equal(_bits(shared.data), _bits(alone.data)), x.shape
+            assert shared.data.dtype == dtype
+            assert np.array_equal(shared.data.view(np.uint8), alone.data.view(np.uint8)), x.shape
 
     def test_backward_is_bit_identical(self):
         scratch = Conv4dScratch()
@@ -320,13 +322,17 @@ class TestConv4dScratch:
 
     def test_take_grows_and_reuses_a_prefix(self):
         scratch = Conv4dScratch()
-        big = scratch.take("cols", (4, 5))
-        small = scratch.take("cols", (3, 2))
+        f64, f32 = np.dtype(np.float64), np.dtype(np.float32)
+        big = scratch.take("cols", (4, 5), f64)
+        small = scratch.take("cols", (3, 2), f64)
         assert small.shape == (3, 2) and small.flags.c_contiguous
         assert np.shares_memory(big, small)
-        grown = scratch.take("cols", (7, 5))
+        grown = scratch.take("cols", (7, 5), f64)
         assert grown.shape == (7, 5) and not np.shares_memory(big, grown)
-        assert not np.shares_memory(grown, scratch.take("prod", (7, 5)))
+        assert not np.shares_memory(grown, scratch.take("prod", (7, 5), f64))
+        # a buffer of another dtype is replaced, whatever its size
+        other = scratch.take("cols", (3, 2), f32)
+        assert other.dtype == f32 and not np.shares_memory(grown, other)
 
 
 class TestLeakyRelu:
@@ -541,6 +547,55 @@ class TestL2Normalize:
                 return (l2_normalize_channels(x) * w).sum()
 
             assert max_gradient_error(f, [x]) < GRAD_TOL
+
+
+class TestFloat32:
+    """Float32 data stays float32 through every op, without a graph; gradients are float64 only."""
+
+    @staticmethod
+    def _ops(rng, dtype):
+        def data(*shape):
+            return Tensor(rng.standard_normal(shape).astype(dtype))
+
+        x4, x6 = data(2, 2, 5, 4), data(2, 2, 3, 2, 3, 2)
+        return {
+            "add": lambda: x4 + data(2, 2, 5, 4),
+            "mul": lambda: x4 * data(2, 2, 5, 4),
+            "add scalar": lambda: x4 + 1.5,
+            "mul scalar": lambda: x4 * 0.5,
+            "reshape": lambda: x4.reshape((4, 20)),
+            "transpose": lambda: x4.transpose((1, 0, 3, 2)),
+            "sum": lambda: x4.sum(),
+            "conv2d": lambda: conv2d(x4, data(3, 2, 3, 3), data(3)),
+            "conv4d": lambda: conv4d(x6, data(3, 2, 3, 3, 3, 3), data(3), scratch=Conv4dScratch()),
+            "leaky_relu": lambda: leaky_relu(x4),
+            "softmax_over": lambda: softmax_over(x4, (2, 3)),
+            "max_over": lambda: max_over(x4, (2, 3)),
+            "l2_normalize_channels": lambda: l2_normalize_channels(x4),
+            "matmul": lambda: matmul(data(2, 3, 4), data(2, 4, 5)),
+        }
+
+    def test_every_op_keeps_the_dtype_of_its_operands(self):
+        ops32 = self._ops(np.random.default_rng(70), np.float32)
+        ops64 = self._ops(np.random.default_rng(70), np.float64)
+        for name in ops32:
+            out32, out64 = ops32[name](), ops64[name]()
+            assert out32.data.dtype == np.float32, name
+            assert out64.data.dtype == np.float64, name
+            assert out32._parents == () and not out32.requires_grad, name
+            # the same operands rounded to float32 give the float64 result to float32 accuracy
+            scale = max(1.0, float(np.abs(out64.data).max()))
+            assert np.abs(out32.data - out64.data).max() <= 1e-5 * scale, name
+
+    @pytest.mark.parametrize("data", [0.5, [1, 2], np.arange(3), np.float16(0.5)])
+    def test_other_data_becomes_float64(self, data):
+        assert Tensor(data).data.dtype == np.float64
+
+    def test_a_float32_tensor_cannot_require_grad(self):
+        for make in (lambda d: Tensor(d, requires_grad=True), lambda d: parameter(d, "w")):
+            with pytest.raises(ValueError, match="float32 tensor cannot require grad"):
+                make(np.zeros(3, np.float32))
+        assert parameter(np.zeros(3), "w").requires_grad
 
 
 class TestBackward:

@@ -584,6 +584,7 @@ class TestTraining:
             # a float seed would fail only in CoarseModel.create, a bool would train as seed 0 or 1
             ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
             ({"seed": False}, "seed must be an integer >= 0, got False"),
+            ({"max_side": 100.5}, "max_side must be an integer >= 1, got 100.5"),
         ],
     )
     def test_settings_that_cannot_train_are_rejected(self, setting, message):
