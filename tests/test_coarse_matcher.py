@@ -490,6 +490,136 @@ class TestDetachedEval:
         assert all(p.data.dtype == np.float64 for p in model.parameters() + [model.cons_filter.output_bias])
 
 
+    def test_unfreezing_the_view_raises_and_leaves_it_as_it_was(self):
+        model, _ = self._model(56)
+        view = cm._detached(model)
+        assert view.backbone.frozen
+        with pytest.raises(ValueError, match="float32 tensor cannot require grad"):
+            view.backbone.frozen = False
+        assert view.backbone.frozen
+        assert not any(p.requires_grad for p in view.parameters())
+        # the float64 model unfreezes as training's second phase does
+        model.backbone.frozen = False
+        assert not model.backbone.frozen and all(p.requires_grad for p in model.parameters())
+
+
+def _field_state(field):
+    """Everything a field carries, copied, scores as float32 bits."""
+    return (
+        field.target_cells.copy(), _bits32(field.scores).copy(), field.stride,
+        field.src_image_size, field.tgt_image_size, field.scale_src, field.scale_tgt,
+    )
+
+
+def _assert_same_fields(fields, ref):
+    for field, state in zip(fields, ref):
+        got = _field_state(field)
+        assert np.array_equal(got[0], state[0]) and np.array_equal(got[1], state[1])
+        assert got[2:] == state[2:]
+
+
+class TestKeptForward:
+    """``compute_match_fields`` keeps the last forward run on a model; a repeated
+    call on the same model object with the same float32 parameters and images
+    reuses it, and any other call runs its own. Each test builds its own models,
+    so nothing kept carries from one test into another."""
+
+    @pytest.fixture(autouse=True)
+    def forwards(self, monkeypatch):
+        """The list of every forward run during the test."""
+        seen = []
+        compute_volume = cm.compute_volume
+
+        def counting(*args):
+            seen.append(args)
+            return compute_volume(*args)
+
+        monkeypatch.setattr(cm, "compute_volume", counting)
+        return seen
+
+    @staticmethod
+    def _inputs(seed=60):
+        model, rng = TestDetachedEval._model(seed)
+        return model, rng.random((40, 56)), rng.random((56, 40))
+
+    def test_a_hit_equals_a_miss(self, forwards):
+        model, image_a, image_b = self._inputs()
+        miss = [_field_state(f) for f in cm.compute_match_fields(model, image_a, image_b, 48)]
+        assert miss[0][5] != (1.0, 1.0)  # resized, so the scales are stamped
+        hit = cm.compute_match_fields(model, image_a, image_b, 48)
+        assert len(forwards) == 1
+        _assert_same_fields(hit, miss)
+        model._last_forward = None
+        _assert_same_fields(cm.compute_match_fields(model, image_a, image_b, 48), miss)
+        assert len(forwards) == 2
+
+    def test_another_model_object_runs_its_own(self, forwards):
+        model, image_a, image_b = self._inputs()
+        fields = [_field_state(f) for f in cm.compute_match_fields(model, image_a, image_b, 48)]
+        twin = self._inputs()[0]  # the same seed: equal parameters, another object
+        _assert_same_fields(cm.compute_match_fields(twin, image_a, image_b, 48), fields)
+        assert len(forwards) == 2
+        cm.compute_match_fields(model, image_a, image_b, 48)  # model kept its own
+        assert len(forwards) == 2
+
+    def test_parameters_equal_in_float32_share_the_forward(self, forwards):
+        model, image_a, image_b = self._inputs()
+        fields = [_field_state(f) for f in cm.compute_match_fields(model, image_a, image_b, 48)]
+        weight = model.cons_filter.weights[0]
+        weight.data = weight.data * (1 + 2.0**-40)  # below float32's resolution
+        assert weight.data.astype(np.float32).tobytes() == cm._detached(model).cons_filter.weights[0].data.tobytes()
+        _assert_same_fields(cm.compute_match_fields(model, image_a, image_b, 48), fields)
+        assert len(forwards) == 1
+
+    @pytest.mark.parametrize("change", ["pixel", "parameter", "adam_step", "output_bias", "max_side"])
+    def test_a_changed_input_misses(self, forwards, change):
+        model, image_a, image_b = self._inputs()
+        max_side = 48
+        cm.compute_match_fields(model, image_a, image_b, max_side)
+        if change == "pixel":
+            image_a[20, 30] += 0.5  # in place: the same array object
+        elif change == "parameter":
+            model.backbone.weights[1].data[0, 0, 1, 1] += 0.5
+        elif change == "adam_step":
+            params = model.cons_filter.parameters()
+            numerics.adam_step(numerics.AdamState(lr=1e-3), params, [np.ones(p.shape) for p in params])
+        elif change == "output_bias":
+            model.cons_filter.output_bias = Tensor(np.array([0.25]))
+        else:
+            max_side = 32
+        fields = [_field_state(f) for f in cm.compute_match_fields(model, image_a, image_b, max_side)]
+        assert len(forwards) == 2
+        # and the miss computed this call's inputs: the same as a fresh process would
+        model._last_forward = None
+        _assert_same_fields(cm.compute_match_fields(model, image_a, image_b, max_side), fields)
+
+    def test_only_the_last_forward_is_kept(self, forwards):
+        model, image_a, image_b = self._inputs()
+        for images in [(image_a, image_b), (image_b, image_a), (image_a, image_b), (image_a, image_b)]:
+            cm.compute_match_fields(model, *images, 48)
+        assert len(forwards) == 3
+
+    def test_non_finite_scores_raise_on_every_call(self, forwards):
+        model, image_a, image_b = self._inputs()
+        cm.compute_match_fields(model, image_a, image_b, 48)
+        model.cons_filter.weights[0].data[0, 0, 1, 1, 1, 1] = np.nan
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-finite coarse scores"):
+                cm.compute_match_fields(model, image_a, image_b, 48)
+        assert len(forwards) == 3
+
+    def test_mutating_returned_fields_leaves_the_next_hit_alone(self, forwards):
+        model, image_a, image_b = self._inputs()
+        fields = cm.compute_match_fields(model, image_a, image_b, 48)
+        ref = [_field_state(f) for f in fields]
+        for field in fields:
+            field.target_cells[...] = 0
+            field.scores[...] = 7.0
+            field.scale_src = field.scale_tgt = (9.0, 9.0)
+        _assert_same_fields(cm.compute_match_fields(model, image_a, image_b, 48), ref)
+        assert len(forwards) == 1
+
+
 class TestEndToEndGradients:
     def test_full_pipeline_finite_differences(self):
         seed, (f, params) = _first_well_conditioned("volume")

@@ -281,6 +281,57 @@ class TestEvalPck:
             ev.eval_pck(cm.CoarseModel.create(0), [None], (), 64)
 
 
+class TestOneForwardPerPair:
+    """``eval_pck`` then guided ``eval_pose`` on the same pairs, the benchmark's
+    op, share each pair's forward through the one ``compute_match_fields`` keeps
+    on the model."""
+
+    @pytest.fixture
+    def model(self):
+        rng = np.random.default_rng(61)
+        model = cm.CoarseModel.create(61, backbone_channels=(4, 8), filter_hidden=(4,))
+        for p in model.parameters():
+            p.data = rng.standard_normal(p.shape)
+        return model
+
+    @pytest.fixture(scope="class")
+    def scenes(self):
+        return [generate_scene(SceneConfig(width=96, height=64), s) for s in (610, 611)]
+
+    @staticmethod
+    def _reports(model, scenes, tmp_path):
+        reports = [ev.eval_pck(model, scenes), ev.eval_pose(scenes, "guided", model=model)]
+        out = []
+        for report in reports:
+            for which in ("rows", "aggregates"):
+                report.write_csv(tmp_path / "report.csv", which)
+                out.append((tmp_path / "report.csv").read_bytes())
+        return out
+
+    @pytest.mark.parametrize("pairs, forwards", [(1, 1), (2, 4)])
+    def test_forwards_and_reports(self, monkeypatch, tmp_path, model, scenes, pairs, forwards):
+        seen = []
+        compute_volume = cm.compute_volume
+
+        def counting(*args):
+            seen.append(args)
+            return compute_volume(*args)
+
+        monkeypatch.setattr(cm, "compute_volume", counting)
+        kept = self._reports(model, scenes[:pairs], tmp_path)
+        # one kept forward: two pairs alternate, so eval_pose finds the second pair's
+        assert len(seen) == forwards
+        compute_match_fields = cm.compute_match_fields
+
+        def nothing_kept(*args):
+            args[0]._last_forward = None
+            return compute_match_fields(*args)
+
+        monkeypatch.setattr(cm, "compute_match_fields", nothing_kept)
+        assert self._reports(model, scenes[:pairs], tmp_path) == kept
+        assert len(seen) == forwards + 2 * pairs
+
+
 _errors = st.lists(st.floats(0.0, 30.0) | st.just(math.inf), min_size=1, max_size=20)
 
 
