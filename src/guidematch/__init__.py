@@ -23,6 +23,7 @@ def check_count(value, name: str) -> None:
 
 
 def check_seed(value, name: str) -> None:
-    """The rule on a seed setting: a ``ConfigError`` unless ``value`` is an integer >= 0 (a bool is not)."""
+    """The rule on a seed, or any setting that may be 0 or more: a ``ConfigError``
+    unless ``value`` is an integer >= 0 (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")

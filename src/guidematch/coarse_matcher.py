@@ -94,10 +94,11 @@ class Backbone:
     One block per entry of ``channels``: a 3x3 conv of stride 2 with that
     many output channels and a leaky rectifier, so the total stride is
     2 ** len(channels). ``params`` gives each parameter's array, in order:
-    ``he_uniform(rng)`` draws fresh ones.
+    ``he_uniform(rng)`` draws fresh ones. It holds its parameters only:
+    training freezes it by passing ``supervision.total_loss`` a feature map.
     """
 
-    def __init__(self, channels, params: ParameterSource, frozen: bool = False):
+    def __init__(self, channels, params: ParameterSource):
         self.channels = tuple(int(c) for c in channels)
         self.stride = 2 ** len(self.channels)
         self.weights: list[Tensor] = []
@@ -105,22 +106,6 @@ class Backbone:
         for i, (c_in, c_out) in enumerate(zip((1, *self.channels), self.channels)):
             self.weights.append(_parameter(params, f"backbone/{i}/weight", (c_out, c_in, 3, 3)))
             self.biases.append(_parameter(params, f"backbone/{i}/bias", (c_out,)))
-        self.frozen = frozen
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    @frozen.setter
-    def frozen(self, value: bool) -> None:
-        params = self.parameters()
-        if not value:  # float32 parameters, say of a _detached view, cannot require grad
-            for p in params:
-                if p.data.dtype == np.float32:
-                    raise ValueError(f"a float32 tensor cannot require grad (name={p.name!r}); gradients are float64")
-        self._frozen = bool(value)
-        for p in params:
-            p.requires_grad = not self._frozen
 
     def parameters(self) -> list[Tensor]:
         out = []
@@ -141,11 +126,12 @@ class ConsensusFilter:
 
     Single-channel in and out through the ``hidden`` widths, i.e.
     len(hidden) + 1 conv layers, kernel 3, zero padding 1, leaky rectifiers
-    between layers and a linear final layer. The final layer's bias is a
-    constant zero: every loss reads softmaxes, which a shift of all scores
-    leaves unchanged, so a trained output bias would get no gradient but
-    rounding noise, and Adam would turn that noise into a random walk.
-    ``params`` gives each parameter's array, in order, as for ``Backbone``.
+    between layers and a linear final layer. The final layer has no bias
+    parameter: ``forward`` gives it a zero bias of the input's dtype. Every
+    loss reads softmaxes, which a shift of all scores leaves unchanged, so a
+    trained output bias would get no gradient but rounding noise, and Adam
+    would turn that noise into a random walk. ``params`` gives each
+    parameter's array, in order, as for ``Backbone``.
     """
 
     def __init__(self, hidden, params: ParameterSource):
@@ -157,7 +143,6 @@ class ConsensusFilter:
             self.weights.append(_parameter(params, f"filter/{i}/weight", (c_out, c_in, 3, 3, 3, 3)))
             if i < len(self.hidden):
                 self.biases.append(_parameter(params, f"filter/{i}/bias", (c_out,)))
-        self.output_bias = Tensor(np.zeros(1))
 
     def parameters(self) -> list[Tensor]:
         out = []
@@ -177,7 +162,8 @@ class ConsensusFilter:
         x = volume.reshape((1, *shape))
         for w, b in zip(self.weights[:-1], self.biases):
             x = numerics.leaky_relu(numerics.conv4d(x, w, b, scratch=scratch))
-        return numerics.conv4d(x, self.weights[-1], self.output_bias, scratch=scratch).reshape(shape)
+        zero_bias = Tensor(np.zeros(1, dtype=x.data.dtype))
+        return numerics.conv4d(x, self.weights[-1], zero_bias, scratch=scratch).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -372,7 +358,8 @@ def write_match_field(path, field: CoarseMatchField) -> None:
 
 @dataclass
 class CoarseModel:
-    """Backbone plus consensus filter, the trainable unit."""
+    """Backbone plus consensus filter, the trainable unit: their parameters and
+    the kept forward, nothing else."""
 
     backbone: Backbone
     cons_filter: ConsensusFilter
@@ -388,7 +375,6 @@ class CoarseModel:
         seed: int = 0,
         backbone_channels=BACKBONE_CHANNELS,
         filter_hidden=FILTER_HIDDEN,
-        frozen_backbone: bool = False,
     ) -> "CoarseModel":
         """A fresh model: ``he_uniform`` parameters from two generators spawned
         from ``seed``, one per part, and a zero output head. With a zero head
@@ -400,7 +386,7 @@ class CoarseModel:
         cons_filter = ConsensusFilter(filter_hidden, he_uniform(rng_filter))
         head = cons_filter.weights[-1]
         head.data = np.zeros_like(head.data)
-        return cls(Backbone(backbone_channels, he_uniform(rng_backbone), frozen=frozen_backbone), cons_filter)
+        return cls(Backbone(backbone_channels, he_uniform(rng_backbone)), cons_filter)
 
     @property
     def stride(self) -> int:
@@ -458,9 +444,8 @@ def compute_volume(model: CoarseModel, images_a: np.ndarray, images_b: np.ndarra
 def _detached(model: CoarseModel) -> CoarseModel:
     """A float32 copy of ``model`` for a forward pass that records no graph.
 
-    Its parameters, the constant output bias included, are float32 copies
-    that do not require grad; nothing is redrawn, and ``model`` is left as
-    it was.
+    Its parameters are float32 copies that do not require grad; nothing is
+    redrawn, and ``model`` is left as it was.
     """
 
     def plain(params: list[Tensor]) -> list[Tensor]:
@@ -470,17 +455,14 @@ def _detached(model: CoarseModel) -> CoarseModel:
     backbone.weights, backbone.biases = plain(model.backbone.weights), plain(model.backbone.biases)
     cons = copy.copy(model.cons_filter)
     cons.weights, cons.biases = plain(model.cons_filter.weights), plain(model.cons_filter.biases)
-    (cons.output_bias,) = plain([model.cons_filter.output_bias])
     return CoarseModel(backbone, cons)
 
 
 def _forward_key(view: CoarseModel, image_a: np.ndarray, image_b: np.ndarray) -> bytes:
     """SHA-256 of all the detached forward reads: each parameter of the float32
-    ``view``, the constant output bias included, and both float32 images, each
-    by its name, dtype, shape and bytes."""
+    ``view`` and both float32 images, each by its name, dtype, shape and bytes."""
     h = hashlib.sha256()
-    named = [(p.name, p.data) for p in view.parameters()]
-    named += [("output_bias", view.cons_filter.output_bias.data), ("image_a", image_a), ("image_b", image_b)]
+    named = [(p.name, p.data) for p in view.parameters()] + [("image_a", image_a), ("image_b", image_b)]
     for name, data in named:
         h.update(f"{name} {data.dtype.str} {data.shape}\n".encode())
         h.update(np.ascontiguousarray(data))
@@ -505,11 +487,10 @@ def compute_match_fields(
     reported as non-finite.
 
     ``model`` keeps the fields of the last finite forward run on it, under
-    ``_forward_key``: a SHA-256 of every float32 parameter of the view, the
-    output bias included, and of both float32 images. A call on the same
-    model object with the same key skips the forward and its decoding, so
-    an in-place change to a parameter or an image misses, and so does
-    another model object. Resizing, field construction and scale stamping
+    ``_forward_key``: a SHA-256 of every float32 parameter of the view and
+    of both float32 images. A call on the same model object with the same
+    key skips the forward and its decoding, so an in-place change to a
+    parameter or an image misses, and so does another model object. Resizing, field construction and scale stamping
     run on every call, so each call returns fresh fields that share no
     array with the kept ones, and the volume is freed as before. One entry
     is kept, 7.7 kB at 256x192, because the reuse that exists is

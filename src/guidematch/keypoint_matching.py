@@ -372,7 +372,7 @@ def match_model_guided(
     desc_a: np.ndarray,
     kps_b: KeypointSet,
     desc_b: np.ndarray,
-    band_px: float = 3.0,
+    band_px: float,
 ) -> MatchSet:
     """Classical two-stage guided baseline.
 

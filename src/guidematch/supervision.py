@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from guidematch import coarse_matcher as cm
-from guidematch import ConfigError, check_seed, numerics
+from guidematch import ConfigError, check_count, check_seed, numerics
 from guidematch.geometry.epipolar import FRAME_RESIZED, FundamentalMatrix, epipolar_distances, rescale_fundamental
 from guidematch.geometry.scene import SyntheticScene, load_scene_dir
 from guidematch.numerics import AdamState, Tensor, adam_step
@@ -256,17 +256,17 @@ def total_loss(
     which each group's first pair appears. Every pair's supervision is
     checked before the first forward pass.
 
-    ``feature_map``, for a frozen backbone only, keeps each image's features
-    across calls: the batch's images it lacks go through the backbone
-    (``_add_features``), and every group's feature stacks are read from it.
-    Without one, each group's two image stacks go through the backbone.
+    ``feature_map`` keeps each image's features across calls: the batch's
+    images it lacks go through the backbone (``_add_features``), and every
+    group's feature stacks are read from it. A map freezes the backbone for
+    the call: the stacks are plain arrays, so the loss's graph does not
+    reach the backbone's parameters. Without one, each group's two image
+    stacks go through the backbone.
     """
     if not pairs:
         raise ValueError("empty batch")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    if feature_map is not None and not model.backbone.frozen:
-        raise ValueError("a feature map holds a frozen backbone's features; this backbone is not frozen")
     groups: dict[tuple, list[TrainingPair]] = {}
     for pair in pairs:
         groups.setdefault((pair.image_a.shape, pair.image_b.shape), []).append(pair)
@@ -373,16 +373,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
+        check_count(self.iterations, "iterations")
+        check_count(self.batch_size, "batch_size")
+        check_seed(self.freeze_steps, "freeze_steps")  # 0 freezes no step
+        check_seed(self.checkpoint_every, "checkpoint_every")  # 0 writes no snapshots
         for name in ("lr", "lr_finetune"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name):g}")
         check_seed(self.seed, "seed")
-        if self.checkpoint_every < 0:  # 0 writes no snapshots
-            raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.batch_size * self.positive_fraction % 1:
             raise ConfigError(f"batch_size must be even in {self.mode} mode (half positive pairs), got {self.batch_size}")
         cm.check_max_side(self.max_side, 2 ** len(cm.BACKBONE_CHANNELS))  # the stride of the model train builds
@@ -401,16 +399,17 @@ def train(config: TrainConfig) -> Path:
 
     The consensus filter trains from the start at ``lr``; the backbone stays
     frozen for ``freeze_steps`` steps and then fine-tunes at ``lr_finetune``.
-    While it is frozen, each dataset image goes through the backbone once:
-    the step that first draws it adds its features to a ``total_loss``
-    feature map, which later steps read. The map is dropped at the step
-    where the backbone unfreezes; from then on every step runs the backbone
-    on its whole batch. The reuse is exact: a frozen backbone's features
-    record no graph, and a sample's features do not depend on the batch it
-    ran in (``numerics.conv2d`` runs one product per sample, and
-    ``numerics.l2_normalize_channels`` sums channels in one order), so the
-    losses, the loss curve and every checkpoint are the same bits as with
-    the backbone run on every batch.
+    The frozen steps are the ones that pass ``total_loss`` a feature map;
+    only the others update the backbone. The step that first draws a
+    dataset image adds its features to the map, which later frozen steps
+    read; from the first step past ``freeze_steps`` every step runs the
+    backbone on its whole batch. The reuse is exact: a sample's features do
+    not depend on the batch it ran in (``numerics.conv2d`` runs one product
+    per sample, and ``numerics.l2_normalize_channels`` sums channels in one
+    order), so the losses, the loss curve and every checkpoint are the same
+    bits as with the backbone run on every batch. A map miss runs the
+    backbone on parameters that require grad; the small graph it records
+    is dropped once its array is read.
     Emits ``checkpoint_final.gmck``, whose path it returns, periodic
     snapshots, and a ``loss_curve.csv`` (step, loss, mode) under
     ``out_dir``; fully deterministic for a fixed seed. ``out_dir`` is made
@@ -420,7 +419,7 @@ def train(config: TrainConfig) -> Path:
     the curve to step k - 1, then raises ``TrainingDiverged``.
     """
     scenes = load_scene_dir(config.dataset_dir)
-    model = cm.CoarseModel.create(config.seed, frozen_backbone=True)
+    model = cm.CoarseModel.create(config.seed)
     dataset = PairDataset.from_scenes(scenes, config.max_side, model.stride)
     sampler = BatchSampler(dataset, config.batch_size, config.seed, config.positive_fraction)
     out_dir = Path(config.out_dir)
@@ -441,8 +440,7 @@ def train(config: TrainConfig) -> Path:
 
     feature_map: FeatureMap | None = {}
     for step in range(1, config.iterations + 1):
-        if model.backbone.frozen and step > config.freeze_steps:
-            model.backbone.frozen = False
+        if step > config.freeze_steps:
             feature_map = None
         batch = sampler.next_batch()
         loss, mean_loss = total_loss(model, batch, config.mode, config.lambda_px, feature_map)
@@ -452,7 +450,7 @@ def train(config: TrainConfig) -> Path:
             raise TrainingDiverged(step, final_path)
         loss.backward()
         adam_step(filter_opt, filter_params, [p.grad for p in filter_params])
-        if not model.backbone.frozen:
+        if feature_map is None:
             adam_step(backbone_opt, backbone_params, [p.grad for p in backbone_params])
         curve.append((step, mean_loss))
         if config.checkpoint_every and step % config.checkpoint_every == 0 and step < config.iterations:

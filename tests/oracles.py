@@ -598,10 +598,12 @@ def triangulate_reference(r, t, na, nb):
 
 def train_reference(config):
     """``supervision.train`` without the frozen-phase feature map: every step
-    runs the backbone on its whole batch. Writes the final checkpoint,
-    the snapshots and the loss curve as ``train`` does, and returns the final
-    checkpoint's path; a run that diverges is not covered."""
-    model = cm.CoarseModel.create(config.seed, frozen_backbone=True)
+    runs the backbone on its whole batch, and the first ``freeze_steps``
+    steps keep the backbone out of the graph by turning its parameters'
+    ``requires_grad`` off. Writes the final checkpoint, the snapshots and
+    the loss curve as ``train`` does, and returns the final checkpoint's
+    path; a run that diverges is not covered."""
+    model = cm.CoarseModel.create(config.seed)
     dataset = sup.PairDataset.from_scenes(load_scene_dir(config.dataset_dir), config.max_side, model.stride)
     sampler = sup.BatchSampler(dataset, config.batch_size, config.seed, config.positive_fraction)
     out_dir = Path(config.out_dir)
@@ -609,13 +611,14 @@ def train_reference(config):
     filter_opt, backbone_opt = AdamState(lr=config.lr), AdamState(lr=config.lr_finetune)
     lines = ["step,loss,mode"]
     for step in range(1, config.iterations + 1):
-        if step > config.freeze_steps:
-            model.backbone.frozen = False
+        frozen = step <= config.freeze_steps
+        for p in model.backbone.parameters():
+            p.requires_grad = not frozen
         loss, mean_loss = sup.total_loss(model, sampler.next_batch(), config.mode, config.lambda_px)
         loss.backward()
         params = model.cons_filter.parameters()
         adam_step(filter_opt, params, [p.grad for p in params])
-        if not model.backbone.frozen:
+        if not frozen:
             params = model.backbone.parameters()
             adam_step(backbone_opt, params, [p.grad for p in params])
         lines.append(f"{step},{mean_loss!r},{config.mode}")

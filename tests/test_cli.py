@@ -400,7 +400,7 @@ def _config_library(command, setting):
                      "mode must be one of ('image', 'epipolar', 'point'), got 'sideways'",
                      id="argv3-mode = sideways-mode must be one of ('image', 'epipolar', 'point'), got 'sideways'"),
         pytest.param(["train", "--mode", "epipolar", "--iterations", "0"], None, dict(mode="epipolar", iterations=0),
-                     "iterations must be at least 1, got 0",
+                     "iterations must be an integer >= 1, got 0",
                      id="argv4-None-iterations must be at least 1, got 0"),
         pytest.param(["train", "--mode", "epipolar", "--lr", "nan"], None, dict(mode="epipolar", lr=math.nan),
                      "lr must be finite and >= 0, got nan",
@@ -409,7 +409,7 @@ def _config_library(command, setting):
                      "lr must be finite and >= 0, got -1",
                      id="argv6-None-lr must be finite and >= 0, got -1"),
         pytest.param(["train", "--mode", "point"], "batch_size = 0", dict(mode="point", batch_size=0),
-                     "batch_size must be at least 1, got 0",
+                     "batch_size must be an integer >= 1, got 0",
                      id="argv7-batch_size = 0-batch_size must be at least 1, got 0"),
         pytest.param(["train", "--mode", "epipolar"], "batch_size = 3", dict(mode="epipolar", batch_size=3),
                      "batch_size must be even in epipolar mode",
@@ -472,7 +472,7 @@ def _config_library(command, setting):
                      "tilt_max must be finite and >= 0, got -0.5",
                      id="synth-tilt-negative"),
         pytest.param(["train", "--mode", "epipolar"], "checkpoint_every = -1", dict(mode="epipolar", checkpoint_every=-1),
-                     "checkpoint_every must be >= 0, got -1",
+                     "checkpoint_every must be an integer >= 0, got -1",
                      id="train-checkpoint-every-negative"),
     ],
 )

@@ -282,14 +282,9 @@ class TestTotalLossAndBatching:
         model = tiny_model()
         with pytest.raises(ValueError, match=message):
             sup.total_loss(model, [good, bad], mode, 16.0)
-        model.backbone.frozen = True  # a feature map's backbone work waits for the checks too
+        # a feature map's backbone work waits for the checks too
         with pytest.raises(ValueError, match=message):
             sup.total_loss(model, [good, bad], mode, 16.0, {})
-
-    def test_feature_map_needs_a_frozen_backbone(self):
-        pair = make_pairs(2).positives[0]
-        with pytest.raises(ValueError, match="not frozen"):
-            sup.total_loss(tiny_model(), [pair], "epipolar", 16.0, {})
 
     @pytest.mark.parametrize("half", ["fundamental", "gt_matches"])
     def test_pair_rejects_half_a_payload(self, half):
@@ -375,7 +370,7 @@ class TestFeatureMap:
         # each step draws dataset images in any order, with repeats, and finds
         # some of them in the map already
         rng = np.random.default_rng(seed)
-        backbone = cm.CoarseModel.create(seed % 1000, frozen_backbone=True).backbone
+        backbone = cm.CoarseModel.create(seed % 1000).backbone
         images = list(rng.random((6, *shape)))
         feature_map = {}
         for picks in steps:
@@ -547,6 +542,19 @@ class TestTraining:
         for name in names:
             assert (final.parent / name).read_bytes() == (reference.parent / name).read_bytes(), name
 
+    @pytest.mark.parametrize("freeze", [0, 6, 9])
+    def test_frozen_phase_edges_equal_the_reference(self, tmp_path, freeze):
+        # no frozen step, and every step frozen: freeze_steps at iterations and past it
+        config = self._config(tmp_path, iterations=6, freeze_steps=freeze, checkpoint_every=3)
+        final = sup.train(config)
+        reference = oracles.train_reference(dataclasses.replace(config, out_dir=str(tmp_path / "reference")))
+        for name in ["loss_curve.csv", "checkpoint_000003.gmck", final.name]:
+            assert (final.parent / name).read_bytes() == (reference.parent / name).read_bytes(), name
+        init = cm.CoarseModel.create(config.seed).backbone.parameters()
+        trained = cm.CoarseModel.load(final).backbone.parameters()
+        kept = [np.array_equal(p.data, q.data) for p, q in zip(init, trained)]
+        assert kept == [freeze >= config.iterations] * len(init)
+
     def test_config_file_roundtrip(self, tmp_path):
         text = "mode = point\niterations = 7\nlr = 0.01\nlambda_px = 8\nseed = 3\n"
         cfg_path = tmp_path / "c.txt"
@@ -577,10 +585,16 @@ class TestTraining:
     @pytest.mark.parametrize(
         "setting, message",
         [
-            ({"iterations": -3}, "iterations must be at least 1, got -3"),
+            ({"iterations": -3}, "iterations must be an integer >= 1, got -3"),
+            # a float step count made out_dir before failing, or trained silently
+            ({"iterations": 2.5}, "iterations must be an integer >= 1, got 2.5"),
+            ({"batch_size": 2.5}, "batch_size must be an integer >= 1, got 2.5"),
+            ({"freeze_steps": -3}, "freeze_steps must be an integer >= 0, got -3"),
+            ({"freeze_steps": 1.5}, "freeze_steps must be an integer >= 0, got 1.5"),
+            ({"checkpoint_every": 1.5}, "checkpoint_every must be an integer >= 0, got 1.5"),
             ({"lr_finetune": float("inf")}, "lr_finetune must be finite and >= 0, got inf"),
             ({"lr_finetune": -1e-3}, "lr_finetune must be finite and >= 0, got -0.001"),
-            ({"checkpoint_every": -1}, "checkpoint_every must be >= 0, got -1"),
+            ({"checkpoint_every": -1}, "checkpoint_every must be an integer >= 0, got -1"),
             # a float seed would fail only in CoarseModel.create, a bool would train as seed 0 or 1
             ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
             ({"seed": False}, "seed must be an integer >= 0, got False"),

@@ -8,9 +8,10 @@ Each step is its own ``python -m guidematch`` process on the checkout's
 ``src/``: synth (8 scenes at 64x64, 3 at 256x192 with 3 repeated stamps,
 2 at 640x480 with 3 repeated stamps, and 2 from a ``--config`` file,
 written into OUT_DIR as ``synth.cfg``, that sets every scene key off its
-default), a 6-step train in each supervision mode, a 4-step epipolar and
-point train on the 256x192 scenes resized by a ``--config`` file written
-as ``train.cfg`` (max side 128, batch 2), eval-pck at two max sides,
+default), a 6-step train in each supervision mode, two 6-step epipolar
+trains at the frozen phase's edges (0 and all 6 steps frozen), a 4-step
+epipolar and point train on the 256x192 scenes resized by a ``--config``
+file written as ``train.cfg`` (max side 128, batch 2), eval-pck at two max sides,
 eval-pose for raw, mutual, guided and model-guided plus a stress run and
 a ground-truth-keypoint run, a model-guided eval-pose on the 640x480
 scenes (860 to 1150 suppression candidates per image, so that the
@@ -89,6 +90,9 @@ def recipe(out: Path) -> list[list[str]]:
     for mode in MODES:
         steps.append(["train", "--mode", mode, "--dataset", train_set, "--iterations", "6", "--freeze-steps", "3",
                       "--seed", "0", "--out", str(out / f"train_{mode}")])
+    for freeze in ("0", "6"):
+        steps.append(["train", "--mode", "epipolar", "--dataset", train_set, "--iterations", "6", "--freeze-steps",
+                      freeze, "--seed", "0", "--out", str(out / f"train_epipolar_freeze{freeze}")])
     for mode in ("epipolar", "point"):
         steps.append(["train", "--config", str(out / "train.cfg"), "--mode", mode, "--dataset", eval_set,
                       "--iterations", "4", "--freeze-steps", "2", "--seed", "0", "--out", str(out / f"train256_{mode}")])
