@@ -28,7 +28,10 @@ forward it ran on a model, on that model object and keyed by a hash of the
 float32 parameters and images, so that ``eval_pck`` and guided ``eval_pose``
 on one pair with one model run it once. Training runs
 ``extract_features`` and ``volume_from_features`` on the trainable model
-itself, in float64.
+itself, whose parameters are float64, on float32 images: the backbone and
+the filter compute in the dtype of what they are given, casting each
+parameter to it (``numerics.cast``), and the filtered volume is cast back
+to the parameters' dtype, so the softmaxes and losses run in float64.
 """
 
 from __future__ import annotations
@@ -114,10 +117,13 @@ class Backbone:
         return out
 
     def forward(self, images: np.ndarray) -> Tensor:
-        """(N, H, W) images to a (C, N, H/s, W/s) feature map, one conv2d call per block."""
+        """(N, H, W) images to a (C, N, H/s, W/s) feature map, one conv2d call
+        per block, in the images' dtype: float32 images run every block in
+        float32 on cast parameters."""
         x = Tensor(images[None])
+        dtype = x.data.dtype
         for w, b in zip(self.weights, self.biases):
-            x = numerics.leaky_relu(numerics.conv2d(x, w, b))
+            x = numerics.leaky_relu(numerics.conv2d(x, numerics.cast(w, dtype), numerics.cast(b, dtype)))
         return x
 
 
@@ -156,14 +162,19 @@ class ConsensusFilter:
         The single input and output channel make the stack the (1, N, ...)
         input of ``conv4d`` by a free reshape: one call per layer for the
         whole batch. Every call's forward work buffers come from ``scratch``
-        when one is given.
+        when one is given. Each layer runs in the volume's dtype, on
+        parameters cast to it.
         """
         shape = volume.shape
+        dtype = volume.data.dtype
         x = volume.reshape((1, *shape))
         for w, b in zip(self.weights[:-1], self.biases):
-            x = numerics.leaky_relu(numerics.conv4d(x, w, b, scratch=scratch))
-        zero_bias = Tensor(np.zeros(1, dtype=x.data.dtype))
-        return numerics.conv4d(x, self.weights[-1], zero_bias, scratch=scratch).reshape(shape)
+            x = numerics.leaky_relu(
+                numerics.conv4d(x, numerics.cast(w, dtype), numerics.cast(b, dtype), scratch=scratch)
+            )
+        last = numerics.cast(self.weights[-1], dtype)
+        zero_bias = Tensor(np.zeros(1, dtype=dtype))
+        return numerics.conv4d(x, last, zero_bias, scratch=scratch).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -427,8 +438,13 @@ class CoarseModel:
 def volume_from_features(model: CoarseModel, fa: Tensor, fb: Tensor) -> CorrelationVolume:
     """The forward pass after the backbone: correlation, symmetric filter and
     softmax of (C, N, Ha, Wa) and (C, N, Hb, Wb) feature maps of
-    ``extract_features``, pair n being (fa[:, n], fb[:, n])."""
+    ``extract_features``, pair n being (fa[:, n], fb[:, n]).
+
+    The correlation and the filter run in the features' dtype; the filtered
+    volume is cast to the parameters' dtype, in which the softmaxes run.
+    """
     filtered = filter_symmetric(model.cons_filter, correlate(fa, fb))
+    filtered = numerics.cast(filtered, model.cons_filter.weights[-1].data.dtype)
     return CorrelationVolume(filtered, *normalize_scores(filtered), model.stride)
 
 

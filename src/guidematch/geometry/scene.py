@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from guidematch import ConfigError
+from guidematch import ConfigError, check_count, check_seed
 from guidematch.geometry.epipolar import (
     FRAME_ORIGINAL,
     CameraCalibration,
@@ -65,13 +65,11 @@ class SceneConfig:
     n_gt_points: int = 60
 
     def __post_init__(self):
-        for name in ("width", "height", "n_planes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("width", "height", "n_planes", "n_gt_points"):
+            check_count(getattr(self, name), name)
+        check_seed(self.repeated_stamps, "repeated_stamps")
         if not 0 < self.texel_px < math.inf:
             raise ConfigError(f"texel_px must be finite and > 0, got {self.texel_px:g}")
-        if self.repeated_stamps < 0:
-            raise ConfigError(f"repeated_stamps must be >= 0, got {self.repeated_stamps}")
         # _paste_stamps draws each stamp centre at least stamp_px inside the image
         if self.repeated_stamps and not 1 <= self.stamp_px <= min(self.width, self.height) // 2:
             raise ConfigError(

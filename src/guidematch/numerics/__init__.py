@@ -1,7 +1,8 @@
 """Dense tensor arithmetic with reverse-mode gradients plus Adam.
 
-Training runs in float64, with gradients; a forward pass on float32 data
-stays in float32 and records no graph (evaluation's, see ``tensor``).
+Every op computes in the dtype of its operands, float64 or float32, and
+``cast`` converts between them with a gradient (see ``tensor``): training
+keeps float64 parameters and computes its convolutions in float32.
 Only the primitives the coarse matcher and its losses need are provided;
 this is deliberately not a general-purpose autodiff library. Each takes
 only what a caller varies: ``conv2d`` is the backbone's one convolution
@@ -14,6 +15,7 @@ global switches or test hooks; callers check finiteness (see ``tensor``).
 from guidematch.numerics.tensor import (
     Tensor,
     parameter,
+    cast,
     conv2d,
     conv4d,
     Conv4dScratch,
@@ -29,6 +31,7 @@ from guidematch.numerics.checkpoint import save_checkpoint, load_checkpoint
 __all__ = [
     "Tensor",
     "parameter",
+    "cast",
     "conv2d",
     "conv4d",
     "Conv4dScratch",

@@ -1,13 +1,14 @@
-"""Float64 tensors that record the operations applied to them, and float32
-tensors that record nothing.
+"""Float64 and float32 tensors that record the operations applied to them.
 
 A tensor holds float64, or float32 when it is built from float32 data; any
 other data becomes float64. Every op returns the dtype of its tensor
-operands, and a Python-scalar operand takes the tensor's dtype, so a
-forward pass on float32 parameters and inputs runs in float32 throughout:
-evaluation's detached forward (``coarse_matcher.compute_match_fields``)
-does. Gradients are float64 only: a float32 tensor that requires grad is a
-``ValueError``.
+operands, which must share one, and its gradients have the dtypes of the
+operands they flow into; ``cast`` is the one op that changes a dtype
+(its docstring states the rule). Training keeps float64 parameters and
+runs the backbone and the consensus filter in float32 through ``cast``;
+evaluation's forward (``coarse_matcher.compute_match_fields``) runs on
+float32 copies of the parameters that require no grad, so it records no
+graph.
 
 Every operation builds the value eagerly with numpy and attaches a closure
 that propagates gradients to its inputs; ``Tensor.backward`` on a scalar
@@ -28,9 +29,11 @@ import numpy as np
 
 LEAKY_SLOPE = 0.1  # leaky_relu's slope below zero
 NORM_EPS = 1e-8  # l2_normalize_channels' smallest divisor
+GRAD_FLOOR = 2.0**-64  # cast's backward zeroes smaller gradient entries that it narrows to float32
 
 
 _FLOAT32 = np.dtype(np.float32)  # the one dtype besides float64 a tensor holds
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _as_array(data) -> np.ndarray:
@@ -42,14 +45,12 @@ def _as_array(data) -> np.ndarray:
 
 class Tensor:
     """A dense float64 or float32 array plus the bookkeeping for reverse-mode
-    gradients, which only a float64 one may require."""
+    gradients, which have its dtype."""
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = _as_array(data)
-        if requires_grad and self.data.dtype is _FLOAT32:
-            raise ValueError(f"a float32 tensor cannot require grad (name={name!r}); gradients are float64")
         self.requires_grad = bool(requires_grad)
         self.name = name
         self.grad: np.ndarray | None = None
@@ -70,7 +71,7 @@ class Tensor:
 
     def _acc(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
+            self.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=self.data.dtype)
         else:
             self.grad = self.grad + g
 
@@ -85,7 +86,7 @@ class Tensor:
         order = _topological_order(self)
         for node in order:
             node.grad = None
-        self.grad = np.ones((), dtype=np.float64)
+        self.grad = np.ones((), dtype=self.data.dtype)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -161,6 +162,35 @@ def parameter(data, name: str) -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
 
 
+def cast(x: Tensor, dtype) -> Tensor:
+    """``x`` as float32 or float64: ``x`` itself when it holds ``dtype`` already.
+
+    The dtype rule: an op computes in the dtype of its tensor operands and
+    gives each operand a gradient of that operand's dtype, and this is the
+    one op that converts. Its backward pass casts the gradient back to
+    ``x``'s dtype. When that narrows float64 to float32, entries of
+    magnitude below ``GRAD_FLOOR`` (2^-64) become zero first: a backward
+    pass in float32 would otherwise carry them, and the products of later
+    layers, through subnormal arithmetic, which x86 runs many times slower.
+    Float32's smallest normal is 2^-126, so the floor leaves 62 octaves of
+    headroom for those products; the entries it drops are below 5.5e-20.
+    """
+    dtype = np.dtype(dtype)
+    if dtype not in (_FLOAT32, _FLOAT64):
+        raise ValueError(f"cast supports float32 and float64, got {dtype}")
+    if x.data.dtype == dtype:
+        return x
+    source = x.data.dtype
+
+    def bwd(g):
+        if x.requires_grad:
+            if source == _FLOAT32:
+                g = np.where(np.abs(g) < GRAD_FLOOR, 0.0, g)
+            x._acc(g.astype(source))
+
+    return _make(x.data.astype(dtype), (x,), bwd)
+
+
 def _coerce(x, dtype: np.dtype) -> Tensor:
     """``x`` as a tensor operand of one whose data has ``dtype``: a tensor as it
     is, anything else, such as a Python scalar, converted to ``dtype``."""
@@ -170,9 +200,16 @@ def _coerce(x, dtype: np.dtype) -> Tensor:
 
 
 def _check_binary_shapes(op: str, a: np.ndarray, b: np.ndarray) -> None:
-    # Only same-shape or scalar operands; silent broadcasting hides bugs.
+    # Only same-shape or scalar operands of one dtype; silent broadcasting
+    # and promotion hide bugs.
     if a.shape != b.shape and a.shape != () and b.shape != ():
         raise ValueError(f"shape mismatch in {op}: {a.shape} vs {b.shape}")
+    _check_dtypes(op, a, b)
+
+
+def _check_dtypes(op: str, *arrays: np.ndarray) -> None:
+    if len({a.dtype for a in arrays}) > 1:
+        raise ValueError(f"dtype mismatch in {op}: {', '.join(str(a.dtype) for a in arrays)}; cast the operands first")
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -269,6 +306,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         )
     if bias.shape != (c_out,):
         raise ValueError(f"conv2d bias must have shape ({c_out},), got {bias.shape}")
+    _check_dtypes("conv2d", x.data, kernel.data, bias.data)
     _, n, h, w = x.shape
     ho, wo = (h - 1) // 2 + 1, (w - 1) // 2 + 1
 
@@ -277,7 +315,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     xpn = xp.transpose(1, 0, 2, 3)
     kd = kernel.data
     taps = np.ascontiguousarray(kd.transpose(2, 3, 0, 1))  # (3, 3, C_out, C_in)
-    outn = np.empty((n, c_out, ho * wo), dtype=np.result_type(x.data, kd, bias.data))
+    outn = np.empty((n, c_out, ho * wo), dtype=kd.dtype)
     outn[:] = bias.data[:, None]
     for dy in range(3):
         ys = _tap_slice(dy, ho)
@@ -298,11 +336,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             return
         if need_k:
             xpt = xp.transpose(1, 2, 3, 0)
-            tap_slabs = np.empty((3, 3, n, ho, wo, c_in))
+            tap_slabs = np.empty((3, 3, n, ho, wo, c_in), dtype=xp.dtype)
         if need_x:
             gn = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(n, c_out, ho * wo)
             taps_t = np.ascontiguousarray(kd.transpose(2, 3, 1, 0))  # (3, 3, C_in, C_out)
-            gpn = np.zeros((n, c_in) + xp.shape[2:])
+            gpn = np.zeros((n, c_in) + xp.shape[2:], dtype=g.dtype)
         for dy in range(3):
             ys = _tap_slice(dy, ho)
             for dx in range(3):
@@ -497,12 +535,13 @@ def conv4d(x: Tensor, kernel: Tensor, bias: Tensor, scratch: Conv4dScratch | Non
         )
     if bias.shape != (c_out,):
         raise ValueError(f"conv4d bias must have shape ({c_out},), got {bias.shape}")
+    _check_dtypes("conv4d", x.data, kernel.data, bias.data)
     dims = x.shape[1:]  # (N, Ha, Wa, Hb, Wb)
     if min(dims) < 1:
         raise ValueError(f"conv4d batch and spatial extents must be >= 1, got {dims}")
 
     kd = kernel.data
-    out = np.empty((c_out,) + dims, dtype=np.result_type(x.data, kd, bias.data))
+    out = np.empty((c_out,) + dims, dtype=kd.dtype)
     out[:] = bias.data[(slice(None),) + (None,) * 5]
     _conv4d_into(out, x.data, kd, Conv4dScratch() if scratch is None else scratch)
 
@@ -514,8 +553,8 @@ def conv4d(x: Tensor, kernel: Tensor, bias: Tensor, scratch: Conv4dScratch | Non
             # fed: block (da, db) holds output row i + 1 - da, its column w
             # at column w + db - 1; the columns no output reads stay zero
             n, ha, wa = dims[:3]
-            gk = np.zeros((9 * c_out, 9 * c_in))
-            g_taps = np.zeros((3, 3, c_out, n, wa) + dims[3:])
+            gk = np.zeros((9 * c_out, 9 * c_in), dtype=g.dtype)
+            g_taps = np.zeros((3, 3, c_out, n, wa) + dims[3:], dtype=g.dtype)
             w_shifts = [_shifted(db, wa) for db in range(3)]
             for i, cols in _a_row_columns(x.data, Conv4dScratch(), 2):
                 for da in range(3):
@@ -529,7 +568,7 @@ def conv4d(x: Tensor, kernel: Tensor, bias: Tensor, scratch: Conv4dScratch | Non
             kernel._acc(gk.reshape(3, 3, c_out, 3, 3, c_in).transpose(2, 5, 0, 1, 3, 4))
         if x.requires_grad:
             flipped = kd[:, :, ::-1, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4, 5)
-            gx = np.zeros(x.shape)
+            gx = np.zeros(x.shape, dtype=g.dtype)
             _conv4d_into(gx, g, flipped, Conv4dScratch())
             x._acc(gx)
 
@@ -554,7 +593,7 @@ def leaky_relu(x: Tensor) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            x._acc(g * np.where(pos, 1.0, LEAKY_SLOPE))
+            x._acc(np.where(pos, g, LEAKY_SLOPE * g))
 
     return _make(out, (x,), bwd)
 
@@ -649,6 +688,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul stack sizes disagree: {a.shape} @ {b.shape}")
     if a.shape[2] != b.shape[1]:
         raise ValueError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
+    _check_dtypes("matmul", a.data, b.data)
     out = np.matmul(a.data, b.data)
 
     def bwd(g):

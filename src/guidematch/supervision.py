@@ -291,9 +291,11 @@ def total_loss(
 
 
 def positive_pair(scene: SyntheticScene, max_side: int, stride: int) -> TrainingPair:
-    """Resize a scene's views and re-express its supervision in that frame."""
+    """Resize a scene's views, stored as float32 so that the backbone and the
+    filter compute in float32, and re-express its supervision in that frame."""
     image_a, scale_a = cm.resize_image(scene.image_a, max_side, stride)
     image_b, scale_b = cm.resize_image(scene.image_b, max_side, stride)
+    image_a, image_b = image_a.astype(np.float32), image_b.astype(np.float32)
     fund = rescale_fundamental(scene.fundamental, scale_a, scale_b, FRAME_RESIZED)
     gt = scene.gt_points.copy()
     gt[:, 0] *= scale_a[0]
@@ -395,8 +397,14 @@ class TrainConfig:
 
 
 def train(config: TrainConfig) -> Path:
-    """Stochastic training with a frozen-backbone warm-up phase.
+    """Stochastic training with a frozen-backbone warm-up phase, in mixed precision.
 
+    The parameters, Adam's moments, the softmaxes, the losses and the
+    checkpoints are float64; the dataset's images are float32
+    (``positive_pair``), so the backbone and the filter, forward and
+    backward, compute in float32 on parameters cast to it, and their
+    gradients reach Adam cast back to float64 (``numerics.cast``, which also
+    states the floor below which a gradient entering float32 is zeroed).
     The consensus filter trains from the start at ``lr``; the backbone stays
     frozen for ``freeze_steps`` steps and then fine-tunes at ``lr_finetune``.
     The frozen steps are the ones that pass ``total_loss`` a feature map;

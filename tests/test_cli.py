@@ -394,7 +394,7 @@ def _config_library(command, setting):
                      "--scenes must be at least 1, got 0",
                      id="argv1-None---scenes must be at least 1, got 0"),
         pytest.param(["synth", "--repeated", "-1"], None, dict(repeated_stamps=-1),
-                     "repeated_stamps must be >= 0, got -1",
+                     "repeated_stamps must be an integer >= 0, got -1",
                      id="argv2-None-repeated_stamps must be >= 0, got -1"),
         pytest.param(["train"], "mode = sideways", dict(mode="sideways"),
                      "mode must be one of ('image', 'epipolar', 'point'), got 'sideways'",
@@ -439,13 +439,13 @@ def _config_library(command, setting):
                      "seed must be an integer >= 0, got -3",
                      id="argv16-None-seed must be >= 0, got -3"),
         pytest.param(["synth", "--width", "0"], None, dict(width=0),
-                     "width must be at least 1, got 0",
+                     "width must be an integer >= 1, got 0",
                      id="synth-width-0"),
         pytest.param(["synth", "--height", "-16"], None, dict(height=-16),
-                     "height must be at least 1, got -16",
+                     "height must be an integer >= 1, got -16",
                      id="synth-height-negative"),
         pytest.param(["synth", "--planes", "0"], None, dict(n_planes=0),
-                     "n_planes must be at least 1, got 0",
+                     "n_planes must be an integer >= 1, got 0",
                      id="synth-no-planes"),
         pytest.param(["synth", "--repeated", "2"], "stamp_px = 40", dict(repeated_stamps=2, stamp_px=40),
                      "stamp_px must be in [1, 32] for a 64x64 image with repeated stamps, got 40",
@@ -463,7 +463,7 @@ def _config_library(command, setting):
                      "texel_px must be finite and > 0, got nan",
                      id="synth-texel-nan"),
         pytest.param(["synth"], "n_gt_points = 0", dict(n_gt_points=0),
-                     "n_gt_points must be at least 15, got 0",
+                     "n_gt_points must be an integer >= 1, got 0",
                      id="synth-no-gt-points"),
         pytest.param(["synth"], "tilt_max = nan", dict(tilt_max=math.nan),
                      "tilt_max must be finite and >= 0, got nan",

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tempfile
 
 import numpy as np
@@ -370,7 +371,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize(
         "text, flags, message",
         [
-            ("", {"repeated_stamps": -1}, "repeated_stamps must be >= 0, got -1"),
+            ("", {"repeated_stamps": -1}, "repeated_stamps must be an integer >= 0, got -1"),
             ("stamp_px = 40\n", {"repeated_stamps": 2},
              r"stamp_px must be in \[1, 32\] for a 64x64 image with repeated stamps, got 40"),
             ("stamp_px = 33\nwidth = 96\n", {"repeated_stamps": 1},
@@ -379,7 +380,7 @@ class TestLoadConfig:
              r"stamp_px must be in \[1, 32\] for a 64x64 image with repeated stamps, got 0"),
             ("background_amplitude = nan\n", {}, "background_amplitude must be finite, got nan"),
             ("background_amplitude = -inf\n", {}, "background_amplitude must be finite, got -inf"),
-            ("n_gt_points = 0\n", {}, "n_gt_points must be at least 15, got 0"),
+            ("n_gt_points = 0\n", {}, "n_gt_points must be an integer >= 1, got 0"),
             ("n_gt_points = 14\n", {}, "n_gt_points must be at least 15, got 14"),
             ("tilt_max = nan\n", {}, "tilt_max must be finite and >= 0, got nan"),
             ("tilt_max = inf\n", {}, "tilt_max must be finite and >= 0, got inf"),
@@ -391,6 +392,23 @@ class TestLoadConfig:
         path.write_text(text)
         with pytest.raises(ConfigError, match=message):
             load_config(path, SceneConfig, **flags)
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"width": 64.5}, "width must be an integer >= 1, got 64.5"),
+            ({"height": 48.0}, "height must be an integer >= 1, got 48.0"),
+            ({"n_planes": 2.5}, "n_planes must be an integer >= 1, got 2.5"),
+            ({"n_gt_points": 30.5}, "n_gt_points must be an integer >= 1, got 30.5"),
+            ({"repeated_stamps": 1.5}, "repeated_stamps must be an integer >= 0, got 1.5"),
+            ({"width": True}, "width must be an integer >= 1, got True"),
+        ],
+    )
+    def test_a_count_that_is_not_an_integer_fails_at_construction(self, setting, message):
+        # before generate_scene, which would raise a TypeError or, for the
+        # stamps, ask to relax the config
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SceneConfig(**setting)
 
     def test_fewest_points_and_untilted_planes_are_accepted(self):
         # the fewest points that can reach the 30 common points a scene needs: 15 sample 30 candidates

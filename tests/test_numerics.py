@@ -17,6 +17,7 @@ from guidematch.numerics import (
     Conv4dScratch,
     Tensor,
     adam_step,
+    cast,
     conv2d,
     conv4d,
     l2_normalize_channels,
@@ -550,12 +551,12 @@ class TestL2Normalize:
 
 
 class TestFloat32:
-    """Float32 data stays float32 through every op, without a graph; gradients are float64 only."""
+    """Float32 data stays float32 through every op, forward and backward."""
 
     @staticmethod
-    def _ops(rng, dtype):
+    def _ops(rng, dtype, requires_grad=False):
         def data(*shape):
-            return Tensor(rng.standard_normal(shape).astype(dtype))
+            return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=requires_grad)
 
         x4, x6 = data(2, 2, 5, 4), data(2, 2, 3, 2, 3, 2)
         return {
@@ -587,15 +588,126 @@ class TestFloat32:
             scale = max(1.0, float(np.abs(out64.data).max()))
             assert np.abs(out32.data - out64.data).max() <= 1e-5 * scale, name
 
+    @staticmethod
+    def _leaf_grads(out: Tensor, dtype) -> list[np.ndarray]:
+        """Backward of a fixed random weighting of ``out``; the gradients of
+        its leaves, in the graph's traversal order."""
+        w = np.random.default_rng(71).standard_normal(out.shape).astype(dtype)
+        loss = (out * w).sum()
+        loss.backward()
+        return [t.grad for t in tensor._topological_order(loss) if t.requires_grad and not t._parents]
+
+    def test_every_op_gives_float32_operands_float32_gradients(self):
+        # the float32 gradients match the float64 ones to float32 accuracy,
+        # as the forward results do
+        ops32 = self._ops(np.random.default_rng(70), np.float32, requires_grad=True)
+        ops64 = self._ops(np.random.default_rng(70), np.float64, requires_grad=True)
+        for name in ops32:
+            grads32 = self._leaf_grads(ops32[name](), np.float32)
+            grads64 = self._leaf_grads(ops64[name](), np.float64)
+            assert len(grads32) == len(grads64) > 0, name
+            for g32, g64 in zip(grads32, grads64):
+                assert g32.dtype == np.float32 and g64.dtype == np.float64, name
+                scale = max(1.0, float(np.abs(g64).max()))
+                assert np.abs(g32 - g64).max() <= 1e-5 * scale, name
+
+    def test_backward_seeds_a_float32_scalar_in_float32(self):
+        x = parameter(np.array(3.0, dtype=np.float32), "x")
+        (x * x).backward()
+        assert x.grad.dtype == np.float32 and float(x.grad) == 6.0
+
+    def test_a_float32_tensor_may_require_grad(self):
+        # the parameters stay float64; a float32 leaf whose gradients stay
+        # float32 is what a cast parameter looks like to the ops after it
+        for make in (lambda d: Tensor(d, requires_grad=True), lambda d: parameter(d, "w")):
+            t = make(np.zeros(3, np.float32))
+            assert t.requires_grad and t.data.dtype == np.float32
+
     @pytest.mark.parametrize("data", [0.5, [1, 2], np.arange(3), np.float16(0.5)])
     def test_other_data_becomes_float64(self, data):
         assert Tensor(data).data.dtype == np.float64
 
-    def test_a_float32_tensor_cannot_require_grad(self):
-        for make in (lambda d: Tensor(d, requires_grad=True), lambda d: parameter(d, "w")):
-            with pytest.raises(ValueError, match="float32 tensor cannot require grad"):
-                make(np.zeros(3, np.float32))
-        assert parameter(np.zeros(3), "w").requires_grad
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda a, b: a + b,
+            lambda a, b: a * b,
+            lambda a, b: matmul(a.reshape((1, 2, 2)), b.reshape((1, 2, 2))),
+        ],
+    )
+    def test_operands_of_two_dtypes_are_rejected(self, op):
+        a, b = Tensor(np.ones(4)), Tensor(np.ones(4, np.float32))
+        with pytest.raises(ValueError, match="dtype mismatch"):
+            op(a, b)
+
+    def test_conv_operands_of_two_dtypes_are_rejected(self):
+        x = Tensor(np.ones((1, 1, 4, 4), np.float32))
+        with pytest.raises(ValueError, match="dtype mismatch in conv2d"):
+            conv2d(x, Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones(1, np.float32)))
+        x6 = Tensor(np.ones((1, 1, 2, 2, 2, 2), np.float32))
+        with pytest.raises(ValueError, match="dtype mismatch in conv4d"):
+            conv4d(x6, Tensor(np.ones((1, 1, 3, 3, 3, 3))), Tensor(np.ones(1)))
+
+
+class TestCast:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_dtype_is_the_tensor_itself(self, dtype):
+        x = parameter(np.ones(3, dtype), "x")
+        assert cast(x, dtype) is x
+
+    def test_other_dtypes_are_rejected(self):
+        with pytest.raises(ValueError, match="float32 and float64"):
+            cast(Tensor(np.ones(2)), np.float16)
+
+    @pytest.mark.parametrize("source, target", [(np.float64, np.float32), (np.float32, np.float64)])
+    def test_value_and_gradient_round_trip(self, source, target):
+        # the Jacobian is the identity: the gradient is the weighting, cast
+        # to the source dtype (the weights lie far above the floor)
+        rng = np.random.default_rng(72)
+        x = parameter(rng.standard_normal((3, 4)).astype(source), "x")
+        w = rng.standard_normal((3, 4)).astype(target)
+        y = cast(x, target)
+        assert y.data.dtype == target and np.array_equal(y.data, x.data.astype(target))
+        (y * w).sum().backward()
+        assert x.grad.dtype == source and np.array_equal(x.grad, w.astype(source))
+
+    def test_gradients_through_a_float32_layer(self):
+        # f(x) = sum(w * cast(leaky_relu(cast(x, f32) * cast(x, f32)), f64)):
+        # a step h perturbs one float32 term, whose rounding of about 6e-8 of
+        # its size divided by 2h bounds the difference quotient's error, so
+        # h = 1e-2 gives about 1e-5 relative, and 1e-4 leaves a margin; the
+        # function is quadratic, so the step adds no truncation error
+        for seed in range(N_GRAD_SEEDS):
+            rng = np.random.default_rng(800 + seed)
+            x = parameter(rng.uniform(0.5, 2.0, (3, 4)) * rng.choice([-1, 1], (3, 4)), "x")
+            w = rng.standard_normal((3, 4))
+
+            def f():
+                x32 = cast(x, np.float32)
+                return (cast(leaky_relu(x32 * x32), np.float64) * w).sum()
+
+            assert max_gradient_error(f, [x], step=1e-2) < GRAD_TOL
+
+    def test_narrowing_backward_zeroes_entries_below_the_floor(self):
+        floor = tensor.GRAD_FLOOR
+        assert floor == 2.0**-64
+        g = np.array([floor, -floor, floor * (1 - 2**-52), -floor / 2, 1e-30, 0.0, 1e-300, 3.0, np.nan, -np.inf])
+        x = parameter(np.ones(g.shape, np.float32), "x")
+        (cast(x, np.float64) * g).sum().backward()
+        expected = np.where(np.abs(g) < floor, 0.0, g).astype(np.float32)
+        assert x.grad.dtype == np.float32
+        assert np.array_equal(x.grad, expected, equal_nan=True)
+        assert expected[:2].tolist() == [floor, -floor] and not expected[2:7].any()
+        # no entry below float32's smallest normal reaches the float32 graph
+        tiny = np.finfo(np.float32).tiny
+        assert not ((np.abs(x.grad) < tiny) & (x.grad != 0)).any()
+
+    def test_widening_backward_keeps_every_entry(self):
+        # a gradient leaving float32 for float64 loses nothing to the floor
+        g = np.array([2.0**-100, np.finfo(np.float32).smallest_subnormal, -1.5], dtype=np.float32)
+        x = parameter(np.ones(3), "x")
+        (cast(x, np.float32) * g).sum().backward()
+        assert x.grad.dtype == np.float64 and np.array_equal(x.grad, g.astype(np.float64))
 
 
 class TestBackward:

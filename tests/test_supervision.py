@@ -365,13 +365,14 @@ class TestFeatureMap:
         shape=st.sampled_from([(64, 64), (96, 128)]),
         steps=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=8), min_size=1, max_size=3),
         seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from([np.float32, np.float64]),
     )
-    def test_stacks_equal_one_batched_call(self, shape, steps, seed):
+    def test_stacks_equal_one_batched_call(self, shape, steps, seed, dtype):
         # each step draws dataset images in any order, with repeats, and finds
-        # some of them in the map already
+        # some of them in the map already; training's images are float32
         rng = np.random.default_rng(seed)
         backbone = cm.CoarseModel.create(seed % 1000).backbone
-        images = list(rng.random((6, *shape)))
+        images = list(rng.random((6, *shape)).astype(dtype))
         feature_map = {}
         for picks in steps:
             batch = [images[i] for i in picks]
@@ -379,7 +380,8 @@ class TestFeatureMap:
             stacked = sup._stacked_features(batch, feature_map)
             direct = cm.extract_features(backbone, np.stack(batch))
             assert stacked.shape == direct.shape and not stacked.requires_grad
-            assert np.array_equal(stacked.data.view(np.uint64), direct.data.view(np.uint64))
+            assert stacked.data.dtype == direct.data.dtype == dtype
+            assert stacked.data.tobytes() == direct.data.tobytes()
         assert len(feature_map) == len({i for picks in steps for i in picks})
 
 
@@ -638,12 +640,14 @@ def _random_pair(rng, cells=3):
     return sup.TrainingPair(img_a, img_b, fund, gt)
 
 
-def _loss_case(objective, seed):
+def _loss_case(objective, seed, dtype=np.float64):
     """One objective of ``OBJECTIVES`` on one ``_random_pair`` as a function
-    of a tiny model's parameters."""
+    of a tiny model's parameters; the pair's images are float64, which runs
+    the whole forward in float64, unless ``dtype`` says otherwise."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, OBJECTIVES.index(objective)]))
     model = _case_model(seed, rng)
     pair = _random_pair(rng)
+    pair = dataclasses.replace(pair, image_a=pair.image_a.astype(dtype), image_b=pair.image_b.astype(dtype))
     if objective == "volume":
         weights = rng.standard_normal((1, 3, 3, 3, 3))
         images = pair.image_a[None], pair.image_b[None]
@@ -697,6 +701,21 @@ class TestLossGradients:
     def test_every_coordinate_epipolar(self):
         _, case = _first_well_conditioned("epipolar")
         assert max_gradient_error(*case) < 1e-4
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_float32_forward_matches_the_float64_gradients(self, objective):
+        # training's forward: float32 images run the backbone and the filter
+        # in float32 on cast parameters; its float64 parameter gradients match
+        # the float64 forward's within 1e-4 of each parameter's largest
+        # gradient entry: float32 rounds to 6e-8, and the bound allows the
+        # network to amplify that 1600-fold (about 60-fold is seen)
+        seed, (f64, params64) = _first_well_conditioned(objective)
+        f32, params32 = _loss_case(objective, seed, np.float32)
+        f64().backward()
+        f32().backward()
+        for p32, p64 in zip(params32, params64):
+            assert np.array_equal(p32.data, p64.data) and p32.grad.dtype == np.float64, p32.name
+            assert np.abs(p32.grad - p64.grad).max() <= 1e-4 * np.abs(p64.grad).max(), p32.name
 
     @pytest.mark.parametrize("mode", sup.MODES)
     def test_mixed_batch(self, mode):
